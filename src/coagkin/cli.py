@@ -81,7 +81,25 @@ class RunConfig:
         )
 
     def build_kernel(self) -> CoagulationKernel:
-        return kernels.from_config(self.kernel)
+        kern = kernels.from_config(self.kernel)
+        cover = kern.max_table_size
+        if cover is not None:
+            need = self.largest_integrated_k()
+            if cover < need:
+                raise ConfigError(
+                    "kernel.params.path", f"tabulated kernel covers sizes 1..{cover}, need {need}"
+                )
+        return kern
+
+    def largest_integrated_k(self) -> int:
+        """Largest truncation size the command integrates at (0: it integrates none)."""
+        exp = self.experiment or {}
+        name = exp.get("name")
+        if name in ("admissibility", "weights"):
+            return 0  # the admissibility grid is capped at a table's size
+        if name == "truncation" and exp.get("k_list"):
+            return max(int(k) for k in exp["k_list"])
+        return self.truncation_k
 
     def build_solver(self) -> SolverConfig:
         s = dict(self.solver)
@@ -163,10 +181,11 @@ def simulate(config_path: str) -> int:
     except ConfigError as exc:
         return _fail(str(exc))
 
-    grid = 4 * cfg.truncation_k  # covers every rate a run can evaluate, with margin
-    adm = check_admissibility(kern, grid)
+    # 4k covers every rate a run can evaluate, with margin; tables cap it at their size
+    adm = check_admissibility(kern, 4 * cfg.truncation_k)
     if not adm.passed:
         bad = {k: v for k, v in adm.metrics.items() if "violation" in k and v > 0}
+        grid = adm.config_echo["max_size"]
         return _fail(f"kernel '{kern.name}' failed admissibility on grid 1..{grid}: {bad}")
 
     out = cfg.output_dir
@@ -209,10 +228,9 @@ def simulate(config_path: str) -> int:
     return 0
 
 
-def _experiment_report(cfg: RunConfig) -> ExperimentReport:
+def _experiment_report(cfg: RunConfig, kern: CoagulationKernel) -> ExperimentReport:
     exp = cfg.experiment or {}
     name = exp.get("name")
-    kern = cfg.build_kernel()
     solver = cfg.build_solver()
     thresholds = exp.get("thresholds")
     out = cfg.output_dir
@@ -276,13 +294,14 @@ def verify(config_path: str) -> int:
         cfg = RunConfig.load(config_path)
         if cfg.experiment is None:
             raise ConfigError("experiment", "verify needs an experiment block")
+        kern = cfg.build_kernel()
     except ConfigError as exc:
         return _fail(str(exc))
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     report_path = os.path.join(cfg.output_dir, "report.json")
     try:
-        report = _experiment_report(cfg)
+        report = _experiment_report(cfg, kern)
     except ConfigError as exc:
         return _fail(str(exc))
     except NumericError as exc:

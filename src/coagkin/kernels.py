@@ -13,7 +13,7 @@ exhaustively on a finite grid rather than inferring them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,17 @@ RateRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # Relative slack applied to growth-bound comparisons so that floating-point
 # rules (e.g. fractional powers) are not flagged on rounding alone.
 GROWTH_SLACK = 1e-12
+
+# Cells per strip of the admissibility scan (about 128 KiB of float64).
+STRIP_CELLS = 1 << 14
+
+_VIOLATIONS = (
+    "negativity_violations",
+    "symmetry_violations",
+    "growth_violations",
+    "delta_violations",
+    "zeta_violations",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +78,17 @@ class CoagulationKernel:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         idx = np.arange(1, k + 1)
-        ii, jj = np.meshgrid(idx, idx, indexing="ij")
-        return np.asarray(self.rule(ii, jj), dtype=float)
+        return _rate_block(self.rule, idx, idx)
 
     @property
     def max_table_size(self) -> int | None:
         return None if self.table is None else self.table.shape[0]
+
+
+def _rate_block(rule: RateRule, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Rates on the grid rows x cols, shape (rows.size, cols.size)."""
+    ii, jj = np.meshgrid(rows, cols, indexing="ij")
+    return np.asarray(rule(ii, jj), dtype=float)
 
 
 def constant(c: float = 1.0, name: str | None = None) -> CoagulationKernel:
@@ -251,7 +267,14 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     declared A, and (when declared) the power-delta bound and the zeta
     lower bound. The first violation in row-major scan order (i outer,
     j inner) is reported in the metrics. Violations are report content,
-    not exceptions.
+    not exceptions. Tabulated kernels are checked up to their table size.
+
+    The grid is scanned in strips and never materialised. Each block of
+    rows r0 <= i < r1 evaluates its row strip (i in the block, j >= r0)
+    and the mirror column strip (j in the block, i >= r0); comparing the
+    two checks symmetry, and every cell is counted once, in the block
+    holding min(i, j). A strip holds about ``STRIP_CELLS`` cells, so the
+    memory used does not grow with ``max_size``.
     """
     if max_size < 2:
         raise ValueError(f"max_size must be >= 2, got {max_size}")
@@ -259,53 +282,67 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     if kernel.max_table_size is not None and n > kernel.max_table_size:
         n = kernel.max_table_size
     idx = np.arange(1, n + 1)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    g = np.asarray(kernel.rule(ii, jj), dtype=float)
-
     a = kernel.growth_constant_A
-    lin_bound = a * (ii + jj)
-    neg = g < 0
-    asym = g != g.T
-    growth = g > lin_bound * (1.0 + GROWTH_SLACK)
-    if kernel.power_delta is not None:
-        d = kernel.power_delta
-        delta_bound = a * (ii.astype(float) ** d + jj.astype(float) ** d)
-        delta_viol = g > delta_bound * (1.0 + GROWTH_SLACK)
-    else:
-        delta_viol = np.zeros_like(neg)
-    if kernel.lower_bound_zeta is not None:
-        zeta_viol = g < kernel.lower_bound_zeta * (1.0 - GROWTH_SLACK)
-    else:
-        zeta_viol = np.zeros_like(neg)
+    d = kernel.power_delta
+    zeta = kernel.lower_bound_zeta
+    # bounds are broadcast from 1-D factors: the same values as on the full grid
+    idx_pow = idx.astype(float) ** d if d is not None else None
 
-    metrics = {
-        "negativity_violations": float(neg.sum()),
-        "symmetry_violations": float(asym.sum()),
-        "growth_violations": float(growth.sum()),
-        "delta_violations": float(delta_viol.sum()),
-        "zeta_violations": float(zeta_viol.sum()),
-        "max_growth_ratio": float((g / lin_bound).max()),
-    }
-    thresholds = {
-        "negativity_violations": 0.0,
-        "symmetry_violations": 0.0,
-        "growth_violations": 0.0,
-        "delta_violations": 0.0,
-        "zeta_violations": 0.0,
-    }
+    counts = dict.fromkeys(_VIOLATIONS, 0)
+    max_ratio = -np.inf
+    first = None  # (i, j, rate) of the row-major first violation so far
 
-    union = neg | asym | growth | delta_viol | zeta_viol
-    if union.any():
-        flat = int(np.argmax(union.reshape(-1)))  # row-major: first i, then j
-        vi, vj = divmod(flat, n)
-        metrics["first_violation_i"] = float(vi + 1)
-        metrics["first_violation_j"] = float(vj + 1)
-        metrics["first_violation_rate"] = float(g[vi, vj])
+    def fold(g, rows, cols, asym):
+        """Fold strip g[r, c] = rate(idx[rows][r], idx[cols][c]) into the tallies."""
+        nonlocal max_ratio, first
+        if g.size == 0:
+            return
+        lin_bound = a * (idx[rows, None] + idx[None, cols])
+        masks = {
+            "negativity_violations": g < 0,
+            "symmetry_violations": asym,
+            "growth_violations": g > lin_bound * (1.0 + GROWTH_SLACK),
+        }
+        if d is not None:
+            delta_bound = a * (idx_pow[rows, None] + idx_pow[None, cols])
+            masks["delta_violations"] = g > delta_bound * (1.0 + GROWTH_SLACK)
+        if zeta is not None:
+            masks["zeta_violations"] = g < zeta * (1.0 - GROWTH_SLACK)
+        found = 0
+        for key, mask in masks.items():
+            hits = int(np.count_nonzero(mask))
+            counts[key] += hits
+            found += hits
+        max_ratio = np.maximum(max_ratio, (g / lin_bound).max())
+        if found:
+            union = np.logical_or.reduce(list(masks.values()))
+            r, c = divmod(int(np.argmax(union)), g.shape[1])  # row-major within the strip
+            cell = (int(idx[rows][r]), int(idx[cols][c]))
+            if first is None or cell < first[:2]:
+                first = (*cell, float(g[r, c]))
+
+    block = max(1, STRIP_CELLS // n)
+    for r0 in range(0, n, block):
+        r1 = min(r0 + block, n)
+        rows, rest = slice(r0, r1), slice(r0, n)
+        row_strip = _rate_block(kernel.rule, idx[rows], idx[rest])
+        col_strip = _rate_block(kernel.rule, idx[rest], idx[rows])
+        asym = row_strip != col_strip.T
+        fold(row_strip, rows, rest, asym)
+        # skip the diagonal square: the row strip already counted it
+        fold(col_strip[r1 - r0:], slice(r1, n), rows, asym[:, r1 - r0:].T)
+
+    metrics = {key: float(count) for key, count in counts.items()}
+    metrics["max_growth_ratio"] = float(max_ratio)
+    if first is not None:
+        metrics["first_violation_i"] = float(first[0])
+        metrics["first_violation_j"] = float(first[1])
+        metrics["first_violation_rate"] = first[2]
 
     return ExperimentReport.build(
         name="admissibility",
         metrics=metrics,
-        thresholds=thresholds,
+        thresholds=dict.fromkeys(_VIOLATIONS, 0.0),
         config_echo={
             "kernel": kernel.name,
             "max_size": n,
@@ -362,17 +399,7 @@ def from_config(block: dict) -> CoagulationKernel:
     if "A" in block:
         overrides["growth_constant_A"] = float(block["A"])
     if "delta" in block:
-        overrides["delta"] = block["delta"]
+        overrides["power_delta"] = block["delta"]
     if "zeta" in block:
-        overrides["zeta"] = block["zeta"]
-    if overrides:
-        kern = CoagulationKernel(
-            name=kern.name,
-            rule=kern.rule,
-            growth_constant_A=overrides.get("growth_constant_A", kern.growth_constant_A),
-            power_delta=overrides.get("delta", kern.power_delta),
-            lower_bound_zeta=overrides.get("zeta", kern.lower_bound_zeta),
-            separable=kern.separable,
-            table=kern.table,
-        )
-    return kern
+        overrides["lower_bound_zeta"] = block["zeta"]
+    return replace(kern, **overrides)

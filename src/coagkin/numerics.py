@@ -1,23 +1,7 @@
-"""Small numerical helpers: compensated summation and Simpson quadrature."""
+"""Small numerical helpers: Simpson quadrature."""
 from __future__ import annotations
 
 import numpy as np
-
-
-def kahan_sum(values: np.ndarray) -> float:
-    """Compensated (Kahan) sum in ascending index order.
-
-    Used for moment functionals where monotonicity comparisons at the
-    1e-9 level must not be polluted by naive accumulation error.
-    """
-    s = 0.0
-    c = 0.0
-    for v in np.asarray(values, dtype=float):
-        y = v - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return s
 
 
 def composite_simpson(t: np.ndarray, y: np.ndarray) -> float:

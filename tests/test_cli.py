@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,3 +170,37 @@ def test_geometric_initial_mass_normalization(tmp_path):
     cols = diag[0].split(",")
     first = dict(zip(cols, diag[1].split(",")))
     assert float(first["M1"]) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_table_smaller_than_run_is_a_config_error(tmp_path):
+    table = tmp_path / "k.csv"
+    table.write_text("1,1,1.0\n2,1,1.0\n2,2,1.0\n")
+    kernel = {"type": "table", "params": {"path": str(table)}, "A": 1.0}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")])}
+    for command, extra in [("simulate", {}),
+                           ("verify", {"truncation_k": 2,
+                                       "experiment": {"name": "truncation", "k_list": [2, 4, 8]}})]:
+        out = tmp_path / f"out_{command}"
+        cfg = write_config(tmp_path, **{"kernel": kernel, "truncation_k": 8,
+                                        "output_dir": str(out), **extra})
+        proc = subprocess.run([sys.executable, "-m", "coagkin.cli", command, cfg],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "kernel.params.path" in proc.stderr and "need 8" in proc.stderr
+        assert not out.exists()
+    # the admissibility grid is capped at the table, so that experiment still runs
+    cfg = write_config(tmp_path, kernel=kernel, truncation_k=8,
+                       experiment={"name": "admissibility"})
+    assert main(["verify", cfg]) == 0
+
+
+def test_admissibility_failure_names_the_grid_checked(tmp_path, capsys):
+    table = tmp_path / "k.csv"
+    table.write_text("1,1,5.0\n2,1,1.0\n2,2,1.0\n")
+    cfg = write_config(tmp_path, truncation_k=2,
+                       kernel={"type": "table", "params": {"path": str(table)}, "A": 1.0})
+    assert main(["simulate", cfg]) == 1
+    assert "grid 1..2:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -13,7 +13,7 @@ from coagkin.diagnostics import (
 )
 from coagkin.integrator import SolverConfig, integrate
 from coagkin.kernels import additive, constant
-from coagkin.numerics import composite_simpson, cumulative_simpson, kahan_sum
+from coagkin.numerics import composite_simpson, cumulative_simpson
 from coagkin.system import SizeDistribution, monomer
 from coagkin.weights import identity_weight, power_weight
 
@@ -38,9 +38,15 @@ def test_g_moment_examples():
     assert g_moment(state([0.0, 0.0]), power_weight(2.0)) == 0.0
 
 
-def test_kahan_matches_fsum(rng):
+def test_moments_are_correctly_rounded_sums(rng):
     vals = rng.random(2000) * 10.0 ** rng.integers(-8, 8, 2000)
-    assert kahan_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-15)
+    s = state(vals)
+    sizes = np.arange(1, vals.size + 1, dtype=float)
+    rec = compute_record(s, constant(1.0), orders=(0, 1, 2, 1.5))
+    assert rec.moment_0 == math.fsum(vals)
+    assert rec.moment_1 == math.fsum(sizes * vals)
+    for m in (2.0, 1.5):
+        assert moment(s, m) == rec.moment_m[m] == math.fsum(sizes**m * vals)
 
 
 def test_simpson_exact_on_quadratics():

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coagkin import kernels
 from coagkin.errors import ConfigError
 from coagkin.kernels import (
+    GROWTH_SLACK,
+    STRIP_CELLS,
     CoagulationKernel,
     additive,
     catalog,
@@ -15,6 +19,7 @@ from coagkin.kernels import (
     tabulated,
     tabulated_from_csv,
 )
+from coagkin.reports import ExperimentReport
 
 
 def test_evaluate_examples():
@@ -146,3 +151,124 @@ def test_from_config_constant_overrides():
     assert k.growth_constant_A == 3.0
     assert k.lower_bound_zeta == 0.5
     assert k.separable is not None  # structure survives the override
+
+
+def test_from_config_overrides_keep_structure(tmp_path):
+    base = kernels.from_config({"type": "power", "params": {"a": 1.0, "exponent": 0.5}})
+    k = kernels.from_config({"type": "power", "params": {"a": 1.0, "exponent": 0.5},
+                             "A": 2.0, "delta": 0.75, "zeta": 1.0})
+    assert (k.growth_constant_A, k.power_delta, k.lower_bound_zeta) == (2.0, 0.75, 1.0)
+    assert k.separable == base.separable == (1.0, 0.5)
+    assert k.name == base.name and k.evaluate(4, 9) == base.evaluate(4, 9)
+    p = tmp_path / "k.csv"
+    p.write_text("1,1,0.5\n2,1,0.25\n")
+    t = kernels.from_config({"type": "table", "params": {"path": str(p)},
+                             "A": 2.0, "delta": 0.5, "zeta": 0.1})
+    assert (t.growth_constant_A, t.power_delta, t.lower_bound_zeta) == (2.0, 0.5, 0.1)
+    assert t.max_table_size == 2 and t.table[1, 0] == 0.25
+
+
+def dense_admissibility(kernel, max_size):
+    """Independent oracle: the whole max_size x max_size grid held at once."""
+    n = int(max_size)
+    if kernel.max_table_size is not None and n > kernel.max_table_size:
+        n = kernel.max_table_size
+    idx = np.arange(1, n + 1)
+    ii, jj = np.meshgrid(idx, idx, indexing="ij")
+    g = np.asarray(kernel.rule(ii, jj), dtype=float)
+    a = kernel.growth_constant_A
+    lin_bound = a * (ii + jj)
+    neg = g < 0
+    asym = g != g.T
+    growth = g > lin_bound * (1.0 + GROWTH_SLACK)
+    if kernel.power_delta is not None:
+        d = kernel.power_delta
+        delta_bound = a * (ii.astype(float) ** d + jj.astype(float) ** d)
+        delta_viol = g > delta_bound * (1.0 + GROWTH_SLACK)
+    else:
+        delta_viol = np.zeros_like(neg)
+    if kernel.lower_bound_zeta is not None:
+        zeta_viol = g < kernel.lower_bound_zeta * (1.0 - GROWTH_SLACK)
+    else:
+        zeta_viol = np.zeros_like(neg)
+    metrics = {
+        "negativity_violations": float(neg.sum()),
+        "symmetry_violations": float(asym.sum()),
+        "growth_violations": float(growth.sum()),
+        "delta_violations": float(delta_viol.sum()),
+        "zeta_violations": float(zeta_viol.sum()),
+        "max_growth_ratio": float((g / lin_bound).max()),
+    }
+    union = neg | asym | growth | delta_viol | zeta_viol
+    if union.any():
+        vi, vj = divmod(int(np.argmax(union.reshape(-1))), n)
+        metrics["first_violation_i"] = float(vi + 1)
+        metrics["first_violation_j"] = float(vj + 1)
+        metrics["first_violation_rate"] = float(g[vi, vj])
+    return ExperimentReport.build(
+        name="admissibility",
+        metrics=metrics,
+        thresholds={key: 0.0 for key in metrics if key.endswith("_violations")},
+        config_echo={
+            "kernel": kernel.name,
+            "max_size": n,
+            "A": kernel.growth_constant_A,
+            "delta": kernel.power_delta,
+            "zeta": kernel.lower_bound_zeta,
+        },
+    )
+
+
+def _equivalence_kernels():
+    asym_table = np.arange(1.0, 26.0).reshape(5, 5) / 10.0
+    return [
+        *catalog(table_size=64).values(),
+        from_rule("asymmetric", lambda i, j: (i + 2.0 * j) / 3.0, growth_constant_A=1.0),
+        # first violation (201, 201) lies in a later block than the first
+        from_rule("negative_above_200",
+                  lambda i, j: np.where(np.minimum(i, j) > 200, -1.0, 1.0),
+                  growth_constant_A=1.0, vectorized=True),
+        # a lone bad cell below the diagonal, deep in a column strip
+        from_rule("spike_at_250_3",
+                  lambda i, j: np.where((i == 250) & (j == 3), 9.0, 1.0),
+                  growth_constant_A=1.0, vectorized=True),
+        CoagulationKernel(name="wrong_zeta", rule=constant(1.0).rule,
+                          growth_constant_A=1.0, lower_bound_zeta=2.0),
+        CoagulationKernel(name="understated_delta", rule=additive(1.0).rule,
+                          growth_constant_A=1.0, power_delta=0.5),
+        CoagulationKernel(name="asymmetric_table",
+                          rule=lambda i, j: asym_table[i - 1, j - 1],
+                          growth_constant_A=1.0, table=asym_table),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 300, 700])
+def test_streamed_admissibility_matches_dense_oracle(n):
+    for kern in _equivalence_kernels():
+        assert check_admissibility(kern, n).to_dict() == dense_admissibility(kern, n).to_dict(), (
+            kern.name, n)
+
+
+def test_streamed_admissibility_memory_does_not_grow_with_grid():
+    tracemalloc.start()
+    try:
+        rep = check_admissibility(constant(1.0), 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.config_echo["max_size"] == 4096
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_streamed_admissibility_evaluates_each_pair_once():
+    calls = 0
+
+    def rate(i, j):
+        nonlocal calls
+        calls += 1
+        return 1.0
+
+    n = 300
+    check_admissibility(from_rule("counted", rate, growth_constant_A=1.0), n)
+    block = max(1, STRIP_CELLS // n)
+    assert n * n <= calls <= n * n + n * block
