@@ -35,7 +35,7 @@ print()
 print("the M1-difference column collapses into float cancellation noise around 1e-16,")
 print("while the leak integral keeps resolving the true defect all the way down.")
 
-report = truncation_convergence(kernel, "monomer", k_list, 5.0, out_dir=OUT)
+report = truncation_convergence(kernel, monomer, k_list, 5.0, out_dir=OUT)
 print()
 print(f"truncation-convergence report: {report.status}")
 print(f"  defect at k=128: {report.metrics['defect_k128']:.3e} "

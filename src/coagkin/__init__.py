@@ -17,7 +17,7 @@ from .diagnostics import (
     moment,
 )
 from .errors import CoagkinError, ConfigError, IntegrationStalledError, NumericError
-from .integrator import SolverConfig, StepStats, Trajectory, integrate, step
+from .integrator import SolverConfig, StepStats, Trajectory, integrate
 from .kernels import (
     CoagulationKernel,
     additive,
@@ -92,7 +92,6 @@ __all__ = [
     "power_weight",
     "rhs",
     "sample_class_invariants",
-    "step",
     "tabulated",
     "tabulated_from_csv",
     "weak_form_rate",

@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -19,9 +19,10 @@ from .errors import CoagkinError, ConfigError, NumericError
 from .integrator import SolverConfig, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .reports import ExperimentReport, write_json_atomic
-from .system import SizeDistribution
+from .system import SizeDistribution, geometric, monomer
 
 VALID_EXPERIMENTS = ("truncation", "dependence", "decay", "identity", "admissibility", "weights")
+_SOLVER_FIELDS = {f.name: f for f in fields(SolverConfig)}
 
 
 @dataclass
@@ -69,7 +70,7 @@ class RunConfig:
         exp = raw.get("experiment")
         if exp is not None and "name" not in exp:
             raise ConfigError("experiment.name", "missing experiment name")
-        return cls(
+        cfg = cls(
             kernel=dict(raw["kernel"]),
             initial=initial,
             truncation_k=k,
@@ -79,6 +80,9 @@ class RunConfig:
             seed=int(raw.get("seed", 0)),
             source_path=source_path,
         )
+        if exp is not None and exp["name"] == "truncation":
+            cfg.truncation_k_list()  # a bad list is a config error before any output exists
+        return cfg
 
     def build_kernel(self) -> CoagulationKernel:
         kern = kernels.from_config(self.kernel)
@@ -97,26 +101,34 @@ class RunConfig:
         name = exp.get("name")
         if name in ("admissibility", "weights"):
             return 0  # the admissibility grid is capped at a table's size
-        if name == "truncation" and exp.get("k_list"):
-            return max(int(k) for k in exp["k_list"])
+        if name == "truncation":
+            return self.truncation_k_list()[-1]
         return self.truncation_k
 
+    def truncation_k_list(self) -> list[int]:
+        """Truncation sizes of the truncation experiment (default k/4, k/2, k)."""
+        k = self.truncation_k
+        k_list = [int(x) for x in (self.experiment or {}).get("k_list", [k // 4, k // 2, k])]
+        if len(k_list) < 3:
+            raise ConfigError("experiment.k_list", f"needs at least 3 entries, got {len(k_list)}")
+        if sorted(k_list) != k_list or k_list[0] < 2:
+            raise ConfigError(
+                "experiment.k_list", f"must be ascending with every entry >= 2, got {k_list}"
+            )
+        return k_list
+
     def build_solver(self) -> SolverConfig:
-        s = dict(self.solver)
-        if "t_end" not in s:
+        kwargs = {}
+        for key, value in self.solver.items():
+            if key not in _SOLVER_FIELDS:
+                raise ConfigError(f"solver.{key}", "unknown key")
+            # numbers given as JSON integers become floats, as the fields declare
+            if value is not None and "float" in str(_SOLVER_FIELDS[key].type):
+                value = float(value)
+            kwargs[key] = value
+        if "t_end" not in kwargs:
             raise ConfigError("solver.t_end", "missing required field")
-        cfg = SolverConfig(
-            t_end=float(s["t_end"]),
-            rel_tol=float(s.get("rel_tol", 1e-8)),
-            abs_tol=float(s.get("abs_tol", 1e-10)),
-            max_step=float(s["max_step"]) if s.get("max_step") is not None else None,
-            positivity_floor=float(s.get("positivity_floor", 1e-14)),
-            mode=s.get("mode", "adaptive"),
-            fixed_h=float(s["fixed_h"]) if s.get("fixed_h") is not None else None,
-            sample_times=np.asarray(s["sample_times"], dtype=float)
-            if s.get("sample_times") is not None
-            else None,
-        )
+        cfg = SolverConfig(**kwargs)
         cfg.validate()
         return cfg
 
@@ -125,16 +137,14 @@ class RunConfig:
         kind = self.initial.get("type", "monomer")
         scale = float(self.initial.get("mass_scale", 1.0))
         if kind == "monomer":
-            v = np.zeros(k)
-            v[0] = scale
+            v = monomer(k, scale).values
         elif kind == "geometric":
             ratio = float(self.initial.get("ratio", 0.5))
             if not 0 < ratio < 1:
                 raise ConfigError("initial.ratio", f"must lie in (0, 1), got {ratio}")
-            i = np.arange(1, k + 1)
-            raw = ratio**i
+            g = geometric(k, ratio)
             # normalized so the initial mass equals mass_scale
-            v = scale * raw / np.dot(i, raw)
+            v = scale * g.values / g.mass
         elif kind == "file":
             vals = np.loadtxt(self.initial["path"], dtype=float).reshape(-1)
             if vals.size > k:
@@ -148,10 +158,6 @@ class RunConfig:
         state = SizeDistribution(v, k, 0.0)
         state.validate()
         return state
-
-    def initial_rule(self):
-        """Initial condition as a rule usable across truncation sizes."""
-        return lambda k: self.build_initial(k)
 
     def resolved_dict(self) -> dict:
         """Fully materialized config; feeding it back reproduces the run."""
@@ -228,19 +234,17 @@ def simulate(config_path: str) -> int:
     return 0
 
 
-def _experiment_report(cfg: RunConfig, kern: CoagulationKernel) -> ExperimentReport:
+def _experiment_report(
+    cfg: RunConfig, kern: CoagulationKernel, solver: SolverConfig
+) -> ExperimentReport:
     exp = cfg.experiment or {}
     name = exp.get("name")
-    solver = cfg.build_solver()
     thresholds = exp.get("thresholds")
     out = cfg.output_dir
 
     if name == "truncation":
-        k_list = exp.get("k_list", [cfg.truncation_k // 4, cfg.truncation_k // 2, cfg.truncation_k])
-        if len(k_list) < 3:
-            raise ConfigError("experiment.k_list", f"needs at least 3 entries, got {len(k_list)}")
         return experiments.truncation_convergence(
-            kern, cfg.initial_rule(), k_list, solver.t_end,
+            kern, cfg.build_initial, cfg.truncation_k_list(), solver.t_end,
             solver=solver, thresholds=thresholds, out_dir=out,
         )
     if name == "dependence":
@@ -295,13 +299,14 @@ def verify(config_path: str) -> int:
         if cfg.experiment is None:
             raise ConfigError("experiment", "verify needs an experiment block")
         kern = cfg.build_kernel()
+        solver = cfg.build_solver()
     except ConfigError as exc:
         return _fail(str(exc))
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     report_path = os.path.join(cfg.output_dir, "report.json")
     try:
-        report = _experiment_report(cfg, kern)
+        report = _experiment_report(cfg, kern, solver)
     except ConfigError as exc:
         return _fail(str(exc))
     except NumericError as exc:

@@ -2,46 +2,28 @@
 
 Every experiment returns an ExperimentReport whose thresholds are echoed
 next to the measured metrics, so a report is self-describing and a rerun
-from its config echo reproduces it exactly. Independent sub-runs may
-fan out over a thread pool capped by COAGKIN_THREADS; results are
-reduced in input order, so worker count never changes a report.
+from its config echo reproduces it exactly. Sub-runs execute one after
+another in input order.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from collections.abc import Callable
 
 import numpy as np
 
 from . import output
 from .diagnostics import mass_defect, moment
-from .errors import ConfigError
 from .integrator import MODE_FIXED, SolverConfig, Trajectory, integrate
 from .kernels import CoagulationKernel
 from .numerics import cumulative_simpson
 from .reports import ExperimentReport
-from .system import SizeDistribution, TestSequence, finite_identity_rate, monomer, rhs, weak_form_rate
-
-
-def thread_count() -> int:
-    env = os.environ.get("COAGKIN_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError("COAGKIN_THREADS", f"not an integer: {env!r}") from exc
-        return max(1, n)
-    return os.cpu_count() or 1
+from .system import SizeDistribution, TestSequence, finite_identity_rate, rhs, weak_form_rate
 
 
 def _run_ordered(fn, items):
-    """Map preserving input order; fans out when more than one worker is allowed."""
-    workers = min(thread_count(), len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    # a named function because perfbench/spans.py wraps it to count sub-runs
+    return [fn(it) for it in items]
 
 
 def _solver(solver: SolverConfig | None, t_end: float, n_samples: int = 101) -> SolverConfig:
@@ -50,27 +32,9 @@ def _solver(solver: SolverConfig | None, t_end: float, n_samples: int = 101) -> 
     return SolverConfig(t_end=t_end, sample_times=np.linspace(0.0, t_end, n_samples))
 
 
-def make_initial(rule, k: int) -> SizeDistribution:
-    """Materialize an initial-condition rule at truncation size k.
-
-    Accepts a callable k -> SizeDistribution, the string "monomer", or a
-    ("geometric", ratio) pair; rules must extend consistently across k
-    for truncation studies to be meaningful.
-    """
-    if callable(rule):
-        return rule(k)
-    if rule == "monomer":
-        return monomer(k)
-    if isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "geometric":
-        from .system import geometric
-
-        return geometric(k, rule[1])
-    raise ValueError(f"unknown initial rule {rule!r}")
-
-
 def truncation_convergence(
     kernel: CoagulationKernel,
-    init_rule,
+    initial: Callable[[int], SizeDistribution],
     k_list,
     t_end: float,
     solver: SolverConfig | None = None,
@@ -79,11 +43,12 @@ def truncation_convergence(
 ) -> ExperimentReport:
     """Mass-defect decay as the truncation size grows.
 
-    Runs the same initial-condition rule at every k, measures the leaked
-    mass, and checks that (a) the defect never grows with k, (b) the
-    weighted distance between consecutive resolutions shrinks or is
-    already at the integrator noise floor, and (c) the defect at the
-    largest k is below the conservation threshold.
+    Builds the initial state at every k with ``initial(k)`` (for example
+    ``monomer``), measures the leaked mass, and checks that (a) the
+    defect never grows with k, (b) the weighted distance between
+    consecutive resolutions shrinks or is already at the integrator
+    noise floor, and (c) the defect at the largest k is below the
+    conservation threshold.
     """
     k_list = [int(k) for k in k_list]
     if len(k_list) < 3:
@@ -92,11 +57,7 @@ def truncation_convergence(
         raise ValueError("k_list must be ascending with every entry >= 2")
     base = _solver(solver, t_end)
 
-    def one(k: int) -> Trajectory:
-        cfg = replace(base, sample_times=base.resolved_sample_times())
-        return integrate(make_initial(init_rule, k), kernel, cfg)
-
-    trajs = _run_ordered(one, k_list)
+    trajs = _run_ordered(lambda k: integrate(initial(k), kernel, base), k_list)
     defects = [mass_defect(tr) for tr in trajs]
     m1_0 = trajs[0].diagnostics[0].moment_1
 
@@ -194,9 +155,8 @@ def continuous_dependence(
     if init_a.truncation_k != init_b.truncation_k:
         raise ValueError("both initial states must share the truncation size")
     base = _solver(solver, t_end)
-    traj_a, traj_b = _run_ordered(
-        lambda st: integrate(st, kernel, base), [init_a, init_b]
-    )
+    traj_a = integrate(init_a, kernel, base)
+    traj_b = integrate(init_b, kernel, base)
     sizes = np.arange(1, init_a.truncation_k + 1, dtype=float)
     times = traj_a.times()
     dist = np.array(

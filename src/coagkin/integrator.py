@@ -190,45 +190,23 @@ def _weighted_error_norm(err, y_old, y_new, rel_tol, abs_tol) -> float:
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _dp_stages(f, y, h):
-    k = [f(y)]
+def _dp_step(f, y, f0, h, rel_tol, abs_tol):
+    """One Dormand-Prince trial step of size h from y, where f0 = f(y).
+
+    Stage 1 is the caller's f0: the pair is first-same-as-last, so the
+    last stage of an accepted step is f at its new state. Returns
+    (y5, err_norm, stages) with y5 the 5th order solution and err_norm
+    the weighted norm of its difference to the embedded 4th order one.
+    """
+    k = [f0]
     for row in _DP_A[1:]:
         incr = sum(c * ki for c, ki in zip(row, k))
         k.append(f(y + h * incr))
     y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k))
-    return y5, err, k
-
-
-def step(
-    state: SizeDistribution,
-    kernel: CoagulationKernel,
-    h: float,
-    config: SolverConfig,
-) -> tuple[SizeDistribution, float, bool]:
-    """One embedded RK(5,4) trial step.
-
-    Returns (new_state, error_norm, accepted). The step is accepted iff
-    the weighted error norm is <= 1 and no component undershoots the
-    positivity guard; on acceptance, negatives within the guard are
-    clamped to zero. On rejection the original state is returned.
-    """
-    state.validate()
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if h > config.resolved_max_step() * (1 + 1e-12):
-        raise ValueError(f"step size {h} exceeds max_step {config.resolved_max_step()}")
-    f = RhsEvaluator(kernel, state.truncation_k)
-    y5, err, _ = _dp_stages(f, state.values, h)
     if not np.all(np.isfinite(y5)):
-        raise NumericError("non-finite values in trial step", time=state.time)
-    err_norm = _weighted_error_norm(err, state.values, y5, config.rel_tol, config.abs_tol)
-    guard = config.positivity_guard
-    accepted = err_norm <= 1.0 and float(y5.min(initial=0.0)) >= -guard
-    if not accepted:
-        return state, err_norm, False
-    clamped = np.where((y5 < 0.0), 0.0, y5)
-    return SizeDistribution(clamped, state.truncation_k, state.time + h), err_norm, True
+        raise NumericError("non-finite values in trial step")
+    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k))
+    return y5, _weighted_error_norm(err, y, y5, rel_tol, abs_tol), k
 
 
 def integrate(
@@ -341,10 +319,7 @@ def integrate(
                     time=t,
                     last_state=SizeDistribution(y.copy(), k, t),
                 )
-            y5, err, stages = _dp_stages(f, y, h)
-            if not np.all(np.isfinite(y5)):
-                raise NumericError("non-finite values in trial step", time=t)
-            err_norm = _weighted_error_norm(err, y, y5, config.rel_tol, config.abs_tol)
+            y5, err_norm, stages = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol)
             if err_norm > 1.0:
                 stats.n_rejected += 1
                 h *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / 5.0))
@@ -354,11 +329,9 @@ def integrate(
                 h *= 0.5
                 continue
             y_new = clamp(y5, t + h)
-            if np.array_equal(y_new, y5):
-                f_new = stages[-1]  # FSAL: last stage is f(y5)
-            else:
-                f_new = f(y_new)
-            emit(t, y, stages[0], t + h, y_new, f_new)
+            # FSAL: the last stage is f(y5); a clamped state needs a fresh evaluation
+            f_new = stages[-1] if y_new is y5 else f(y_new)
+            emit(t, y, fy, t + h, y_new, f_new)
             stats.n_accepted += 1
             stats.min_step = min(stats.min_step, h)
             stats.max_step = max(stats.max_step, h)

@@ -5,8 +5,9 @@ pytest -s). Criteria are numbered C1..C11; C10 is split into its
 envelope clauses (C10a) and the small-component limit clause (C10b).
 
 C10b is expected to fail: for the configured run the small components
-sit near 2.5e-4 at the end of the horizon (cross-checked against three
-independent integrators), above the 1e-4 limit the criterion demands.
+sit near 2.5e-4 at the end of the horizon (three scipy integrators agree,
+see test_c10b_value_confirmed_by_independent_integrators), above the
+1e-4 limit the criterion demands.
 The decay is a slow power law and reaches 1e-4 only around t ~ 170.
 The check is asserted as stated rather than loosened.
 """
@@ -25,7 +26,7 @@ from coagkin.experiments import (
 )
 from coagkin.integrator import MODE_FIXED, SolverConfig, integrate
 from coagkin.kernels import additive, constant, power_sum
-from coagkin.system import SizeDistribution, monomer, rhs, weak_form_rate
+from coagkin.system import RhsEvaluator, SizeDistribution, monomer, rhs, weak_form_rate
 from coagkin.weights import (
     construct_tail_weight,
     evaluate,
@@ -87,7 +88,7 @@ def test_c3_convergence_order():
 def test_c4_truncation_convergence():
     """C4: mass defect strictly decreasing in k; defect(128) <= 1e-6 * M1(0)."""
     t0 = time.monotonic()
-    rep = truncation_convergence(constant(1.0), "monomer", [16, 32, 64, 128], 5.0)
+    rep = truncation_convergence(constant(1.0), monomer, [16, 32, 64, 128], 5.0)
     elapsed = time.monotonic() - t0
     defects = [rep.metrics[f"defect_k{k}"] for k in (16, 32, 64, 128)]
     strict = all(a > b for a, b in zip(defects[:-1], defects[1:]))
@@ -248,6 +249,28 @@ def test_c10b_small_component_limit():
     ok = worst <= 1e-4
     announce("C10b component limit", ok, f"max |xi_i(100)|, i<=5: {worst:.3e} (<=1e-4)")
     assert ok
+
+
+@pytest.mark.parametrize("method, rtol, atol", [
+    ("LSODA", 1e-12, 1e-16),
+    ("DOP853", 1e-12, 1e-16),
+    ("Radau", 1e-10, 1e-14),
+])
+def test_c10b_value_confirmed_by_independent_integrators(method, rtol, atol):
+    """C10b stays red because of the horizon, not the integrator.
+
+    Three scipy integrators solve the same system to t=100 and agree with
+    coagkin's max |xi_i(100)|, i<=5, which stays well above the 1e-4 limit.
+    """
+    integrate_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    ours = float(np.max(np.abs(_decay_run().final().values[:5])))
+    f = RhsEvaluator(constant(1.0), 128)
+    sol = integrate_ivp(lambda t, y: f(y), (0.0, 100.0), monomer(128).values,
+                        method=method, rtol=rtol, atol=atol)
+    assert sol.success
+    theirs = float(np.max(np.abs(sol.y[:5, -1])))
+    assert theirs == pytest.approx(ours, rel=1e-8)
+    assert theirs > 1e-4
 
 
 def test_c11_constant_kernel_time_rescaling():

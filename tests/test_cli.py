@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from coagkin.cli import main
+from coagkin.integrator import SolverConfig
 
 BASE = {
     "kernel": {"type": "constant", "params": {"c": 1.0}},
@@ -115,6 +117,36 @@ def test_verify_truncation_and_failure_exit_code(tmp_path, capsys):
     assert main(["verify", cfg]) == 2
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["status"] == "fail"
+
+
+def test_verify_rejects_unsorted_k_list_before_any_output(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment={"name": "truncation", "k_list": [16, 8, 4]})
+    assert main(["verify", cfg]) == 1
+    assert "experiment.k_list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_solver_error_leaves_no_output_dir(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    write_config(tmp_path, experiment={"name": "identity"})
+    path.write_text(json.dumps({**json.loads(path.read_text()), "solver": {}}))
+    assert main(["verify", str(path)]) == 1
+    assert "solver.t_end" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, solver={"reltol": 1e-3}, experiment={"name": "identity"})
+    assert main(["verify", cfg]) == 1
+    assert "solver.reltol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_schema_solver_keys_are_the_solver_config_fields():
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "coagkin", "config.schema.json")
+    with open(path) as fh:
+        solver = json.load(fh)["properties"]["solver"]["properties"]
+    assert set(solver) == {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def test_verify_unknown_experiment_lists_names(tmp_path, capsys):

@@ -6,7 +6,6 @@ from coagkin.experiments import (
     continuous_dependence,
     convergence_order,
     identity_audit,
-    thread_count,
     time_rescaling,
     truncation_convergence,
     weights_audit,
@@ -18,7 +17,7 @@ from coagkin.system import SizeDistribution, geometric, monomer
 
 
 def test_truncation_smoke_and_ordering():
-    rep = truncation_convergence(constant(1.0), "monomer", [8, 16, 32], 2.0)
+    rep = truncation_convergence(constant(1.0), monomer, [8, 16, 32], 2.0)
     assert rep.passed
     defects = [rep.metrics[f"defect_k{k}"] for k in (8, 16, 32)]
     assert defects[0] > defects[1] > defects[2] > 0
@@ -33,13 +32,13 @@ def test_truncation_zero_init_all_defects_zero():
 
 def test_truncation_validates_k_list():
     with pytest.raises(ValueError):
-        truncation_convergence(constant(1.0), "monomer", [4], 1.0)
+        truncation_convergence(constant(1.0), monomer, [4], 1.0)
     with pytest.raises(ValueError):
-        truncation_convergence(constant(1.0), "monomer", [16, 8, 32], 1.0)
+        truncation_convergence(constant(1.0), monomer, [16, 8, 32], 1.0)
 
 
 def test_truncation_writes_artifacts(tmp_path):
-    rep = truncation_convergence(constant(1.0), "monomer", [4, 8, 16], 1.0,
+    rep = truncation_convergence(constant(1.0), monomer, [4, 8, 16], 1.0,
                                  out_dir=str(tmp_path))
     assert rep.artifacts and all((tmp_path / "defect_vs_k.svg").exists() for _ in rep.artifacts)
 
@@ -129,27 +128,9 @@ def test_weights_audit_passes():
 
 
 def test_experiments_are_deterministic():
-    a = truncation_convergence(constant(1.0), "monomer", [4, 8, 16], 1.0)
-    b = truncation_convergence(constant(1.0), "monomer", [4, 8, 16], 1.0)
+    a = truncation_convergence(constant(1.0), monomer, [4, 8, 16], 1.0)
+    b = truncation_convergence(constant(1.0), monomer, [4, 8, 16], 1.0)
     assert a.to_dict() == b.to_dict()
-
-
-def test_worker_count_does_not_change_reports(monkeypatch):
-    monkeypatch.setenv("COAGKIN_THREADS", "1")
-    a = truncation_convergence(constant(1.0), "monomer", [4, 8, 16], 1.0)
-    monkeypatch.setenv("COAGKIN_THREADS", "4")
-    b = truncation_convergence(constant(1.0), "monomer", [4, 8, 16], 1.0)
-    assert a.to_dict() == b.to_dict()
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("COAGKIN_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("COAGKIN_THREADS", "junk")
-    with pytest.raises(Exception):
-        thread_count()
-    monkeypatch.delenv("COAGKIN_THREADS")
-    assert thread_count() >= 1
 
 
 def test_report_threshold_contract(tmp_path):

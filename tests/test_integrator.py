@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from coagkin.errors import ConfigError, IntegrationStalledError
-from coagkin.integrator import MODE_FIXED, SolverConfig, integrate, step
+from coagkin.integrator import MODE_FIXED, SolverConfig, _dp_step, integrate
 from coagkin.kernels import catalog, constant
-from coagkin.system import SizeDistribution, monomer
+from coagkin.system import RhsEvaluator, SizeDistribution, monomer
 
 
 def test_config_validation():
@@ -23,41 +23,33 @@ def test_config_validation():
     SolverConfig(t_end=1.0).validate()
 
 
+def trial_step(y, h, rel_tol=1e-8, abs_tol=1e-10):
+    f = RhsEvaluator(constant(1.0), y.size)
+    return _dp_step(f, y, f(y), h, rel_tol, abs_tol)
+
+
 def test_step_zero_state_is_fixed_point():
-    cfg = SolverConfig(t_end=1.0, max_step=1.0)
-    s = SizeDistribution(np.zeros(4), 4)
-    new, err, accepted = step(s, constant(1.0), 0.5, cfg)
-    assert accepted
+    y5, err, stages = trial_step(np.zeros(4), 0.5)
     assert err == 0.0
-    assert np.array_equal(new.values, np.zeros(4))
-    assert new.time == 0.5
+    assert np.array_equal(y5, np.zeros(4))
+    assert len(stages) == 7
 
 
 def test_step_small_h_matches_first_order_expansion():
-    cfg = SolverConfig(t_end=1.0, max_step=1.0)
-    s = SizeDistribution(np.array([1.0, 0.0, 0.0]), 3)
     h = 1e-6
-    new, _, accepted = step(s, constant(1.0), h, cfg)
-    assert accepted
+    y5, err, _ = trial_step(np.array([1.0, 0.0, 0.0]), h)
+    assert err <= 1.0
     # derivative is (-2, 1, 0); deviation from the tangent is O(h^2)
-    assert abs(new.values[0] - (1.0 - 2.0 * h)) <= 10.0 * h * h
-    assert abs(new.values[1] - h) <= 10.0 * h * h
-    assert abs(new.values[2]) <= 10.0 * h * h
+    assert abs(y5[0] - (1.0 - 2.0 * h)) <= 10.0 * h * h
+    assert abs(y5[1] - h) <= 10.0 * h * h
+    assert abs(y5[2]) <= 10.0 * h * h
 
 
 def test_step_rejects_wild_step():
-    cfg = SolverConfig(t_end=1.0, max_step=0.5)
-    s = SizeDistribution(np.array([100.0, 100.0, 100.0]), 3)
-    same, err, accepted = step(s, constant(1.0), 0.1, cfg)
-    assert not accepted
+    y = np.array([100.0, 100.0, 100.0])
+    _, err, _ = trial_step(y, 0.1)
     assert err > 1.0
-    assert same is s  # rejected step leaves the state alone
-
-
-def test_step_respects_max_step():
-    cfg = SolverConfig(t_end=1.0, max_step=0.01)
-    with pytest.raises(ValueError, match="max_step"):
-        step(monomer(3), constant(1.0), 0.02, cfg)
+    assert np.array_equal(y, [100.0, 100.0, 100.0])  # the trial leaves its input alone
 
 
 def test_integrate_zero_state_stays_zero():
@@ -82,6 +74,8 @@ def test_all_catalog_kernels_positive_and_mass_monotone():
     for kern in catalog(table_size=16).values():
         traj = integrate(monomer(16), kern, SolverConfig(t_end=2.0))
         assert traj.check_invariants() == [], kern.name
+        st = traj.step_stats
+        assert st.n_rhs_evals == 1 + 6 * (st.n_accepted + st.n_rejected), kern.name
         m1 = traj.mass_series()
         assert np.all(np.diff(m1) <= 1e-9 * m1[0])
         assert all(s.values.min() >= 0.0 for s in traj.samples)
@@ -130,7 +124,8 @@ def test_step_stats_account_for_the_run():
     traj = integrate(monomer(8), constant(1.0), SolverConfig(t_end=1.0))
     st = traj.step_stats
     assert st.n_accepted > 0
-    assert st.n_rhs_evals >= 7 * st.n_accepted
+    # first-same-as-last: one evaluation at t=0, then six per trial step
+    assert st.n_rhs_evals == 1 + 6 * (st.n_accepted + st.n_rejected)
     assert 0 < st.min_step <= st.max_step <= SolverConfig(t_end=1.0).resolved_max_step()
     assert st.clamped_mass <= 1e-9  # essentially no clamping on this problem
 
