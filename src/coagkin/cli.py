@@ -80,8 +80,11 @@ class RunConfig:
             seed=int(raw.get("seed", 0)),
             source_path=source_path,
         )
+        # a bad list is a config error before any output exists
         if exp is not None and exp["name"] == "truncation":
-            cfg.truncation_k_list()  # a bad list is a config error before any output exists
+            cfg.truncation_k_list()
+        if exp is not None and exp["name"] == "identity":
+            cfg.identity_q_list()
         return cfg
 
     def build_kernel(self) -> CoagulationKernel:
@@ -108,7 +111,7 @@ class RunConfig:
     def truncation_k_list(self) -> list[int]:
         """Truncation sizes of the truncation experiment (default k/4, k/2, k)."""
         k = self.truncation_k
-        k_list = [int(x) for x in (self.experiment or {}).get("k_list", [k // 4, k // 2, k])]
+        k_list = _int_list(self.experiment or {}, "k_list", [k // 4, k // 2, k])
         if len(k_list) < 3:
             raise ConfigError("experiment.k_list", f"needs at least 3 entries, got {len(k_list)}")
         if sorted(k_list) != k_list or k_list[0] < 2:
@@ -117,14 +120,37 @@ class RunConfig:
             )
         return k_list
 
+    def identity_q_list(self) -> list[int] | None:
+        """Partial-sum lengths of the identity experiment (None: the audit's default)."""
+        exp = self.experiment or {}
+        if "q_list" not in exp:
+            return None
+        k = self.truncation_k
+        q_list = _int_list(exp, "q_list", None)
+        if not q_list or not all(1 <= q <= k for q in q_list):
+            raise ConfigError("experiment.q_list", f"needs entries in 1..{k}, got {q_list}")
+        return q_list
+
     def build_solver(self) -> SolverConfig:
         kwargs = {}
         for key, value in self.solver.items():
             if key not in _SOLVER_FIELDS:
                 raise ConfigError(f"solver.{key}", "unknown key")
+            declared = str(_SOLVER_FIELDS[key].type)
+            if value is None and "None" not in declared:
+                raise ConfigError(f"solver.{key}", "must not be null")
             # numbers given as JSON integers become floats, as the fields declare
-            if value is not None and "float" in str(_SOLVER_FIELDS[key].type):
+            if value is not None and "float" in declared:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigError(f"solver.{key}", f"must be a number, got {value!r}")
                 value = float(value)
+            if value is not None and "ndarray" in declared:
+                try:
+                    value = np.asarray(value, dtype=float)
+                except (TypeError, ValueError):
+                    value = None
+                if value is None or value.ndim != 1 or value.size < 2:
+                    raise ConfigError(f"solver.{key}", "must be a list of at least 2 numbers")
             kwargs[key] = value
         if "t_end" not in kwargs:
             raise ConfigError("solver.t_end", "missing required field")
@@ -170,6 +196,16 @@ class RunConfig:
             "output_dir": self.output_dir,
             "seed": self.seed,
         }
+
+
+def _int_list(block: dict, key: str, default) -> list[int]:
+    """The integer list block[key] of the experiment block, or the default."""
+    value = block.get(key, default)
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise ConfigError(f"experiment.{key}", f"must be a list of integers, got {value!r}")
+    return value
 
 
 def _fail(msg: str) -> int:
@@ -273,7 +309,7 @@ def _experiment_report(
     if name == "identity":
         traj = integrate(cfg.build_initial(), kern, solver)
         return experiments.identity_audit(
-            traj, kern, q_list=exp.get("q_list"), thresholds=thresholds, out_dir=out,
+            traj, kern, q_list=cfg.identity_q_list(), thresholds=thresholds, out_dir=out,
         )
     if name == "admissibility":
         max_size = int(exp.get("max_size", 4 * cfg.truncation_k))

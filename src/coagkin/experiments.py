@@ -18,7 +18,13 @@ from .integrator import MODE_FIXED, SolverConfig, Trajectory, integrate
 from .kernels import CoagulationKernel
 from .numerics import cumulative_simpson
 from .reports import ExperimentReport
-from .system import SizeDistribution, TestSequence, finite_identity_rate, rhs, weak_form_rate
+from .system import (
+    RhsEvaluator,
+    SizeDistribution,
+    TestSequence,
+    finite_identity_rate,
+    weak_form_rate,
+)
 
 
 def _run_ordered(fn, items):
@@ -330,6 +336,11 @@ def identity_audit(
     k = traj.samples[0].truncation_k
     if q_list is None:
         q_list = sorted({max(2, k // 4), max(2, k // 2), k - 1})
+    bad = [q for q in q_list
+           if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 1 <= q <= k]
+    if bad:
+        raise ValueError(f"q_list entries must be integers in 1..{k}, got {bad}")
+    q_list = [int(q) for q in q_list]
     rules = phi_rules or {
         "one": lambda q: TestSequence.ones(q),
         "size": lambda q: TestSequence.sizes(q),
@@ -337,33 +348,28 @@ def identity_audit(
     }
     rel_tol = traj.config.rel_tol
     times = traj.times()
+    samples = traj.samples
+    X = traj.states_matrix()
+    ev = RhsEvaluator(kernel, k)
+    derivs = np.array([ev(x) for x in X])
 
     max_identity_residual = 0.0
     max_adjoint_residual = 0.0
     pair_metrics = {}
-    rhs_cache = [rhs(s, kernel) for s in traj.samples]
     for phi_name, make_phi in rules.items():
-        psi_full = make_phi(k)
+        psi = make_phi(k).values
         # pointwise adjoint consistency of the full weak form
-        for s, deriv in zip(traj.samples, rhs_cache):
-            wf = weak_form_rate(psi_full, s, kernel)
-            dot = float(np.dot(psi_full.values, deriv))
-            scale = max(float(np.dot(np.abs(psi_full.values), np.abs(deriv))), abs(wf), 1.0)
-            max_adjoint_residual = max(max_adjoint_residual, abs(wf - dot) / scale)
+        wf = weak_form_rate(psi, samples, kernel)
+        scale = np.maximum(np.maximum(np.abs(derivs) @ np.abs(psi), np.abs(wf)), 1.0)
+        max_adjoint_residual = max(max_adjoint_residual,
+                                   float(np.max(np.abs(wf - derivs @ psi) / scale)))
         for q in q_list:
-            q = int(q)
-            if q > k:
-                raise ValueError(f"q={q} exceeds truncation size {k}")
             phi = make_phi(q)
             if q == k:
-                rates = np.array([weak_form_rate(phi, s, kernel) for s in traj.samples])
+                rates = weak_form_rate(phi, samples, kernel)
             else:
-                rates = np.array(
-                    [finite_identity_rate(phi, s, kernel, q) for s in traj.samples]
-                )
-            weighted = np.array(
-                [float(np.dot(phi.values, s.values[:q])) for s in traj.samples]
-            )
+                rates = finite_identity_rate(phi, samples, kernel, q)
+            weighted = X[:, :q] @ phi.values
             integral = cumulative_simpson(times, rates)
             scale = np.maximum.reduce(
                 [np.abs(weighted), np.full_like(weighted, abs(weighted[0])), np.abs(integral)]
@@ -395,7 +401,7 @@ def identity_audit(
         artifacts=artifacts,
         config_echo={
             "kernel": kernel.name,
-            "q_list": [int(q) for q in q_list],
+            "q_list": q_list,
             "n_samples": int(times.size),
             "rel_tol": rel_tol,
         },

@@ -195,15 +195,40 @@ def rhs(state: SizeDistribution, kernel: CoagulationKernel) -> np.ndarray:
     return RhsEvaluator(kernel, state.truncation_k)(state.values)
 
 
-def _triangular_terms(kernel: CoagulationKernel, x: np.ndarray):
-    k = x.size
-    g = kernel.rate_matrix(k)
-    X = np.outer(x, x)
-    lower = np.tril(np.ones((k, k), dtype=bool))
-    return g * X * lower  # entry (i, j) = rate(i,j) xi_i xi_j for j <= i, else 0
+def _stacked_values(states) -> tuple[np.ndarray, bool]:
+    """Values of one state, or of a sequence of states, as an (n, k) matrix.
+
+    Every state gets the checks of ``SizeDistribution.validate``, applied to
+    the whole stack at once; the first failing state raises through
+    ``validate`` itself, so the error is the same as for a single state.
+    The flag tells whether a single state was given.
+    """
+    single = isinstance(states, SizeDistribution)
+    batch = [states] if single else list(states)
+    if not batch:
+        raise ValueError("no states given")
+    k = batch[0].truncation_k
+    for s in batch:
+        if k < 2 or s.truncation_k != k or s.values.shape != (k,):
+            s.validate()
+            raise ValueError(f"states mix truncation sizes {k} and {s.truncation_k}")
+    X = np.array([s.values for s in batch])
+    times = np.array([s.time for s in batch])
+    bad = ~np.all(np.isfinite(X), axis=1) | np.any(X < 0, axis=1) | (times < 0)
+    if bad.any():
+        batch[int(np.argmax(bad))].validate()
+    return X, single
 
 
-def weak_form_rate(psi, state: SizeDistribution, kernel: CoagulationKernel) -> float:
+def _quadratic_forms(X: np.ndarray, A: np.ndarray, single: bool):
+    """x^T A x for every row x of X: a float for a single state, else an array."""
+    # einsum, not X @ A: at 1001 x 32 the multithreaded BLAS matmul took
+    # 4.5 ms per call against 0.8 ms for this single-threaded loop (2-vCPU VM)
+    rates = np.einsum("nj,nj->n", np.einsum("ni,ij->nj", X, A), X)
+    return float(rates[0]) if single else rates
+
+
+def weak_form_rate(psi, states, kernel: CoagulationKernel) -> float | np.ndarray:
     """Rearranged time derivative of sum_i psi_i xi_i over the full state.
 
     Computes
@@ -211,19 +236,24 @@ def weak_form_rate(psi, state: SizeDistribution, kernel: CoagulationKernel) -> f
         sum_{i=1}^{k-1} sum_{j=1}^{i} j psi_{i+1} rate(i,j) xi_i xi_j
       - sum_{i=1}^{k}   sum_{j=1}^{i} (j psi_i + psi_j) rate(i,j) xi_i xi_j
 
-    which equals <psi, rhs(state)> as an algebraic identity.
+    which equals <psi, rhs(state)> as an algebraic identity. ``states`` is
+    one ``SizeDistribution`` (returns a float) or a sequence of them with
+    a common truncation size (returns one rate per state). Both sums fold
+    into one lower-triangular coefficient matrix, so every state costs a
+    quadratic form.
     """
-    state.validate()
-    k = state.truncation_k
+    X, single = _stacked_values(states)
+    k = X.shape[1]
     p = _as_weights(psi, k, "psi")
-    W = _triangular_terms(kernel, state.values)
     jv = np.arange(1, k + 1, dtype=float)
-    gain = float(np.sum(p[1:, None] * (jv[None, :] * W[:-1, :])))
-    loss = float(np.sum((jv[None, :] * p[:, None] + p[None, :]) * W))
-    return gain - loss
+    coef = -(jv[None, :] * p[:, None] + p[None, :])
+    coef[:-1] += jv[None, :] * p[1:, None]
+    return _quadratic_forms(X, np.tril(kernel.rate_matrix(k) * coef), single)
 
 
-def finite_identity_rate(phi, state: SizeDistribution, kernel: CoagulationKernel, q: int) -> float:
+def finite_identity_rate(
+    phi, states, kernel: CoagulationKernel, q: int
+) -> float | np.ndarray:
     """Time derivative of the partial sum sum_{i<=q} phi_i xi_i, q < k.
 
     Three index blocks contribute:
@@ -234,26 +264,24 @@ def finite_identity_rate(phi, state: SizeDistribution, kernel: CoagulationKernel
 
     The P3 block runs to infinity for the untruncated system; components
     above k are identically zero here, so cutting it at k is exact.
+    ``states`` is taken as in ``weak_form_rate``; the three blocks fold
+    into one lower-triangular coefficient matrix (P3 lies below the
+    diagonal because j <= q < i).
     """
-    state.validate()
-    k = state.truncation_k
+    X, single = _stacked_values(states)
+    k = X.shape[1]
     q = int(q)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if q >= k:
         raise ValueError(f"q must be < truncation_k={k}, got {q}")
     f = _as_weights(phi, q, "phi")
-    x = state.values
-    g = kernel.rate_matrix(k)
-    X = np.outer(x, x)
-    jv = np.arange(1, k + 1, dtype=float)
-    lower = np.tril(np.ones((q, q), dtype=bool))
-
-    gX = g * X
-    p1 = float(np.sum((f[1:, None] * (jv[None, :q] * gX[: q - 1, :q])) * lower[: q - 1, :]))
-    p2 = float(np.sum(((jv[None, :q] * f[:, None] + f[None, :]) * gX[:q, :q]) * lower))
-    p3 = float(np.sum(f[None, :] * gX[q:, :q]))
-    return p1 - p2 - p3
+    jv = np.arange(1, q + 1, dtype=float)
+    coef = np.zeros((k, k))
+    coef[:q, :q] = -(jv[None, :] * f[:, None] + f[None, :])
+    coef[: q - 1, :q] += jv[None, :] * f[1:, None]
+    coef[q:, :q] = -f[None, :]
+    return _quadratic_forms(X, np.tril(kernel.rate_matrix(k) * coef), single)
 
 
 def mass_leak_rate(state: SizeDistribution, kernel: CoagulationKernel) -> float:

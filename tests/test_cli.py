@@ -142,6 +142,23 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,overrides,key", [
+    ("simulate", {"solver": {"t_end": "abc"}}, "solver.t_end"),
+    ("simulate", {"solver": {"rel_tol": None}}, "solver.rel_tol"),
+    ("simulate", {"solver": {"sample_times": ["a", "b"]}}, "solver.sample_times"),
+    ("verify", {"experiment": {"name": "truncation", "k_list": ["a", 4, 8]}}, "experiment.k_list"),
+    ("verify", {"experiment": {"name": "identity", "q_list": [40]}}, "experiment.q_list"),
+    ("verify", {"experiment": {"name": "identity", "q_list": [0]}}, "experiment.q_list"),
+    ("verify", {"experiment": {"name": "identity", "q_list": ["a"]}}, "experiment.q_list"),
+], ids=["t_end_abc", "rel_tol_null", "sample_times_strings", "k_list_string", "q_list_above_k",
+        "q_list_zero", "q_list_string"])
+def test_malformed_value_is_a_config_error(tmp_path, capsys, command, overrides, key):
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, cfg]) == 1  # a ConfigError, not an escaping exception
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_schema_solver_keys_are_the_solver_config_fields():
     path = os.path.join(os.path.dirname(__file__), "..", "src", "coagkin", "config.schema.json")
     with open(path) as fh:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coagkin import experiments
 from coagkin.experiments import (
     asymptotic_decay,
     continuous_dependence,
@@ -105,6 +106,51 @@ def test_identity_audit_accepts_full_length_q():
     traj = integrate(monomer(8), kern, cfg)
     rep = identity_audit(traj, kern, q_list=[8])  # q = k goes through the weak form
     assert rep.passed
+
+
+def _counting(monkeypatch, owner, attr, counts):
+    orig = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        counts[attr] = counts.get(attr, 0) + 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+def test_identity_audit_rate_matrices_do_not_scale_with_samples(monkeypatch):
+    base = power_sum(1.0, 0.5)
+    kern = CoagulationKernel(name="general", rule=base.rule,
+                             growth_constant_A=base.growth_constant_A)
+    assert kern.separable is None
+    per_run = []
+    for n in (101, 201):
+        traj = integrate(monomer(16), kern,
+                         SolverConfig(t_end=1.0, sample_times=np.linspace(0, 1, n)))
+        counts = {}
+        with monkeypatch.context() as m:
+            _counting(m, CoagulationKernel, "rate_matrix", counts)
+            for attr in ("weak_form_rate", "finite_identity_rate"):
+                _counting(m, experiments, attr, counts)
+            identity_audit(traj, kern, q_list=[4, 8, 16])
+        identity_calls = counts["weak_form_rate"] + counts["finite_identity_rate"]
+        assert counts["rate_matrix"] <= identity_calls + 1  # + the shared rhs evaluator
+        per_run.append(counts)
+    assert per_run[0] == per_run[1]
+
+
+@pytest.mark.parametrize("q_list", [[0], [17], [4.0], ["a"], [True]])
+def test_identity_audit_rejects_bad_q_before_any_rate(monkeypatch, q_list):
+    kern = constant(1.0)
+    traj = integrate(monomer(16), kern, SolverConfig(t_end=1.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rate was computed")
+
+    for attr in ("weak_form_rate", "finite_identity_rate"):
+        monkeypatch.setattr(experiments, attr, refuse)
+    with pytest.raises(ValueError, match="q_list"):
+        identity_audit(traj, kern, q_list=q_list)
 
 
 def test_time_rescaling_constant_kernel_only():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coagkin.errors import NumericError
-from coagkin.kernels import CoagulationKernel, additive, catalog, constant, power_sum
+from coagkin.kernels import CoagulationKernel, additive, catalog, constant, from_rule, power_sum
 from coagkin.system import (
     RhsEvaluator,
     SizeDistribution,
@@ -208,3 +208,100 @@ def test_quasi_positivity(values, kern_idx, zero_at):
     arr[i] = 0.0
     out = rhs(state(arr), kern)
     assert out[i] >= 0.0
+
+
+# per-state dense formulas of the identity routes, kept as an oracle for the
+# batched evaluation; each returns the rate and the sum of its terms' magnitudes
+
+def _oracle_lower_terms(kern, x):
+    k = x.size
+    lower = np.tril(np.ones((k, k), dtype=bool))
+    return kern.rate_matrix(k) * np.outer(x, x) * lower  # rate(i,j) xi_i xi_j for j <= i
+
+
+def _oracle_weak_form(psi, x, kern):
+    W = _oracle_lower_terms(kern, x)
+    jv = np.arange(1, x.size + 1, dtype=float)
+    gain = psi[1:, None] * (jv[None, :] * W[:-1, :])
+    loss = (jv[None, :] * psi[:, None] + psi[None, :]) * W
+    return float(np.sum(gain) - np.sum(loss)), float(np.sum(np.abs(gain)) + np.sum(np.abs(loss)))
+
+
+def _oracle_finite_identity(phi, x, kern, q):
+    k = x.size
+    gX = kern.rate_matrix(k) * np.outer(x, x)
+    jv = np.arange(1, k + 1, dtype=float)
+    lower = np.tril(np.ones((q, q), dtype=bool))
+    p1 = (phi[1:, None] * (jv[None, :q] * gX[: q - 1, :q])) * lower[: q - 1, :]
+    p2 = ((jv[None, :q] * phi[:, None] + phi[None, :]) * gX[:q, :q]) * lower
+    p3 = phi[None, :] * gX[q:, :q]
+    value = float(np.sum(p1) - np.sum(p2) - np.sum(p3))
+    return value, float(sum(np.sum(np.abs(p)) for p in (p1, p2, p3)))
+
+
+ORACLE_KERNELS = [
+    constant(1.0),
+    additive(1.0),
+    power_sum(1.0, 0.5),
+    from_rule("asymmetric", lambda i, j: (i + 2.0 * j) / 3.0, growth_constant_A=1.0),
+]
+
+
+@pytest.mark.parametrize("kern", ORACLE_KERNELS, ids=lambda kern: kern.name)
+def test_batched_identity_rates_match_per_state_oracle(kern, rng):
+    k = 12
+    states = [state(rng.random(k)) for _ in range(5)] + [state(np.zeros(k))]
+    states.append(state(np.where(rng.random(k) < 0.5, 0.0, rng.random(k))))
+    psi = rng.uniform(-1.0, 1.0, k)
+    for weights in (psi, TestSequence.sizes(k).values):
+        got = weak_form_rate(weights, states, kern)
+        assert got.shape == (len(states),)
+        for s, rate in zip(states, got):
+            want, size = _oracle_weak_form(weights, s.values, kern)
+            assert abs(rate - want) <= 1e-13 * size
+    for q in (1, 2, k // 2, k - 1):
+        phi = psi[:q]
+        got = finite_identity_rate(phi, states, kern, q)
+        assert got.shape == (len(states),)
+        for s, rate in zip(states, got):
+            want, size = _oracle_finite_identity(phi, s.values, kern, q)
+            assert abs(rate - want) <= 1e-13 * size
+    # the zero state contributes exactly nothing
+    assert weak_form_rate(psi, states, kern)[5] == 0.0
+    assert finite_identity_rate(psi[:3], states, kern, 3)[5] == 0.0
+
+
+def test_single_state_identity_rate_is_a_python_float(rng):
+    s = state(rng.random(6))
+    kern = power_sum(1.0, 0.5)
+    wf = weak_form_rate(TestSequence.ones(6), s, kern)
+    fir = finite_identity_rate(TestSequence.ones(3), s, kern, 3)
+    assert type(wf) is float and type(fir) is float
+    assert wf == pytest.approx(weak_form_rate(TestSequence.ones(6), [s], kern)[0], rel=1e-14)
+    assert fir == pytest.approx(finite_identity_rate(TestSequence.ones(3), [s], kern, 3)[0],
+                                rel=1e-14)
+
+
+def test_batched_identity_rates_validate_every_state():
+    good = state([1.0, 0.5, 0.0])
+    negative = state([1.0, -0.5, 0.0])
+    with pytest.raises(ValueError, match="negative concentration xi_2"):
+        weak_form_rate(np.ones(3), [good, negative], constant(1.0))
+    with pytest.raises(NumericError):
+        finite_identity_rate(np.ones(2), [good, state([np.inf, 0.0, 0.0])], constant(1.0), 2)
+    with pytest.raises(ValueError):
+        weak_form_rate(np.ones(3), [good, state([1.0, 0.5])], constant(1.0))  # mixed k
+    with pytest.raises(ValueError):
+        weak_form_rate(np.ones(3), [], constant(1.0))
+
+
+def test_identity_routes_do_not_call_the_rhs(monkeypatch, rng):
+    """The identity routes are independent of the right-hand side they audit."""
+    def refuse(self, x):
+        raise AssertionError("identity route evaluated the rhs")
+
+    monkeypatch.setattr(RhsEvaluator, "__call__", refuse)
+    for kern in ORACLE_KERNELS:
+        states = [state(rng.random(8)) for _ in range(3)]
+        assert np.all(np.isfinite(weak_form_rate(np.ones(8), states, kern)))
+        assert np.all(np.isfinite(finite_identity_rate(np.ones(4), states, kern, 4)))
