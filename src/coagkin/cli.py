@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -70,6 +71,8 @@ class RunConfig:
         exp = raw.get("experiment")
         if exp is not None and "name" not in exp:
             raise ConfigError("experiment.name", "missing experiment name")
+        if exp is not None:
+            _check_experiment_scalars(exp, k)
         cfg = cls(
             kernel=dict(raw["kernel"]),
             initial=initial,
@@ -208,6 +211,23 @@ def _int_list(block: dict, key: str, default) -> list[int]:
     return value
 
 
+def _check_experiment_scalars(exp: dict, k: int) -> None:
+    """Type and range of the experiment block's scalar keys that are present."""
+    for key, integer, in_range, rule in (
+        ("max_size", True, lambda v: v >= 2, ">= 2"),
+        ("perturb_size", True, lambda v: 1 <= v <= k, f"in 1..{k}"),
+        ("epsilon", False, lambda v: 0 <= v < math.inf, ">= 0 and finite"),
+        ("tail_budget", False, lambda v: 0 < v < math.inf, "> 0 and finite"),
+    ):
+        if key not in exp:
+            continue
+        value = exp[key]
+        kinds = int if integer else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds) or not in_range(value):
+            kind = "an integer" if integer else "a number"
+            raise ConfigError(f"experiment.{key}", f"must be {kind} {rule}, got {value!r}")
+
+
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 1
@@ -285,10 +305,8 @@ def _experiment_report(
         )
     if name == "dependence":
         eps = float(exp.get("epsilon", 1e-6))
-        size = int(exp.get("perturb_size", 2))
+        size = exp.get("perturb_size", 2)
         init_a = cfg.build_initial()
-        if not 1 <= size <= cfg.truncation_k:
-            raise ConfigError("experiment.perturb_size", f"must lie in 1..{cfg.truncation_k}")
         vb = init_a.values.copy()
         vb[size - 1] += eps
         init_b = SizeDistribution(vb, cfg.truncation_k, 0.0)
@@ -312,13 +330,11 @@ def _experiment_report(
             traj, kern, q_list=cfg.identity_q_list(), thresholds=thresholds, out_dir=out,
         )
     if name == "admissibility":
-        max_size = int(exp.get("max_size", 4 * cfg.truncation_k))
-        rep = check_admissibility(kern, max_size)
-        return rep
+        return check_admissibility(kern, exp.get("max_size", 4 * cfg.truncation_k))
     if name == "weights":
         return experiments.weights_audit(
             cfg.build_initial(),
-            max_size=int(exp.get("max_size", 500)),
+            max_size=exp.get("max_size", 500),
             tail_budget=float(exp.get("tail_budget", 1.0)),
             thresholds=thresholds,
         )

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import composite_simpson
+from .numerics import cumulative_simpson
 from .reports import ExperimentReport
 from .system import RhsEvaluator, SizeDistribution, mass_leak_rate
 from .weights import ConvexWeight, evaluate as weight_eval
@@ -91,14 +91,15 @@ def compute_record(
 def mass_defect(traj: "Trajectory") -> float:
     """Mass lost through the truncation boundary over the whole run.
 
-    Integrates the recorded boundary-leak rate with composite Simpson.
+    Integrates the recorded boundary-leak rate with composite Simpson
+    (the last entry of ``cumulative_simpson``).
     This equals M1(0) - M1(t_end) analytically but stays meaningful when
     the leak is far below the floating-point resolution of M1 itself
     (a k=64 run can leak ~1e-45 while M1 - M1 rounds to exactly 0).
     """
     times = np.array([s.time for s in traj.samples])
     leaks = np.array([d.mass_leak_rate for d in traj.diagnostics])
-    return composite_simpson(times, leaks)
+    return float(cumulative_simpson(times, leaks)[-1])
 
 
 def mass_defect_endpoint(traj: "Trajectory") -> float:

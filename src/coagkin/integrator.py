@@ -1,12 +1,12 @@
-"""Positivity-guarded adaptive time integration of the truncated system.
+"""Positivity-budgeted adaptive time integration of the truncated system.
 
 The workhorse is the Dormand-Prince embedded Runge-Kutta pair: the 5th
 order solution is propagated and the difference to the embedded 4th
 order solution drives step control. The right-hand side is
 quasi-positive (a vanished component can only be created), so negative
-values are pure discretization overshoot; steps that overshoot beyond a
-small guard are rejected, and accepted steps have tiny negatives clamped
-to zero with the clamped mass accounted against a budget.
+values are pure discretization overshoot: clamped to zero, with their
+size-weighted mass charged to one run budget MASS_BUDGET_REL * M1(0), of
+which a trial step may take its share by h, else it is rejected.
 
 A fixed-step classical RK4 mode serves as an independent oracle for
 accuracy cross checks; it never rejects steps.
@@ -44,6 +44,9 @@ _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 
+# run budget for clamped mass and for a rise of sampled mass, relative to M1(0)
+MASS_BUDGET_REL = 1e-9
+
 MODE_ADAPTIVE = "adaptive"
 MODE_FIXED = "fixed_step"
 
@@ -54,7 +57,6 @@ class SolverConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_step: float | None = None
-    positivity_floor: float = 1e-14
     mode: str = MODE_ADAPTIVE
     fixed_h: float | None = None
     sample_times: np.ndarray | None = None
@@ -70,8 +72,6 @@ class SolverConfig:
             raise ConfigError("solver.rel_tol", f"must be positive, got {self.rel_tol}")
         if not self.abs_tol > 0:
             raise ConfigError("solver.abs_tol", f"must be positive, got {self.abs_tol}")
-        if self.positivity_floor < 0:
-            raise ConfigError("solver.positivity_floor", "must be nonnegative")
         if self.max_step is not None and not self.max_step > 0:
             raise ConfigError("solver.max_step", "must be positive")
         if self.mode not in (MODE_ADAPTIVE, MODE_FIXED):
@@ -92,18 +92,12 @@ class SolverConfig:
     def resolved_max_step(self) -> float:
         return self.max_step if self.max_step is not None else self.t_end / 10.0
 
-    @property
-    def positivity_guard(self) -> float:
-        # negatives larger than this in magnitude force a rejection
-        return self.positivity_floor * 1e3
-
     def to_dict(self) -> dict:
         return {
             "t_end": self.t_end,
             "rel_tol": self.rel_tol,
             "abs_tol": self.abs_tol,
             "max_step": self.resolved_max_step(),
-            "positivity_floor": self.positivity_floor,
             "mode": self.mode,
             "fixed_h": self.fixed_h,
             "sample_times": [float(t) for t in self.resolved_sample_times()],
@@ -116,7 +110,8 @@ class StepStats:
     n_rejected: int = 0
     min_step: float = np.inf
     max_step: float = 0.0
-    clamped_mass: float = 0.0
+    clamped_mass_step: float = 0.0
+    clamped_mass_sample: float = 0.0
     n_rhs_evals: int = 0
 
     def to_dict(self) -> dict:
@@ -125,7 +120,8 @@ class StepStats:
             "n_rejected": self.n_rejected,
             "min_step": self.min_step if np.isfinite(self.min_step) else None,
             "max_step": self.max_step,
-            "clamped_mass": self.clamped_mass,
+            "clamped_mass_step": self.clamped_mass_step,
+            "clamped_mass_sample": self.clamped_mass_sample,
             "n_rhs_evals": self.n_rhs_evals,
         }
 
@@ -154,40 +150,51 @@ class Trajectory:
     def final(self) -> SizeDistribution:
         return self.samples[-1]
 
-    def check_invariants(self, mass_slack: float | None = None) -> list[str]:
+    def check_invariants(self) -> list[str]:
         """Return human-readable violations (empty list = all good).
 
         Checks strictly ascending sample times, componentwise positivity,
-        mass monotonicity within slack (default 1e-9 * initial mass), and
-        the clamped-mass budget at the same level.
+        mass monotonicity and the clamped-mass budget, both at
+        MASS_BUDGET_REL * M1(0).
         """
         problems: list[str] = []
         times = self.times()
         if np.any(np.diff(times) <= 0):
             problems.append("sample times are not strictly ascending")
         for s in self.samples:
-            if np.any(s.values < 0):
-                problems.append(f"negative component in sample at t={s.time:.6g}")
+            i = int(np.argmin(s.values))
+            if s.values[i] < 0:
+                problems.append(f"negative component xi_{i + 1} = {s.values[i]:.3e} in sample at t={s.time:.6g}")
                 break
         m1 = self.mass_series()
-        slack = mass_slack if mass_slack is not None else 1e-9 * m1[0]
-        rises = np.diff(m1) > slack
+        budget = MASS_BUDGET_REL * m1[0]
+        rises = np.diff(m1) > budget
         if rises.any():
             idx = int(np.argmax(rises))
             problems.append(
                 f"mass increased by {m1[idx + 1] - m1[idx]:.3e} between "
-                f"t={times[idx]:.6g} and t={times[idx + 1]:.6g} (slack {slack:.3e})"
+                f"t={times[idx]:.6g} and t={times[idx + 1]:.6g} (budget {budget:.3e})"
             )
-        if self.step_stats.clamped_mass > max(slack, 0.0):
-            problems.append(
-                f"clamped mass {self.step_stats.clamped_mass:.3e} exceeds budget {slack:.3e}"
-            )
+        step, sample = self.step_stats.clamped_mass_step, self.step_stats.clamped_mass_sample
+        if step + sample > budget:
+            problems.append(f"clamped mass {step + sample:.3e} (steps {step:.3e}, samples "
+                            f"{sample:.3e}) exceeds budget {budget:.3e}")
         return problems
 
 
 def _weighted_error_norm(err, y_old, y_new, rel_tol, abs_tol) -> float:
     scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
     return float(np.sqrt(np.mean((err / scale) ** 2)))
+
+
+def _clamp(vec: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
+    """vec with negatives zeroed (vec itself if none), and the size-weighted mass removed."""
+    if vec.min(initial=0.0) >= 0.0:
+        return vec, 0.0
+    neg = vec < 0.0
+    out = vec.copy()
+    out[neg] = 0.0
+    return out, float(np.dot(sizes[neg], -vec[neg]))
 
 
 def _dp_step(f, y, f0, h, rel_tol, abs_tol):
@@ -221,9 +228,9 @@ def integrate(
     Adaptive mode runs the embedded pair under PI step control between
     min_step = 1e-12 * t_end and max_step; fixed_step mode marches
     classical RK4 with constant h and no rejection. Dense output between
-    accepted steps is cubic Hermite on the stored derivatives. Every
-    emitted sample is clamped nonnegative with the clamped mass charged
-    to the run budget.
+    accepted steps is cubic Hermite on the stored derivatives. Steps and
+    samples are clamped nonnegative, charging the run budget by source; a
+    trial step that would charge more than budget * h / t_end is halved.
     """
     config.validate()
     init.validate()
@@ -238,25 +245,11 @@ def integrate(
     f = RhsEvaluator(kernel, k)
     stats = StepStats()
     sample_times = config.resolved_sample_times()
-    guard = config.positivity_guard
     sizes = np.arange(1, k + 1, dtype=float)
+    budget_rate = MASS_BUDGET_REL * init.mass / config.t_end
 
     samples: list[SizeDistribution] = [init.copy()]
     next_sample = 1
-
-    def clamp(vec: np.ndarray, t: float) -> np.ndarray:
-        low = float(vec.min(initial=0.0))
-        if low >= 0.0:
-            return vec
-        if low < -guard:
-            raise NumericError(
-                f"component undershoot {low:.3e} beyond positivity guard {-guard:.3e}", time=t
-            )
-        neg = vec < 0.0
-        stats.clamped_mass += float(np.dot(sizes[neg], -vec[neg]))
-        out = vec.copy()
-        out[neg] = 0.0
-        return out
 
     def emit(t0, y0, f0, t1, y1, f1):
         # Hermite-interpolate all samples in (t0, t1]; exact endpoint reuse.
@@ -272,7 +265,8 @@ def integrate(
                 h10 = th**3 - 2 * th**2 + th
                 h01 = -2 * th**3 + 3 * th**2
                 h11 = th**3 - th**2
-                val = clamp(h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1, ts)
+                val, clamped = _clamp(h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1, sizes)
+                stats.clamped_mass_sample += clamped
             samples.append(SizeDistribution(val.copy(), k, float(ts)))
             next_sample += 1
 
@@ -291,7 +285,8 @@ def integrate(
             y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(y_new)):
                 raise NumericError("non-finite values in fixed step", time=t)
-            y_new = clamp(y_new, t + h)
+            y_new, clamped = _clamp(y_new, sizes)
+            stats.clamped_mass_step += clamped
             f_new = f(y_new)
             emit(t, y, k1, t + h, y_new, f_new)
             t += h
@@ -324,11 +319,12 @@ def integrate(
                 stats.n_rejected += 1
                 h *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / 5.0))
                 continue
-            if float(y5.min(initial=0.0)) < -guard:
+            y_new, clamped = _clamp(y5, sizes)
+            if clamped > budget_rate * h:
                 stats.n_rejected += 1
                 h *= 0.5
                 continue
-            y_new = clamp(y5, t + h)
+            stats.clamped_mass_step += clamped
             # FSAL: the last stage is f(y5); a clamped state needs a fresh evaluation
             f_new = stages[-1] if y_new is y5 else f(y_new)
             emit(t, y, fy, t + h, y_new, f_new)

@@ -353,6 +353,10 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     )
 
 
+# parameter names of the built-in kernel types
+_BUILTIN_PARAMS = {"constant": ("c",), "additive": ("a",), "power": ("a", "exponent")}
+
+
 def from_config(block: dict) -> CoagulationKernel:
     """Build a kernel from a run-config specification block.
 
@@ -369,6 +373,14 @@ def from_config(block: dict) -> CoagulationKernel:
     ktype = block.get("type")
     params = dict(block.get("params", {}))
     name = block.get("name")
+    if ktype in _BUILTIN_PARAMS:
+        expected = _BUILTIN_PARAMS[ktype]
+        for key, value in params.items():
+            if key not in expected:
+                raise ConfigError(f"kernel.params.{key}",
+                                  f"unknown key for a {ktype} kernel; expected {', '.join(expected)}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"kernel.params.{key}", f"must be a number, got {value!r}")
     try:
         if ktype == "constant":
             kern = constant(params.get("c", 1.0), name=name)

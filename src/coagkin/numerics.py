@@ -4,29 +4,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def composite_simpson(t: np.ndarray, y: np.ndarray) -> float:
-    """Composite Simpson rule on a (possibly nonuniform) sample grid.
-
-    Pairs of adjacent intervals get the three-point Simpson weights; a
-    trailing unpaired interval falls back to the trapezoid rule.
-    """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape:
-        raise ValueError("t and y must be 1-d arrays of equal length")
-    n = t.size
-    if n < 2:
-        return 0.0
-    total = 0.0
-    i = 0
-    while i + 2 <= n - 1:
-        total += _simpson_pair(t[i], t[i + 1], t[i + 2], y[i], y[i + 1], y[i + 2])
-        i += 2
-    if i == n - 2:
-        total += 0.5 * (t[i + 1] - t[i]) * (y[i] + y[i + 1])
-    return total
-
-
 def cumulative_simpson(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cumulative integral at every sample index.
 

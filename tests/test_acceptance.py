@@ -51,7 +51,7 @@ def test_c1_positivity_and_mass_monotonicity():
         m1 = traj.mass_series()
         budget = 1e-9 * m1[0]
         pos_ok = all(s.values.min() >= 0.0 for s in traj.samples)
-        clamp_ok = traj.step_stats.clamped_mass <= budget
+        clamp_ok = traj.step_stats.clamped_mass_step + traj.step_stats.clamped_mass_sample <= budget
         mass_ok = bool(np.all(np.diff(m1) <= budget))
         time_ok = elapsed <= 10.0
         ok = pos_ok and clamp_ok and mass_ok and time_ok

@@ -150,13 +150,32 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
     ("verify", {"experiment": {"name": "identity", "q_list": [40]}}, "experiment.q_list"),
     ("verify", {"experiment": {"name": "identity", "q_list": [0]}}, "experiment.q_list"),
     ("verify", {"experiment": {"name": "identity", "q_list": ["a"]}}, "experiment.q_list"),
+    ("verify", {"experiment": {"name": "admissibility", "max_size": "abc"}}, "experiment.max_size"),
+    ("verify", {"experiment": {"name": "dependence", "epsilon": "x"}}, "experiment.epsilon"),
+    ("verify", {"experiment": {"name": "dependence", "perturb_size": 17}}, "experiment.perturb_size"),
+    ("verify", {"experiment": {"name": "weights", "tail_budget": -1}}, "experiment.tail_budget"),
+    ("simulate", {"kernel": {"type": "constant", "params": {"C": 5.0}}}, "kernel.params.C"),
+    ("simulate", {"kernel": {"type": "power", "params": {"exponent": "half"}}},
+     "kernel.params.exponent"),
+    ("simulate", {"solver": {"positivity_floor": 1e-14}}, "solver.positivity_floor"),
 ], ids=["t_end_abc", "rel_tol_null", "sample_times_strings", "k_list_string", "q_list_above_k",
-        "q_list_zero", "q_list_string"])
+        "q_list_zero", "q_list_string", "max_size_string", "epsilon_string",
+        "perturb_size_above_k", "tail_budget_negative", "kernel_param_unknown",
+        "kernel_param_string", "positivity_floor_removed"])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, command, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, cfg]) == 1  # a ConfigError, not an escaping exception
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_additive_k256_default_solver_keeps_invariants(tmp_path):
+    cfg = write_config(tmp_path, kernel={"type": "additive", "params": {"a": 1.0}},
+                       truncation_k=256, solver={"t_end": 10.0})
+    assert main(["simulate", cfg]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["invariant_violations"] == []
+    assert {"clamped_mass_step", "clamped_mass_sample"} <= set(summary["step_stats"])
 
 
 def test_schema_solver_keys_are_the_solver_config_fields():

@@ -13,7 +13,7 @@ from coagkin.diagnostics import (
 )
 from coagkin.integrator import SolverConfig, integrate
 from coagkin.kernels import additive, constant
-from coagkin.numerics import composite_simpson, cumulative_simpson
+from coagkin.numerics import cumulative_simpson
 from coagkin.system import SizeDistribution, monomer
 from coagkin.weights import identity_weight, power_weight
 
@@ -53,11 +53,18 @@ def test_simpson_exact_on_quadratics():
     t = np.array([0.0, 0.3, 1.0, 1.4, 2.0])  # nonuniform
     y = 3.0 * t**2 - 2.0 * t + 1.0
     exact = t[-1] ** 3 - t[-1] ** 2 + t[-1]
-    assert composite_simpson(t, y) == pytest.approx(exact, rel=1e-14)
     cum = cumulative_simpson(t, y)
     assert cum[0] == 0.0
     assert cum[2] == pytest.approx(t[2] ** 3 - t[2] ** 2 + t[2], rel=1e-14)
     assert cum[4] == pytest.approx(exact, rel=1e-14)
+    # an odd number of intervals ends on the trailing trapezoid, exact for lines
+    t = np.append(t, 2.5)
+    y = 3.0 * t**2 - 2.0 * t + 1.0
+    cum = cumulative_simpson(t, y)
+    assert cum[4] == pytest.approx(exact, rel=1e-14)
+    assert cum[5] == cum[4] + 0.5 * (t[5] - t[4]) * (y[5] + y[4])
+    line = cumulative_simpson(t, 4.0 * t - 1.0)
+    assert line[-1] == pytest.approx(2.0 * t[-1] ** 2 - t[-1], rel=1e-14)
 
 
 def test_record_fields():

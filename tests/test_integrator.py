@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from coagkin.errors import ConfigError, IntegrationStalledError
-from coagkin.integrator import MODE_FIXED, SolverConfig, _dp_step, integrate
-from coagkin.kernels import catalog, constant
+from coagkin.integrator import MASS_BUDGET_REL, MODE_FIXED, SolverConfig, _dp_step, integrate
+from coagkin.kernels import additive, catalog, constant, power_sum
 from coagkin.system import RhsEvaluator, SizeDistribution, monomer
 
 
@@ -127,7 +127,7 @@ def test_step_stats_account_for_the_run():
     # first-same-as-last: one evaluation at t=0, then six per trial step
     assert st.n_rhs_evals == 1 + 6 * (st.n_accepted + st.n_rejected)
     assert 0 < st.min_step <= st.max_step <= SolverConfig(t_end=1.0).resolved_max_step()
-    assert st.clamped_mass <= 1e-9  # essentially no clamping on this problem
+    assert st.clamped_mass_step + st.clamped_mass_sample <= 1e-9  # essentially no clamping here
 
 
 def test_invariant_checker_flags_mass_rise():
@@ -139,6 +139,45 @@ def test_invariant_checker_flags_mass_rise():
     traj.diagnostics[-1] = compute_record(traj.samples[-1], constant(1.0))
     problems = traj.check_invariants()
     assert any("mass increased" in p for p in problems)
+
+
+def test_invariant_messages_name_component_and_source():
+    traj = integrate(monomer(4), constant(1.0), SolverConfig(t_end=0.5))
+    traj.samples[50].values[2] = -3e-12
+    traj.step_stats.clamped_mass_step = 2e-9
+    traj.step_stats.clamped_mass_sample = 5e-10
+    problems = traj.check_invariants()
+    assert "negative component xi_3 = -3.000e-12 in sample at t=0.25" in problems
+    assert ("clamped mass 2.500e-09 (steps 2.000e-09, samples 5.000e-10) "
+            "exceeds budget 1.000e-09") in problems
+
+
+@pytest.mark.parametrize("k", [256, 1024])
+@pytest.mark.parametrize("kern", [constant(1.0), additive(1.0), power_sum(1.0, 0.5)],
+                         ids=["constant", "additive", "power"])
+def test_default_config_keeps_invariants_at_large_k(kern, k):
+    traj = integrate(monomer(k), kern, SolverConfig(t_end=10.0))
+    assert traj.check_invariants() == []
+
+
+@pytest.mark.parametrize("abs_tol", [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("kern", [additive(1.0), power_sum(1.0, 0.5)], ids=["additive", "power"])
+def test_step_clamps_stay_within_budget_at_any_abs_tol(kern, abs_tol, record_property):
+    # an undershooting step is rejected, an undershooting sample is charged: neither raises
+    traj = integrate(monomer(64), kern, SolverConfig(t_end=10.0, abs_tol=abs_tol))
+    budget = MASS_BUDGET_REL * traj.mass_series()[0]
+    st = traj.step_stats
+    assert st.clamped_mass_step <= budget
+    # Hermite samples may still overshoot the budget (1.2e-6 for power at abs_tol 1e-6)
+    record_property("sample_share_over_budget", max(0.0, st.clamped_mass_sample - budget))
+
+
+def test_fixed_mode_charges_undershoot_instead_of_raising():
+    # RK4 at h = 0.2 undershoots on this problem; the run reports it as a violation
+    traj = integrate(monomer(32), power_sum(1.0, 0.5),
+                     SolverConfig(t_end=5.0, mode=MODE_FIXED, fixed_h=0.2))
+    assert traj.step_stats.clamped_mass_step > MASS_BUDGET_REL * traj.mass_series()[0]
+    assert any(p.startswith("clamped mass") for p in traj.check_invariants())
 
 
 def test_initial_state_must_start_at_time_zero():
