@@ -19,11 +19,19 @@ from .diagnostics import mass_defect
 from .errors import CoagkinError, ConfigError, NumericError
 from .integrator import SolverConfig, integrate
 from .kernels import CoagulationKernel, check_admissibility
+from .numerics import is_number
 from .reports import ExperimentReport, write_json_atomic
 from .system import SizeDistribution, geometric, monomer
 
 VALID_EXPERIMENTS = ("truncation", "dependence", "decay", "identity", "admissibility", "weights")
 _SOLVER_FIELDS = {f.name: f for f in fields(SolverConfig)}
+_TOP_KEYS = ("kernel", "initial", "truncation_k", "solver", "experiment", "output_dir", "seed")
+# keys each initial type reads
+_INITIAL_KEYS = {
+    "monomer": ("type", "mass_scale"),
+    "geometric": ("type", "mass_scale", "ratio"),
+    "file": ("type", "mass_scale", "path"),
+}
 
 
 @dataclass
@@ -50,25 +58,31 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, source_path: str | None = None) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config", f"must be a JSON object, got {type(raw).__name__}")
+        for key in raw:
+            if key not in _TOP_KEYS:
+                raise ConfigError(key, f"unknown key; expected {', '.join(_TOP_KEYS)}")
         for key in ("kernel", "initial", "truncation_k", "solver"):
             if key not in raw:
                 raise ConfigError(key, "missing required field")
         k = raw["truncation_k"]
-        if not isinstance(k, int) or k < 2:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
             raise ConfigError("truncation_k", f"must be an integer >= 2, got {k!r}")
+        for key in ("kernel", "initial", "solver"):
+            if not isinstance(raw[key], dict):
+                raise ConfigError(key, f"must be an object, got {raw[key]!r}")
         initial = dict(raw["initial"])
-        mass_scale = initial.get("mass_scale", 1.0)
-        if not (isinstance(mass_scale, (int, float)) and mass_scale > 0):
-            raise ConfigError("initial.mass_scale", f"must be positive, got {mass_scale!r}")
-        if initial.get("type") == "file":
-            path = initial.get("path")
-            if not path or not os.path.exists(path):
-                raise ConfigError("initial.path", f"file not found: {path!r}")
-        if raw["kernel"].get("type") == "table":
-            path = raw["kernel"].get("params", {}).get("path")
-            if not path or not os.path.exists(path):
-                raise ConfigError("kernel.params.path", f"file not found: {path!r}")
+        _check_initial(initial)
+        output_dir = raw.get("output_dir", "coagkin_out")
+        if not isinstance(output_dir, str) or not output_dir:
+            raise ConfigError("output_dir", f"must be a nonempty string, got {output_dir!r}")
+        seed = raw.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError("seed", f"must be an integer, got {seed!r}")
         exp = raw.get("experiment")
+        if exp is not None and not isinstance(exp, dict):
+            raise ConfigError("experiment", f"must be an object, got {exp!r}")
         if exp is not None and "name" not in exp:
             raise ConfigError("experiment.name", "missing experiment name")
         if exp is not None:
@@ -78,9 +92,9 @@ class RunConfig:
             initial=initial,
             truncation_k=k,
             solver=dict(raw["solver"]),
-            output_dir=raw.get("output_dir", "coagkin_out"),
+            output_dir=output_dir,
             experiment=dict(exp) if exp is not None else None,
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             source_path=source_path,
         )
         # a bad list is a config error before any output exists
@@ -92,6 +106,8 @@ class RunConfig:
 
     def build_kernel(self) -> CoagulationKernel:
         kern = kernels.from_config(self.kernel)
+        if (self.experiment or {}).get("name") == "decay" and kern.lower_bound_zeta is None:
+            raise ConfigError("kernel.zeta", "the decay experiment needs a declared lower bound zeta > 0")
         cover = kern.max_table_size
         if cover is not None:
             need = self.largest_integrated_k()
@@ -144,7 +160,7 @@ class RunConfig:
                 raise ConfigError(f"solver.{key}", "must not be null")
             # numbers given as JSON integers become floats, as the fields declare
             if value is not None and "float" in declared:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if not is_number(value):
                     raise ConfigError(f"solver.{key}", f"must be a number, got {value!r}")
                 value = float(value)
             if value is not None and "ndarray" in declared:
@@ -162,28 +178,30 @@ class RunConfig:
         return cfg
 
     def build_initial(self, k: int | None = None) -> SizeDistribution:
+        """Initial state at truncation size k (default truncation_k); from_dict checked the block."""
         k = k if k is not None else self.truncation_k
         kind = self.initial.get("type", "monomer")
         scale = float(self.initial.get("mass_scale", 1.0))
         if kind == "monomer":
             v = monomer(k, scale).values
         elif kind == "geometric":
-            ratio = float(self.initial.get("ratio", 0.5))
-            if not 0 < ratio < 1:
-                raise ConfigError("initial.ratio", f"must lie in (0, 1), got {ratio}")
-            g = geometric(k, ratio)
+            g = geometric(k, float(self.initial.get("ratio", 0.5)))
             # normalized so the initial mass equals mass_scale
             v = scale * g.values / g.mass
-        elif kind == "file":
-            vals = np.loadtxt(self.initial["path"], dtype=float).reshape(-1)
+        else:
+            path = self.initial["path"]
+            try:
+                vals = np.loadtxt(path, dtype=float).reshape(-1)
+            except (OSError, ValueError) as exc:
+                raise ConfigError("initial.path", f"cannot read {path!r}: {exc}") from exc
             if vals.size > k:
                 raise ConfigError(
                     "initial.path", f"file holds {vals.size} sizes, truncation_k is only {k}"
                 )
+            if not np.all(np.isfinite(vals) & (vals >= 0)):
+                raise ConfigError("initial.path", "needs finite nonnegative concentrations")
             v = np.zeros(k)
             v[: vals.size] = scale * vals
-        else:
-            raise ConfigError("initial.type", f"unknown initial type {kind!r}")
         state = SizeDistribution(v, k, 0.0)
         state.validate()
         return state
@@ -199,6 +217,32 @@ class RunConfig:
             "output_dir": self.output_dir,
             "seed": self.seed,
         }
+
+
+def _check_initial(initial: dict) -> None:
+    """Keys, types and ranges of the initial block; the file itself is read later."""
+    kind = initial.get("type", "monomer")
+    if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
+        raise ConfigError(
+            "initial.type", f"unknown initial type {kind!r}; valid types: {', '.join(_INITIAL_KEYS)}"
+        )
+    expected = _INITIAL_KEYS[kind]
+    for key in initial:
+        if key not in expected:
+            raise ConfigError(
+                f"initial.{key}", f"unknown key for a {kind} initial; expected {', '.join(expected)}"
+            )
+    for key, in_range, rule in (
+        ("mass_scale", lambda v: 0 < v < math.inf, "> 0 and finite"),
+        ("ratio", lambda v: 0 < v < 1, "in (0, 1)"),
+    ):
+        value = initial.get(key)
+        if key in initial and not (is_number(value) and in_range(value)):
+            raise ConfigError(f"initial.{key}", f"must be a number {rule}, got {value!r}")
+    if kind == "file":
+        path = initial.get("path")
+        if not isinstance(path, str) or not os.path.isfile(path):
+            raise ConfigError("initial.path", f"file not found: {path!r}")
 
 
 def _int_list(block: dict, key: str, default) -> list[int]:
@@ -226,6 +270,12 @@ def _check_experiment_scalars(exp: dict, k: int) -> None:
         if isinstance(value, bool) or not isinstance(value, kinds) or not in_range(value):
             kind = "an integer" if integer else "a number"
             raise ConfigError(f"experiment.{key}", f"must be {kind} {rule}, got {value!r}")
+    thresholds = exp.get("thresholds")
+    if thresholds is not None and not (
+        isinstance(thresholds, dict) and all(is_number(v) for v in thresholds.values())
+    ):
+        raise ConfigError("experiment.thresholds",
+                          f"must map metric names to numbers, got {thresholds!r}")
 
 
 def _fail(msg: str) -> int:

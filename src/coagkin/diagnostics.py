@@ -23,8 +23,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _fsum(values: np.ndarray) -> float:
-    # math.fsum reads a list faster than it iterates an array
-    return math.fsum(values.tolist())
+    """math.fsum of values, reading only up to the last nonzero entry.
+
+    fsum drops zero terms, so the trailing zeros of a large-k state need
+    not be converted; it reads a list faster than it iterates an array.
+    """
+    held = np.flatnonzero(values)
+    return math.fsum(values[: held[-1] + 1].tolist()) if held.size else 0.0
 
 
 def moment(state: SizeDistribution, m: float) -> float:
@@ -59,12 +64,14 @@ def compute_record(
     kernel: "CoagulationKernel",
     orders=(0.0, 1.0, 2.0),
     weights: dict[str, ConvexWeight] | None = None,
-    evaluator: RhsEvaluator | None = None,
+    deriv: np.ndarray | None = None,
 ) -> DiagnosticsRecord:
     """Evaluate the standard observables at one sample.
 
     ``tail_mass_fraction`` is the mass share sitting above size k/2, the
     early-warning indicator that the truncation boundary is active.
+    ``deriv`` is the right-hand side at the sample, if the caller has it;
+    otherwise a fresh ``RhsEvaluator`` computes it.
     """
     k = state.truncation_k
     sizes = np.arange(1, k + 1, dtype=float)
@@ -75,8 +82,8 @@ def compute_record(
     half = k // 2
     tail = _fsum((sizes * state.values)[half:])
     tail_fraction = tail / m1 if m1 > 0 else 0.0
-    f = evaluator if evaluator is not None else RhsEvaluator(kernel, k)
-    deriv = f(state.values)
+    if deriv is None:
+        deriv = RhsEvaluator(kernel, k)(state.values)
     return DiagnosticsRecord(
         moment_0=m0,
         moment_1=m1,

@@ -272,7 +272,7 @@ def integrate(
 
     t = 0.0
     y = init.values.copy()
-    fy = f(y)
+    fy = f0 = f(y)
 
     if config.mode == MODE_FIXED:
         h_nominal = float(config.fixed_h)
@@ -346,14 +346,18 @@ def integrate(
             samples.append(SizeDistribution(y.copy(), k, float(ts)))
 
     stats.n_rhs_evals = f.n_evals
-    diag_eval = f
-    diagnostics = [
-        compute_record(s, kernel, orders=moment_orders, weights=g_weights, evaluator=diag_eval)
-        for s in samples
-    ]
-    envelope = np.max(
-        np.abs(np.vstack([diag_eval(s.values) for s in samples])), axis=0
-    )
+    # one rhs per sample feeds its record and the envelope; no row outlives its sample.
+    # The first sample is the initial state, whose rhs the stepping took first.
+    diagnostics = []
+    envelope = np.zeros(k)
+    deriv = f0
+    for n, s in enumerate(samples):
+        if n > 0:
+            deriv = f(s.values)
+        np.maximum(envelope, np.abs(deriv), out=envelope)
+        diagnostics.append(
+            compute_record(s, kernel, orders=moment_orders, weights=g_weights, deriv=deriv)
+        )
     return Trajectory(
         samples=samples,
         diagnostics=diagnostics,

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .numerics import is_number
 from .reports import ExperimentReport
 
 RateRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -353,8 +354,9 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     )
 
 
-# parameter names of the built-in kernel types
-_BUILTIN_PARAMS = {"constant": ("c",), "additive": ("a",), "power": ("a", "exponent")}
+# keys of a kernel block, and the params keys of each kernel type
+KERNEL_KEYS = ("name", "type", "params", "A", "delta", "zeta")
+_PARAMS = {"constant": ("c",), "additive": ("a",), "power": ("a", "exponent"), "table": ("path",)}
 
 
 def from_config(block: dict) -> CoagulationKernel:
@@ -366,21 +368,39 @@ def from_config(block: dict) -> CoagulationKernel:
          "params": {...}, "A": ..., "delta": ..., "zeta": ...}
 
     For built-in types the declared constants default to the tight ones;
-    explicit ``A``/``delta``/``zeta`` entries override them.
+    explicit ``A``/``delta``/``zeta`` entries override them. Any other key,
+    a params key foreign to the type or a value of the wrong kind is a
+    ``ConfigError`` naming its key path.
     """
     from .errors import ConfigError
 
+    if not isinstance(block, dict):
+        raise ConfigError("kernel", f"must be an object, got {block!r}")
+    for key in block:
+        if key not in KERNEL_KEYS:
+            raise ConfigError(f"kernel.{key}", f"unknown key; expected {', '.join(KERNEL_KEYS)}")
     ktype = block.get("type")
-    params = dict(block.get("params", {}))
+    if not isinstance(ktype, str) or ktype not in _PARAMS:
+        raise ConfigError("kernel.type",
+                          f"unknown kernel type {ktype!r}; valid types: {', '.join(_PARAMS)}")
+    params = block.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("kernel.params", f"must be an object, got {params!r}")
+    expected = _PARAMS[ktype]
+    for key, value in params.items():
+        if key not in expected:
+            raise ConfigError(f"kernel.params.{key}",
+                              f"unknown key for a {ktype} kernel; expected {', '.join(expected)}")
+        if not (isinstance(value, str) if key == "path" else is_number(value)):
+            kind = "a string" if key == "path" else "a number"
+            raise ConfigError(f"kernel.params.{key}", f"must be {kind}, got {value!r}")
     name = block.get("name")
-    if ktype in _BUILTIN_PARAMS:
-        expected = _BUILTIN_PARAMS[ktype]
-        for key, value in params.items():
-            if key not in expected:
-                raise ConfigError(f"kernel.params.{key}",
-                                  f"unknown key for a {ktype} kernel; expected {', '.join(expected)}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"kernel.params.{key}", f"must be a number, got {value!r}")
+    if name is not None and not isinstance(name, str):
+        raise ConfigError("kernel.name", f"must be a string, got {name!r}")
+    for key in ("A", "delta", "zeta"):
+        value = block.get(key)
+        if key in block and not (is_number(value) or (value is None and key != "A")):
+            raise ConfigError(f"kernel.{key}", f"must be a number, got {value!r}")
     try:
         if ktype == "constant":
             kern = constant(params.get("c", 1.0), name=name)
@@ -388,30 +408,29 @@ def from_config(block: dict) -> CoagulationKernel:
             kern = additive(params.get("a", 1.0), name=name)
         elif ktype == "power":
             kern = power_sum(params.get("a", 1.0), params.get("exponent", 0.5), name=name)
-        elif ktype == "table":
+        else:
             path = params.get("path")
             if path is None:
                 raise ConfigError("kernel.params.path", "tabulated kernel needs a CSV path")
             if "A" not in block:
                 raise ConfigError("kernel.A", "tabulated kernel needs a declared growth constant")
-            kern = tabulated_from_csv(
-                path,
-                growth_constant_A=block["A"],
-                power_delta=block.get("delta"),
-                lower_bound_zeta=block.get("zeta"),
-                name=name,
-            )
-            return kern
-        else:
-            raise ConfigError("kernel.type", f"unknown kernel type {ktype!r}")
+            try:
+                return tabulated_from_csv(
+                    path,
+                    growth_constant_A=block["A"],
+                    power_delta=block.get("delta"),
+                    lower_bound_zeta=block.get("zeta"),
+                    name=name,
+                )
+            except OSError as exc:
+                raise ConfigError("kernel.params.path", f"cannot read {path!r}: {exc.strerror}") from exc
+        overrides = {}
+        if "A" in block:
+            overrides["growth_constant_A"] = float(block["A"])
+        if "delta" in block:
+            overrides["power_delta"] = block["delta"]
+        if "zeta" in block:
+            overrides["lower_bound_zeta"] = block["zeta"]
+        return replace(kern, **overrides)
     except ValueError as exc:
         raise ConfigError("kernel", str(exc)) from exc
-
-    overrides = {}
-    if "A" in block:
-        overrides["growth_constant_A"] = float(block["A"])
-    if "delta" in block:
-        overrides["power_delta"] = block["delta"]
-    if "zeta" in block:
-        overrides["lower_bound_zeta"] = block["zeta"]
-    return replace(kern, **overrides)

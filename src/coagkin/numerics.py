@@ -1,7 +1,12 @@
-"""Small numerical helpers: Simpson quadrature."""
+"""Small numerical helpers: Simpson quadrature and the config-number test."""
 from __future__ import annotations
 
 import numpy as np
+
+
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def cumulative_simpson(t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -19,11 +19,19 @@ def fmt(x: float) -> str:
 
 
 def write_trajectory_csv(path: str, traj) -> str:
+    """One row per sample; the same text as joining ``fmt`` of every value.
+
+    Each row is one ``%.17g`` format up to its last entry that is not +0.0
+    (a -0.0 keeps its sign), then a literal run of ``,0`` for the empty tail.
+    """
     k = traj.samples[0].truncation_k
     header = "t," + ",".join(f"xi_{i}" for i in range(1, k + 1))
     lines = [header]
     for s in traj.samples:
-        lines.append(",".join([fmt(s.time)] + [fmt(v) for v in s.values]))
+        held = np.flatnonzero((s.values != 0.0) | np.signbit(s.values))
+        n = int(held[-1]) + 1 if held.size else 0
+        row = ("%.17g" + ",%.17g" * n) % (s.time, *s.values[:n].tolist())
+        lines.append(row + ",0" * (k - n))
     _write_text(path, "\n".join(lines) + "\n")
     return path
 

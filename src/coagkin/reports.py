@@ -12,6 +12,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
+
 
 @dataclass
 class ExperimentReport:
@@ -29,7 +31,8 @@ class ExperimentReport:
         thresholds = {k: float(v) for k, v in thresholds.items()}
         missing = [k for k in thresholds if k not in metrics]
         if missing:
-            raise ValueError(f"thresholds without matching metrics: {missing}")
+            raise ConfigError(f"experiment.thresholds.{missing[0]}",
+                              f"no metric of that name; {name} reports {', '.join(metrics)}")
         ok = all(metrics[k] <= thresholds[k] for k in thresholds)
         return cls(
             name=name,

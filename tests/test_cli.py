@@ -1,12 +1,20 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coagkin import cli, kernels
 from coagkin.cli import main
 from coagkin.integrator import SolverConfig
 
@@ -158,15 +166,137 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
     ("simulate", {"kernel": {"type": "power", "params": {"exponent": "half"}}},
      "kernel.params.exponent"),
     ("simulate", {"solver": {"positivity_floor": 1e-14}}, "solver.positivity_floor"),
+    ("simulate", {"initial": {"massscale": 2}}, "initial.massscale"),
+    ("verify", {"initial": {"type": "geometric", "ratio": "x"}, "experiment": {"name": "weights"}},
+     "initial.ratio"),
+    ("simulate", {"initial": "monomer"}, "'initial'"),
+    ("simulate", {"kernel": ["constant"]}, "'kernel'"),
+    ("simulate", {"kernel": {"params": "x"}}, "kernel.params"),
+    ("verify", {"kernel": {"zeta": None}, "experiment": {"name": "decay"}}, "kernel.zeta"),
+    ("verify", {"experiment": {"name": "truncation", "thresholds": {"defect_final_max": "x"}}},
+     "experiment.thresholds"),
 ], ids=["t_end_abc", "rel_tol_null", "sample_times_strings", "k_list_string", "q_list_above_k",
         "q_list_zero", "q_list_string", "max_size_string", "epsilon_string",
         "perturb_size_above_k", "tail_budget_negative", "kernel_param_unknown",
-        "kernel_param_string", "positivity_floor_removed"])
+        "kernel_param_string", "positivity_floor_removed", "initial_key_unknown",
+        "initial_ratio_string", "initial_not_object", "kernel_not_object",
+        "kernel_params_not_object", "decay_without_zeta", "threshold_string"])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, command, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, cfg]) == 1  # a ConfigError, not an escaping exception
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_threshold_name_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment={"name": "truncation", "k_list": [4, 8, 16],
+                                             "thresholds": {"defect_final": 1.0}})
+    assert main(["verify", cfg]) == 1
+    assert "experiment.thresholds.defect_final" in capsys.readouterr().err
+
+
+# Config fuzz: one value or key of a small valid config is replaced, deleted,
+# renamed or added. Integers stay small, positive floats stay at or above 1e-3
+# and text stays a plain relative file name, so no draw allocates a huge
+# truncation, asks for millions of steps or writes outside the example's
+# working directory.
+_FUZZ_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.sampled_from([0.0, -0.0, -1.5, 1e-3, 0.25, 0.5, 2.0, 1e300, math.inf, -math.inf, math.nan]),
+    st.text(alphabet="abcxyz_0123", max_size=4),
+)
+_FUZZ_VALUES = st.one_of(
+    _FUZZ_LEAVES,
+    st.lists(_FUZZ_LEAVES, max_size=4),
+    st.dictionaries(st.sampled_from(["a", "c", "name", "x"]), _FUZZ_LEAVES, max_size=2),
+)
+_FUZZ_KEYS = st.sampled_from(["zz", "name", "type", "path", "thresholds", "ratio", "params"])
+_FUZZ_BASES = [
+    {"kernel": {"type": "constant", "params": {"c": 1.0}},
+     "initial": {"type": "monomer", "mass_scale": 1.0}, "truncation_k": 8, "solver": {"t_end": 0.5}},
+    {"kernel": {"type": "power", "params": {"a": 1.0, "exponent": 0.5}, "A": 2.0, "delta": 0.5,
+                "zeta": None},
+     "initial": {"type": "geometric", "ratio": 0.5, "mass_scale": 1.0}, "truncation_k": 6,
+     "solver": {"t_end": 0.5, "rel_tol": 1e-6, "abs_tol": 1e-9, "max_step": 0.1, "mode": "adaptive",
+                "fixed_h": None, "sample_times": [0.0, 0.25, 0.5]},
+     "seed": 0},
+]
+_FUZZ_EXPERIMENTS = [
+    {"name": "truncation", "k_list": [2, 4, 8], "thresholds": {"defect_final_max": 1.0}},
+    {"name": "identity", "q_list": [2, 4]},
+    {"name": "dependence", "epsilon": 1e-6, "perturb_size": 2},
+    {"name": "decay"},
+    {"name": "admissibility", "max_size": 16},
+    {"name": "weights", "max_size": 16, "tail_budget": 1.0},
+]
+
+
+def _paths(obj, prefix=()):
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def _mutated_config(draw, command):
+    cfg = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    if command == "verify":
+        cfg["experiment"] = copy.deepcopy(draw(st.sampled_from(_FUZZ_EXPERIMENTS)))
+    paths = list(_paths(cfg))
+    op = draw(st.sampled_from(["replace", "delete", "rename", "insert"]))
+    if op == "insert":
+        dicts = [()] + [p for p in paths if isinstance(_at(cfg, p), dict)]
+        _at(cfg, draw(st.sampled_from(dicts)))[draw(_FUZZ_KEYS)] = draw(_FUZZ_VALUES)
+        return cfg
+    path = draw(st.sampled_from(paths))
+    parent, key = _at(cfg, path[:-1]), path[-1]
+    if op == "replace":
+        parent[key] = draw(_FUZZ_VALUES)
+        return cfg
+    value = parent.pop(key)
+    if op == "rename" and isinstance(parent, dict):
+        parent[key + "_"] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@settings(derandomize=True, max_examples=60)
+@given(data=st.data())
+def test_mutated_config_exits_cleanly(command, data):
+    cfg = data.draw(_mutated_config(command))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            with open("config.json", "w") as fh:
+                json.dump(cfg, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "config.json"])  # an escaping exception fails the example
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_schema_keys_are_the_accepted_keys():
+    path = os.path.join(os.path.dirname(__file__), "..", "src", "coagkin", "config.schema.json")
+    with open(path) as fh:
+        schema = json.load(fh)["properties"]
+    assert set(schema) == set(cli._TOP_KEYS)
+    assert set(schema["initial"]["properties"]) == set().union(*cli._INITIAL_KEYS.values())
+    assert set(schema["kernel"]["properties"]) == set(kernels.KERNEL_KEYS)
+    assert set(schema["kernel"]["properties"]["params"]["properties"]) == set().union(
+        *kernels._PARAMS.values())
 
 
 def test_simulate_additive_k256_default_solver_keeps_invariants(tmp_path):

@@ -14,7 +14,7 @@ from coagkin.diagnostics import (
 from coagkin.integrator import SolverConfig, integrate
 from coagkin.kernels import additive, constant
 from coagkin.numerics import cumulative_simpson
-from coagkin.system import SizeDistribution, monomer
+from coagkin.system import RhsEvaluator, SizeDistribution, monomer
 from coagkin.weights import identity_weight, power_weight
 
 
@@ -39,14 +39,47 @@ def test_g_moment_examples():
 
 
 def test_moments_are_correctly_rounded_sums(rng):
-    vals = rng.random(2000) * 10.0 ** rng.integers(-8, 8, 2000)
-    s = state(vals)
-    sizes = np.arange(1, vals.size + 1, dtype=float)
-    rec = compute_record(s, constant(1.0), orders=(0, 1, 2, 1.5))
-    assert rec.moment_0 == math.fsum(vals)
-    assert rec.moment_1 == math.fsum(sizes * vals)
-    for m in (2.0, 1.5):
-        assert moment(s, m) == rec.moment_m[m] == math.fsum(sizes**m * vals)
+    dense = rng.random(2000) * 10.0 ** rng.integers(-8, 8, 2000)
+    # a large-k state: occupied head, a -0.0 and a long trailing zero run
+    sparse = np.zeros(4096)
+    sparse[:300] = dense[:300]
+    sparse[150] = -0.0
+    sparse[299] = 1e-300
+    for vals in (dense, sparse):
+        s = state(vals)
+        sizes = np.arange(1, vals.size + 1, dtype=float)
+        rec = compute_record(s, constant(1.0), orders=(0, 1, 2, 1.5))
+        assert rec.moment_0 == math.fsum(vals)
+        assert rec.moment_1 == math.fsum(sizes * vals)
+        for m in (2.0, 1.5):
+            assert moment(s, m) == rec.moment_m[m] == math.fsum(sizes**m * vals)
+        tail = math.fsum((sizes * vals)[vals.size // 2:])
+        assert rec.tail_mass_fraction == (tail / rec.moment_1)
+    assert compute_record(state(np.zeros(8)), constant(1.0)).moment_1 == math.fsum(np.zeros(8))
+
+
+def test_integrate_evaluates_the_rhs_once_per_sample(monkeypatch):
+    calls = []
+    original = RhsEvaluator.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(RhsEvaluator, "__call__", counted)
+    traj = integrate(monomer(16), additive(1.0),
+                     SolverConfig(t_end=2.0, sample_times=np.linspace(0, 2, 41)))
+    # the first sample is the initial state, whose rhs the first step already took
+    assert len(calls) == traj.step_stats.n_rhs_evals + len(traj.samples) - 1
+
+
+def test_rhs_envelope_is_the_componentwise_max_over_samples():
+    kern = additive(1.0)
+    traj = integrate(monomer(32), kern, SolverConfig(t_end=3.0))
+    f = RhsEvaluator(kern, 32)
+    derivs = np.vstack([f(s.values) for s in traj.samples])
+    assert np.array_equal(traj.rhs_envelope, np.max(np.abs(derivs), axis=0))
+    assert [d.rhs_sup for d in traj.diagnostics] == np.max(np.abs(derivs), axis=1).tolist()
 
 
 def test_simpson_exact_on_quadratics():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coagkin import experiments
+from coagkin.errors import ConfigError
 from coagkin.experiments import (
     asymptotic_decay,
     continuous_dependence,
@@ -184,7 +185,7 @@ def test_report_threshold_contract(tmp_path):
     assert rep.passed and rep.failing_metrics() == {}
     rep = ExperimentReport.build("demo", {"x": 3.0}, {"x": 2.0})
     assert not rep.passed and rep.failing_metrics() == {"x": (3.0, 2.0)}
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="experiment.thresholds.y"):
         ExperimentReport.build("demo", {"x": 1.0}, {"y": 2.0})
     path = rep.write_json(str(tmp_path / "r.json"))
     import json

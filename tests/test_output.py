@@ -2,10 +2,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from coagkin.integrator import SolverConfig, integrate
+from coagkin.integrator import SolverConfig, StepStats, Trajectory, integrate
 from coagkin.kernels import constant
 from coagkin.output import fmt, write_diagnostics_csv, write_line_svg, write_trajectory_csv
-from coagkin.system import monomer
+from coagkin.system import SizeDistribution, monomer
 
 
 def test_float_format_round_trips_exactly(rng):
@@ -48,3 +48,47 @@ def test_svg_is_wellformed_and_handles_log_zeros(tmp_path):
     root = ET.parse(path).getroot()
     assert root.tag.endswith("svg")
     assert any(child.tag.endswith("polyline") for child in root.iter())
+
+
+def _oracle_rows(traj):
+    """Per-value join: the text write_trajectory_csv must reproduce byte for byte."""
+    return [",".join([fmt(s.time)] + [fmt(v) for v in s.values]) for s in traj.samples]
+
+
+def _trajectory(rows, times=None):
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    times = times if times is not None else np.arange(len(rows), dtype=float)
+    samples = [SizeDistribution(r, r.size, float(t)) for r, t in zip(rows, times)]
+    return Trajectory(samples=samples, diagnostics=[], step_stats=StepStats(),
+                      config=SolverConfig(t_end=1.0), kernel_name="none")
+
+
+def _assert_matches_oracle(tmp_path, traj):
+    path = write_trajectory_csv(str(tmp_path / "t.csv"), traj)
+    k = traj.samples[0].truncation_k
+    header = "t," + ",".join(f"xi_{i}" for i in range(1, k + 1))
+    expected = "\n".join([header] + _oracle_rows(traj)) + "\n"
+    assert open(path, "rb").read() == expected.encode()
+
+
+def test_trajectory_csv_matches_per_value_oracle(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)
+    k = 64
+    lone = np.zeros(k)
+    lone[-1] = 3.5e-300
+    neg_zero_tail = np.zeros(k)
+    neg_zero_tail[:3] = [1.0, 0.5, 0.25]
+    neg_zero_tail[40] = -0.0
+    subnormal = np.zeros(k)
+    subnormal[:4] = [tiny, 2.2250738585072e-310, 1e-320, -tiny]
+    traj = _trajectory([np.zeros(k), lone, neg_zero_tail, subnormal, -np.zeros(k)],
+                       times=[0.0, 1e-300, 0.1, 1.0 / 3.0, 7.0])
+    _assert_matches_oracle(tmp_path, traj)
+    # k = 2, with the lone nonzero first, last and nowhere
+    _assert_matches_oracle(tmp_path, _trajectory([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-5], [-0.0, 0.0]]))
+
+
+def test_trajectory_csv_matches_oracle_on_large_k_run(tmp_path):
+    traj = integrate(monomer(512), constant(1.0), SolverConfig(t_end=2.0))
+    assert (traj.final().values == 0.0).mean() > 0.5  # the case the shortcut serves
+    _assert_matches_oracle(tmp_path, traj)
