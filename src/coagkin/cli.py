@@ -23,7 +23,16 @@ from .numerics import is_number
 from .reports import ExperimentReport, write_json_atomic
 from .system import SizeDistribution, geometric, monomer
 
-VALID_EXPERIMENTS = ("truncation", "dependence", "decay", "identity", "admissibility", "weights")
+# keys each experiment reads besides name and thresholds, which all accept
+_EXPERIMENT_KEYS = {
+    "truncation": ("k_list",),
+    "dependence": ("epsilon", "perturb_size"),
+    "decay": (),
+    "identity": ("q_list",),
+    "admissibility": ("max_size",),
+    "weights": ("max_size", "tail_budget"),
+}
+VALID_EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
 _SOLVER_FIELDS = {f.name: f for f in fields(SolverConfig)}
 _TOP_KEYS = ("kernel", "initial", "truncation_k", "solver", "experiment", "output_dir", "seed")
 # keys each initial type reads
@@ -83,10 +92,8 @@ class RunConfig:
         exp = raw.get("experiment")
         if exp is not None and not isinstance(exp, dict):
             raise ConfigError("experiment", f"must be an object, got {exp!r}")
-        if exp is not None and "name" not in exp:
-            raise ConfigError("experiment.name", "missing experiment name")
         if exp is not None:
-            _check_experiment_scalars(exp, k)
+            _check_experiment(exp, k)
         cfg = cls(
             kernel=dict(raw["kernel"]),
             initial=initial,
@@ -255,8 +262,18 @@ def _int_list(block: dict, key: str, default) -> list[int]:
     return value
 
 
-def _check_experiment_scalars(exp: dict, k: int) -> None:
-    """Type and range of the experiment block's scalar keys that are present."""
+def _check_experiment(exp: dict, k: int) -> None:
+    """The experiment's name, its keys, and the type and range of its scalar keys."""
+    if "name" not in exp:
+        raise ConfigError("experiment.name", "missing experiment name")
+    name = exp["name"]
+    if not isinstance(name, str) or name not in _EXPERIMENT_KEYS:
+        raise _unknown_experiment(name)
+    accepted = ("name", "thresholds", *_EXPERIMENT_KEYS[name])
+    for key in exp:
+        if key not in accepted:
+            raise ConfigError(f"experiment.{key}",
+                              f"unknown key for a {name} experiment; expected {', '.join(accepted)}")
     for key, integer, in_range, rule in (
         ("max_size", True, lambda v: v >= 2, ">= 2"),
         ("perturb_size", True, lambda v: 1 <= v <= k, f"in 1..{k}"),
@@ -388,7 +405,11 @@ def _experiment_report(
             tail_budget=float(exp.get("tail_budget", 1.0)),
             thresholds=thresholds,
         )
-    raise ConfigError(
+    raise _unknown_experiment(name)
+
+
+def _unknown_experiment(name) -> ConfigError:
+    return ConfigError(
         "experiment.name",
         f"unknown experiment {name!r}; valid names: {', '.join(VALID_EXPERIMENTS)}",
     )

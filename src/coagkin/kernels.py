@@ -39,11 +39,20 @@ _VIOLATIONS = (
 )
 
 
+class KernelRangeError(ValueError):
+    """A kernel argument outside its range; ``arg`` names the argument."""
+
+    def __init__(self, arg: str, message: str):
+        super().__init__(message)
+        self.arg = arg
+
+
 @dataclass(frozen=True, eq=False)
 class CoagulationKernel:
     """Symmetric nonnegative collision-rate table/rule on positive sizes.
 
-    ``rule`` must accept integer arrays and evaluate elementwise. When the
+    ``rule`` must accept integer arrays, which may be read-only broadcast
+    views, and evaluate elementwise without writing to them. When the
     rate has the separable form a * (i**d + j**d) the ``separable`` pair
     (a, d) is set, which unlocks an O(k) right-hand-side fast path.
     Tabulated kernels store a dense lower-triangular matrix and mirror it
@@ -60,11 +69,14 @@ class CoagulationKernel:
 
     def __post_init__(self):
         if not self.growth_constant_A > 0:
-            raise ValueError(f"growth_constant_A must be positive, got {self.growth_constant_A}")
+            raise KernelRangeError("growth_constant_A",
+                                   f"growth_constant_A must be positive, got {self.growth_constant_A}")
         if self.power_delta is not None and not 0.0 <= self.power_delta <= 1.0:
-            raise ValueError(f"power_delta must lie in [0, 1], got {self.power_delta}")
+            raise KernelRangeError("power_delta",
+                                   f"power_delta must lie in [0, 1], got {self.power_delta}")
         if self.lower_bound_zeta is not None and not self.lower_bound_zeta > 0:
-            raise ValueError(f"lower_bound_zeta must be positive, got {self.lower_bound_zeta}")
+            raise KernelRangeError("lower_bound_zeta",
+                                   f"lower_bound_zeta must be positive, got {self.lower_bound_zeta}")
 
     def evaluate(self, i: int, j: int) -> float:
         """Rate for one (i, j) pair of positive integer sizes."""
@@ -88,14 +100,14 @@ class CoagulationKernel:
 
 def _rate_block(rule: RateRule, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Rates on the grid rows x cols, shape (rows.size, cols.size)."""
-    ii, jj = np.meshgrid(rows, cols, indexing="ij")
+    ii, jj = np.meshgrid(rows, cols, indexing="ij", copy=False)
     return np.asarray(rule(ii, jj), dtype=float)
 
 
 def constant(c: float = 1.0, name: str | None = None) -> CoagulationKernel:
     """Constant kernel: rate(i, j) = c."""
     if not c > 0:
-        raise ValueError(f"constant rate must be positive, got {c}")
+        raise KernelRangeError("c", f"constant rate must be positive, got {c}")
     cc = float(c)
     return CoagulationKernel(
         name=name or f"constant({cc:g})",
@@ -110,7 +122,7 @@ def constant(c: float = 1.0, name: str | None = None) -> CoagulationKernel:
 def additive(a: float = 1.0, name: str | None = None) -> CoagulationKernel:
     """Additive kernel: rate(i, j) = a * (i + j), the borderline growth case."""
     if not a > 0:
-        raise ValueError(f"additive coefficient must be positive, got {a}")
+        raise KernelRangeError("a", f"additive coefficient must be positive, got {a}")
     aa = float(a)
     return CoagulationKernel(
         name=name or f"additive({aa:g})",
@@ -125,9 +137,9 @@ def additive(a: float = 1.0, name: str | None = None) -> CoagulationKernel:
 def power_sum(a: float = 1.0, exponent: float = 0.5, name: str | None = None) -> CoagulationKernel:
     """Power-sum kernel: rate(i, j) = a * (i**d + j**d) with d in [0, 1]."""
     if not a > 0:
-        raise ValueError(f"power-sum coefficient must be positive, got {a}")
+        raise KernelRangeError("a", f"power-sum coefficient must be positive, got {a}")
     if not 0.0 <= exponent <= 1.0:
-        raise ValueError(f"power-sum exponent must lie in [0, 1], got {exponent}")
+        raise KernelRangeError("exponent", f"power-sum exponent must lie in [0, 1], got {exponent}")
     aa, d = float(a), float(exponent)
     return CoagulationKernel(
         name=name or f"power({aa:g},{d:g})",
@@ -276,6 +288,19 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     two checks symmetry, and every cell is counted once, in the block
     holding min(i, j). A strip holds about ``STRIP_CELLS`` cells, so the
     memory used does not grow with ``max_size``.
+
+    Mirror rule: when no cell of a block differs from its mirror, the
+    column strip is not folded a second time. Each of its cells (i, j)
+    below the block's diagonal square compares equal to (j, i) in the
+    row strip, and every bound is symmetric: a*(i+j) is an exact
+    integer sum, a*(i**d + j**d) a commutative float add and zeta a
+    constant. So the mirror cells have the masks and ratios of the row
+    strip's columns right of the diagonal square, whose hits are
+    counted twice, and add no new maximum ratio. The first violation
+    cannot move either: a mirror cell comes after its partner in
+    row-major order, and the partner lies in the row strip. A block
+    holding an asymmetric or NaN cell (NaN != NaN) folds its column
+    strip in full.
     """
     if max_size < 2:
         raise ValueError(f"max_size must be >= 2, got {max_size}")
@@ -293,8 +318,12 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     max_ratio = -np.inf
     first = None  # (i, j, rate) of the row-major first violation so far
 
-    def fold(g, rows, cols, asym):
-        """Fold strip g[r, c] = rate(idx[rows][r], idx[cols][c]) into the tallies."""
+    def fold(g, rows, cols, asym, mirror=None):
+        """Fold strip g[r, c] = rate(idx[rows][r], idx[cols][c]) into the tallies.
+
+        With ``mirror`` set, the columns g[:, mirror:] also stand for their
+        mirror cells, whose hits are counted once more.
+        """
         nonlocal max_ratio, first
         if g.size == 0:
             return
@@ -312,8 +341,10 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
         found = 0
         for key, mask in masks.items():
             hits = int(np.count_nonzero(mask))
-            counts[key] += hits
             found += hits
+            if mirror is not None and hits:
+                hits += int(np.count_nonzero(mask[:, mirror:]))
+            counts[key] += hits
         max_ratio = np.maximum(max_ratio, (g / lin_bound).max())
         if found:
             union = np.logical_or.reduce(list(masks.values()))
@@ -326,12 +357,17 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     for r0 in range(0, n, block):
         r1 = min(r0 + block, n)
         rows, rest = slice(r0, r1), slice(r0, n)
-        row_strip = _rate_block(kernel.rule, idx[rows], idx[rest])
-        col_strip = _rate_block(kernel.rule, idx[rest], idx[rows])
-        asym = row_strip != col_strip.T
+        ii, jj = np.meshgrid(idx[rows], idx[rest], indexing="ij", copy=False)
+        row_strip = np.asarray(kernel.rule(ii, jj), dtype=float)
+        # the column strip, transposed: col_t[r, c] = rate(idx[rest][c], idx[rows][r])
+        col_t = np.asarray(kernel.rule(jj, ii), dtype=float)
+        asym = row_strip != col_t
+        if not asym.any():
+            fold(row_strip, rows, rest, asym, mirror=r1 - r0)
+            continue
         fold(row_strip, rows, rest, asym)
         # skip the diagonal square: the row strip already counted it
-        fold(col_strip[r1 - r0:], slice(r1, n), rows, asym[:, r1 - r0:].T)
+        fold(col_t[:, r1 - r0:].T, slice(r1, n), rows, asym[:, r1 - r0:].T)
 
     metrics = {key: float(count) for key, count in counts.items()}
     metrics["max_growth_ratio"] = float(max_ratio)
@@ -357,6 +393,8 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
 # keys of a kernel block, and the params keys of each kernel type
 KERNEL_KEYS = ("name", "type", "params", "A", "delta", "zeta")
 _PARAMS = {"constant": ("c",), "additive": ("a",), "power": ("a", "exponent"), "table": ("path",)}
+# the kernel-block key of each declared constant
+_DECLARED_KEYS = {"growth_constant_A": "A", "power_delta": "delta", "lower_bound_zeta": "zeta"}
 
 
 def from_config(block: dict) -> CoagulationKernel:
@@ -369,8 +407,9 @@ def from_config(block: dict) -> CoagulationKernel:
 
     For built-in types the declared constants default to the tight ones;
     explicit ``A``/``delta``/``zeta`` entries override them. Any other key,
-    a params key foreign to the type or a value of the wrong kind is a
-    ``ConfigError`` naming its key path.
+    a params key foreign to the type, a value of the wrong kind or out of
+    its range is a ``ConfigError`` naming its key path; a malformed
+    table file is one under ``kernel.params.path``.
     """
     from .errors import ConfigError
 
@@ -432,5 +471,8 @@ def from_config(block: dict) -> CoagulationKernel:
         if "zeta" in block:
             overrides["lower_bound_zeta"] = block["zeta"]
         return replace(kern, **overrides)
-    except ValueError as exc:
-        raise ConfigError("kernel", str(exc)) from exc
+    except KernelRangeError as exc:
+        key = _DECLARED_KEYS.get(exc.arg, f"params.{exc.arg}")
+        raise ConfigError(f"kernel.{key}", str(exc)) from exc
+    except ValueError as exc:  # otherwise only a table file's content is at fault
+        raise ConfigError("kernel.params.path", str(exc)) from exc

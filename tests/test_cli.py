@@ -175,12 +175,30 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
     ("verify", {"kernel": {"zeta": None}, "experiment": {"name": "decay"}}, "kernel.zeta"),
     ("verify", {"experiment": {"name": "truncation", "thresholds": {"defect_final_max": "x"}}},
      "experiment.thresholds"),
+    ("simulate", {"kernel": {"A": -1}}, "kernel.A"),
+    ("simulate", {"kernel": {"delta": 1.5}}, "kernel.delta"),
+    ("simulate", {"kernel": {"zeta": 0}}, "kernel.zeta"),
+    ("simulate", {"kernel": {"params": {"c": 0}}}, "kernel.params.c"),
+    ("simulate", {"kernel": {"type": "additive", "params": {"a": -1}}}, "kernel.params.a"),
+    ("simulate", {"kernel": {"type": "power", "params": {"a": 0}}}, "kernel.params.a"),
+    ("simulate", {"kernel": {"type": "power", "params": {"exponent": 1.5}}},
+     "kernel.params.exponent"),
+    ("verify", {"experiment": {"name": "decay", "max_size": 8}}, "experiment.max_size"),
+    ("verify", {"experiment": {"name": "truncation", "q_list": [2, 4]}}, "experiment.q_list"),
+    ("verify", {"experiment": {"name": "admissibility", "tail_budget": 1.0}},
+     "experiment.tail_budget"),
+    ("verify", {"experiment": {"name": "identity", "kk_list": [4, 8, 16]}}, "experiment.kk_list"),
+    ("verify", {"experiment": {"name": ["identity"]}}, "experiment.name"),
 ], ids=["t_end_abc", "rel_tol_null", "sample_times_strings", "k_list_string", "q_list_above_k",
         "q_list_zero", "q_list_string", "max_size_string", "epsilon_string",
         "perturb_size_above_k", "tail_budget_negative", "kernel_param_unknown",
         "kernel_param_string", "positivity_floor_removed", "initial_key_unknown",
         "initial_ratio_string", "initial_not_object", "kernel_not_object",
-        "kernel_params_not_object", "decay_without_zeta", "threshold_string"])
+        "kernel_params_not_object", "decay_without_zeta", "threshold_string",
+        "kernel_A_negative", "kernel_delta_above_one", "kernel_zeta_zero", "constant_c_zero",
+        "additive_a_negative", "power_a_zero", "power_exponent_above_one",
+        "decay_foreign_key", "truncation_foreign_key", "admissibility_foreign_key",
+        "identity_misspelled_key", "experiment_name_not_string"])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, command, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, cfg]) == 1  # a ConfigError, not an escaping exception
@@ -297,6 +315,9 @@ def test_schema_keys_are_the_accepted_keys():
     assert set(schema["kernel"]["properties"]) == set(kernels.KERNEL_KEYS)
     assert set(schema["kernel"]["properties"]["params"]["properties"]) == set().union(
         *kernels._PARAMS.values())
+    experiment = schema["experiment"]["properties"]
+    assert set(experiment) == {"name", "thresholds"}.union(*cli._EXPERIMENT_KEYS.values())
+    assert experiment["name"]["enum"] == list(cli._EXPERIMENT_KEYS)
 
 
 def test_simulate_additive_k256_default_solver_keeps_invariants(tmp_path):

@@ -153,6 +153,22 @@ def test_from_config_constant_overrides():
     assert k.separable is not None  # structure survives the override
 
 
+def test_from_config_table_errors_name_their_key(tmp_path):
+    p = tmp_path / "k.csv"
+    p.write_text("1,1,0.5\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2,0.5\n")
+    for block, key in [
+        ({"type": "table", "params": {"path": str(p)}, "A": -1.0}, "kernel.A"),
+        ({"type": "table", "params": {"path": str(p)}, "A": 1.0, "delta": 2.0}, "kernel.delta"),
+        ({"type": "table", "params": {"path": str(p)}, "A": 1.0, "zeta": 0.0}, "kernel.zeta"),
+        ({"type": "table", "params": {"path": str(bad)}, "A": 1.0}, "kernel.params.path"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            kernels.from_config(block)
+        assert info.value.field == key, block
+
+
 def test_from_config_overrides_keep_structure(tmp_path):
     base = kernels.from_config({"type": "power", "params": {"a": 1.0, "exponent": 0.5}})
     k = kernels.from_config({"type": "power", "params": {"a": 1.0, "exponent": 0.5},
@@ -219,6 +235,18 @@ def dense_admissibility(kernel, max_size):
     )
 
 
+def _pair(i, j, p, q):
+    """Mask of the cells (p, q) and (q, p)."""
+    return ((i == p) & (j == q)) | ((i == q) & (j == p))
+
+
+def symmetric_spike():
+    """Growth violations at (3, 250) and its mirror (250, 3), nowhere else."""
+    return from_rule("symmetric_spike_3_250",
+                     lambda i, j: np.where(_pair(i, j, 3, 250), 1000.0, 1.0),
+                     growth_constant_A=1.0, vectorized=True)
+
+
 def _equivalence_kernels():
     asym_table = np.arange(1.0, 26.0).reshape(5, 5) / 10.0
     return [
@@ -232,6 +260,13 @@ def _equivalence_kernels():
         from_rule("spike_at_250_3",
                   lambda i, j: np.where((i == 250) & (j == 3), 9.0, 1.0),
                   growth_constant_A=1.0, vectorized=True),
+        symmetric_spike(),
+        # one asymmetric pair: its block folds the column strip in full,
+        # while the symmetric spike at (100, 300) is counted by the mirror rule
+        from_rule("one_asymmetric_pair",
+                  lambda i, j: np.where(((i == 200) & (j == 5)) | _pair(i, j, 100, 300),
+                                        1000.0, 1.0),
+                  growth_constant_A=1.0, vectorized=True),
         CoagulationKernel(name="wrong_zeta", rule=constant(1.0).rule,
                           growth_constant_A=1.0, lower_bound_zeta=2.0),
         CoagulationKernel(name="understated_delta", rule=additive(1.0).rule,
@@ -242,11 +277,44 @@ def _equivalence_kernels():
     ]
 
 
-@pytest.mark.parametrize("n", [2, 3, 300, 700])
+@pytest.mark.parametrize("n", [2, 3, 300, 333, 700])
 def test_streamed_admissibility_matches_dense_oracle(n):
     for kern in _equivalence_kernels():
         assert check_admissibility(kern, n).to_dict() == dense_admissibility(kern, n).to_dict(), (
             kern.name, n)
+
+
+@pytest.mark.parametrize("n", [300, 333, 700])
+def test_symmetric_spike_counts_both_cells(n):
+    metrics = check_admissibility(symmetric_spike(), n).metrics
+    assert metrics["growth_violations"] == 2.0
+    assert (metrics["first_violation_i"], metrics["first_violation_j"]) == (3.0, 250.0)
+
+
+@pytest.mark.parametrize("n", [300, 333])
+def test_symmetric_nan_pair_takes_the_full_fold(n):
+    # NaN != NaN, so the block holding the pair cannot use the mirror rule
+    kern = from_rule("nan_pair", lambda i, j: np.where(_pair(i, j, 3, 250), np.nan, 1.0),
+                     growth_constant_A=1.0, vectorized=True)
+    got = check_admissibility(kern, n).metrics
+    want = dense_admissibility(kern, n).metrics
+    for key in ("max_growth_ratio", "first_violation_rate"):
+        assert np.isnan(got.pop(key)) and np.isnan(want.pop(key)), key
+    assert got == want
+    assert got["symmetry_violations"] == 2.0
+    assert (got["first_violation_i"], got["first_violation_j"]) == (3.0, 250.0)
+
+
+@pytest.mark.parametrize("kern,ratio", [
+    (constant(1.0), 0.5), (additive(1.0), 1.0), (power_sum(1.0, 0.5), 1.0),
+], ids=["constant", "additive", "power"])
+def test_precheck_report_at_cli_scale(kern, ratio):
+    # the grid simulate checks at k=1024, beyond the dense oracle's reach
+    metrics = check_admissibility(kern, 4096).metrics
+    assert {key: metrics[key] for key in kernels._VIOLATIONS} == dict.fromkeys(
+        kernels._VIOLATIONS, 0.0)
+    assert metrics["max_growth_ratio"] == ratio
+    assert "first_violation_i" not in metrics
 
 
 def test_streamed_admissibility_memory_does_not_grow_with_grid():
