@@ -23,14 +23,16 @@ from .numerics import is_number
 from .reports import ExperimentReport, write_json_atomic
 from .system import SizeDistribution, geometric, monomer
 
-# keys each experiment reads besides name and thresholds, which all accept
+# keys each experiment reads besides its name. Admissibility takes no
+# thresholds: the kernel hypotheses it checks are exact, so a tolerated
+# count of violations has no meaning.
 _EXPERIMENT_KEYS = {
-    "truncation": ("k_list",),
-    "dependence": ("epsilon", "perturb_size"),
-    "decay": (),
-    "identity": ("q_list",),
+    "truncation": ("thresholds", "k_list"),
+    "dependence": ("thresholds", "epsilon", "perturb_size"),
+    "decay": ("thresholds",),
+    "identity": ("thresholds", "q_list"),
     "admissibility": ("max_size",),
-    "weights": ("max_size", "tail_budget"),
+    "weights": ("thresholds", "max_size", "tail_budget"),
 }
 VALID_EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
 _SOLVER_FIELDS = {f.name: f for f in fields(SolverConfig)}
@@ -269,7 +271,7 @@ def _check_experiment(exp: dict, k: int) -> None:
     name = exp["name"]
     if not isinstance(name, str) or name not in _EXPERIMENT_KEYS:
         raise _unknown_experiment(name)
-    accepted = ("name", "thresholds", *_EXPERIMENT_KEYS[name])
+    accepted = ("name", *_EXPERIMENT_KEYS[name])
     for key in exp:
         if key not in accepted:
             raise ConfigError(f"experiment.{key}",

@@ -13,6 +13,7 @@ accuracy cross checks; it never rejects steps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,18 +24,19 @@ from .kernels import CoagulationKernel
 from .system import RhsEvaluator, SizeDistribution
 
 # Dormand-Prince 5(4) tableau
-_DP_A = (
-    (),
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+# stage couplings of stages 2..7, each a column over the stages before it; the
+# last is the 5th order weights (first same as last)
+_DP_A = tuple(np.array(row)[:, None] for row in (
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_ERR = _DP_B5 - _DP_B4
+    _DP_B5[:6],
+))
+_DP_ERR = (_DP_B5 - _DP_B4)[:, None]
 
 # PI step controller (error-estimator order 4): classic exponents,
 # safety 0.9, per-step growth clamped to [0.2, 5].
@@ -107,17 +109,25 @@ class SolverConfig:
 @dataclass
 class StepStats:
     n_accepted: int = 0
-    n_rejected: int = 0
+    n_rejected_error: int = 0
+    n_rejected_positivity: int = 0
     min_step: float = np.inf
     max_step: float = 0.0
     clamped_mass_step: float = 0.0
     clamped_mass_sample: float = 0.0
     n_rhs_evals: int = 0
 
+    @property
+    def n_rejected(self) -> int:
+        """Rejected trial steps of either cause: error norm above 1, or over the positivity budget."""
+        return self.n_rejected_error + self.n_rejected_positivity
+
     def to_dict(self) -> dict:
         return {
             "n_accepted": self.n_accepted,
             "n_rejected": self.n_rejected,
+            "n_rejected_error": self.n_rejected_error,
+            "n_rejected_positivity": self.n_rejected_positivity,
             "min_step": self.min_step if np.isfinite(self.min_step) else None,
             "max_step": self.max_step,
             "clamped_mass_step": self.clamped_mass_step,
@@ -182,11 +192,6 @@ class Trajectory:
         return problems
 
 
-def _weighted_error_norm(err, y_old, y_new, rel_tol, abs_tol) -> float:
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
-
-
 def _clamp(vec: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
     """vec with negatives zeroed (vec itself if none), and the size-weighted mass removed."""
     if vec.min(initial=0.0) >= 0.0:
@@ -197,23 +202,67 @@ def _clamp(vec: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
     return out, float(np.dot(sizes[neg], -vec[neg]))
 
 
-def _dp_step(f, y, f0, h, rel_tol, abs_tol):
+class _StepWork:
+    """Scratch that every trial step of one run reuses.
+
+    ``stages`` holds the 7 stages as rows, ``terms`` their tableau-weighted
+    copy for one reduction, ``vec`` one stage input at a time and then the
+    error estimate.
+    """
+
+    def __init__(self, k: int):
+        self.stages = np.empty((7, k))
+        self.terms = np.empty((7, k))
+        self.vec = np.empty(k)
+
+
+def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork):
     """One Dormand-Prince trial step of size h from y, where f0 = f(y).
 
     Stage 1 is the caller's f0: the pair is first-same-as-last, so the
     last stage of an accepted step is f at its new state. Returns
-    (y5, err_norm, stages) with y5 the 5th order solution and err_norm
-    the weighted norm of its difference to the embedded 4th order one.
+    (y5, err_norm, f_last) with y5 the 5th order solution, err_norm the
+    weighted RMS norm of its difference to the embedded 4th order one and
+    f_last = f(y5); both arrays are fresh, and work.stages holds the 7
+    stages until the next call.
+
+    Each combination sum_j c_j * k_j is one multiply of the stage rows by
+    a tableau column and one np.add.reduce over axis 0. That reduction
+    adds whole rows one after another, first to last, so it rounds
+    exactly like the left-to-right sum of the terms. The 7th stage's
+    input weights are the 5th order weights, which give stage 7 itself
+    weight zero, so that input is y5 and is not formed a second time.
     """
-    k = [f0]
-    for row in _DP_A[1:]:
-        incr = sum(c * ki for c, ki in zip(row, k))
-        k.append(f(y + h * incr))
-    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-    if not np.all(np.isfinite(y5)):
+    stages, terms, vec = work.stages, work.terms, work.vec
+
+    def increment(col):
+        # h * sum_j col_j * stage_j, in vec
+        n = col.shape[0]
+        np.multiply(col, stages[:n], out=terms[:n])
+        incr = np.add.reduce(terms[:n], axis=0, out=vec)
+        incr *= h
+        return incr
+
+    stages[0] = f0
+    for s, col in enumerate(_DP_A[:-1], start=1):
+        stages[s] = f(np.add(y, increment(col), out=vec))
+    y5 = y + increment(_DP_A[-1])
+    f_last = stages[6] = f(y5)
+    np.multiply(_DP_ERR, stages, out=terms)
+    err = np.add.reduce(terms, axis=0, out=vec)
+    err *= h
+    # scale = abs_tol + rel_tol * max(|y|, |y5|), in the rows terms no longer needs
+    scale = np.abs(y, out=terms[0])
+    np.maximum(scale, np.abs(y5, out=terms[1]), out=scale)
+    scale *= rel_tol
+    scale += abs_tol
+    err /= scale
+    err *= err
+    err_norm = math.sqrt(np.add.reduce(err) / err.size)
+    # f checked every stage input; a non-finite last stage shows only in the error
+    if not math.isfinite(err_norm) and not np.isfinite(f_last).all():
         raise NumericError("non-finite values in trial step")
-    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k))
-    return y5, _weighted_error_norm(err, y, y5, rel_tol, abs_tol), k
+    return y5, err_norm, f_last
 
 
 def integrate(
@@ -243,6 +292,7 @@ def integrate(
         )
 
     f = RhsEvaluator(kernel, k)
+    work = _StepWork(k)
     stats = StepStats()
     sample_times = config.resolved_sample_times()
     sizes = np.arange(1, k + 1, dtype=float)
@@ -314,19 +364,19 @@ def integrate(
                     time=t,
                     last_state=SizeDistribution(y.copy(), k, t),
                 )
-            y5, err_norm, stages = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol)
+            y5, err_norm, f_last = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol, work)
             if err_norm > 1.0:
-                stats.n_rejected += 1
+                stats.n_rejected_error += 1
                 h *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / 5.0))
                 continue
             y_new, clamped = _clamp(y5, sizes)
             if clamped > budget_rate * h:
-                stats.n_rejected += 1
+                stats.n_rejected_positivity += 1
                 h *= 0.5
                 continue
             stats.clamped_mass_step += clamped
             # FSAL: the last stage is f(y5); a clamped state needs a fresh evaluation
-            f_new = stages[-1] if y_new is y5 else f(y_new)
+            f_new = f_last if y_new is y5 else f(y_new)
             emit(t, y, fy, t + h, y_new, f_new)
             stats.n_accepted += 1
             stats.min_step = min(stats.min_step, h)

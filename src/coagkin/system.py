@@ -142,9 +142,14 @@ class RhsEvaluator:
     """Precomputed right-hand-side apparatus for one (kernel, k) pair.
 
     Separable kernels rate = a * (i**d + j**d) use O(k) prefix/suffix
-    sums; everything else goes through cached lower/upper triangular rate
-    matrices and two matrix-vector products (O(k^2), fixed summation
-    order). Pure and reusable across calls.
+    sums: the four weighted vectors they sum sit in one (4, k) scratch
+    matrix and one accumulate along its rows sums them all. Everything
+    else goes through cached lower/upper triangular rate matrices and two
+    matrix-vector products (O(k^2), fixed summation order).
+
+    Every call returns a fresh array, so the results of earlier calls stay
+    valid. The scratch is reused across calls, so one evaluator must not be
+    called from two threads at once.
     """
 
     def __init__(self, kernel: CoagulationKernel, k: int):
@@ -154,11 +159,15 @@ class RhsEvaluator:
         self.k = int(k)
         self.sizes = np.arange(1, k + 1, dtype=float)
         self.n_evals = 0
+        self._loss = np.empty(k)
         if kernel.separable is not None:
             a, d = kernel.separable
             self._a = float(a)
-            self._ipow = self.sizes**d
+            ipow = self.sizes**d
+            # i**d, the weight of a prefix sum in S (row 0) and, reversed, in T (row 1)
+            self._ipow_pair = np.vstack([ipow, ipow[::-1]])
             self._ipow1 = self.sizes ** (1.0 + d)
+            self._sums = np.empty((4, k))
             self._gamma_low = None
             self._gamma_up = None
         else:
@@ -168,24 +177,37 @@ class RhsEvaluator:
             self._a = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericError("non-finite state entries passed to rhs")
         self.n_evals += 1
-        sizes = self.sizes
         if self._a is not None:
-            a = self._a
-            w = sizes * x
-            # S_i = sum_{j<=i} j*rate(i,j)*xi_j ; T_i = sum_{j>=i} rate(i,j)*xi_j
-            S = a * (self._ipow * np.cumsum(w) + np.cumsum(self._ipow1 * x))
-            T = a * (self._ipow * np.cumsum(x[::-1])[::-1]
-                     + np.cumsum((self._ipow * x)[::-1])[::-1])
+            # S_i = sum_{j<=i} j*rate(i,j)*xi_j
+            #     = a * (i**d * sum_{j<=i} j*xi_j + sum_{j<=i} j**(1+d)*xi_j)
+            # T_i = sum_{j>=i} rate(i,j)*xi_j
+            #     = a * (i**d * sum_{j>=i} xi_j + sum_{j>=i} j**d*xi_j)
+            # The suffix sums of T are prefix sums of reversed vectors (rows 1
+            # and 3), so one accumulate takes all four; rows 0 and 1 then
+            # become S and T reversed.
+            W = self._sums
+            np.multiply(self.sizes, x, out=W[0])
+            W[1] = x[::-1]
+            np.multiply(self._ipow1, x, out=W[2])
+            np.multiply(self._ipow_pair[1], W[1], out=W[3])
+            np.add.accumulate(W, axis=1, out=W)
+            pair = W[:2]
+            pair *= self._ipow_pair
+            pair += W[2:]
+            pair *= self._a
+            S, T = W[0], W[1, ::-1]
         else:
-            S = self._gamma_low @ (sizes * x)
+            S = self._gamma_low @ (self.sizes * x)
             T = self._gamma_up @ x
         out = np.empty_like(x)
         out[0] = 0.0
-        out[1:] = x[:-1] * S[:-1]
-        out -= x * (S + T)
+        np.multiply(x[:-1], S[:-1], out=out[1:])
+        loss = np.add(S, T, out=self._loss)
+        loss *= x
+        out -= loss
         return out
 
 

@@ -189,6 +189,8 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
      "experiment.tail_budget"),
     ("verify", {"experiment": {"name": "identity", "kk_list": [4, 8, 16]}}, "experiment.kk_list"),
     ("verify", {"experiment": {"name": ["identity"]}}, "experiment.name"),
+    ("verify", {"experiment": {"name": "admissibility", "thresholds": {"growth_violations": 1000}}},
+     "experiment.thresholds"),
 ], ids=["t_end_abc", "rel_tol_null", "sample_times_strings", "k_list_string", "q_list_above_k",
         "q_list_zero", "q_list_string", "max_size_string", "epsilon_string",
         "perturb_size_above_k", "tail_budget_negative", "kernel_param_unknown",
@@ -198,7 +200,7 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
         "kernel_A_negative", "kernel_delta_above_one", "kernel_zeta_zero", "constant_c_zero",
         "additive_a_negative", "power_a_zero", "power_exponent_above_one",
         "decay_foreign_key", "truncation_foreign_key", "admissibility_foreign_key",
-        "identity_misspelled_key", "experiment_name_not_string"])
+        "identity_misspelled_key", "experiment_name_not_string", "admissibility_thresholds"])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, command, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, cfg]) == 1  # a ConfigError, not an escaping exception
@@ -316,7 +318,7 @@ def test_schema_keys_are_the_accepted_keys():
     assert set(schema["kernel"]["properties"]["params"]["properties"]) == set().union(
         *kernels._PARAMS.values())
     experiment = schema["experiment"]["properties"]
-    assert set(experiment) == {"name", "thresholds"}.union(*cli._EXPERIMENT_KEYS.values())
+    assert set(experiment) == {"name"}.union(*cli._EXPERIMENT_KEYS.values())
     assert experiment["name"]["enum"] == list(cli._EXPERIMENT_KEYS)
 
 
@@ -326,7 +328,9 @@ def test_simulate_additive_k256_default_solver_keeps_invariants(tmp_path):
     assert main(["simulate", cfg]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["invariant_violations"] == []
-    assert {"clamped_mass_step", "clamped_mass_sample"} <= set(summary["step_stats"])
+    st = summary["step_stats"]
+    assert {"clamped_mass_step", "clamped_mass_sample"} <= set(st)
+    assert st["n_rejected"] == st["n_rejected_error"] + st["n_rejected_positivity"]
 
 
 def test_schema_solver_keys_are_the_solver_config_fields():

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from oracles import dp_step_oracle, rhs_oracle
 
-from coagkin.errors import ConfigError, IntegrationStalledError
-from coagkin.integrator import MASS_BUDGET_REL, MODE_FIXED, SolverConfig, _dp_step, integrate
-from coagkin.kernels import additive, catalog, constant, power_sum
+from coagkin import integrator
+from coagkin.errors import ConfigError, IntegrationStalledError, NumericError
+from coagkin.integrator import (
+    MASS_BUDGET_REL,
+    MODE_FIXED,
+    SolverConfig,
+    _dp_step,
+    _StepWork,
+    integrate,
+)
+from coagkin.kernels import additive, catalog, constant, demo_table, power_sum
 from coagkin.system import RhsEvaluator, SizeDistribution, monomer
 
 
@@ -25,7 +34,9 @@ def test_config_validation():
 
 def trial_step(y, h, rel_tol=1e-8, abs_tol=1e-10):
     f = RhsEvaluator(constant(1.0), y.size)
-    return _dp_step(f, y, f(y), h, rel_tol, abs_tol)
+    work = _StepWork(y.size)
+    y5, err, _ = _dp_step(f, y, f(y), h, rel_tol, abs_tol, work)
+    return y5, err, work.stages
 
 
 def test_step_zero_state_is_fixed_point():
@@ -50,6 +61,15 @@ def test_step_rejects_wild_step():
     _, err, _ = trial_step(y, 0.1)
     assert err > 1.0
     assert np.array_equal(y, [100.0, 100.0, 100.0])  # the trial leaves its input alone
+
+
+def test_step_with_overflowing_last_stage_raises():
+    # every stage input is finite, so f accepts them; only the last stage overflows
+    f = RhsEvaluator(additive(1.0), 64)
+    y = np.ones(64)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="non-finite values in trial step"):
+        _dp_step(f, y, f(y), 0.5, 1e-8, 1e-10, _StepWork(64))
 
 
 def test_integrate_zero_state_stays_zero():
@@ -184,3 +204,72 @@ def test_initial_state_must_start_at_time_zero():
     bad = SizeDistribution(np.array([1.0, 0.0]), 2, time=0.5)
     with pytest.raises(ValueError, match="time 0"):
         integrate(bad, constant(1.0), SolverConfig(t_end=1.0))
+
+
+@pytest.mark.parametrize("kern", [constant(0.7), additive(1.3), power_sum(0.7, 0.3), demo_table(257)],
+                         ids=["constant", "additive", "power", "table"])
+def test_step_matches_oracle_bit_for_bit(kern, rng):
+    norms = []
+    for k in (2, 3, 64, 257):
+        f, f_oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
+        work = _StepWork(k)
+        tail = np.zeros(k)
+        tail[: max(1, k // 3)] = 1.0  # an occupied head and an empty tail, as in a run
+        for y in (rng.random(k) * tail, rng.random(k) * 10.0 ** rng.uniform(-12, 0, k)):
+            for frac in (1e-4, 1e-2, 1.0):  # of the time scale 1 / |f(y)|
+                h = frac / (1.0 + np.max(np.abs(f(y))))
+                y5, err, f_last = _dp_step(f, y, f(y), h, 1e-8, 1e-10, work)
+                y5_o, err_o, stages_o = dp_step_oracle(f_oracle, y, f_oracle(y), h, 1e-8, 1e-10)
+                assert y5.tobytes() == y5_o.tobytes(), (k, h)
+                assert err == err_o, (k, h)
+                assert work.stages.tobytes() == np.array(stages_o).tobytes(), (k, h)
+                assert f_last.tobytes() == stages_o[-1].tobytes()
+                norms.append(err)
+    assert min(norms) <= 1.0 < max(norms)  # accepted and rejected step sizes both covered
+
+
+def test_fsal_stage_and_state_survive_the_next_step(rng):
+    f = RhsEvaluator(power_sum(1.0, 0.5), 16)
+    work = _StepWork(16)
+    y = rng.random(16)
+    y5, _, f_last = _dp_step(f, y, f(y), 0.01, 1e-8, 1e-10, work)
+    kept = y5.tobytes(), f_last.tobytes()
+    _dp_step(f, y5, f_last, 0.01, 1e-8, 1e-10, work)  # the next step starts from both
+    assert (y5.tobytes(), f_last.tobytes()) == kept
+    for scratch in (work.stages, work.terms, work.vec):
+        assert not np.shares_memory(y5, scratch) and not np.shares_memory(f_last, scratch)
+
+
+@pytest.mark.parametrize("kern,k,abs_tol", [(power_sum(1.0, 0.5), 64, 1e-10), (additive(1.0), 32, 1e-4)],
+                         ids=["power", "additive_rejections"])
+def test_integrate_matches_oracle_stepping_bit_for_bit(kern, k, abs_tol, monkeypatch):
+    # every sample, including the Hermite ones built from the stage handed to the next step
+    config = SolverConfig(t_end=10.0, abs_tol=abs_tol)
+    new = integrate(monomer(k), kern, config)
+
+    def oracle_step(f, y, f0, h, rel_tol, abs_tol, work):
+        y5, err, stages = dp_step_oracle(f, y, f0, h, rel_tol, abs_tol)
+        return y5, err, stages[-1]
+
+    monkeypatch.setattr(integrator, "_dp_step", oracle_step)
+    old = integrate(monomer(k), kern, config)
+    assert new.states_matrix().tobytes() == old.states_matrix().tobytes()
+    assert new.step_stats == old.step_stats
+
+
+def test_rejections_are_split_by_cause():
+    traj = integrate(monomer(32), additive(1.0), SolverConfig(t_end=10.0, abs_tol=1e-4))
+    st = traj.step_stats
+    assert st.n_rejected_error >= 1 and st.n_rejected_positivity >= 1
+    assert st.n_rejected == st.n_rejected_error + st.n_rejected_positivity
+    d = st.to_dict()
+    assert d["n_rejected"] == d["n_rejected_error"] + d["n_rejected_positivity"]
+    assert st.n_rhs_evals == 1 + 6 * (st.n_accepted + st.n_rejected)
+
+
+def test_step_counts_pinned_for_power_k64_at_tight_tolerance():
+    # counts of the stepping arithmetic; a change in any rounding would move them
+    traj = integrate(monomer(64), power_sum(1.0, 0.5),
+                     SolverConfig(t_end=10.0, rel_tol=1e-12, abs_tol=1e-16))
+    st = traj.step_stats
+    assert (st.n_accepted, st.n_rejected, st.n_rhs_evals) == (1620, 1, 9727)

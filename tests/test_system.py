@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import rhs_oracle
 
 from coagkin.errors import NumericError
-from coagkin.kernels import CoagulationKernel, additive, catalog, constant, from_rule, power_sum
+from coagkin.kernels import (
+    CoagulationKernel,
+    additive,
+    catalog,
+    constant,
+    demo_table,
+    from_rule,
+    power_sum,
+)
 from coagkin.system import (
     RhsEvaluator,
     SizeDistribution,
@@ -96,23 +105,42 @@ def test_initial_factories():
         geometric(3, 1.5)
 
 
+# factors that are not powers of two, so a moved multiplication changes the rounding
+SEPARABLE = [constant(0.7), additive(1.3), power_sum(1.0, 0.5), power_sum(0.7, 0.3)]
+
+
 def test_separable_and_general_paths_agree(rng):
-    x = rng.random(48)
-    for kern in [constant(1.0), additive(1.0), power_sum(1.0, 0.5)]:
-        general = CoagulationKernel(
-            name="general", rule=kern.rule, growth_constant_A=kern.growth_constant_A
-        )
-        a = rhs(state(x), kern)
-        b = rhs(state(x), general)
-        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+    for k in (2, 3, 48, 257):
+        x = rng.random(k)
+        for kern in SEPARABLE:
+            general = CoagulationKernel(
+                name="general", rule=kern.rule, growth_constant_A=kern.growth_constant_A
+            )
+            a = rhs(state(x), kern)
+            b = rhs(state(x), general)
+            # rounding of k-term sums: measured within 4 eps of the largest entry up to k=257
+            bound = k * np.finfo(float).eps * max(1.0, np.max(np.abs(a)))
+            assert np.max(np.abs(a - b)) <= bound, (k, kern.name)
+
+
+@pytest.mark.parametrize("k", [2, 3, 64, 257])
+def test_rhs_matches_cumsum_oracle_bit_for_bit(rng, k):
+    states = (monomer(k).values, rng.random(k), rng.random(k) * 10.0 ** rng.uniform(-12, 0, k))
+    for kern in SEPARABLE + [demo_table(k)]:
+        ev, oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
+        for x in states:
+            assert ev(x).tobytes() == oracle(x).tobytes(), kern.name
 
 
 def test_evaluator_reuse_matches_one_shot(rng):
-    kern = power_sum(1.0, 0.5)
-    ev = RhsEvaluator(kern, 16)
-    for _ in range(3):
-        x = rng.random(16)
-        assert np.array_equal(ev(x), rhs(state(x), kern))
+    # every call returns its own array: later calls leave earlier results intact
+    for kern in (power_sum(1.0, 0.5), demo_table(16)):
+        ev = RhsEvaluator(kern, 16)
+        xs = [rng.random(16) for _ in range(3)]
+        results = [ev(x) for x in xs]
+        for x, r in zip(xs, results):
+            assert r.tobytes() == rhs(state(x), kern).tobytes()
+        assert not np.shares_memory(results[0], results[1])
 
 
 def test_mass_leak_closed_form_matches_weak_form(rng):
