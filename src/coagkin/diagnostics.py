@@ -14,7 +14,7 @@ import numpy as np
 
 from .numerics import cumulative_simpson
 from .reports import ExperimentReport
-from .system import RhsEvaluator, SizeDistribution, mass_leak_rate
+from .system import RhsEvaluator, SizeDistribution, mass_leak_rate, occupied_size
 from .weights import ConvexWeight, evaluate as weight_eval
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,28 +22,39 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernels import CoagulationKernel
 
 
-def _fsum(values: np.ndarray) -> float:
-    """math.fsum of values, reading only up to the last nonzero entry.
+def _held(state: SizeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied prefix of state's values and its sizes 1..m.
 
-    fsum drops zero terms, so the trailing zeros of a large-k state need
-    not be converted; it reads a list faster than it iterates an array.
+    Every entry past the prefix is +0.0, which adds nothing to any sum
+    below, so the sums read only the prefix.
     """
-    held = np.flatnonzero(values)
-    return math.fsum(values[: held[-1] + 1].tolist()) if held.size else 0.0
+    m = occupied_size(state.values)
+    return state.values[:m], np.arange(1.0, m + 1.0)
+
+
+def _fsum(values: np.ndarray) -> float:
+    # fsum reads a list faster than it iterates an array
+    return math.fsum(values.tolist())
+
+
+def _moment(held: np.ndarray, sizes: np.ndarray, m: float) -> float:
+    if m < 0:
+        raise ValueError(f"moment order must be nonnegative, got {m}")
+    return _fsum(sizes**m * held)
+
+
+def _g_moment(held: np.ndarray, sizes: np.ndarray, weight: ConvexWeight) -> float:
+    return _fsum(np.asarray(weight_eval(weight, sizes)) * held)
 
 
 def moment(state: SizeDistribution, m: float) -> float:
     """Weighted sum M_m = sum_i i**m xi_i over the truncated state."""
-    if m < 0:
-        raise ValueError(f"moment order must be nonnegative, got {m}")
-    sizes = np.arange(1, state.truncation_k + 1, dtype=float)
-    return _fsum(sizes**m * state.values)
+    return _moment(*_held(state), m)
 
 
 def g_moment(state: SizeDistribution, weight: ConvexWeight) -> float:
     """Weighted sum sum_i G(i) xi_i for a convex weight G."""
-    sizes = np.arange(1, state.truncation_k + 1, dtype=float)
-    return _fsum(np.asarray(weight_eval(weight, sizes)) * state.values)
+    return _g_moment(*_held(state), weight)
 
 
 @dataclass
@@ -74,13 +85,13 @@ def compute_record(
     otherwise a fresh ``RhsEvaluator`` computes it.
     """
     k = state.truncation_k
-    sizes = np.arange(1, k + 1, dtype=float)
-    m0 = _fsum(state.values)
-    m1 = _fsum(sizes * state.values)
-    extra = {float(m): moment(state, float(m)) for m in orders if float(m) not in (0.0, 1.0)}
-    gm = {name: g_moment(state, w) for name, w in (weights or {}).items()}
-    half = k // 2
-    tail = _fsum((sizes * state.values)[half:])
+    held, sizes = _held(state)
+    mass = sizes * held
+    m0 = _fsum(held)
+    m1 = _fsum(mass)
+    extra = {float(m): _moment(held, sizes, float(m)) for m in orders if float(m) not in (0.0, 1.0)}
+    gm = {name: _g_moment(held, sizes, w) for name, w in (weights or {}).items()}
+    tail = _fsum(mass[k // 2:])
     tail_fraction = tail / m1 if m1 > 0 else 0.0
     if deriv is None:
         deriv = RhsEvaluator(kernel, k)(state.values)
@@ -90,7 +101,8 @@ def compute_record(
         moment_m=extra,
         g_moments=gm,
         tail_mass_fraction=float(tail_fraction),
-        rhs_sup=float(np.max(np.abs(deriv))),
+        # the derivative vanishes past size m + 1
+        rhs_sup=float(np.max(np.abs(deriv[: held.size + 1]))),
         mass_leak_rate=mass_leak_rate(state, kernel),
     )
 

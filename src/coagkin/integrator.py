@@ -21,7 +21,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import ConfigError, IntegrationStalledError, NumericError
 from .kernels import CoagulationKernel
-from .system import RhsEvaluator, SizeDistribution
+from .system import RhsEvaluator, SizeDistribution, occupied_size, prefix_columns
 
 # Dormand-Prince 5(4) tableau
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
@@ -116,6 +116,8 @@ class StepStats:
     clamped_mass_step: float = 0.0
     clamped_mass_sample: float = 0.0
     n_rhs_evals: int = 0
+    # largest occupied_size over the initial and every accepted state; k once the front reached k
+    max_occupied_size: int = 0
 
     @property
     def n_rejected(self) -> int:
@@ -133,6 +135,7 @@ class StepStats:
             "clamped_mass_step": self.clamped_mass_step,
             "clamped_mass_sample": self.clamped_mass_sample,
             "n_rhs_evals": self.n_rhs_evals,
+            "max_occupied_size": self.max_occupied_size,
         }
 
 
@@ -205,18 +208,31 @@ def _clamp(vec: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
 class _StepWork:
     """Scratch that every trial step of one run reuses.
 
-    ``stages`` holds the 7 stages as rows, ``terms`` their tableau-weighted
-    copy for one reduction, ``vec`` one stage input at a time and then the
-    error estimate.
+    ``stages`` holds the 7 stages as rows and ``terms`` their
+    tableau-weighted copy for one reduction. A step uses their first n
+    columns, through views built once per width.
     """
 
     def __init__(self, k: int):
         self.stages = np.empty((7, k))
         self.terms = np.empty((7, k))
-        self.vec = np.empty(k)
+        self._widths = {}
+
+    def width(self, n: int) -> tuple:
+        """(stages, terms, combos) on the first n columns, built once per width.
+
+        A combo is a tableau column with the stage rows it weighs and the
+        rows of terms its products go to.
+        """
+        views = self._widths.get(n)
+        if views is None:
+            stages, terms = self.stages[:, :n], self.terms[:, :n]
+            combos = tuple((col, stages[: col.shape[0]], terms[: col.shape[0]]) for col in _DP_A)
+            views = self._widths[n] = (stages, terms, combos)
+        return views
 
 
-def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork):
+def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     """One Dormand-Prince trial step of size h from y, where f0 = f(y).
 
     Stage 1 is the caller's f0: the pair is first-same-as-last, so the
@@ -226,6 +242,16 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork):
     f_last = f(y5); both arrays are fresh, and work.stages holds the 7
     stages until the next call.
 
+    ``occupied`` is occupied_size(y). Each stage reaches one size further
+    than its input, so no stage, stage input, y5 or f_last holds anything
+    beyond size occupied + 7, and the step works on the first
+    n = prefix_columns(occupied + 7, k) columns only. Beyond them the
+    full-length arithmetic adds zeros to the +0.0 tail of y, which gives
+    +0.0 whatever the signs of those zeros: that is the tail of y5, and of
+    every stage input handed to f. The error norm sums its squares over a
+    full-length buffer whose tail is +0.0, so numpy's pairwise sum groups
+    and rounds every term as it would over the full-length error.
+
     Each combination sum_j c_j * k_j is one multiply of the stage rows by
     a tableau column and one np.add.reduce over axis 0. That reduction
     adds whole rows one after another, first to last, so it rounds
@@ -233,32 +259,40 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork):
     input weights are the 5th order weights, which give stage 7 itself
     weight zero, so that input is y5 and is not formed a second time.
     """
-    stages, terms, vec = work.stages, work.terms, work.vec
+    k = y.size
+    n = prefix_columns(occupied + 7, k)
+    stages, terms, combos = work.width(n)
+    yn = y[:n]
+    vec = np.zeros(k)  # one stage input at a time, then the squared error; +0.0 beyond n
+    head = vec[:n]
 
-    def increment(col):
-        # h * sum_j col_j * stage_j, in vec
-        n = col.shape[0]
-        np.multiply(col, stages[:n], out=terms[:n])
-        incr = np.add.reduce(terms[:n], axis=0, out=vec)
+    def increment(combo):
+        # h * sum_j col_j * stage_j, in head
+        col, rows, products = combo
+        np.multiply(col, rows, out=products)
+        incr = np.add.reduce(products, axis=0, out=head)
         incr *= h
         return incr
 
-    stages[0] = f0
-    for s, col in enumerate(_DP_A[:-1], start=1):
-        stages[s] = f(np.add(y, increment(col), out=vec))
-    y5 = y + increment(_DP_A[-1])
-    f_last = stages[6] = f(y5)
+    stages[0] = f0[:n]
+    for s, combo in enumerate(combos[:-1], start=1):
+        np.add(yn, increment(combo), out=head)
+        stages[s] = f(vec)[:n]
+    y5 = np.zeros(k)
+    y5n = np.add(yn, increment(combos[-1]), out=y5[:n])
+    f_last = f(y5)
+    stages[6] = f_last[:n]
     np.multiply(_DP_ERR, stages, out=terms)
-    err = np.add.reduce(terms, axis=0, out=vec)
+    err = np.add.reduce(terms, axis=0, out=head)
     err *= h
     # scale = abs_tol + rel_tol * max(|y|, |y5|), in the rows terms no longer needs
-    scale = np.abs(y, out=terms[0])
-    np.maximum(scale, np.abs(y5, out=terms[1]), out=scale)
+    scale = np.abs(yn, out=terms[0])
+    np.maximum(scale, np.abs(y5n, out=terms[1]), out=scale)
     scale *= rel_tol
     scale += abs_tol
     err /= scale
     err *= err
-    err_norm = math.sqrt(np.add.reduce(err) / err.size)
+    err_norm = math.sqrt(np.add.reduce(vec) / k)
     # f checked every stage input; a non-finite last stage shows only in the error
     if not math.isfinite(err_norm) and not np.isfinite(f_last).all():
         raise NumericError("non-finite values in trial step")
@@ -302,27 +336,37 @@ def integrate(
     next_sample = 1
 
     def emit(t0, y0, f0, t1, y1, f1):
-        # Hermite-interpolate all samples in (t0, t1]; exact endpoint reuse.
-        nonlocal next_sample
+        # Take the accepted state y1; Hermite-interpolate all samples in
+        # (t0, t1], with exact endpoint reuse. Past the first n sizes y0 and
+        # y1 are +0.0 and f0, f1 zeros, so the full-length sum there is +0.0.
+        nonlocal next_sample, occupied
+        held = occupied_size(y1)
+        stats.max_occupied_size = max(stats.max_occupied_size, held)
+        n = min(k, max(occupied, held) + 1)
+        occupied = held
         h = t1 - t0
         while next_sample < sample_times.size and sample_times[next_sample] <= t1 + 1e-14 * max(1.0, t1):
             ts = sample_times[next_sample]
             if abs(ts - t1) <= 1e-12 * max(1.0, config.t_end):
-                val = y1
+                val = y1.copy()
             else:
                 th = (ts - t0) / h
                 h00 = 2 * th**3 - 3 * th**2 + 1
                 h10 = th**3 - 2 * th**2 + th
                 h01 = -2 * th**3 + 3 * th**2
                 h11 = th**3 - th**2
-                val, clamped = _clamp(h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1, sizes)
+                val = np.zeros(k)
+                val[:n], clamped = _clamp(
+                    h00 * y0[:n] + h * h10 * f0[:n] + h01 * y1[:n] + h * h11 * f1[:n], sizes[:n]
+                )
                 stats.clamped_mass_sample += clamped
-            samples.append(SizeDistribution(val.copy(), k, float(ts)))
+            samples.append(SizeDistribution(val, k, float(ts)))
             next_sample += 1
 
     t = 0.0
     y = init.values.copy()
     fy = f0 = f(y)
+    occupied = stats.max_occupied_size = occupied_size(y)
 
     if config.mode == MODE_FIXED:
         h_nominal = float(config.fixed_h)
@@ -364,7 +408,7 @@ def integrate(
                     time=t,
                     last_state=SizeDistribution(y.copy(), k, t),
                 )
-            y5, err_norm, f_last = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol, work)
+            y5, err_norm, f_last = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol, work, occupied)
             if err_norm > 1.0:
                 stats.n_rejected_error += 1
                 h *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / 5.0))

@@ -138,6 +138,26 @@ def _as_weights(psi, q: int, what: str) -> np.ndarray:
     return arr
 
 
+def occupied_size(values: np.ndarray) -> int:
+    """The largest size whose entry has a nonzero bit pattern (a -0.0 counts), 0 if none.
+
+    Everything beyond it is +0.0. A set last entry costs one scalar read.
+    """
+    if values[-1]:
+        return values.size
+    held = (values.view(np.int64) != 0).nonzero()[0]
+    return int(held[-1]) + 1 if held.size else 0
+
+
+def prefix_columns(need: int, k: int) -> int:
+    """The smallest power of two >= need, capped at k: the width of a prefix evaluation.
+
+    Widths come in at most floor(log2(k)) + 2 buckets, so views cached per
+    width stay few and small.
+    """
+    return min(k, 1 << (need - 1).bit_length())
+
+
 class RhsEvaluator:
     """Precomputed right-hand-side apparatus for one (kernel, k) pair.
 
@@ -146,6 +166,22 @@ class RhsEvaluator:
     matrix and one accumulate along its rows sums them all. Everything
     else goes through cached lower/upper triangular rate matrices and two
     matrix-vector products (O(k^2), fixed summation order).
+
+    A call reads only the occupied prefix. With m = occupied_size(x),
+    component i reads x_{i-1} and x_i, so the derivative vanishes beyond
+    size m + 1: both paths run on the first n = prefix_columns(m + 1, k)
+    columns and return +0.0 beyond them. On those columns the arithmetic
+    is the full-length one with the trailing zeros left out. Prefix sums
+    stop where the entries stop. The suffix sums of T, taken from the far
+    end, would first add up nothing but +0.0 entries (entry n is one,
+    since a -0.0 counts as occupied), and +0.0 + v is v. The BLAS
+    matrix-vector product adds a row's nonzero terms in the same order
+    whatever the row length (the oracle tests check both paths). Beyond n
+    the full-length formula gives 0 * S_{i-1} - S_i * 0: +0.0 for a state
+    without negative entries, possibly -0.0 for a stage input with some,
+    and a trial step adds that zero to the +0.0 tail of y, which drops
+    its sign. The views of each width are built on first use and cached:
+    at most floor(log2(k)) + 2 widths, the width-k one with the evaluator.
 
     Every call returns a fresh array, so the results of earlier calls stay
     valid. The scratch is reused across calls, so one evaluator must not be
@@ -163,51 +199,65 @@ class RhsEvaluator:
         if kernel.separable is not None:
             a, d = kernel.separable
             self._a = float(a)
-            ipow = self.sizes**d
-            # i**d, the weight of a prefix sum in S (row 0) and, reversed, in T (row 1)
-            self._ipow_pair = np.vstack([ipow, ipow[::-1]])
-            self._ipow1 = self.sizes ** (1.0 + d)
+            self._ipow = self.sizes**d
+            self._fwd_weights = np.vstack([self.sizes, self.sizes ** (1.0 + d)])
             self._sums = np.empty((4, k))
-            self._gamma_low = None
-            self._gamma_up = None
         else:
             g = kernel.rate_matrix(k)
             self._gamma_low = np.tril(g)
             self._gamma_up = np.triu(g)
             self._a = None
+        self._widths = {}
+        self._width(self.k)
+
+    def _width(self, n: int) -> tuple:
+        """Views on the first n columns, built once per width."""
+        if self._a is not None:
+            ipow = self._ipow[:n]
+            # rows 0 and 2 weigh reversed x by 1 and i**d reversed; after the
+            # accumulate, rows 0 and 1 weigh their prefix sums by i**d reversed and i**d
+            rev = np.vstack([np.ones(n), ipow[::-1], ipow])
+            W = self._sums[:, :n]
+            views = (rev[:2], rev[1:], self._fwd_weights[:, :n], W, W[0::2], W[1::2],
+                     W[:2], W[2:], W[1], W[0, ::-1], self._loss[:n])
+        else:
+            views = (self.sizes[:n], self._gamma_low[:n, :n], self._gamma_up[:n, :n],
+                     self._loss[:n])
+        self._widths[n] = views
+        return views
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if not np.isfinite(x).all():
             raise NumericError("non-finite state entries passed to rhs")
         self.n_evals += 1
+        k = self.k
+        n = k if x[-1] else prefix_columns(occupied_size(x) + 1, k)
+        xn = x[:n]
+        views = self._widths.get(n) or self._width(n)
         if self._a is not None:
             # S_i = sum_{j<=i} j*rate(i,j)*xi_j
             #     = a * (i**d * sum_{j<=i} j*xi_j + sum_{j<=i} j**(1+d)*xi_j)
             # T_i = sum_{j>=i} rate(i,j)*xi_j
             #     = a * (i**d * sum_{j>=i} xi_j + sum_{j>=i} j**d*xi_j)
-            # The suffix sums of T are prefix sums of reversed vectors (rows 1
-            # and 3), so one accumulate takes all four; rows 0 and 1 then
-            # become S and T reversed.
-            W = self._sums
-            np.multiply(self.sizes, x, out=W[0])
-            W[1] = x[::-1]
-            np.multiply(self._ipow1, x, out=W[2])
-            np.multiply(self._ipow_pair[1], W[1], out=W[3])
+            # The suffix sums of T are prefix sums of reversed vectors (rows 0
+            # and 2; rows 1 and 3 weigh x by j and j**(1+d)), so one accumulate
+            # takes all four; rows 0 and 1 then become T reversed and S.
+            rev_weights, pair_weights, fwd_weights, W, rev_rows, fwd_rows, pair, rest, S, T, loss = views
+            np.multiply(rev_weights, xn[::-1], out=rev_rows)
+            np.multiply(fwd_weights, xn, out=fwd_rows)
             np.add.accumulate(W, axis=1, out=W)
-            pair = W[:2]
-            pair *= self._ipow_pair
-            pair += W[2:]
+            pair *= pair_weights
+            pair += rest
             pair *= self._a
-            S, T = W[0], W[1, ::-1]
         else:
-            S = self._gamma_low @ (self.sizes * x)
-            T = self._gamma_up @ x
-        out = np.empty_like(x)
-        out[0] = 0.0
-        np.multiply(x[:-1], S[:-1], out=out[1:])
-        loss = np.add(S, T, out=self._loss)
-        loss *= x
-        out -= loss
+            sizes, low, up, loss = views
+            S = low @ (sizes * xn)
+            T = up @ xn
+        out = np.zeros(k)
+        np.multiply(xn[:-1], S[:-1], out=out[1:n])
+        np.add(S, T, out=loss)
+        loss *= xn
+        out[:n] -= loss
         return out
 
 

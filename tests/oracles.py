@@ -5,6 +5,11 @@ The tableau combinations are summed term by term from the left, as Python's
 vector. ``RhsEvaluator`` and ``integrator._dp_step`` arrange the same
 operations into fewer numpy calls; these oracles pin that every rounding
 stays where it was.
+
+The oracles always work on all k sizes. The library evaluates only the
+occupied prefix of a state and returns +0.0 beyond it, so comparing with
+them over the full length also checks that nothing past the prefix was
+dropped.
 """
 import numpy as np
 

@@ -331,6 +331,7 @@ def test_simulate_additive_k256_default_solver_keeps_invariants(tmp_path):
     st = summary["step_stats"]
     assert {"clamped_mass_step", "clamped_mass_sample"} <= set(st)
     assert st["n_rejected"] == st["n_rejected_error"] + st["n_rejected_positivity"]
+    assert st["max_occupied_size"] == 256  # the front reached k
 
 
 def test_schema_solver_keys_are_the_solver_config_fields():

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import dp_step_oracle, rhs_oracle
 
-from coagkin import integrator
+from coagkin import diagnostics, integrator
 from coagkin.errors import ConfigError, IntegrationStalledError, NumericError
 from coagkin.integrator import (
     MASS_BUDGET_REL,
@@ -13,7 +15,7 @@ from coagkin.integrator import (
     integrate,
 )
 from coagkin.kernels import additive, catalog, constant, demo_table, power_sum
-from coagkin.system import RhsEvaluator, SizeDistribution, monomer
+from coagkin.system import RhsEvaluator, SizeDistribution, monomer, occupied_size, prefix_columns
 
 
 def test_config_validation():
@@ -35,7 +37,7 @@ def test_config_validation():
 def trial_step(y, h, rel_tol=1e-8, abs_tol=1e-10):
     f = RhsEvaluator(constant(1.0), y.size)
     work = _StepWork(y.size)
-    y5, err, _ = _dp_step(f, y, f(y), h, rel_tol, abs_tol, work)
+    y5, err, _ = _dp_step(f, y, f(y), h, rel_tol, abs_tol, work, occupied_size(y))
     return y5, err, work.stages
 
 
@@ -69,7 +71,7 @@ def test_step_with_overflowing_last_stage_raises():
     y = np.ones(64)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="non-finite values in trial step"):
-        _dp_step(f, y, f(y), 0.5, 1e-8, 1e-10, _StepWork(64))
+        _dp_step(f, y, f(y), 0.5, 1e-8, 1e-10, _StepWork(64), 64)
 
 
 def test_integrate_zero_state_stays_zero():
@@ -210,20 +212,28 @@ def test_initial_state_must_start_at_time_zero():
                          ids=["constant", "additive", "power", "table"])
 def test_step_matches_oracle_bit_for_bit(kern, rng):
     norms = []
-    for k in (2, 3, 64, 257):
+    for k in (2, 3, 64, 200, 257):
         f, f_oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
         work = _StepWork(k)
-        tail = np.zeros(k)
-        tail[: max(1, k // 3)] = 1.0  # an occupied head and an empty tail, as in a run
-        for y in (rng.random(k) * tail, rng.random(k) * 10.0 ** rng.uniform(-12, 0, k)):
+        heads = []  # an occupied head and an empty tail, as in a run
+        # k // 2 at k = 200: numpy's pairwise sum of all k squared errors splits at
+        # 96, inside the 128 columns the step takes; the last head's last stage
+        # reaches one size past the largest 2**p < k
+        for m in (max(1, k // 3), max(1, k // 2), max(1, (1 << ((k - 1).bit_length() - 1)) - 6)):
+            heads.append(rng.random(k) * (np.arange(k) < m))
+        for y in heads + [rng.random(k) * 10.0 ** rng.uniform(-12, 0, k)]:
             for frac in (1e-4, 1e-2, 1.0):  # of the time scale 1 / |f(y)|
                 h = frac / (1.0 + np.max(np.abs(f(y))))
-                y5, err, f_last = _dp_step(f, y, f(y), h, 1e-8, 1e-10, work)
+                y5, err, f_last = _dp_step(f, y, f(y), h, 1e-8, 1e-10, work, occupied_size(y))
                 y5_o, err_o, stages_o = dp_step_oracle(f_oracle, y, f_oracle(y), h, 1e-8, 1e-10)
                 assert y5.tobytes() == y5_o.tobytes(), (k, h)
                 assert err == err_o, (k, h)
-                assert work.stages.tobytes() == np.array(stages_o).tobytes(), (k, h)
                 assert f_last.tobytes() == stages_o[-1].tobytes()
+                # the step evaluates only the columns its stages can reach; the oracle's are zero past them
+                n = prefix_columns(occupied_size(y) + 7, k)
+                stages_o = np.array(stages_o)
+                assert work.stages[:, :n].tobytes() == stages_o[:, :n].tobytes(), (k, h)
+                assert np.all(stages_o[:, n:] == 0.0), (k, h)
                 norms.append(err)
     assert min(norms) <= 1.0 < max(norms)  # accepted and rejected step sizes both covered
 
@@ -232,29 +242,50 @@ def test_fsal_stage_and_state_survive_the_next_step(rng):
     f = RhsEvaluator(power_sum(1.0, 0.5), 16)
     work = _StepWork(16)
     y = rng.random(16)
-    y5, _, f_last = _dp_step(f, y, f(y), 0.01, 1e-8, 1e-10, work)
+    y5, _, f_last = _dp_step(f, y, f(y), 0.01, 1e-8, 1e-10, work, 16)
     kept = y5.tobytes(), f_last.tobytes()
-    _dp_step(f, y5, f_last, 0.01, 1e-8, 1e-10, work)  # the next step starts from both
+    _dp_step(f, y5, f_last, 0.01, 1e-8, 1e-10, work, 16)  # the next step starts from both
     assert (y5.tobytes(), f_last.tobytes()) == kept
-    for scratch in (work.stages, work.terms, work.vec):
+    for scratch in (work.stages, work.terms):
         assert not np.shares_memory(y5, scratch) and not np.shares_memory(f_last, scratch)
 
 
-@pytest.mark.parametrize("kern,k,abs_tol", [(power_sum(1.0, 0.5), 64, 1e-10), (additive(1.0), 32, 1e-4)],
-                         ids=["power", "additive_rejections"])
+class _OracleRhs:
+    """The full-length oracle rhs behind RhsEvaluator's interface."""
+
+    def __init__(self, kernel, k):
+        self.f, self.n_evals = rhs_oracle(kernel, k), 0
+
+    def __call__(self, x):
+        if not np.isfinite(x).all():
+            raise NumericError("non-finite state entries passed to rhs")
+        self.n_evals += 1
+        return self.f(x)
+
+
+@pytest.mark.parametrize("kern,k,abs_tol", [(power_sum(1.0, 0.5), 64, 1e-10), (additive(1.0), 32, 1e-4),
+                                            (additive(1.0), 256, 1e-4), (constant(1.0), 4096, 1e-10)],
+                         ids=["power", "additive_rejections", "additive_k256_clamps", "constant_k4096"])
 def test_integrate_matches_oracle_stepping_bit_for_bit(kern, k, abs_tol, monkeypatch):
-    # every sample, including the Hermite ones built from the stage handed to the next step
+    # every sample, including the Hermite ones built from the stage handed to the next step;
+    # the oracle run steps and evaluates the rhs over all k sizes
     config = SolverConfig(t_end=10.0, abs_tol=abs_tol)
     new = integrate(monomer(k), kern, config)
 
-    def oracle_step(f, y, f0, h, rel_tol, abs_tol, work):
+    def oracle_step(f, y, f0, h, rel_tol, abs_tol, work, occupied):
         y5, err, stages = dp_step_oracle(f, y, f0, h, rel_tol, abs_tol)
         return y5, err, stages[-1]
 
     monkeypatch.setattr(integrator, "_dp_step", oracle_step)
+    monkeypatch.setattr(integrator, "RhsEvaluator", _OracleRhs)
+    for module in (integrator, diagnostics):  # samples and records read all k sizes too
+        monkeypatch.setattr(module, "occupied_size", lambda values: values.size)
     old = integrate(monomer(k), kern, config)
+    assert old.step_stats.max_occupied_size == k
     assert new.states_matrix().tobytes() == old.states_matrix().tobytes()
-    assert new.step_stats == old.step_stats
+    assert new.step_stats == replace(old.step_stats, max_occupied_size=new.step_stats.max_occupied_size)
+    assert new.diagnostics == old.diagnostics
+    assert new.rhs_envelope.tobytes() == old.rhs_envelope.tobytes()
 
 
 def test_rejections_are_split_by_cause():
@@ -273,3 +304,38 @@ def test_step_counts_pinned_for_power_k64_at_tight_tolerance():
                      SolverConfig(t_end=10.0, rel_tol=1e-12, abs_tol=1e-16))
     st = traj.step_stats
     assert (st.n_accepted, st.n_rejected, st.n_rhs_evals) == (1620, 1, 9727)
+
+
+@pytest.mark.parametrize("kern,k,counts", [
+    (constant(1.0), 4096, (67, 0, 0, 403)),
+    (additive(1.0), 256, (575, 7, 86, 4095)),
+], ids=["constant_k4096", "additive_k256"])
+def test_step_counts_pinned_for_default_config(kern, k, counts):
+    # the default solver from a monomer start; a change in any rounding would move these
+    st = integrate(monomer(k), kern, SolverConfig(t_end=10.0)).step_stats
+    assert (st.n_accepted, st.n_rejected_error, st.n_rejected_positivity, st.n_rhs_evals) == counts
+
+
+def test_max_occupied_size_is_the_widest_accepted_state(monkeypatch):
+    seen = []
+    step = integrator._dp_step
+
+    def spy(f, y, f0, h, rel_tol, abs_tol, work, occupied):
+        # every trial starts from the last accepted state and is told its occupied size
+        assert occupied == occupied_size(y)
+        seen.append(occupied)
+        return step(f, y, f0, h, rel_tol, abs_tol, work, occupied)
+
+    monkeypatch.setattr(integrator, "_dp_step", spy)
+    traj = integrate(monomer(4096), constant(1.0), SolverConfig(t_end=10.0))
+    widest = max(seen + [occupied_size(traj.final().values)])
+    assert traj.step_stats.max_occupied_size == widest == 285  # the front stays far below k
+    assert traj.step_stats.to_dict()["max_occupied_size"] == 285
+    # a front that reaches the truncation boundary
+    assert integrate(monomer(8), constant(1.0), SolverConfig(t_end=10.0)).step_stats.max_occupied_size == 8
+    # the initial state counts: its -0.0 at size k is occupied, and the first step drops it
+    init = monomer(4096)
+    init.values[-1] = -0.0
+    seen.clear()
+    traj = integrate(init, constant(1.0), SolverConfig(t_end=10.0))
+    assert traj.step_stats.max_occupied_size == 4096 > max(seen[1:] + [occupied_size(traj.final().values)])

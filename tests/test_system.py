@@ -21,6 +21,8 @@ from coagkin.system import (
     geometric,
     mass_leak_rate,
     monomer,
+    occupied_size,
+    prefix_columns,
     rhs,
     weak_form_rate,
 )
@@ -141,6 +143,62 @@ def test_evaluator_reuse_matches_one_shot(rng):
         for x, r in zip(xs, results):
             assert r.tobytes() == rhs(state(x), kern).tobytes()
         assert not np.shares_memory(results[0], results[1])
+
+
+def test_occupied_size_counts_bit_patterns():
+    assert occupied_size(np.zeros(5)) == 0
+    assert occupied_size(np.array([0.0, 0.0, -0.0, 0.0])) == 3  # -0.0 is occupied
+    assert occupied_size(np.array([1.0, 5e-324, 0.0])) == 2
+    assert occupied_size(np.array([0.0, 0.0, 2.0])) == 3
+    assert [prefix_columns(need, 257) for need in (1, 2, 3, 4, 5, 129, 256, 257, 300)] == \
+        [1, 2, 4, 4, 8, 256, 256, 257, 257]
+
+
+ASYMMETRIC = from_rule("asymmetric", lambda i, j: (1.0 + 0.3 * i) / (1.0 + 0.7 * j),
+                       growth_constant_A=1.0, vectorized=True)
+# every kernel at every k, except that the matrix path stops at k = 257: a
+# 4096 x 4096 rate matrix takes 128 MiB per copy (demo_table(257) also ends there)
+RHS_EDGE_CASES = [
+    (kern, k)
+    for kern in (constant(0.7), additive(1.3), power_sum(0.7, 0.3), demo_table(257), ASYMMETRIC)
+    for k in (2, 3, 64, 257, 4096)
+    if kern.separable is not None or k <= 257
+]
+
+
+@pytest.mark.parametrize("kern,k", RHS_EDGE_CASES, ids=[f"{kn.name}-{k}" for kn, k in RHS_EDGE_CASES])
+def test_rhs_on_every_support_matches_oracle_bit_for_bit(kern, k, rng):
+    ev, oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
+    results = []
+    for m in sorted({0, 1, k - 2, k - 1, k}):
+        for last in (None, -0.0, 5e-324):  # a random, a negative-zero and a subnormal last entry
+            x = np.zeros(k)
+            x[:m] = rng.random(m)
+            if m and last is not None:
+                x[m - 1] = last
+            assert occupied_size(x) == m
+            out = ev(x)
+            assert out.tobytes() == oracle(x).tobytes(), (m, last)
+            results.append((x, out))
+    # back-to-back calls at different supports leave earlier results intact and unshared
+    scratch = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]
+    for i, (x, out) in enumerate(results):
+        assert out.tobytes() == oracle(x).tobytes()
+        assert not any(np.shares_memory(out, other) for _, other in results[i + 1:])
+        assert not any(np.shares_memory(out, buf) for buf in scratch)
+
+
+@pytest.mark.parametrize("k", [3, 64, 4096])
+def test_rhs_rejects_nonfinite_entries_in_the_zero_tail(k):
+    ev = RhsEvaluator(additive(1.0), k)
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in (2, k - 1):  # inside the tail and at its end
+            x = np.zeros(k)
+            x[0] = 1.0
+            x[where] = bad
+            with pytest.raises(NumericError):
+                ev(x)
+    assert ev.n_evals == 0
 
 
 def test_mass_leak_closed_form_matches_weak_form(rng):
