@@ -51,8 +51,11 @@ class KernelRangeError(ValueError):
 class CoagulationKernel:
     """Symmetric nonnegative collision-rate table/rule on positive sizes.
 
-    ``rule`` must accept integer arrays, which may be read-only broadcast
-    views, and evaluate elementwise without writing to them. When the
+    ``rule(i, j)`` takes integer arrays of sizes that broadcast against
+    each other like the arguments of a ufunc (a column of i against a
+    row of j spans a grid) and must not write to them. It evaluates
+    elementwise; a result smaller than the broadcast grid, from a rule
+    that ignores an argument, is broadcast to the grid. When the
     rate has the separable form a * (i**d + j**d) the ``separable`` pair
     (a, d) is set, which unlocks an O(k) right-hand-side fast path.
     Tabulated kernels store a dense lower-triangular matrix and mirror it
@@ -87,21 +90,27 @@ class CoagulationKernel:
         return float(np.asarray(out).reshape(-1)[0])
 
     def rate_matrix(self, k: int) -> np.ndarray:
-        """Dense (k, k) rate matrix for sizes 1..k."""
+        """Fresh, writeable, dense (k, k) rate matrix for sizes 1..k."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         idx = np.arange(1, k + 1)
-        return _rate_block(self.rule, idx, idx)
+        g = _rate_block(self.rule, idx[:, None], idx[None, :])
+        return g if g.flags.owndata and g.flags.writeable else np.array(g)
 
     @property
     def max_table_size(self) -> int | None:
         return None if self.table is None else self.table.shape[0]
 
 
-def _rate_block(rule: RateRule, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Rates on the grid rows x cols, shape (rows.size, cols.size)."""
-    ii, jj = np.meshgrid(rows, cols, indexing="ij", copy=False)
-    return np.asarray(rule(ii, jj), dtype=float)
+def _rate_block(rule: RateRule, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Rates on the grid that the index arrays i and j broadcast to.
+
+    A result smaller than the grid (a rule that ignores an argument) is
+    returned as a read-only broadcast view of the full shape.
+    """
+    g = np.asarray(rule(i, j), dtype=float)
+    shape = np.broadcast_shapes(i.shape, j.shape)
+    return g if g.shape == shape else np.broadcast_to(g, shape)
 
 
 def constant(c: float = 1.0, name: str | None = None) -> CoagulationKernel:
@@ -242,8 +251,12 @@ def from_rule(
 ) -> CoagulationKernel:
     """Wrap an arbitrary scalar (or vectorized) rate function.
 
-    The function must already be symmetric in its arguments; symmetry is
-    verified by ``check_admissibility``, not assumed.
+    A vectorized ``fn`` receives integer arrays that broadcast against
+    each other like ufunc arguments, typically a column of i and a row
+    of j, and may return any array that broadcasts to their grid; a
+    scalar ``fn`` is called once per cell of that grid. The function
+    must already be symmetric in its arguments; symmetry is verified by
+    ``check_admissibility``, not assumed.
     """
     rule = fn if vectorized else np.vectorize(fn, otypes=[float])
     return CoagulationKernel(
@@ -284,18 +297,41 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
 
     The grid is scanned in strips and never materialised. Each block of
     rows r0 <= i < r1 evaluates its row strip (i in the block, j >= r0)
-    and the mirror column strip (j in the block, i >= r0); comparing the
-    two checks symmetry, and every cell is counted once, in the block
-    holding min(i, j). A strip holds about ``STRIP_CELLS`` cells, so the
-    memory used does not grow with ``max_size``.
+    and the mirror column strip (j in the block, i >= r1); comparing the
+    two, and the diagonal square with its transpose, checks symmetry.
+    Every cell is evaluated once and counted once, in the block holding
+    min(i, j). A strip holds about ``STRIP_CELLS`` cells, so the memory
+    used does not grow with ``max_size``.
+
+    Evaluation and bounds: the rule is called on a column of i against
+    a row of j, so a power or additive rule takes i**d once per index,
+    not once per cell. a*(i+j) and a*(i+j)*(1 + GROWTH_SLACK) depend on
+    s = i+j alone: each is one table over s, read through a Hankel view
+    H[i-1, j-1] = table[i+j]. Its entries equal the cell-wise products
+    bit for bit, because i+j converts to float exactly.
+
+    Clean strips: each strip is first tested with reductions. Every
+    cell lies between lo = g.min() and hi = g.max(), and each bound is
+    least at the strip's first cell (least i and j), because rounding is
+    monotone: a*s*(1 + GROWTH_SLACK) does not decrease with s, nor
+    a*(p + q)*(1 + GROWTH_SLACK) with p or q, taken at the suffix minima
+    of i**d. So lo >= max(0, zeta*(1 - GROWTH_SLACK)) (0 without zeta)
+    rules out every negativity and zeta hit, and hi at most the least
+    growth (delta) bound rules out every growth (delta) hit; otherwise
+    one comparison into scratch, tested with any(), decides. A strip
+    shown to have no hit adds only its maximum ratio and builds no
+    masks. With hi >= 0 no ratio g / (a*(i+j)) exceeds hi over the least
+    a*(i+j), so a strip whose quotient is below the running maximum
+    skips the division. A NaN makes min() and max() return NaN, which
+    fails every comparison, so a strip holding one always takes the
+    full mask fold, as does a block with an asymmetric cell.
 
     Mirror rule: when no cell of a block differs from its mirror, the
-    column strip is not folded a second time. Each of its cells (i, j)
-    below the block's diagonal square compares equal to (j, i) in the
-    row strip, and every bound is symmetric: a*(i+j) is an exact
-    integer sum, a*(i**d + j**d) a commutative float add and zeta a
-    constant. So the mirror cells have the masks and ratios of the row
-    strip's columns right of the diagonal square, whose hits are
+    column strip is not folded. Each of its cells (i, j) compares equal
+    to (j, i) in the row strip, and every bound is symmetric: a*(i+j) is
+    read by s = i+j, a*(i**d + j**d) is a commutative float add and
+    zeta a constant. So the mirror cells have the masks and ratios of
+    the row strip's columns right of the diagonal square, whose hits are
     counted twice, and add no new maximum ratio. The first violation
     cannot move either: a mirror cell comes after its partner in
     row-major order, and the partner lies in the row strip. A block
@@ -308,34 +344,68 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     if kernel.max_table_size is not None and n > kernel.max_table_size:
         n = kernel.max_table_size
     idx = np.arange(1, n + 1)
+    idx.flags.writeable = False  # rules receive views of it
     a = kernel.growth_constant_A
     d = kernel.power_delta
     zeta = kernel.lower_bound_zeta
-    # bounds are broadcast from 1-D factors: the same values as on the full grid
-    idx_pow = idx.astype(float) ** d if d is not None else None
+    hankel = np.lib.stride_tricks.sliding_window_view  # read-only, hankel(t, n)[r, c] = t[r + c]
+    lin_s = a * np.arange(2, 2 * n + 1)  # a*s for s = 2..2n
+    lin_bound = hankel(lin_s, n)  # lin_bound[i-1, j-1] = a*(i+j)
+    growth_bound = hankel(lin_s * (1.0 + GROWTH_SLACK), n)
+    if d is not None:
+        idx_pow = idx.astype(float) ** d
+        # min of idx_pow[r:]: pow is not correctly rounded everywhere, so x**d need
+        # not grow with x
+        pow_floor = np.minimum.accumulate(idx_pow[::-1])[::-1]
+    floor = max(0.0, zeta * (1.0 - GROWTH_SLACK)) if zeta is not None else 0.0
+    # scratch for the largest strip, max(STRIP_CELLS, n) cells
+    cells = max(STRIP_CELLS, n)
+    scratch, hit = np.empty(cells), np.empty(cells, dtype=bool)
 
     counts = dict.fromkeys(_VIOLATIONS, 0)
     max_ratio = -np.inf
     first = None  # (i, j, rate) of the row-major first violation so far
 
-    def fold(g, rows, cols, asym, mirror=None):
+    def delta_bound(rows, cols, out):
+        """a*(i**d + j**d)*(1 + GROWTH_SLACK) on rows x cols, rounded as written."""
+        np.add(idx_pow[rows, None], idx_pow[None, cols], out=out)
+        out *= a
+        out *= 1.0 + GROWTH_SLACK
+        return out
+
+    def fold(g, rows, cols, asym=None, mirror=None):
         """Fold strip g[r, c] = rate(idx[rows][r], idx[cols][c]) into the tallies.
 
-        With ``mirror`` set, the columns g[:, mirror:] also stand for their
-        mirror cells, whose hits are counted once more.
+        ``asym`` is the strip's symmetry mask, None for a block without an
+        asymmetric cell. With ``mirror`` set, the columns g[:, mirror:]
+        also stand for their mirror cells, whose hits are counted once more.
         """
         nonlocal max_ratio, first
         if g.size == 0:
             return
-        lin_bound = a * (idx[rows, None] + idx[None, cols])
+        buf = scratch[:g.size].reshape(g.shape)
+        i0, j0 = rows.start, cols.start  # the strip's least i and j, where its bounds are least
+        lo, hi = g.min(), g.max()
+        # with hi >= 0 no ratio exceeds hi / (least a*(i+j)): divide only if that can raise the max
+        if not (hi >= 0 and hi / lin_bound[i0, j0] < max_ratio):
+            max_ratio = np.maximum(max_ratio, np.divide(g, lin_bound[rows, cols], out=buf).max())
+        if asym is None and lo >= floor:
+            seen = hit[:g.size].reshape(g.shape)
+            over_growth = hi > growth_bound[i0, j0] and np.greater(
+                g, growth_bound[rows, cols], out=seen).any()
+            # the least delta bound of the strip, rounded as delta_bound rounds
+            over_delta = d is not None and hi > (pow_floor[i0] + pow_floor[j0]) * a * (
+                1.0 + GROWTH_SLACK) and np.greater(g, delta_bound(rows, cols, buf), out=seen).any()
+            if not (over_growth or over_delta):
+                return
         masks = {
             "negativity_violations": g < 0,
-            "symmetry_violations": asym,
-            "growth_violations": g > lin_bound * (1.0 + GROWTH_SLACK),
+            "growth_violations": g > growth_bound[rows, cols],
         }
+        if asym is not None:
+            masks["symmetry_violations"] = asym
         if d is not None:
-            delta_bound = a * (idx_pow[rows, None] + idx_pow[None, cols])
-            masks["delta_violations"] = g > delta_bound * (1.0 + GROWTH_SLACK)
+            masks["delta_violations"] = g > delta_bound(rows, cols, buf)
         if zeta is not None:
             masks["zeta_violations"] = g < zeta * (1.0 - GROWTH_SLACK)
         found = 0
@@ -345,7 +415,6 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
             if mirror is not None and hits:
                 hits += int(np.count_nonzero(mask[:, mirror:]))
             counts[key] += hits
-        max_ratio = np.maximum(max_ratio, (g / lin_bound).max())
         if found:
             union = np.logical_or.reduce(list(masks.values()))
             r, c = divmod(int(np.argmax(union)), g.shape[1])  # row-major within the strip
@@ -353,21 +422,26 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
             if first is None or cell < first[:2]:
                 first = (*cell, float(g[r, c]))
 
-    block = max(1, STRIP_CELLS // n)
-    for r0 in range(0, n, block):
-        r1 = min(r0 + block, n)
-        rows, rest = slice(r0, r1), slice(r0, n)
-        ii, jj = np.meshgrid(idx[rows], idx[rest], indexing="ij", copy=False)
-        row_strip = np.asarray(kernel.rule(ii, jj), dtype=float)
-        # the column strip, transposed: col_t[r, c] = rate(idx[rest][c], idx[rows][r])
-        col_t = np.asarray(kernel.rule(jj, ii), dtype=float)
-        asym = row_strip != col_t
+    r0 = 0
+    while r0 < n:
+        # as many rows as keep the row strip near STRIP_CELLS cells
+        r1 = min(n, r0 + max(1, STRIP_CELLS // (n - r0)))
+        b, rows = r1 - r0, slice(r0, r1)
+        row_strip = _rate_block(kernel.rule, idx[rows, None], idx[None, r0:])
+        # the column strip, transposed: col_t[r, c] = rate(idx[r1 + c], idx[r0 + r])
+        # (the last block's is empty, and no rule is called on an empty grid)
+        col_t = (_rate_block(kernel.rule, idx[None, r1:], idx[rows, None])
+                 if r1 < n else row_strip[:, b:])
+        asym = hit[:row_strip.size].reshape(row_strip.shape)  # a fold given asym leaves hit alone
+        square = row_strip[:, :b]
+        np.not_equal(square, square.T, out=asym[:, :b])
+        np.not_equal(row_strip[:, b:], col_t, out=asym[:, b:])
         if not asym.any():
-            fold(row_strip, rows, rest, asym, mirror=r1 - r0)
-            continue
-        fold(row_strip, rows, rest, asym)
-        # skip the diagonal square: the row strip already counted it
-        fold(col_t[:, r1 - r0:].T, slice(r1, n), rows, asym[:, r1 - r0:].T)
+            fold(row_strip, rows, slice(r0, n), mirror=b)
+        else:
+            fold(row_strip, rows, slice(r0, n), asym)
+            fold(col_t.T, slice(r1, n), rows, asym[:, b:].T)
+        r0 = r1
 
     metrics = {key: float(count) for key, count in counts.items()}
     metrics["max_growth_ratio"] = float(max_ratio)

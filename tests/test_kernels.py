@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coagkin import kernels
 from coagkin.errors import ConfigError
@@ -39,6 +42,26 @@ def test_symmetry_exact_on_grid():
     for kern in catalog(table_size=32).values():
         g = kern.rate_matrix(32)
         assert np.array_equal(g, g.T), kern.name
+
+
+def test_rate_matrix_is_fresh_dense_and_writeable(monkeypatch):
+    # a rule that ignores j returns a (k, 1) column, broadcast to the grid
+    row_only = from_rule("row_only", lambda i, j: 0.5 * np.asarray(i, dtype=float),
+                         growth_constant_A=1.0, vectorized=True)
+    want = np.repeat(0.5 * np.arange(1.0, 9.0)[:, None], 8, axis=1)
+    assert np.array_equal(row_only.rate_matrix(8), want)
+    for kern in (constant(1.0), additive(1.0), demo_table(8), row_only):
+        g = kern.rate_matrix(8)
+        assert g.shape == (8, 8) and g.flags.owndata and g.flags.writeable, kern.name
+        g[0, 0] = -1.0
+        assert kern.rate_matrix(8)[0, 0] == kern.evaluate(1, 1), kern.name
+
+    def refuse(self, k):
+        raise AssertionError("the precheck must not build a rate matrix")
+
+    monkeypatch.setattr(CoagulationKernel, "rate_matrix", refuse)
+    for kern in catalog(table_size=64).values():
+        assert check_admissibility(kern, 64).passed
 
 
 def test_catalog_passes_admissibility():
@@ -274,6 +297,26 @@ def _equivalence_kernels():
         CoagulationKernel(name="asymmetric_table",
                           rule=lambda i, j: asym_table[i - 1, j - 1],
                           growth_constant_A=1.0, table=asym_table),
+        # -0.0 is not negative: a strip minimum of -0.0 passes the floor of 0
+        from_rule("negative_zero", lambda i, j: np.where((i + j) % 7 == 0, -0.0, 1.0),
+                  growth_constant_A=1.0, vectorized=True),
+        from_rule("symmetric_inf_pair", lambda i, j: np.where(_pair(i, j, 3, 250), np.inf, 1.0),
+                  growth_constant_A=1.0, vectorized=True),
+        # ignores j: every strip comes back as a (rows, 1) column or a (1, cols) row
+        from_rule("row_only", lambda i, j: 0.5 * np.asarray(i, dtype=float),
+                  growth_constant_A=1.0, vectorized=True),
+        # symmetric pairs, so their blocks take the mirror rule: one zeta hit each ...
+        from_rule("zeta_dip_pair", lambda i, j: np.where(_pair(i, j, 3, 250), 0.5, 1.0),
+                  growth_constant_A=1.0, lower_bound_zeta=1.0, vectorized=True),
+        # ... and one delta hit each, 3.5 > 2**0.5 + 3**0.5 but below 2 + 3; the
+        # strip's least delta bound, not its largest, shows that a hit may exist
+        from_rule("delta_spike_pair", lambda i, j: np.where(_pair(i, j, 2, 3), 3.5, 1.0),
+                  growth_constant_A=1.0, power_delta=0.5, vectorized=True),
+        # all negative, the largest ratio (-1/260) in a later block than -1/151: a
+        # strip's hi over its least a*(i+j) bounds its ratios only when hi >= 0
+        from_rule("negative_late_max",
+                  lambda i, j: np.where(_pair(i, j, 1, 150) | _pair(i, j, 60, 200), -1.0, -1e6),
+                  growth_constant_A=1.0, vectorized=True),
     ]
 
 
@@ -303,6 +346,60 @@ def test_symmetric_nan_pair_takes_the_full_fold(n):
     assert got == want
     assert got["symmetry_violations"] == 2.0
     assert (got["first_violation_i"], got["first_violation_j"]) == (3.0, 250.0)
+
+
+def _assert_same_report(got, want):
+    """Equal report dicts, a NaN metric matching only a NaN."""
+    got, want = got.to_dict(), want.to_dict()
+    got_m, want_m = got.pop("metrics"), want.pop("metrics")
+    assert got == want
+    assert got_m.keys() == want_m.keys()
+    for key, value in got_m.items():
+        assert value == want_m[key] or (np.isnan(value) and np.isnan(want_m[key])), (
+            key, value, want_m[key])
+
+
+# negative, -0.0, 0, subnormal, small, moderate, huge, NaN, inf
+SPECIAL_RATES = (-1.0, -0.0, 0.0, 5e-324, 0.25, 1.0, 1e300, np.nan, np.inf)
+
+
+@st.composite
+def drawn_tables(draw):
+    """A table-backed kernel on sizes 1..n, n <= 40, with drawn declared constants.
+
+    The table is a flat or (i + j)-shaped base with a few special cells, or
+    special values throughout; symmetric tables mirror every cell.
+    """
+    n = draw(st.integers(2, 40))
+    s = np.arange(1, n + 1)[:, None] + np.arange(1, n + 1)[None, :]
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        table = rng.choice(SPECIAL_RATES, size=(n, n))
+    else:
+        base = draw(st.sampled_from((-1.0, 0.0, 0.25, 1.0)))
+        table = base * (np.ones((n, n)) if draw(st.booleans()) else s)
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(SPECIAL_RATES))
+        for i, j, rate in draw(st.lists(cells, max_size=6)):
+            table[i, j] = rate
+    if draw(st.booleans()):
+        table = np.where(np.tri(n, dtype=bool), table, table.T)
+    return CoagulationKernel(
+        name="drawn_table",
+        rule=lambda i, j: table[i - 1, j - 1],
+        growth_constant_A=draw(st.sampled_from((0.125, 0.25, 1.0, 4.0))),
+        power_delta=draw(st.sampled_from((None, 0.0, 0.5, 1.0))),
+        lower_bound_zeta=draw(st.sampled_from((None, 0.25, 1.0))),
+        table=table,
+    )
+
+
+@settings(max_examples=200)
+@given(kern=drawn_tables(), strip_cells=st.sampled_from((1, 2, 3, 5, 8, 13, 40, 100, 2000)))
+def test_streamed_admissibility_matches_dense_oracle_on_drawn_tables(kern, strip_cells):
+    # small strips give multi-row, ragged blocks on these small grids
+    with mock.patch.object(kernels, "STRIP_CELLS", strip_cells):
+        got = check_admissibility(kern, kern.max_table_size)
+    _assert_same_report(got, dense_admissibility(kern, kern.max_table_size))
 
 
 @pytest.mark.parametrize("kern,ratio", [
