@@ -428,7 +428,8 @@ def verify(config_path: str) -> int:
     except ConfigError as exc:
         return _fail(str(exc))
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    # no makedirs here: every writer creates its directory, so a config error
+    # an experiment raises before writing (a misnamed threshold) leaves no output
     report_path = os.path.join(cfg.output_dir, "report.json")
     try:
         report = _experiment_report(cfg, kern, solver)

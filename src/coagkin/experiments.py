@@ -17,12 +17,13 @@ from .diagnostics import mass_defect, moment
 from .integrator import MODE_FIXED, SolverConfig, Trajectory, integrate
 from .kernels import CoagulationKernel
 from .numerics import cumulative_simpson
-from .reports import ExperimentReport
+from .reports import ExperimentReport, check_threshold_names
 from .system import (
     RhsEvaluator,
     SizeDistribution,
     TestSequence,
     finite_identity_rate,
+    row_blocks,
     weak_form_rate,
 )
 
@@ -61,6 +62,11 @@ def truncation_convergence(
         raise ValueError(f"k_list needs at least 3 entries, got {len(k_list)}")
     if sorted(k_list) != k_list or any(k < 2 for k in k_list):
         raise ValueError("k_list must be ascending with every entry >= 2")
+    pairs = list(zip(k_list[:-1], k_list[1:]))
+    check_threshold_names("truncation_convergence", thresholds, [
+        "defect_final_max", "defect_monotone_violations", "distance_violations",
+        "distance_noise_floor", "initial_mass",
+        *(f"defect_k{k}" for k in k_list), *(f"distance_k{a}_k{b}" for a, b in pairs)])
     base = _solver(solver, t_end)
 
     trajs = _run_ordered(lambda k: integrate(initial(k), kernel, base), k_list)
@@ -100,7 +106,7 @@ def truncation_convergence(
     }
     for k, d in zip(k_list, defects):
         metrics[f"defect_k{k}"] = d
-    for (a, b), d in zip(zip(k_list[:-1], k_list[1:]), distances):
+    for (a, b), d in zip(pairs, distances):
         metrics[f"distance_k{a}_k{b}"] = d
 
     artifacts = []
@@ -160,6 +166,11 @@ def continuous_dependence(
         raise ValueError("continuous dependence needs a kernel with power_delta declared")
     if init_a.truncation_k != init_b.truncation_k:
         raise ValueError("both initial states must share the truncation size")
+    # identical inputs are a uniqueness check, distinct ones an envelope check
+    identical = np.array_equal(init_a.values, init_b.values)
+    check_threshold_names("continuous_dependence", thresholds, [
+        "c_cd", "d_initial", "d_final",
+        *(["uniqueness_sup"] if identical else ["max_envelope_ratio", "amplification"])])
     base = _solver(solver, t_end)
     traj_a = integrate(init_a, kernel, base)
     traj_b = integrate(init_b, kernel, base)
@@ -181,7 +192,7 @@ def continuous_dependence(
 
     metrics = {"c_cd": c_cd, "d_initial": float(dist[0]), "d_final": float(dist[-1])}
     thr = dict(thresholds or {})
-    if dist[0] == 0.0:
+    if identical:
         metrics["uniqueness_sup"] = float(dist.max())
         thr.setdefault("uniqueness_sup", 1e-12)
     else:
@@ -236,6 +247,9 @@ def asymptotic_decay(
     if kernel.lower_bound_zeta is None or not kernel.lower_bound_zeta > 0:
         raise ValueError("asymptotic decay needs a kernel with a positive lower bound zeta")
     zeta = kernel.lower_bound_zeta
+    check_threshold_names("asymptotic_decay", thresholds, [
+        "m0_monotone_violations", "max_envelope_ratio", "component_convergence",
+        "component_limit", "m0_final", "zeta"])
     if solver is None:
         ts = np.unique(np.concatenate([np.linspace(0.0, t_long, 101), [0.9 * t_long]]))
         solver = SolverConfig(t_end=t_long, sample_times=ts)
@@ -330,6 +344,11 @@ def identity_audit(
     with the inner product of the test vector against the right-hand
     side to rounding accuracy. q = k dispatches to the full weak form;
     q < k exercises the truncated-range identity with boundary flux.
+
+    The right-hand side at the samples comes from block calls of one
+    ``RhsEvaluator`` on the stacked states, ``system.row_blocks`` at a
+    time; the identity rates never call it. A threshold naming no metric
+    of the audit raises ConfigError before any work.
     """
     if not traj.samples:
         raise ValueError("trajectory is empty")
@@ -346,12 +365,17 @@ def identity_audit(
         "size": lambda q: TestSequence.sizes(q),
         "size_sq": lambda q: TestSequence.size_power(q, 2.0),
     }
+    check_threshold_names("identity_audit", thresholds, [
+        "max_identity_residual", "max_adjoint_residual",
+        *(f"identity_residual_{name}_q{q}" for name in rules for q in q_list)])
     rel_tol = traj.config.rel_tol
     times = traj.times()
     samples = traj.samples
     X = traj.states_matrix()
     ev = RhsEvaluator(kernel, k)
-    derivs = np.array([ev(x) for x in X])
+    derivs = np.empty_like(X)
+    for rows in row_blocks(len(X), k):
+        derivs[rows] = ev(X[rows])
 
     max_identity_residual = 0.0
     max_adjoint_residual = 0.0

@@ -21,7 +21,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import ConfigError, IntegrationStalledError, NumericError
 from .kernels import CoagulationKernel
-from .system import RhsEvaluator, SizeDistribution, occupied_size, prefix_columns
+from .system import RhsEvaluator, SizeDistribution, occupied_size, prefix_columns, row_blocks
 
 # Dormand-Prince 5(4) tableau
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
@@ -205,6 +205,37 @@ def _clamp(vec: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
     return out, float(np.dot(sizes[neg], -vec[neg]))
 
 
+def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
+    """Cubic Hermite samples at the times in (t0, t1) of a nonempty list, as rows of a fresh block.
+
+    A row is h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1 on the first
+    n sizes, added left to right, and +0.0 beyond them. The coefficients are
+    Python floats of each row's own time: a power of a numpy array may round
+    differently from the scalar one. Negative entries are zeroed as in
+    ``_clamp``, and each row holding one charges its size-weighted mass to
+    stats.clamped_mass_sample, row after row.
+    """
+    h = t1 - t0
+    coef = []
+    for ts in times:
+        th = (ts - t0) / h
+        coef.append((2 * th**3 - 3 * th**2 + 1, h * (th**3 - 2 * th**2 + th),
+                     -2 * th**3 + 3 * th**2, h * (th**3 - th**2)))
+    c00, c10, c01, c11 = np.array(coef).T[:, :, None]
+    block = np.zeros((len(times), y0.size))
+    vals = block[:, :n]
+    np.multiply(c00, y0[:n], out=vals)
+    vals += c10 * f0[:n]
+    vals += c01 * y1[:n]
+    vals += c11 * f1[:n]
+    neg = vals < 0.0
+    for row in np.flatnonzero(neg.any(axis=1)):
+        held = neg[row]
+        stats.clamped_mass_sample += float(np.dot(sizes[:n][held], -vals[row][held]))
+    vals[neg] = 0.0
+    return block
+
+
 class _StepWork:
     """Scratch that every trial step of one run reuses.
 
@@ -311,9 +342,16 @@ def integrate(
     Adaptive mode runs the embedded pair under PI step control between
     min_step = 1e-12 * t_end and max_step; fixed_step mode marches
     classical RK4 with constant h and no rejection. Dense output between
-    accepted steps is cubic Hermite on the stored derivatives. Steps and
-    samples are clamped nonnegative, charging the run budget by source; a
-    trial step that would charge more than budget * h / t_end is halved.
+    accepted steps is cubic Hermite on the stored derivatives, all samples
+    of one step formed as one block (``_hermite``). Steps and samples are
+    clamped nonnegative, charging the run budget by source; a trial step
+    that would charge more than budget * h / t_end is halved.
+
+    After stepping, the right-hand side at every sample feeds its
+    diagnostics record and ``rhs_envelope``. The first sample reuses the
+    stepping's first evaluation; the others are evaluated in blocks of
+    rows of at most ``system.BLOCK_CELLS`` cells, so that work scales with
+    k and not with samples x k.
     """
     config.validate()
     init.validate()
@@ -337,31 +375,27 @@ def integrate(
 
     def emit(t0, y0, f0, t1, y1, f1):
         # Take the accepted state y1; Hermite-interpolate all samples in
-        # (t0, t1], with exact endpoint reuse. Past the first n sizes y0 and
-        # y1 are +0.0 and f0, f1 zeros, so the full-length sum there is +0.0.
+        # (t0, t1] as one block, with exact endpoint reuse. Past the first n
+        # sizes y0 and y1 are +0.0 and f0, f1 zeros, so the full-length sum
+        # there is +0.0.
         nonlocal next_sample, occupied
         held = occupied_size(y1)
         stats.max_occupied_size = max(stats.max_occupied_size, held)
         n = min(k, max(occupied, held) + 1)
         occupied = held
-        h = t1 - t0
+        first = next_sample
         while next_sample < sample_times.size and sample_times[next_sample] <= t1 + 1e-14 * max(1.0, t1):
-            ts = sample_times[next_sample]
-            if abs(ts - t1) <= 1e-12 * max(1.0, config.t_end):
-                val = y1.copy()
-            else:
-                th = (ts - t0) / h
-                h00 = 2 * th**3 - 3 * th**2 + 1
-                h10 = th**3 - 2 * th**2 + th
-                h01 = -2 * th**3 + 3 * th**2
-                h11 = th**3 - th**2
-                val = np.zeros(k)
-                val[:n], clamped = _clamp(
-                    h00 * y0[:n] + h * h10 * f0[:n] + h01 * y1[:n] + h * h11 * f1[:n], sizes[:n]
-                )
-                stats.clamped_mass_sample += clamped
-            samples.append(SizeDistribution(val, k, float(ts)))
             next_sample += 1
+        if next_sample == first:
+            return
+        times = sample_times[first:next_sample].tolist()
+        # the samples at t1 (a suffix, times being ascending) take y1 itself
+        inner = len(times)
+        while inner and abs(times[inner - 1] - t1) <= 1e-12 * max(1.0, config.t_end):
+            inner -= 1
+        rows = list(_hermite(t0, y0, f0, t1, y1, f1, times[:inner], n, sizes, stats)) if inner else []
+        rows += [y1.copy() for _ in times[inner:]]
+        samples.extend(SizeDistribution(v, k, ts) for v, ts in zip(rows, times))
 
     t = 0.0
     y = init.values.copy()
@@ -440,18 +474,19 @@ def integrate(
             samples.append(SizeDistribution(y.copy(), k, float(ts)))
 
     stats.n_rhs_evals = f.n_evals
-    # one rhs per sample feeds its record and the envelope; no row outlives its sample.
-    # The first sample is the initial state, whose rhs the stepping took first.
-    diagnostics = []
-    envelope = np.zeros(k)
-    deriv = f0
-    for n, s in enumerate(samples):
-        if n > 0:
-            deriv = f(s.values)
-        np.maximum(envelope, np.abs(deriv), out=envelope)
-        diagnostics.append(
-            compute_record(s, kernel, orders=moment_orders, weights=g_weights, deriv=deriv)
-        )
+    # One rhs per sample feeds its record and the envelope, evaluated in blocks
+    # of rows, so no samples x k matrix of derivatives is kept. The first sample
+    # is the initial state, whose rhs the stepping took first; its record comes
+    # before the first block.
+    records = dict(kernel=kernel, orders=moment_orders, weights=g_weights)
+    diagnostics = [compute_record(samples[0], deriv=f0, **records)]
+    envelope = np.abs(f0)
+    later = samples[1:]
+    for rows in row_blocks(len(later), k):
+        states = later[rows]
+        derivs = f(np.array([s.values for s in states]))
+        np.maximum(envelope, np.abs(derivs).max(axis=0), out=envelope)
+        diagnostics += [compute_record(s, deriv=d, **records) for s, d in zip(states, derivs)]
     return Trajectory(
         samples=samples,
         diagnostics=diagnostics,

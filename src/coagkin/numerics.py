@@ -14,30 +14,29 @@ def cumulative_simpson(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Even indices accumulate exact Simpson pairs; odd indices add a
     trapezoid correction over the final interval (one order lower, which
-    is why audits prefer even indices).
+    is why audits prefer even indices). A pair whose two intervals are not
+    both positive raises ValueError.
+
+    Each pair's formula is evaluated for all pairs at once and one
+    ``np.add.accumulate`` sums them left to right from 0.0, so the result
+    rounds as a running sum over the pairs would (the 0.0 start turns a
+    leading -0.0 pair into +0.0).
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = t.size
-    out = np.zeros(n)
-    acc = 0.0
-    for m in range(2, n, 2):
-        acc += _simpson_pair(t[m - 2], t[m - 1], t[m], y[m - 2], y[m - 1], y[m])
-        out[m] = acc
-    for m in range(1, n, 2):
-        out[m] = out[m - 1] + 0.5 * (t[m] - t[m - 1]) * (y[m] + y[m - 1])
-    return out
-
-
-def _simpson_pair(t0, t1, t2, y0, y1, y2) -> float:
-    # Exact for quadratics on nonuniform spacing.
-    h0 = t1 - t0
-    h1 = t2 - t1
-    h = h0 + h1
-    if h0 <= 0 or h1 <= 0:
+    out = np.zeros(t.size)
+    # pair p spans indices 2p, 2p + 1, 2p + 2; exact for quadratics on nonuniform spacing
+    h0 = t[1:-1:2] - t[:-2:2]
+    h1 = t[2::2] - t[1:-1:2]
+    if (h0 <= 0).any() or (h1 <= 0).any():
         raise ValueError("sample times must be strictly ascending")
-    return (h / 6.0) * (
-        (2.0 - h1 / h0) * y0
-        + (h * h / (h0 * h1)) * y1
-        + (2.0 - h0 / h1) * y2
+    h = h0 + h1
+    out[2::2] = (h / 6.0) * (
+        (2.0 - h1 / h0) * y[:-2:2]
+        + (h * h / (h0 * h1)) * y[1:-1:2]
+        + (2.0 - h0 / h1) * y[2::2]
     )
+    even = out[::2]
+    np.add.accumulate(even, out=even)
+    out[1::2] = out[:-1:2] + 0.5 * (t[1::2] - t[:-1:2]) * (y[1::2] + y[:-1:2])
+    return out

@@ -29,10 +29,7 @@ class ExperimentReport:
         """Derive status from metrics vs thresholds (metric <= threshold passes)."""
         metrics = {k: float(v) for k, v in metrics.items()}
         thresholds = {k: float(v) for k, v in thresholds.items()}
-        missing = [k for k in thresholds if k not in metrics]
-        if missing:
-            raise ConfigError(f"experiment.thresholds.{missing[0]}",
-                              f"no metric of that name; {name} reports {', '.join(metrics)}")
+        check_threshold_names(name, thresholds, metrics)
         ok = all(metrics[k] <= thresholds[k] for k in thresholds)
         return cls(
             name=name,
@@ -78,6 +75,19 @@ class ExperimentReport:
     def write_json(self, path: str) -> str:
         """Atomic write (temp file + rename) so partial reports never land."""
         return write_json_atomic(path, self.to_dict())
+
+
+def check_threshold_names(name: str, thresholds, metric_names) -> None:
+    """Raise ConfigError for the first threshold that names none of the metrics.
+
+    Experiments call it with the names they will report before doing any
+    work, so a misnamed threshold fails before output exists.
+    """
+    names = list(metric_names)
+    missing = [k for k in thresholds or () if k not in names]
+    if missing:
+        raise ConfigError(f"experiment.thresholds.{missing[0]}",
+                          f"no metric of that name; {name} reports {', '.join(names)}")
 
 
 def write_json_atomic(path: str, payload: dict) -> str:

@@ -158,6 +158,18 @@ def prefix_columns(need: int, k: int) -> int:
     return min(k, 1 << (need - 1).bit_length())
 
 
+# cells (rows x k) in one block of states that integrate and identity_audit
+# hand to an RhsEvaluator: a block's scratch and result stay this small
+# whatever the number of samples
+BLOCK_CELLS = 1 << 12
+
+
+def row_blocks(m: int, k: int) -> list[slice]:
+    """Slices cutting m rows of length k into blocks of at most BLOCK_CELLS cells, one row at least."""
+    rows = max(1, BLOCK_CELLS // k)
+    return [slice(i, i + rows) for i in range(0, m, rows)]
+
+
 class RhsEvaluator:
     """Precomputed right-hand-side apparatus for one (kernel, k) pair.
 
@@ -182,6 +194,17 @@ class RhsEvaluator:
     and a trial step adds that zero to the +0.0 tail of y, which drops
     its sign. The views of each width are built on first use and cached:
     at most floor(log2(k)) + 2 widths, the width-k one with the evaluator.
+
+    A call also takes an (m, k) block of states, one per row, and returns
+    an (m, k) block equal bit for bit to the m one-state results; n_evals
+    counts states, not calls. The block runs the same statements with a
+    leading row axis, at the widest n of its rows (a row's extra columns
+    are +0.0 and change none of its sums, as above), and sets each row's
+    columns past its own n to +0.0. The matrix path does one
+    matrix-vector product per row: a matrix-matrix product would group
+    the sums differently. The block's scratch is allocated per call, so
+    callers keep blocks small (``row_blocks``); a one-row block runs the
+    one-state statements.
 
     Every call returns a fresh array, so the results of earlier calls stay
     valid. The scratch is reused across calls, so one evaluator must not be
@@ -229,6 +252,13 @@ class RhsEvaluator:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if not np.isfinite(x).all():
             raise NumericError("non-finite state entries passed to rhs")
+        if x.ndim == 1:
+            return self._state(x)
+        # a one-row block is cheaper through the one-state statements
+        return self._rows(x) if len(x) > 1 else self._state(x[0])[None]
+
+    def _state(self, x: np.ndarray) -> np.ndarray:
+        """The derivative at one state, on its occupied prefix."""
         self.n_evals += 1
         k = self.k
         n = k if x[-1] else prefix_columns(occupied_size(x) + 1, k)
@@ -258,6 +288,42 @@ class RhsEvaluator:
         np.add(S, T, out=loss)
         loss *= xn
         out[:n] -= loss
+        return out
+
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        """The statements of _state with a leading axis over the rows of X."""
+        m, k = X.shape
+        self.n_evals += m
+        widths = [k if x[-1] else prefix_columns(occupied_size(x) + 1, k) for x in X]
+        n = max(widths, default=1)
+        Xn = X[:, :n]
+        views = self._widths.get(n) or self._width(n)
+        if self._a is not None:
+            # weights shaped (2, 1, n): (2, n) would broadcast along the rows of a 2-row block
+            rev_weights, pair_weights, fwd_weights = (w[:, None] for w in views[:3])
+            W = np.empty((4, m, n))
+            np.multiply(rev_weights, Xn[:, ::-1], out=W[0::2])
+            np.multiply(fwd_weights, Xn, out=W[1::2])
+            np.add.accumulate(W, axis=2, out=W)
+            pair = W[:2]
+            pair *= pair_weights
+            pair += W[2:]
+            pair *= self._a
+            S, T = W[1], W[0, :, ::-1]
+        else:
+            sizes, low, up, _ = views
+            Y = sizes * Xn
+            S, T = np.empty((m, n)), np.empty((m, n))
+            for y, x, s, t in zip(Y, Xn, S, T):
+                np.matmul(low, y, out=s)
+                np.matmul(up, x, out=t)
+        out = np.zeros((m, k))
+        np.multiply(Xn[:, :-1], S[:, :-1], out=out[:, 1:n])
+        loss = np.add(S, T)
+        loss *= Xn
+        out[:, :n] -= loss
+        for row, width in zip(out, widths):
+            row[width:n] = 0.0
         return out
 
 

@@ -1,10 +1,13 @@
-"""Straightforward arithmetic that the library's stepping and rhs must reproduce bit for bit.
+"""Straightforward arithmetic that the library's stepping, rhs, dense output
+and quadrature must reproduce bit for bit.
 
 The tableau combinations are summed term by term from the left, as Python's
 ``sum`` does, and the separable rhs takes one ``np.cumsum`` per weighted
-vector. ``RhsEvaluator`` and ``integrator._dp_step`` arrange the same
-operations into fewer numpy calls; these oracles pin that every rounding
-stays where it was.
+vector. Hermite samples are formed one at a time and Simpson pairs summed
+in a Python loop. ``RhsEvaluator``, ``integrator._dp_step``,
+``integrator._hermite`` and ``numerics.cumulative_simpson`` arrange the
+same operations into fewer numpy calls; these oracles pin that every
+rounding stays where it was.
 
 The oracles always work on all k sizes. The library evaluates only the
 occupied prefix of a state and returns +0.0 beyond it, so comparing with
@@ -65,3 +68,55 @@ def rhs_oracle(kernel, k):
         return out
 
     return f
+
+
+def hermite_oracle(t0, y0, f0, t1, y1, f1, times, n, sizes, stats):
+    """The samples at times in (t0, t1] one by one, each clamped and charged on its own.
+
+    Takes and returns what ``integrator._hermite`` does, with a list of rows for the block.
+    """
+    k = y0.size
+    h = t1 - t0
+    rows = []
+    for ts in times:
+        th = (ts - t0) / h
+        h00 = 2 * th**3 - 3 * th**2 + 1
+        h10 = th**3 - 2 * th**2 + th
+        h01 = -2 * th**3 + 3 * th**2
+        h11 = th**3 - th**2
+        val = np.zeros(k)
+        vec = h00 * y0[:n] + h * h10 * f0[:n] + h01 * y1[:n] + h * h11 * f1[:n]
+        clamped = 0.0
+        if vec.min(initial=0.0) < 0.0:
+            neg = vec < 0.0
+            clamped = float(np.dot(sizes[:n][neg], -vec[neg]))
+            vec = vec.copy()
+            vec[neg] = 0.0
+        val[:n] = vec
+        stats.clamped_mass_sample += clamped
+        rows.append(val)
+    return rows
+
+
+def cumulative_simpson_oracle(t, y):
+    """Running sum of Simpson pairs at even indices, a trapezoid on top at odd ones."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = t.size
+    out = np.zeros(n)
+    acc = 0.0
+    for m in range(2, n, 2):
+        h0 = t[m - 1] - t[m - 2]
+        h1 = t[m] - t[m - 1]
+        h = h0 + h1
+        if h0 <= 0 or h1 <= 0:
+            raise ValueError("sample times must be strictly ascending")
+        acc += (h / 6.0) * (
+            (2.0 - h1 / h0) * y[m - 2]
+            + (h * h / (h0 * h1)) * y[m - 1]
+            + (2.0 - h0 / h1) * y[m]
+        )
+        out[m] = acc
+    for m in range(1, n, 2):
+        out[m] = out[m - 1] + 0.5 * (t[m] - t[m - 1]) * (y[m] + y[m - 1])
+    return out

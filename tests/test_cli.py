@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -213,6 +214,30 @@ def test_unknown_threshold_name_is_a_config_error(tmp_path, capsys):
                                              "thresholds": {"defect_final": 1.0}})
     assert main(["verify", cfg]) == 1
     assert "experiment.thresholds.defect_final" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # every experiment that takes thresholds checks their names before it writes anything:
+    # a name it reports is accepted, one it does not report fails before output exists
+    for experiment, bad in (({"name": "truncation", "k_list": [4, 8, 16]}, "defect_k32"),
+                            ({"name": "dependence"}, "uniqueness_sup"),
+                            ({"name": "dependence", "epsilon": 0.0}, "max_envelope_ratio"),
+                            ({"name": "decay"}, "m0_initial"),
+                            ({"name": "identity", "q_list": [4, 8]}, "identity_residual_one_q15"),
+                            ({"name": "weights", "max_size": 16}, "ineq_violations")):
+        out = tmp_path / f"out_{experiment['name']}"
+        cfg = write_config(tmp_path, output_dir=str(out), experiment=experiment)
+        assert main(["verify", cfg]) in (0, 2)
+        reported = json.loads((out / "report.json").read_text())["metrics"]
+        shutil.rmtree(out)
+        cfg = write_config(tmp_path, output_dir=str(out),
+                           experiment={**experiment, "thresholds": dict.fromkeys(reported, 1e300)})
+        assert main(["verify", cfg]) == 0, experiment
+        shutil.rmtree(out)
+        cfg = write_config(tmp_path, output_dir=str(out),
+                           experiment={**experiment, "thresholds": {bad: 1.0}})
+        capsys.readouterr()
+        assert main(["verify", cfg]) == 1, experiment
+        assert f"experiment.thresholds.{bad}" in capsys.readouterr().err
+        assert not out.exists(), experiment
 
 
 # Config fuzz: one value or key of a small valid config is replaced, deleted,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import cumulative_simpson_oracle
 
 from coagkin.diagnostics import (
     check_moment_propagation,
@@ -14,6 +15,7 @@ from coagkin.diagnostics import (
 from coagkin.integrator import SolverConfig, integrate
 from coagkin.kernels import additive, constant
 from coagkin.numerics import cumulative_simpson
+from coagkin import system
 from coagkin.system import RhsEvaluator, SizeDistribution, monomer
 from coagkin.weights import identity_weight, power_weight
 
@@ -63,14 +65,21 @@ def test_integrate_evaluates_the_rhs_once_per_sample(monkeypatch):
     original = RhsEvaluator.__call__
 
     def counted(self, x):
-        calls.append(x)
+        calls.append(x.shape)
         return original(self, x)
 
     monkeypatch.setattr(RhsEvaluator, "__call__", counted)
+    monkeypatch.setattr(system, "BLOCK_CELLS", 3 * 16)  # blocks of 3 rows at k = 16
     traj = integrate(monomer(16), additive(1.0),
                      SolverConfig(t_end=2.0, sample_times=np.linspace(0, 2, 41)))
     # the first sample is the initial state, whose rhs the first step already took
-    assert len(calls) == traj.step_stats.n_rhs_evals + len(traj.samples) - 1
+    rows = sum(shape[0] if len(shape) == 2 else 1 for shape in calls)
+    assert rows == traj.step_stats.n_rhs_evals + len(traj.samples) - 1
+    # the stepping evaluates single states; the diagnostics, blocks within the cell budget
+    blocks = [shape for shape in calls if len(shape) == 2]
+    assert len(calls) - len(blocks) == traj.step_stats.n_rhs_evals
+    assert len(blocks) <= math.ceil((len(traj.samples) - 1) / 3)
+    assert all(m * k <= 3 * 16 for m, k in blocks)
 
 
 def test_rhs_envelope_is_the_componentwise_max_over_samples():
@@ -98,6 +107,25 @@ def test_simpson_exact_on_quadratics():
     assert cum[5] == cum[4] + 0.5 * (t[5] - t[4]) * (y[5] + y[4])
     line = cumulative_simpson(t, 4.0 * t - 1.0)
     assert line[-1] == pytest.approx(2.0 * t[-1] ** 2 - t[-1], rel=1e-14)
+
+
+def test_simpson_matches_the_pairwise_loop_bit_for_bit(rng):
+    for n in (1, 2, 3, 4, 1001):
+        for _ in range(5):
+            # nonuniform steps over six decades, values of both signs over twelve
+            t = np.cumsum(10.0 ** rng.uniform(-6, 0, n))
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+            assert cumulative_simpson(t, y).tobytes() == cumulative_simpson_oracle(t, y).tobytes(), n
+    # a leading pair that sums to -0.0 still starts the running sum at +0.0
+    t = np.array([0.0, 0.5, 1.5, 2.0, 3.0])
+    y = np.array([-0.0, -0.0, -0.0, 1.0, 2.0])
+    cum = cumulative_simpson(t, y)
+    assert cum.tobytes() == cumulative_simpson_oracle(t, y).tobytes()
+    assert cum[2] == 0.0 and not np.signbit(cum[2])
+    # a repeated time inside a pair is rejected by both
+    for f in (cumulative_simpson, cumulative_simpson_oracle):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            f(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.ones(5))
 
 
 def test_record_fields():

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import dp_step_oracle, rhs_oracle
+from oracles import dp_step_oracle, hermite_oracle, rhs_oracle
 
 from coagkin import diagnostics, integrator
 from coagkin.errors import ConfigError, IntegrationStalledError, NumericError
@@ -251,12 +251,14 @@ def test_fsal_stage_and_state_survive_the_next_step(rng):
 
 
 class _OracleRhs:
-    """The full-length oracle rhs behind RhsEvaluator's interface."""
+    """The full-length oracle rhs behind RhsEvaluator's interface; a block is evaluated row by row."""
 
     def __init__(self, kernel, k):
         self.f, self.n_evals = rhs_oracle(kernel, k), 0
 
     def __call__(self, x):
+        if x.ndim == 2:
+            return np.array([self(row) for row in x])
         if not np.isfinite(x).all():
             raise NumericError("non-finite state entries passed to rhs")
         self.n_evals += 1
@@ -286,6 +288,43 @@ def test_integrate_matches_oracle_stepping_bit_for_bit(kern, k, abs_tol, monkeyp
     assert new.step_stats == replace(old.step_stats, max_occupied_size=new.step_stats.max_occupied_size)
     assert new.diagnostics == old.diagnostics
     assert new.rhs_envelope.tobytes() == old.rhs_envelope.tobytes()
+
+
+@pytest.mark.parametrize("kern,k,config", [
+    (constant(1.0), 32, SolverConfig(t_end=5.0, sample_times=np.linspace(0.0, 5.0, 1001))),
+    (additive(1.0), 64, SolverConfig(t_end=10.0, abs_tol=1e-8)),
+], ids=["many_samples_per_step", "sample_clamps"])
+def test_hermite_block_matches_per_sample_oracle_bit_for_bit(kern, k, config, monkeypatch):
+    new = integrate(monomer(k), kern, config)
+    monkeypatch.setattr(integrator, "_hermite", hermite_oracle)
+    old = integrate(monomer(k), kern, config)
+    assert new.states_matrix().tobytes() == old.states_matrix().tobytes()
+    assert new.step_stats == old.step_stats
+    assert new.diagnostics == old.diagnostics
+    st = new.step_stats
+    if kern.name.startswith("constant"):
+        assert len(new.samples) > 10 * st.n_accepted  # blocks of many rows
+    else:
+        assert st.clamped_mass_sample > MASS_BUDGET_REL * new.mass_series()[0]  # rows clamped
+
+
+def test_samples_at_a_step_end_are_that_state(monkeypatch):
+    # fixed steps of 0.1 end at accumulated times such as 0.30000000000000004; the sample
+    # within 1e-12 of each end is a copy of the state, not a Hermite value at theta ~ 1
+    ends = []
+    clamp = integrator._clamp
+
+    def spy(vec, sizes):
+        out, mass = clamp(vec, sizes)
+        ends.append(out.copy())
+        return out, mass
+
+    monkeypatch.setattr(integrator, "_clamp", spy)
+    traj = integrate(monomer(8), additive(1.0), SolverConfig(
+        t_end=1.0, mode=MODE_FIXED, fixed_h=0.1, sample_times=np.linspace(0.0, 1.0, 11)))
+    assert len(ends) == 10
+    for sample, end in zip(traj.samples[1:], ends):
+        assert sample.values.tobytes() == end.tobytes(), sample.time
 
 
 def test_rejections_are_split_by_cause():

@@ -188,6 +188,52 @@ def test_rhs_on_every_support_matches_oracle_bit_for_bit(kern, k, rng):
         assert not any(np.shares_memory(out, buf) for buf in scratch)
 
 
+BLOCK_KERNELS = [constant(0.7), additive(1.3), power_sum(1.0, 0.5), power_sum(0.7, 0.3), demo_table(257)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 48, 257])
+@pytest.mark.parametrize("kern", BLOCK_KERNELS, ids=[kn.name for kn in BLOCK_KERNELS])
+def test_block_rhs_matches_row_by_row_calls_bit_for_bit(kern, k, rng):
+    ev = RhsEvaluator(kern, k)
+    scratch = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]
+    results = []
+    for m in (1, 2, 3, 513):
+        # rows of every occupied size: empty, partial, a -0.0 last entry, negative
+        # entries (as in a stage input), subnormal; the first row is full to k
+        X = np.zeros((m, k))
+        for r, held in enumerate(rng.integers(0, k + 1, m)):
+            X[r, :held] = rng.random(held) * 10.0 ** rng.uniform(-12, 0, held)
+            if held and r % 4 == 1:
+                X[r, held - 1] = -0.0
+            if r % 4 == 2:
+                X[r, :held] -= 0.5
+            if held and r % 4 == 3:
+                X[r, held - 1] = 5e-324
+        X[0] = rng.random(k)
+        if m > 2:
+            # S_i changes sign past this row's columns: its zeros there would come out -0.0
+            X[2] = 0.0
+            X[2, :2] = (1.0, -0.45)
+        before = ev.n_evals
+        block = ev(X)
+        assert ev.n_evals == before + m  # states, not calls
+        rows = [ev(x) for x in X]
+        assert block.shape == (m, k)
+        assert block.tobytes() == np.array(rows).tobytes(), m
+        assert not any(np.shares_memory(block, buf) for buf in scratch)
+        results.append((block, block.tobytes()))
+    for block, kept in results:  # later calls left earlier blocks intact
+        assert block.tobytes() == kept
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.zeros((3, k))
+        X[:, 0] = 1.0
+        X[2, -1] = bad
+        before = ev.n_evals
+        with pytest.raises(NumericError):
+            ev(X)
+        assert ev.n_evals == before
+
+
 @pytest.mark.parametrize("k", [3, 64, 4096])
 def test_rhs_rejects_nonfinite_entries_in_the_zero_tail(k):
     ev = RhsEvaluator(additive(1.0), k)
