@@ -10,7 +10,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,21 +20,9 @@ from .errors import CoagkinError, ConfigError, NumericError
 from .integrator import SolverConfig, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .numerics import is_number
-from .reports import ExperimentReport, write_json_atomic
+from .reports import write_json_atomic
 from .system import SizeDistribution, geometric, monomer
 
-# keys each experiment reads besides its name. Admissibility takes no
-# thresholds: the kernel hypotheses it checks are exact, so a tolerated
-# count of violations has no meaning.
-_EXPERIMENT_KEYS = {
-    "truncation": ("thresholds", "k_list"),
-    "dependence": ("thresholds", "epsilon", "perturb_size"),
-    "decay": ("thresholds",),
-    "identity": ("thresholds", "q_list"),
-    "admissibility": ("max_size",),
-    "weights": ("thresholds", "max_size", "tail_budget"),
-}
-VALID_EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
 _SOLVER_FIELDS = {f.name: f for f in fields(SolverConfig)}
 _TOP_KEYS = ("kernel", "initial", "truncation_k", "solver", "experiment", "output_dir", "seed")
 # keys each initial type reads
@@ -96,7 +84,7 @@ class RunConfig:
             raise ConfigError("experiment", f"must be an object, got {exp!r}")
         if exp is not None:
             _check_experiment(exp, k)
-        cfg = cls(
+        return cls(
             kernel=dict(raw["kernel"]),
             initial=initial,
             truncation_k=k,
@@ -106,58 +94,28 @@ class RunConfig:
             seed=seed,
             source_path=source_path,
         )
-        # a bad list is a config error before any output exists
-        if exp is not None and exp["name"] == "truncation":
-            cfg.truncation_k_list()
-        if exp is not None and exp["name"] == "identity":
-            cfg.identity_q_list()
-        return cfg
+
+    @property
+    def spec(self) -> experiments.Experiment | None:
+        """The experiment table's entry for the configured experiment (None: no experiment)."""
+        return None if self.experiment is None else experiments.EXPERIMENTS[self.experiment["name"]]
 
     def build_kernel(self) -> CoagulationKernel:
         kern = kernels.from_config(self.kernel)
-        if (self.experiment or {}).get("name") == "decay" and kern.lower_bound_zeta is None:
-            raise ConfigError("kernel.zeta", "the decay experiment needs a declared lower bound zeta > 0")
+        spec = self.spec
+        if spec is not None and spec.needs is not None and getattr(kern, spec.needs[0]) is None:
+            _, key, what = spec.needs
+            raise ConfigError(f"kernel.{key}",
+                              f"the {self.experiment['name']} experiment needs a declared {what}")
         cover = kern.max_table_size
         if cover is not None:
-            need = self.largest_integrated_k()
+            # an experiment that integrates nothing caps its grid at the table's size
+            need = spec.largest_k(self.experiment, self.truncation_k) if spec else self.truncation_k
             if cover < need:
                 raise ConfigError(
                     "kernel.params.path", f"tabulated kernel covers sizes 1..{cover}, need {need}"
                 )
         return kern
-
-    def largest_integrated_k(self) -> int:
-        """Largest truncation size the command integrates at (0: it integrates none)."""
-        exp = self.experiment or {}
-        name = exp.get("name")
-        if name in ("admissibility", "weights"):
-            return 0  # the admissibility grid is capped at a table's size
-        if name == "truncation":
-            return self.truncation_k_list()[-1]
-        return self.truncation_k
-
-    def truncation_k_list(self) -> list[int]:
-        """Truncation sizes of the truncation experiment (default k/4, k/2, k)."""
-        k = self.truncation_k
-        k_list = _int_list(self.experiment or {}, "k_list", [k // 4, k // 2, k])
-        if len(k_list) < 3:
-            raise ConfigError("experiment.k_list", f"needs at least 3 entries, got {len(k_list)}")
-        if sorted(k_list) != k_list or k_list[0] < 2:
-            raise ConfigError(
-                "experiment.k_list", f"must be ascending with every entry >= 2, got {k_list}"
-            )
-        return k_list
-
-    def identity_q_list(self) -> list[int] | None:
-        """Partial-sum lengths of the identity experiment (None: the audit's default)."""
-        exp = self.experiment or {}
-        if "q_list" not in exp:
-            return None
-        k = self.truncation_k
-        q_list = _int_list(exp, "q_list", None)
-        if not q_list or not all(1 <= q <= k for q in q_list):
-            raise ConfigError("experiment.q_list", f"needs entries in 1..{k}, got {q_list}")
-        return q_list
 
     def build_solver(self) -> SolverConfig:
         kwargs = {}
@@ -254,9 +212,8 @@ def _check_initial(initial: dict) -> None:
             raise ConfigError("initial.path", f"file not found: {path!r}")
 
 
-def _int_list(block: dict, key: str, default) -> list[int]:
-    """The integer list block[key] of the experiment block, or the default."""
-    value = block.get(key, default)
+def _int_list(key: str, value) -> list[int]:
+    """The experiment setting ``key`` as a list of integers."""
     if not isinstance(value, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in value
     ):
@@ -265,36 +222,51 @@ def _int_list(block: dict, key: str, default) -> list[int]:
 
 
 def _check_experiment(exp: dict, k: int) -> None:
-    """The experiment's name, its keys, and the type and range of its scalar keys."""
+    """The experiment's name, its keys, and every setting it reads, defaults included."""
     if "name" not in exp:
         raise ConfigError("experiment.name", "missing experiment name")
     name = exp["name"]
-    if not isinstance(name, str) or name not in _EXPERIMENT_KEYS:
-        raise _unknown_experiment(name)
-    accepted = ("name", *_EXPERIMENT_KEYS[name])
+    if not isinstance(name, str) or name not in experiments.EXPERIMENTS:
+        raise ConfigError("experiment.name", f"unknown experiment {name!r}; "
+                          f"valid names: {', '.join(experiments.EXPERIMENTS)}")
+    spec = experiments.EXPERIMENTS[name]
+    accepted = ("name", *spec.keys)
     for key in exp:
         if key not in accepted:
             raise ConfigError(f"experiment.{key}",
                               f"unknown key for a {name} experiment; expected {', '.join(accepted)}")
+    settings = spec.settings(exp, k)
     for key, integer, in_range, rule in (
         ("max_size", True, lambda v: v >= 2, ">= 2"),
         ("perturb_size", True, lambda v: 1 <= v <= k, f"in 1..{k}"),
         ("epsilon", False, lambda v: 0 <= v < math.inf, ">= 0 and finite"),
         ("tail_budget", False, lambda v: 0 < v < math.inf, "> 0 and finite"),
     ):
-        if key not in exp:
+        if key not in settings:
             continue
-        value = exp[key]
+        value = settings[key]
         kinds = int if integer else (int, float)
         if isinstance(value, bool) or not isinstance(value, kinds) or not in_range(value):
             kind = "an integer" if integer else "a number"
             raise ConfigError(f"experiment.{key}", f"must be {kind} {rule}, got {value!r}")
-    thresholds = exp.get("thresholds")
+    thresholds = settings.get("thresholds")
     if thresholds is not None and not (
         isinstance(thresholds, dict) and all(is_number(v) for v in thresholds.values())
     ):
         raise ConfigError("experiment.thresholds",
                           f"must map metric names to numbers, got {thresholds!r}")
+    if "k_list" in settings:
+        k_list = _int_list("k_list", settings["k_list"])
+        if len(k_list) < 3:
+            raise ConfigError("experiment.k_list", f"needs at least 3 entries, got {len(k_list)}")
+        if sorted(k_list) != k_list or k_list[0] < 2:
+            raise ConfigError(
+                "experiment.k_list", f"must be ascending with every entry >= 2, got {k_list}"
+            )
+    if "q_list" in exp:  # absent, the audit chooses its own
+        q_list = _int_list("q_list", exp["q_list"])
+        if not q_list or not all(1 <= q <= k for q in q_list):
+            raise ConfigError("experiment.q_list", f"needs entries in 1..{k}, got {q_list}")
 
 
 def _fail(msg: str) -> int:
@@ -340,15 +312,15 @@ def simulate(config_path: str) -> int:
         ),
     ]
     violations = traj.check_invariants()
-    summary = {
-        "config_echo": cfg.resolved_dict(),
-        "kernel": kern.name,
-        "step_stats": traj.step_stats.to_dict(),
-        "mass_defect": mass_defect(traj),
-        "invariant_violations": violations,
-        "files": files,
-        "admissibility": adm.to_dict(),
-    }
+    summary = dict(
+        config_echo=cfg.resolved_dict(),
+        kernel=kern.name,
+        step_stats=traj.step_stats.to_dict(),
+        mass_defect=mass_defect(traj),
+        invariant_violations=violations,
+        files=files,
+        admissibility=adm.to_dict(),
+    )
     output.write_summary_json(os.path.join(out, "summary.json"), summary)
     if violations:
         print("invariant violations:", file=sys.stderr)
@@ -357,64 +329,6 @@ def simulate(config_path: str) -> int:
         return 2
     print(f"ok: wrote {len(files) + 1} files to {out}")
     return 0
-
-
-def _experiment_report(
-    cfg: RunConfig, kern: CoagulationKernel, solver: SolverConfig
-) -> ExperimentReport:
-    exp = cfg.experiment or {}
-    name = exp.get("name")
-    thresholds = exp.get("thresholds")
-    out = cfg.output_dir
-
-    if name == "truncation":
-        return experiments.truncation_convergence(
-            kern, cfg.build_initial, cfg.truncation_k_list(), solver.t_end,
-            solver=solver, thresholds=thresholds, out_dir=out,
-        )
-    if name == "dependence":
-        eps = float(exp.get("epsilon", 1e-6))
-        size = exp.get("perturb_size", 2)
-        init_a = cfg.build_initial()
-        vb = init_a.values.copy()
-        vb[size - 1] += eps
-        init_b = SizeDistribution(vb, cfg.truncation_k, 0.0)
-        return experiments.continuous_dependence(
-            kern, init_a, init_b, solver.t_end,
-            solver=solver, thresholds=thresholds, out_dir=out,
-        )
-    if name == "decay":
-        if "sample_times" not in cfg.solver:
-            # default grid, plus the 0.9*T sample the settling check needs
-            ts = np.unique(np.concatenate([np.linspace(0.0, solver.t_end, 101),
-                                           [0.9 * solver.t_end]]))
-            solver = replace(solver, sample_times=ts)
-        return experiments.asymptotic_decay(
-            kern, cfg.build_initial(), solver.t_end,
-            solver=solver, thresholds=thresholds, out_dir=out,
-        )
-    if name == "identity":
-        traj = integrate(cfg.build_initial(), kern, solver)
-        return experiments.identity_audit(
-            traj, kern, q_list=cfg.identity_q_list(), thresholds=thresholds, out_dir=out,
-        )
-    if name == "admissibility":
-        return check_admissibility(kern, exp.get("max_size", 4 * cfg.truncation_k))
-    if name == "weights":
-        return experiments.weights_audit(
-            cfg.build_initial(),
-            max_size=exp.get("max_size", 500),
-            tail_budget=float(exp.get("tail_budget", 1.0)),
-            thresholds=thresholds,
-        )
-    raise _unknown_experiment(name)
-
-
-def _unknown_experiment(name) -> ConfigError:
-    return ConfigError(
-        "experiment.name",
-        f"unknown experiment {name!r}; valid names: {', '.join(VALID_EXPERIMENTS)}",
-    )
 
 
 def verify(config_path: str) -> int:
@@ -431,8 +345,10 @@ def verify(config_path: str) -> int:
     # no makedirs here: every writer creates its directory, so a config error
     # an experiment raises before writing (a misnamed threshold) leaves no output
     report_path = os.path.join(cfg.output_dir, "report.json")
+    spec = cfg.spec
     try:
-        report = _experiment_report(cfg, kern, solver)
+        report = spec.run(kern, cfg.build_initial, cfg.truncation_k, solver,
+                          spec.settings(cfg.experiment, cfg.truncation_k), cfg.output_dir)
     except ConfigError as exc:
         return _fail(str(exc))
     except NumericError as exc:

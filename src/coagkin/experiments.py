@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import output
 from .diagnostics import mass_defect, moment
 from .integrator import MODE_FIXED, SolverConfig, Trajectory, integrate
-from .kernels import CoagulationKernel
+from .kernels import CoagulationKernel, check_admissibility
 from .numerics import cumulative_simpson
 from .reports import ExperimentReport, check_threshold_names
 from .system import (
@@ -242,7 +243,9 @@ def asymptotic_decay(
 
     Default component tolerances are calibrated to the observable decay,
     which is a slow power law (roughly t**-2 prefactored by the early
-    transient); they are config data, echoed in the report.
+    transient); they are config data, echoed in the report. The settling
+    check compares the final state with the one at 0.9 * t_long, so that
+    time is merged into the sample grid, the default one or the solver's.
     """
     if kernel.lower_bound_zeta is None or not kernel.lower_bound_zeta > 0:
         raise ValueError("asymptotic decay needs a kernel with a positive lower bound zeta")
@@ -250,9 +253,8 @@ def asymptotic_decay(
     check_threshold_names("asymptotic_decay", thresholds, [
         "m0_monotone_violations", "max_envelope_ratio", "component_convergence",
         "component_limit", "m0_final", "zeta"])
-    if solver is None:
-        ts = np.unique(np.concatenate([np.linspace(0.0, t_long, 101), [0.9 * t_long]]))
-        solver = SolverConfig(t_end=t_long, sample_times=ts)
+    base = _solver(solver, t_long)
+    solver = replace(base, sample_times=np.union1d(base.resolved_sample_times(), [0.9 * t_long]))
     traj = integrate(init, kernel, solver)
     times = traj.times()
     m0 = traj.number_series()
@@ -318,13 +320,24 @@ def asymptotic_decay(
     )
 
 
-def default_phi_catalog(q: int) -> dict[str, TestSequence]:
-    return {
-        "one": TestSequence.ones(q),
-        "size": TestSequence.sizes(q),
-        "size_sq": TestSequence.size_power(q, 2.0),
-        "alternating": TestSequence.alternating(q),
-    }
+_IDENTITY_RULES = {
+    "one": TestSequence.ones,
+    "size": TestSequence.sizes,
+    "size_sq": lambda q: TestSequence.size_power(q, 2.0),
+}
+
+
+def _identity_plan(k: int, q_list, rules: dict) -> tuple[list[int], list[str]]:
+    """The audited partial-sum lengths (default k/4, k/2, k - 1) and the metric names."""
+    if q_list is None:
+        q_list = sorted({max(2, k // 4), max(2, k // 2), k - 1})
+    bad = [q for q in q_list
+           if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 1 <= q <= k]
+    if bad:
+        raise ValueError(f"q_list entries must be integers in 1..{k}, got {bad}")
+    q_list = [int(q) for q in q_list]
+    return q_list, ["max_identity_residual", "max_adjoint_residual",
+                    *(f"identity_residual_{name}_q{q}" for name in rules for q in q_list)]
 
 
 def identity_audit(
@@ -353,21 +366,9 @@ def identity_audit(
     if not traj.samples:
         raise ValueError("trajectory is empty")
     k = traj.samples[0].truncation_k
-    if q_list is None:
-        q_list = sorted({max(2, k // 4), max(2, k // 2), k - 1})
-    bad = [q for q in q_list
-           if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 1 <= q <= k]
-    if bad:
-        raise ValueError(f"q_list entries must be integers in 1..{k}, got {bad}")
-    q_list = [int(q) for q in q_list]
-    rules = phi_rules or {
-        "one": lambda q: TestSequence.ones(q),
-        "size": lambda q: TestSequence.sizes(q),
-        "size_sq": lambda q: TestSequence.size_power(q, 2.0),
-    }
-    check_threshold_names("identity_audit", thresholds, [
-        "max_identity_residual", "max_adjoint_residual",
-        *(f"identity_residual_{name}_q{q}" for name in rules for q in q_list)])
+    rules = phi_rules or _IDENTITY_RULES
+    q_list, names = _identity_plan(k, q_list, rules)
+    check_threshold_names("identity_audit", thresholds, names)
     rel_tol = traj.config.rel_tol
     times = traj.times()
     samples = traj.samples
@@ -554,3 +555,81 @@ def convergence_order(
     e_h = float(np.max(np.abs(runs[1.0] - runs[0.25])))
     e_h2 = float(np.max(np.abs(runs[0.5] - runs[0.125])))
     return {"error_h": e_h, "error_h_half": e_h2, "ratio": e_h / e_h2}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One ``verify`` experiment: the config keys it reads and how it runs.
+
+    ``keys`` maps each key besides ``name`` to its default: a value, a
+    function of the truncation size k, or None for the library's own.
+    ``needs`` is the kernel constant it requires: (attribute, config key,
+    description). ``run(kernel, initial, k, solver, settings, out_dir)``
+    returns the report, where ``initial(k)`` builds the initial state.
+    """
+
+    keys: dict
+    run: Callable[..., ExperimentReport]
+    needs: tuple[str, str, str] | None = None
+    integrates: bool = True
+
+    def settings(self, block: dict, k: int) -> dict:
+        """Every key the experiment reads: the block's value, else its default."""
+        return {key: block[key] if key in block else default(k) if callable(default) else default
+                for key, default in self.keys.items()}
+
+    def largest_k(self, block: dict, k: int) -> int:
+        """Largest truncation size the experiment integrates at (0: it integrates none)."""
+        return self.settings(block, k).get("k_list", [k])[-1] if self.integrates else 0
+
+
+def _truncation(kernel, initial, k, solver, s, out_dir):
+    return truncation_convergence(kernel, initial, s["k_list"], solver.t_end, solver=solver,
+                                  thresholds=s["thresholds"], out_dir=out_dir)
+
+
+def _dependence(kernel, initial, k, solver, s, out_dir):
+    init_a = initial(k)
+    vb = init_a.values.copy()
+    vb[s["perturb_size"] - 1] += float(s["epsilon"])
+    return continuous_dependence(kernel, init_a, SizeDistribution(vb, k, 0.0), solver.t_end,
+                                 solver=solver, thresholds=s["thresholds"], out_dir=out_dir)
+
+
+def _decay(kernel, initial, k, solver, s, out_dir):
+    return asymptotic_decay(kernel, initial(k), solver.t_end, solver=solver,
+                            thresholds=s["thresholds"], out_dir=out_dir)
+
+
+def _identity(kernel, initial, k, solver, s, out_dir):
+    # a threshold naming no metric fails before the integration it would waste
+    names = _identity_plan(k, s["q_list"], _IDENTITY_RULES)[1]
+    check_threshold_names("identity_audit", s["thresholds"], names)
+    traj = integrate(initial(k), kernel, solver)
+    return identity_audit(traj, kernel, q_list=s["q_list"], thresholds=s["thresholds"],
+                          out_dir=out_dir)
+
+
+def _admissibility(kernel, initial, k, solver, s, out_dir):
+    return check_admissibility(kernel, s["max_size"])
+
+
+def _weights(kernel, initial, k, solver, s, out_dir):
+    return weights_audit(initial(k), max_size=s["max_size"],
+                         tail_budget=float(s["tail_budget"]), thresholds=s["thresholds"])
+
+
+EXPERIMENTS = {
+    "truncation": Experiment({"thresholds": None, "k_list": lambda k: [k // 4, k // 2, k]},
+                             _truncation),
+    "dependence": Experiment({"thresholds": None, "epsilon": 1e-6, "perturb_size": 2}, _dependence,
+                             needs=("power_delta", "delta", "growth exponent delta")),
+    "decay": Experiment({"thresholds": None}, _decay,
+                        needs=("lower_bound_zeta", "zeta", "lower bound zeta > 0")),
+    "identity": Experiment({"thresholds": None, "q_list": None}, _identity),
+    # no thresholds: the kernel hypotheses it checks are exact, so a
+    # tolerated count of violations has no meaning
+    "admissibility": Experiment({"max_size": lambda k: 4 * k}, _admissibility, integrates=False),
+    "weights": Experiment({"thresholds": None, "max_size": 500, "tail_budget": 1.0}, _weights,
+                          integrates=False),
+}

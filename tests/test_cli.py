@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coagkin import cli, kernels
+from coagkin import cli, experiments, kernels
 from coagkin.cli import main
 from coagkin.integrator import SolverConfig
 
@@ -174,6 +174,7 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
     ("simulate", {"kernel": ["constant"]}, "'kernel'"),
     ("simulate", {"kernel": {"params": "x"}}, "kernel.params"),
     ("verify", {"kernel": {"zeta": None}, "experiment": {"name": "decay"}}, "kernel.zeta"),
+    ("verify", {"kernel": {"delta": None}, "experiment": {"name": "dependence"}}, "kernel.delta"),
     ("verify", {"experiment": {"name": "truncation", "thresholds": {"defect_final_max": "x"}}},
      "experiment.thresholds"),
     ("simulate", {"kernel": {"A": -1}}, "kernel.A"),
@@ -197,7 +198,8 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
         "perturb_size_above_k", "tail_budget_negative", "kernel_param_unknown",
         "kernel_param_string", "positivity_floor_removed", "initial_key_unknown",
         "initial_ratio_string", "initial_not_object", "kernel_not_object",
-        "kernel_params_not_object", "decay_without_zeta", "threshold_string",
+        "kernel_params_not_object", "decay_without_zeta", "dependence_without_delta",
+        "threshold_string",
         "kernel_A_negative", "kernel_delta_above_one", "kernel_zeta_zero", "constant_c_zero",
         "additive_a_negative", "power_a_zero", "power_exponent_above_one",
         "decay_foreign_key", "truncation_foreign_key", "admissibility_foreign_key",
@@ -222,6 +224,7 @@ def test_unknown_threshold_name_is_a_config_error(tmp_path, capsys):
                             ({"name": "dependence", "epsilon": 0.0}, "max_envelope_ratio"),
                             ({"name": "decay"}, "m0_initial"),
                             ({"name": "identity", "q_list": [4, 8]}, "identity_residual_one_q15"),
+                            ({"name": "identity"}, "identity_residual_one_q16"),
                             ({"name": "weights", "max_size": 16}, "ineq_violations")):
         out = tmp_path / f"out_{experiment['name']}"
         cfg = write_config(tmp_path, output_dir=str(out), experiment=experiment)
@@ -235,9 +238,17 @@ def test_unknown_threshold_name_is_a_config_error(tmp_path, capsys):
         cfg = write_config(tmp_path, output_dir=str(out),
                            experiment={**experiment, "thresholds": {bad: 1.0}})
         capsys.readouterr()
-        assert main(["verify", cfg]) == 1, experiment
+        with pytest.MonkeyPatch.context() as mp:
+            if experiment["name"] == "identity":  # rejected before the trajectory is integrated
+                for module in (cli, experiments):
+                    mp.setattr(module, "integrate", _no_integration)
+            assert main(["verify", cfg]) == 1, experiment
         assert f"experiment.thresholds.{bad}" in capsys.readouterr().err
         assert not out.exists(), experiment
+
+
+def _no_integration(*args, **kwargs):
+    raise AssertionError("integrated before the thresholds were checked")
 
 
 # Config fuzz: one value or key of a small valid config is replaced, deleted,
@@ -343,8 +354,15 @@ def test_schema_keys_are_the_accepted_keys():
     assert set(schema["kernel"]["properties"]["params"]["properties"]) == set().union(
         *kernels._PARAMS.values())
     experiment = schema["experiment"]["properties"]
-    assert set(experiment) == {"name"}.union(*cli._EXPERIMENT_KEYS.values())
-    assert experiment["name"]["enum"] == list(cli._EXPERIMENT_KEYS)
+    table = experiments.EXPERIMENTS
+    assert set(experiment) == {"name"}.union(*(spec.keys for spec in table.values()))
+    assert experiment["name"]["enum"] == list(table)
+    # a schema default is the table's default in every experiment that reads the key
+    defaults = {key: prop["default"] for key, prop in experiment.items() if "default" in prop}
+    assert set(defaults) == {"epsilon", "perturb_size", "tail_budget"}
+    for key, default in defaults.items():
+        readers = [spec for spec in table.values() if key in spec.keys]
+        assert readers and all(spec.keys[key] == default for spec in readers), key
 
 
 def test_simulate_additive_k256_default_solver_keeps_invariants(tmp_path):
@@ -372,6 +390,17 @@ def test_verify_unknown_experiment_lists_names(tmp_path, capsys):
     err = capsys.readouterr().err
     for name in ("truncation", "dependence", "decay", "identity", "admissibility", "weights"):
         assert name in err
+
+
+def test_verify_decay_samples_the_settling_time_on_a_user_grid(tmp_path):
+    cfg = write_config(tmp_path, truncation_k=8,
+                       solver={"t_end": 2.0, "sample_times": [0.0, 1.0, 2.0]},
+                       experiment={"name": "decay"})
+    assert main(["verify", cfg]) in (0, 2)
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 1.0, 0.9 * 2.0, 2.0]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["metrics"]["component_convergence"] > 0.0  # not the final state against itself
 
 
 def test_verify_dependence_admissibility_weights(tmp_path):
