@@ -28,7 +28,7 @@ for idx in range(0, 51, 10):
     d = traj.diagnostics[idx]
     mean = d.moment_1 / d.moment_0 if d.moment_0 > 0 else 0.0
     print(f"{traj.samples[idx].time:6.1f}   {d.moment_0:.6f}    {d.moment_1:.6f}   "
-          f"{d.moment_m[2.0]:9.4f}  {mean:8.3f}")
+          f"{d.moment_2:9.4f}  {mean:8.3f}")
 
 print()
 print(f"mass defect over the run: {mass_defect(traj):.3e}  (leak through the size-64 boundary)")

@@ -32,7 +32,6 @@ from .reports import ExperimentReport
 from .system import (
     RhsEvaluator,
     SizeDistribution,
-    TestSequence,
     finite_identity_rate,
     geometric,
     mass_leak_rate,
@@ -66,7 +65,6 @@ __all__ = [
     "SizeDistribution",
     "SolverConfig",
     "StepStats",
-    "TestSequence",
     "Trajectory",
     "additive",
     "catalog",

@@ -24,7 +24,7 @@ from .reports import write_json_atomic
 from .system import SizeDistribution, geometric, monomer
 
 _SOLVER_FIELDS = {f.name: f for f in fields(SolverConfig)}
-_TOP_KEYS = ("kernel", "initial", "truncation_k", "solver", "experiment", "output_dir", "seed")
+_TOP_KEYS = ("kernel", "initial", "truncation_k", "solver", "experiment", "output_dir")
 # keys each initial type reads
 _INITIAL_KEYS = {
     "monomer": ("type", "mass_scale"),
@@ -41,7 +41,6 @@ class RunConfig:
     solver: dict
     output_dir: str
     experiment: dict | None = None
-    seed: int = 0
     source_path: str | None = None
 
     @classmethod
@@ -76,9 +75,6 @@ class RunConfig:
         output_dir = raw.get("output_dir", "coagkin_out")
         if not isinstance(output_dir, str) or not output_dir:
             raise ConfigError("output_dir", f"must be a nonempty string, got {output_dir!r}")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed", f"must be an integer, got {seed!r}")
         exp = raw.get("experiment")
         if exp is not None and not isinstance(exp, dict):
             raise ConfigError("experiment", f"must be an object, got {exp!r}")
@@ -91,7 +87,6 @@ class RunConfig:
             solver=dict(raw["solver"]),
             output_dir=output_dir,
             experiment=dict(exp) if exp is not None else None,
-            seed=seed,
             source_path=source_path,
         )
 
@@ -150,11 +145,9 @@ class RunConfig:
         kind = self.initial.get("type", "monomer")
         scale = float(self.initial.get("mass_scale", 1.0))
         if kind == "monomer":
-            v = monomer(k, scale).values
+            state = monomer(k, scale)
         elif kind == "geometric":
-            g = geometric(k, float(self.initial.get("ratio", 0.5)))
-            # normalized so the initial mass equals mass_scale
-            v = scale * g.values / g.mass
+            state = geometric(k, float(self.initial.get("ratio", 0.5)), scale)
         else:
             path = self.initial["path"]
             try:
@@ -169,7 +162,7 @@ class RunConfig:
                 raise ConfigError("initial.path", "needs finite nonnegative concentrations")
             v = np.zeros(k)
             v[: vals.size] = scale * vals
-        state = SizeDistribution(v, k, 0.0)
+            state = SizeDistribution(v, k)
         state.validate()
         return state
 
@@ -182,7 +175,6 @@ class RunConfig:
             "solver": self.build_solver().to_dict(),
             "experiment": self.experiment,
             "output_dir": self.output_dir,
-            "seed": self.seed,
         }
 
 

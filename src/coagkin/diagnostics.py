@@ -7,7 +7,7 @@ summation scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,10 +43,6 @@ def _moment(held: np.ndarray, sizes: np.ndarray, m: float) -> float:
     return _fsum(sizes**m * held)
 
 
-def _g_moment(held: np.ndarray, sizes: np.ndarray, weight: ConvexWeight) -> float:
-    return _fsum(np.asarray(weight_eval(weight, sizes)) * held)
-
-
 def moment(state: SizeDistribution, m: float) -> float:
     """Weighted sum M_m = sum_i i**m xi_i over the truncated state."""
     return _moment(*_held(state), m)
@@ -54,30 +50,28 @@ def moment(state: SizeDistribution, m: float) -> float:
 
 def g_moment(state: SizeDistribution, weight: ConvexWeight) -> float:
     """Weighted sum sum_i G(i) xi_i for a convex weight G."""
-    return _g_moment(*_held(state), weight)
+    held, sizes = _held(state)
+    return _fsum(np.asarray(weight_eval(weight, sizes)) * held)
 
 
 @dataclass
 class DiagnosticsRecord:
-    """Per-sample scalar observables."""
+    """Per-sample scalar observables: one row of ``diagnostics.csv``."""
 
     moment_0: float
     moment_1: float
-    moment_m: dict[float, float] = field(default_factory=dict)
-    g_moments: dict[str, float] = field(default_factory=dict)
-    tail_mass_fraction: float = 0.0
-    rhs_sup: float = 0.0
-    mass_leak_rate: float = 0.0
+    moment_2: float
+    tail_mass_fraction: float
+    rhs_sup: float
+    mass_leak_rate: float
 
 
 def compute_record(
     state: SizeDistribution,
     kernel: "CoagulationKernel",
-    orders=(0.0, 1.0, 2.0),
-    weights: dict[str, ConvexWeight] | None = None,
     deriv: np.ndarray | None = None,
 ) -> DiagnosticsRecord:
-    """Evaluate the standard observables at one sample.
+    """Evaluate the observables of one ``diagnostics.csv`` row at one sample.
 
     ``tail_mass_fraction`` is the mass share sitting above size k/2, the
     early-warning indicator that the truncation boundary is active.
@@ -89,8 +83,6 @@ def compute_record(
     mass = sizes * held
     m0 = _fsum(held)
     m1 = _fsum(mass)
-    extra = {float(m): _moment(held, sizes, float(m)) for m in orders if float(m) not in (0.0, 1.0)}
-    gm = {name: _g_moment(held, sizes, w) for name, w in (weights or {}).items()}
     tail = _fsum(mass[k // 2:])
     tail_fraction = tail / m1 if m1 > 0 else 0.0
     if deriv is None:
@@ -98,8 +90,7 @@ def compute_record(
     return DiagnosticsRecord(
         moment_0=m0,
         moment_1=m1,
-        moment_m=extra,
-        g_moments=gm,
+        moment_2=_moment(held, sizes, 2.0),
         tail_mass_fraction=float(tail_fraction),
         # the derivative vanishes past size m + 1
         rhs_sup=float(np.max(np.abs(deriv[: held.size + 1]))),
@@ -130,7 +121,6 @@ def check_moment_propagation(
     traj: "Trajectory",
     weight: ConvexWeight,
     kernel: "CoagulationKernel",
-    growth_constant: float | None = None,
 ) -> ExperimentReport:
     """Verify the exponential envelope on the G-weighted moment.
 
@@ -146,7 +136,7 @@ def check_moment_propagation(
     mg = np.array([g_moment(s, weight) for s in traj.samples])
     times = np.array([s.time for s in traj.samples])
     m1_0 = traj.diagnostics[0].moment_1
-    c_safe = growth_constant if growth_constant is not None else 4.0 * kernel.growth_constant_A * m1_0
+    c_safe = 4.0 * kernel.growth_constant_A * m1_0
 
     metrics: dict[str, float] = {"c_safe": c_safe, "g_moment_initial": float(mg[0])}
     if mg[0] == 0.0:

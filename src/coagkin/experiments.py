@@ -22,7 +22,6 @@ from .reports import ExperimentReport, check_threshold_names
 from .system import (
     RhsEvaluator,
     SizeDistribution,
-    TestSequence,
     finite_identity_rate,
     row_blocks,
     weak_form_rate,
@@ -35,7 +34,10 @@ def _run_ordered(fn, items):
 
 
 def _solver(solver: SolverConfig | None, t_end: float, n_samples: int = 101) -> SolverConfig:
+    """The given solver, which must end at t_end, else the default one on n_samples uniform times."""
     if solver is not None:
+        if solver.t_end != t_end:
+            raise ValueError(f"solver.t_end {solver.t_end} differs from the end time {t_end} given")
         return solver
     return SolverConfig(t_end=t_end, sample_times=np.linspace(0.0, t_end, n_samples))
 
@@ -320,14 +322,15 @@ def asymptotic_decay(
     )
 
 
+# the audited test sequences phi_1..phi_q, by name
 _IDENTITY_RULES = {
-    "one": TestSequence.ones,
-    "size": TestSequence.sizes,
-    "size_sq": lambda q: TestSequence.size_power(q, 2.0),
+    "one": np.ones,
+    "size": lambda q: np.arange(1.0, q + 1),
+    "size_sq": lambda q: np.arange(1.0, q + 1) ** 2.0,
 }
 
 
-def _identity_plan(k: int, q_list, rules: dict) -> tuple[list[int], list[str]]:
+def _identity_plan(k: int, q_list) -> tuple[list[int], list[str]]:
     """The audited partial-sum lengths (default k/4, k/2, k - 1) and the metric names."""
     if q_list is None:
         q_list = sorted({max(2, k // 4), max(2, k // 2), k - 1})
@@ -337,13 +340,13 @@ def _identity_plan(k: int, q_list, rules: dict) -> tuple[list[int], list[str]]:
         raise ValueError(f"q_list entries must be integers in 1..{k}, got {bad}")
     q_list = [int(q) for q in q_list]
     return q_list, ["max_identity_residual", "max_adjoint_residual",
-                    *(f"identity_residual_{name}_q{q}" for name in rules for q in q_list)]
+                    *(f"identity_residual_{name}_q{q}"
+                      for name in _IDENTITY_RULES for q in q_list)]
 
 
 def identity_audit(
     traj: Trajectory,
     kernel: CoagulationKernel,
-    phi_rules: dict | None = None,
     q_list=None,
     thresholds: dict | None = None,
     out_dir: str | None = None,
@@ -366,8 +369,7 @@ def identity_audit(
     if not traj.samples:
         raise ValueError("trajectory is empty")
     k = traj.samples[0].truncation_k
-    rules = phi_rules or _IDENTITY_RULES
-    q_list, names = _identity_plan(k, q_list, rules)
+    q_list, names = _identity_plan(k, q_list)
     check_threshold_names("identity_audit", thresholds, names)
     rel_tol = traj.config.rel_tol
     times = traj.times()
@@ -381,8 +383,8 @@ def identity_audit(
     max_identity_residual = 0.0
     max_adjoint_residual = 0.0
     pair_metrics = {}
-    for phi_name, make_phi in rules.items():
-        psi = make_phi(k).values
+    for phi_name, make_phi in _IDENTITY_RULES.items():
+        psi = make_phi(k)
         # pointwise adjoint consistency of the full weak form
         wf = weak_form_rate(psi, samples, kernel)
         scale = np.maximum(np.maximum(np.abs(derivs) @ np.abs(psi), np.abs(wf)), 1.0)
@@ -394,7 +396,7 @@ def identity_audit(
                 rates = weak_form_rate(phi, samples, kernel)
             else:
                 rates = finite_identity_rate(phi, samples, kernel, q)
-            weighted = X[:, :q] @ phi.values
+            weighted = X[:, :q] @ phi
             integral = cumulative_simpson(times, rates)
             scale = np.maximum.reduce(
                 [np.abs(weighted), np.full_like(weighted, abs(weighted[0])), np.abs(integral)]
@@ -603,7 +605,7 @@ def _decay(kernel, initial, k, solver, s, out_dir):
 
 def _identity(kernel, initial, k, solver, s, out_dir):
     # a threshold naming no metric fails before the integration it would waste
-    names = _identity_plan(k, s["q_list"], _IDENTITY_RULES)[1]
+    names = _identity_plan(k, s["q_list"])[1]
     check_threshold_names("identity_audit", s["thresholds"], names)
     traj = integrate(initial(k), kernel, solver)
     return identity_audit(traj, kernel, q_list=s["q_list"], thresholds=s["thresholds"],

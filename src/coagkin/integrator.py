@@ -145,7 +145,6 @@ class Trajectory:
     diagnostics: list[DiagnosticsRecord]
     step_stats: StepStats
     config: SolverConfig
-    kernel_name: str
     rhs_envelope: np.ndarray = field(default_factory=lambda: np.array([]))
 
     def times(self) -> np.ndarray:
@@ -334,8 +333,6 @@ def integrate(
     init: SizeDistribution,
     kernel: CoagulationKernel,
     config: SolverConfig,
-    g_weights: dict | None = None,
-    moment_orders=(0.0, 1.0, 2.0),
 ) -> Trajectory:
     """Integrate the truncated system and sample it on the output grid.
 
@@ -358,10 +355,6 @@ def integrate(
     if init.time != 0.0:
         raise ValueError(f"initial state must carry time 0, got {init.time}")
     k = init.truncation_k
-    if kernel.max_table_size is not None and k > kernel.max_table_size:
-        raise ValueError(
-            f"tabulated kernel covers sizes 1..{kernel.max_table_size}, need {k}"
-        )
 
     f = RhsEvaluator(kernel, k)
     work = _StepWork(k)
@@ -478,20 +471,18 @@ def integrate(
     # of rows, so no samples x k matrix of derivatives is kept. The first sample
     # is the initial state, whose rhs the stepping took first; its record comes
     # before the first block.
-    records = dict(kernel=kernel, orders=moment_orders, weights=g_weights)
-    diagnostics = [compute_record(samples[0], deriv=f0, **records)]
+    diagnostics = [compute_record(samples[0], kernel, deriv=f0)]
     envelope = np.abs(f0)
     later = samples[1:]
     for rows in row_blocks(len(later), k):
         states = later[rows]
         derivs = f(np.array([s.values for s in states]))
         np.maximum(envelope, np.abs(derivs).max(axis=0), out=envelope)
-        diagnostics += [compute_record(s, deriv=d, **records) for s, d in zip(states, derivs)]
+        diagnostics += [compute_record(s, kernel, deriv=d) for s, d in zip(states, derivs)]
     return Trajectory(
         samples=samples,
         diagnostics=diagnostics,
         step_stats=stats,
         config=config,
-        kernel_name=kernel.name,
         rhs_envelope=envelope,
     )

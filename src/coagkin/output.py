@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from .reports import write_json_atomic
+from .system import occupied_size
 
 
 def fmt(x: float) -> str:
@@ -21,36 +22,27 @@ def fmt(x: float) -> str:
 def write_trajectory_csv(path: str, traj) -> str:
     """One row per sample; the same text as joining ``fmt`` of every value.
 
-    Each row is one ``%.17g`` format up to its last entry that is not +0.0
-    (a -0.0 keeps its sign), then a literal run of ``,0`` for the empty tail.
+    Each row is one ``%.17g`` format up to the sample's ``occupied_size``
+    (a -0.0 keeps its sign), then a literal run of ``,0`` for the empty
+    tail. Rows go to the file as they are formatted.
     """
     k = traj.samples[0].truncation_k
-    header = "t," + ",".join(f"xi_{i}" for i in range(1, k + 1))
-    lines = [header]
-    for s in traj.samples:
-        held = np.flatnonzero((s.values != 0.0) | np.signbit(s.values))
-        n = int(held[-1]) + 1 if held.size else 0
-        row = ("%.17g" + ",%.17g" * n) % (s.time, *s.values[:n].tolist())
-        lines.append(row + ",0" * (k - n))
-    _write_text(path, "\n".join(lines) + "\n")
+    with _create(path) as fh:
+        fh.write("t," + ",".join(f"xi_{i}" for i in range(1, k + 1)) + "\n")
+        for s in traj.samples:
+            n = occupied_size(s.values)
+            row = ("%.17g" + ",%.17g" * n) % (s.time, *s.values[:n].tolist())
+            fh.write(row + ",0" * (k - n) + "\n")
     return path
 
 
 def write_diagnostics_csv(path: str, traj) -> str:
-    extra_orders = sorted(traj.diagnostics[0].moment_m)
-    g_names = sorted(traj.diagnostics[0].g_moments)
-    header = ["t", "M0", "M1"]
-    header += [f"M{o:g}" for o in extra_orders]
-    header += ["tail_fraction", "rhs_sup", "mass_leak_rate"]
-    header += [f"g:{n}" for n in g_names]
-    lines = [",".join(header)]
+    lines = ["t,M0,M1,M2,tail_fraction,rhs_sup,mass_leak_rate"]
     for s, d in zip(traj.samples, traj.diagnostics):
-        row = [fmt(s.time), fmt(d.moment_0), fmt(d.moment_1)]
-        row += [fmt(d.moment_m[o]) for o in extra_orders]
-        row += [fmt(d.tail_mass_fraction), fmt(d.rhs_sup), fmt(d.mass_leak_rate)]
-        row += [fmt(d.g_moments[n]) for n in g_names]
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+        lines.append(",".join(fmt(v) for v in (s.time, d.moment_0, d.moment_1, d.moment_2,
+                                                d.tail_mass_fraction, d.rhs_sup, d.mass_leak_rate)))
+    with _create(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -58,14 +50,15 @@ def write_summary_json(path: str, payload: dict) -> str:
     return write_json_atomic(path, payload)
 
 
-def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+def _create(path: str):
+    """path opened for writing text, its directory created first."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w")
 
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+SVG_WIDTH = 640
+SVG_HEIGHT = 420
 
 
 def write_line_svg(
@@ -77,11 +70,10 @@ def write_line_svg(
     ylabel: str = "",
     logx: bool = False,
     logy: bool = False,
-    width: int = 640,
-    height: int = 420,
 ) -> str:
-    """Minimal polyline plot. Log axes drop nonpositive points."""
+    """Minimal polyline plot of SVG_WIDTH x SVG_HEIGHT pixels. Log axes drop nonpositive points."""
     x = np.asarray(x, dtype=float)
+    width, height = SVG_WIDTH, SVG_HEIGHT
     ml, mr, mt, mb = 70, 20, 34, 48
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -165,5 +157,6 @@ def write_line_svg(
         f'transform="rotate(-90 16 {mt + ph / 2})">{esc(ylabel)}</text>'
     )
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    with _create(path) as fh:
+        fh.write("\n".join(parts) + "\n")
     return path

@@ -72,67 +72,24 @@ class SizeDistribution:
         return SizeDistribution(self.values.copy(), self.truncation_k, self.time)
 
 
-def monomer(k: int, scale: float = 1.0, time: float = 0.0) -> SizeDistribution:
+def monomer(k: int, scale: float = 1.0) -> SizeDistribution:
     """All mass in monomers: xi_1 = scale, rest zero."""
     v = np.zeros(k)
     v[0] = scale
-    return SizeDistribution(v, k, time)
+    return SizeDistribution(v, k)
 
 
-def geometric(k: int, ratio: float, scale: float = 1.0, time: float = 0.0) -> SizeDistribution:
-    """Geometric tail xi_i = scale * ratio**i for i = 1..k."""
+def geometric(k: int, ratio: float, mass: float = 1.0) -> SizeDistribution:
+    """Geometric tail xi_i proportional to ratio**i for i = 1..k, scaled to M1 = mass."""
     if not 0 < ratio < 1:
         raise ValueError(f"geometric ratio must lie in (0, 1), got {ratio}")
     i = np.arange(1, k + 1)
-    return SizeDistribution(scale * ratio**i, k, time)
-
-
-@dataclass
-class TestSequence:
-    """Weights psi_1..psi_q paired with optional polynomial-growth metadata.
-
-    The metadata (|psi_i| <= growth_C * i**growth_p) is recorded, not
-    enforced pointwise; it documents which identities the sequence may
-    legitimately be fed into.
-    """
-
-    __test__ = False  # math test vectors, not a pytest case
-
-    values: np.ndarray
-    length_q: int
-    growth_C: float | None = None
-    growth_p: float | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.length_q = int(self.length_q)
-        if self.values.size != self.length_q:
-            raise ValueError(
-                f"values must have length length_q={self.length_q}, got {self.values.size}"
-            )
-
-    @classmethod
-    def ones(cls, q: int):
-        return cls(np.ones(q), q, growth_C=1.0, growth_p=0.0)
-
-    @classmethod
-    def sizes(cls, q: int):
-        return cls(np.arange(1, q + 1, dtype=float), q, growth_C=1.0, growth_p=1.0)
-
-    @classmethod
-    def size_power(cls, q: int, p: float):
-        return cls(np.arange(1, q + 1, dtype=float) ** p, q, growth_C=1.0, growth_p=p)
-
-    @classmethod
-    def alternating(cls, q: int):
-        return cls((-1.0) ** np.arange(q), q, growth_C=1.0, growth_p=0.0)
+    v = ratio**i
+    return SizeDistribution(mass * v / np.dot(i, v), k)
 
 
 def _as_weights(psi, q: int, what: str) -> np.ndarray:
-    if isinstance(psi, TestSequence):
-        arr = psi.values
-    else:
-        arr = np.asarray(psi, dtype=float)
+    arr = np.asarray(psi, dtype=float)
     if arr.size != q:
         raise ValueError(f"{what} must have length {q}, got {arr.size}")
     return arr

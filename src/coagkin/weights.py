@@ -23,6 +23,12 @@ from .reports import ExperimentReport
 G1 = "G1"
 G1_INFINITY = "G1_infinity"
 
+# knots of a constructed tail weight: its derivative rises to TAIL_KNOTS
+TAIL_KNOTS = 40
+# random points on [0, INVARIANT_X_MAX] at which the class invariants are sampled
+INVARIANT_X_MAX = 1e3
+INVARIANT_POINTS = 400
+
 
 @dataclass(frozen=True, eq=False)
 class ConvexWeight:
@@ -191,8 +197,7 @@ def check_inequality(weight: ConvexWeight, max_size: int) -> ExperimentReport:
     )
 
 
-def construct_tail_weight(initial, tail_budget: float = 1.0, n_knots: int = 40,
-                          name: str | None = None) -> ConvexWeight:
+def construct_tail_weight(initial, tail_budget: float = 1.0) -> ConvexWeight:
     """Build a superlinear weight adapted to nonnegative size data.
 
     Knots n_m are placed where the weighted tail sum_{i >= n_m} i*xi_i
@@ -209,8 +214,6 @@ def construct_tail_weight(initial, tail_budget: float = 1.0, n_knots: int = 40,
     """
     if not tail_budget > 0:
         raise ValueError(f"tail_budget must be positive, got {tail_budget}")
-    if n_knots < 2:
-        raise ValueError(f"n_knots must be >= 2, got {n_knots}")
     xi = np.asarray(getattr(initial, "values", initial), dtype=float)
     if np.any(xi < 0):
         raise ValueError("size data must be nonnegative")
@@ -218,7 +221,7 @@ def construct_tail_weight(initial, tail_budget: float = 1.0, n_knots: int = 40,
     weighted = sizes * xi
     total_mass = float(weighted.sum())
     if total_mass == 0.0:
-        return ConvexWeight(kind="power", class_tag=G1, name=name or "x (degenerate)",
+        return ConvexWeight(kind="power", class_tag=G1, name="x (degenerate)",
                             p=1.0, degenerate=True)
 
     # tail(N) = sum_{i>=N} i*xi_i ; tail(xi.size + 1) == 0 always
@@ -226,25 +229,24 @@ def construct_tail_weight(initial, tail_budget: float = 1.0, n_knots: int = 40,
 
     knots = [0.0]
     prev_gap = 0.0
-    for m in range(1, n_knots + 1):
+    for m in range(1, TAIL_KNOTS + 1):
         threshold = tail_budget * 2.0 ** (-m)
         hit = np.nonzero(tails <= threshold)[0]
         n_min = float(hit[0] + 1)
         candidate = max(n_min, knots[-1] + max(prev_gap, 1.0))
         prev_gap = candidate - knots[-1]
         knots.append(candidate)
-    dvals = np.arange(0, n_knots + 1, dtype=float)
+    dvals = np.arange(0, TAIL_KNOTS + 1, dtype=float)
     return ConvexWeight(
         kind="piecewise",
         class_tag=G1_INFINITY,
-        name=name or f"tail_weight(budget={tail_budget:g})",
+        name=f"tail_weight(budget={tail_budget:g})",
         knots=np.asarray(knots),
         derivative_values=dvals,
     )
 
 
-def sample_class_invariants(weight: ConvexWeight, x_max: float = 1e3,
-                            n_points: int = 400, rng=None) -> ExperimentReport:
+def sample_class_invariants(weight: ConvexWeight, rng=None) -> ExperimentReport:
     """Sampled verification of the weight-class invariants.
 
     Checks G(0) = 0, G'(0) >= 0, midpoint convexity of G, midpoint
@@ -253,8 +255,8 @@ def sample_class_invariants(weight: ConvexWeight, x_max: float = 1e3,
     """
     rng = np.random.default_rng(rng)
     xs = np.sort(np.concatenate([
-        rng.uniform(0.0, x_max, n_points),
-        np.linspace(0.0, x_max, 32),
+        rng.uniform(0.0, INVARIANT_X_MAX, INVARIANT_POINTS),
+        np.linspace(0.0, INVARIANT_X_MAX, 32),
     ]))
     g = np.asarray(evaluate(weight, xs))
     gp = np.asarray(evaluate_derivative(weight, xs))
@@ -282,7 +284,7 @@ def sample_class_invariants(weight: ConvexWeight, x_max: float = 1e3,
         if weight.kind == "piecewise":
             pts = weight.knots[1:]
         else:
-            pts = np.geomspace(1.0, x_max, 64)
+            pts = np.geomspace(1.0, INVARIANT_X_MAX, 64)
         ratio = np.asarray(evaluate(weight, pts)) / pts
         metrics["superlinearity_nonincrease"] = float(np.sum(np.diff(ratio) <= 0))
         thresholds["superlinearity_nonincrease"] = 0.0
@@ -294,5 +296,5 @@ def sample_class_invariants(weight: ConvexWeight, x_max: float = 1e3,
         name="weight_class_invariants",
         metrics=metrics,
         thresholds=thresholds,
-        config_echo={"weight": weight.name, "x_max": x_max, "n_points": n_points},
+        config_echo={"weight": weight.name, "x_max": INVARIANT_X_MAX, "n_points": INVARIANT_POINTS},
     )

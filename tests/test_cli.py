@@ -193,6 +193,7 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
     ("verify", {"experiment": {"name": ["identity"]}}, "experiment.name"),
     ("verify", {"experiment": {"name": "admissibility", "thresholds": {"growth_violations": 1000}}},
      "experiment.thresholds"),
+    ("simulate", {"seed": 0}, "'seed'"),
 ], ids=["t_end_abc", "rel_tol_null", "sample_times_strings", "k_list_string", "q_list_above_k",
         "q_list_zero", "q_list_string", "max_size_string", "epsilon_string",
         "perturb_size_above_k", "tail_budget_negative", "kernel_param_unknown",
@@ -203,7 +204,8 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
         "kernel_A_negative", "kernel_delta_above_one", "kernel_zeta_zero", "constant_c_zero",
         "additive_a_negative", "power_a_zero", "power_exponent_above_one",
         "decay_foreign_key", "truncation_foreign_key", "admissibility_foreign_key",
-        "identity_misspelled_key", "experiment_name_not_string", "admissibility_thresholds"])
+        "identity_misspelled_key", "experiment_name_not_string", "admissibility_thresholds",
+        "seed_key_removed"])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, command, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, cfg]) == 1  # a ConfigError, not an escaping exception
@@ -276,8 +278,7 @@ _FUZZ_BASES = [
                 "zeta": None},
      "initial": {"type": "geometric", "ratio": 0.5, "mass_scale": 1.0}, "truncation_k": 6,
      "solver": {"t_end": 0.5, "rel_tol": 1e-6, "abs_tol": 1e-9, "max_step": 0.1, "mode": "adaptive",
-                "fixed_h": None, "sample_times": [0.0, 0.25, 0.5]},
-     "seed": 0},
+                "fixed_h": None, "sample_times": [0.0, 0.25, 0.5]}},
 ]
 _FUZZ_EXPERIMENTS = [
     {"name": "truncation", "k_list": [2, 4, 8], "thresholds": {"defect_final_max": 1.0}},

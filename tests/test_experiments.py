@@ -77,6 +77,22 @@ def test_decay_requires_zeta_and_passes_defaults():
     assert rep.metrics["max_envelope_ratio"] <= 1.01
 
 
+@pytest.mark.parametrize("run", [
+    lambda t_end, solver: truncation_convergence(constant(1.0), monomer, [4, 8, 16], t_end,
+                                                 solver=solver),
+    lambda t_end, solver: continuous_dependence(power_sum(1.0, 0.5), monomer(8), monomer(8), t_end,
+                                                solver=solver),
+    lambda t_end, solver: asymptotic_decay(constant(1.0), monomer(8), t_end, solver=solver),
+    lambda t_end, solver: time_rescaling(constant(1.0), monomer(8), t_end, solver=solver),
+], ids=["truncation", "dependence", "decay", "rescaling"])
+def test_solver_must_end_at_the_given_end_time(run):
+    with pytest.raises(ValueError, match="solver.t_end 1.0 differs from the end time 2.0"):
+        run(2.0, SolverConfig(t_end=1.0))
+    # a solver ending at the given time runs, and the report echoes that time
+    echo = run(1.0, SolverConfig(t_end=1.0)).config_echo
+    assert echo.get("t_end", echo.get("t_long")) == 1.0
+
+
 def test_decay_zero_init():
     rep = asymptotic_decay(constant(1.0), SizeDistribution(np.zeros(8), 8), 5.0)
     assert rep.passed

@@ -208,6 +208,11 @@ def test_initial_state_must_start_at_time_zero():
         integrate(bad, constant(1.0), SolverConfig(t_end=1.0))
 
 
+def test_tabulated_kernel_smaller_than_k_is_rejected():
+    with pytest.raises(ValueError, match="covers sizes 1..8"):
+        integrate(monomer(16), demo_table(8), SolverConfig(t_end=1.0))
+
+
 @pytest.mark.parametrize("kern", [constant(0.7), additive(1.3), power_sum(0.7, 0.3), demo_table(257)],
                          ids=["constant", "additive", "power", "table"])
 def test_step_matches_oracle_bit_for_bit(kern, rng):

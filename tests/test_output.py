@@ -29,15 +29,14 @@ def test_trajectory_csv_round_trips_values(tmp_path):
 
 
 def test_diagnostics_csv_layout(tmp_path):
-    from coagkin.weights import power_weight
-
-    traj = integrate(monomer(6), constant(1.0), SolverConfig(t_end=1.0),
-                     g_weights={"sq": power_weight(2.0)})
+    traj = integrate(monomer(6), constant(1.0), SolverConfig(t_end=1.0))
     path = write_diagnostics_csv(str(tmp_path / "d.csv"), traj)
-    header = open(path).read().splitlines()[0].split(",")
-    assert header[:3] == ["t", "M0", "M1"]
-    assert "tail_fraction" in header and "rhs_sup" in header
-    assert "g:sq" in header
+    lines = open(path).read().splitlines()
+    assert lines[0] == "t,M0,M1,M2,tail_fraction,rhs_sup,mass_leak_rate"
+    d = traj.diagnostics[-1]
+    assert lines[-1] == ",".join(fmt(v) for v in (traj.times()[-1], d.moment_0, d.moment_1,
+                                                   d.moment_2, d.tail_mass_fraction, d.rhs_sup,
+                                                   d.mass_leak_rate))
 
 
 def test_svg_is_wellformed_and_handles_log_zeros(tmp_path):
@@ -60,7 +59,7 @@ def _trajectory(rows, times=None):
     times = times if times is not None else np.arange(len(rows), dtype=float)
     samples = [SizeDistribution(r, r.size, float(t)) for r, t in zip(rows, times)]
     return Trajectory(samples=samples, diagnostics=[], step_stats=StepStats(),
-                      config=SolverConfig(t_end=1.0), kernel_name="none")
+                      config=SolverConfig(t_end=1.0))
 
 
 def _assert_matches_oracle(tmp_path, traj):

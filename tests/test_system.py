@@ -16,7 +16,6 @@ from coagkin.kernels import (
 from coagkin.system import (
     RhsEvaluator,
     SizeDistribution,
-    TestSequence,
     finite_identity_rate,
     geometric,
     mass_leak_rate,
@@ -54,8 +53,8 @@ def test_rhs_zero_state_is_fixed_point():
 
 def test_weak_form_examples():
     k1 = constant(1.0)
-    assert weak_form_rate(TestSequence.sizes(3), state([1.0, 0.0, 0.0]), k1) == 0.0
-    assert weak_form_rate(TestSequence.sizes(2), state([1.0, 1.0]), k1) == -9.0
+    assert weak_form_rate(np.arange(1.0, 4), state([1.0, 0.0, 0.0]), k1) == 0.0
+    assert weak_form_rate(np.arange(1.0, 3), state([1.0, 1.0]), k1) == -9.0
     assert weak_form_rate(np.zeros(3), state([1.0, 1.0, 0.5]), k1) == 0.0
 
 
@@ -65,22 +64,22 @@ def test_finite_identity_examples():
     s = state([1.0, 0.0, 0.0, 0.0])
     expected = float(np.sum(rhs(s, k1)[:3]))
     assert expected == -1.0
-    assert finite_identity_rate(TestSequence.ones(3), s, k1, 3) == expected
+    assert finite_identity_rate(np.ones(3), s, k1, 3) == expected
     assert finite_identity_rate(np.zeros(2), state([1.0, 1.0, 0.0]), k1, 2) == 0.0
-    assert finite_identity_rate(TestSequence.sizes(2), state([1.0, 1.0, 0.0]), k1, 2) == -9.0
+    assert finite_identity_rate(np.arange(1.0, 3), state([1.0, 1.0, 0.0]), k1, 2) == -9.0
 
 
 def test_finite_identity_contract_errors():
     s = state([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        finite_identity_rate(TestSequence.ones(3), s, constant(1.0), 3)  # q >= k
+        finite_identity_rate(np.ones(3), s, constant(1.0), 3)  # q >= k
     with pytest.raises(ValueError):
-        finite_identity_rate(TestSequence.ones(3), s, constant(1.0), 2)  # length mismatch
+        finite_identity_rate(np.ones(3), s, constant(1.0), 2)  # length mismatch
 
 
 def test_weak_form_length_mismatch():
     with pytest.raises(ValueError):
-        weak_form_rate(TestSequence.sizes(2), state([1.0, 0.0, 0.0]), constant(1.0))
+        weak_form_rate(np.arange(1.0, 3), state([1.0, 0.0, 0.0]), constant(1.0))
 
 
 def test_rhs_rejects_nonfinite():
@@ -101,8 +100,14 @@ def test_state_validation():
 def test_initial_factories():
     m = monomer(4, scale=2.0)
     assert np.array_equal(m.values, [2.0, 0.0, 0.0, 0.0])
+    assert m.time == 0.0
+    # M1 of 0.5, 0.25, 0.125 is 1.375; the state is scaled to M1 = mass
     g = geometric(3, 0.5)
-    assert np.allclose(g.values, [0.5, 0.25, 0.125])
+    assert np.allclose(g.values, np.array([0.5, 0.25, 0.125]) / 1.375)
+    assert g.mass == pytest.approx(1.0, rel=1e-15) and g.time == 0.0
+    v = 0.3 ** np.arange(1, 41)
+    heavy = geometric(40, 0.3, mass=2.5)
+    assert heavy.values.tobytes() == (2.5 * v / np.dot(np.arange(1, 41), v)).tobytes()
     with pytest.raises(ValueError):
         geometric(3, 1.5)
 
@@ -251,7 +256,7 @@ def test_mass_leak_closed_form_matches_weak_form(rng):
     for kern in CATALOG:
         x = rng.random(12)
         s = state(x)
-        wf = weak_form_rate(TestSequence.sizes(12), s, kern)
+        wf = weak_form_rate(np.arange(1.0, 13), s, kern)
         assert mass_leak_rate(s, kern) == pytest.approx(-wf, rel=1e-12, abs=1e-15)
 
 
@@ -284,7 +289,7 @@ def test_mass_dissipativity(values, kern_idx):
     kern = CATALOG[kern_idx]
     s = state(values)
     k = s.truncation_k
-    wf = weak_form_rate(TestSequence.sizes(k), s, kern)
+    wf = weak_form_rate(np.arange(1.0, k + 1), s, kern)
     gross = float(np.sum(kern.rate_matrix(k) * np.outer(s.values, s.values))) * (k + 1)
     assert wf <= 1e-12 * max(1.0, gross)
 
@@ -299,12 +304,12 @@ def test_number_dissipativity(values, kern_idx):
     x = s.values
     slack = 1e-12 * max(1.0, float(np.sum(g * np.outer(x, x))) * (k + 1))
 
-    wf = weak_form_rate(TestSequence.ones(k), s, kern)
+    wf = weak_form_rate(np.ones(k), s, kern)
     quad_full = float(np.sum(g * np.outer(x, x)))
     assert wf <= -0.5 * quad_full + slack
 
     q = k - 1
-    fir = finite_identity_rate(TestSequence.ones(q), s, kern, q)
+    fir = finite_identity_rate(np.ones(q), s, kern, q)
     quad_q = float(np.sum(g[:q, :q] * np.outer(x[:q], x[:q])))
     assert fir <= -0.5 * quad_q + slack
 
@@ -385,7 +390,7 @@ def test_batched_identity_rates_match_per_state_oracle(kern, rng):
     states = [state(rng.random(k)) for _ in range(5)] + [state(np.zeros(k))]
     states.append(state(np.where(rng.random(k) < 0.5, 0.0, rng.random(k))))
     psi = rng.uniform(-1.0, 1.0, k)
-    for weights in (psi, TestSequence.sizes(k).values):
+    for weights in (psi, np.arange(1.0, k + 1)):
         got = weak_form_rate(weights, states, kern)
         assert got.shape == (len(states),)
         for s, rate in zip(states, got):
@@ -406,11 +411,11 @@ def test_batched_identity_rates_match_per_state_oracle(kern, rng):
 def test_single_state_identity_rate_is_a_python_float(rng):
     s = state(rng.random(6))
     kern = power_sum(1.0, 0.5)
-    wf = weak_form_rate(TestSequence.ones(6), s, kern)
-    fir = finite_identity_rate(TestSequence.ones(3), s, kern, 3)
+    wf = weak_form_rate(np.ones(6), s, kern)
+    fir = finite_identity_rate(np.ones(3), s, kern, 3)
     assert type(wf) is float and type(fir) is float
-    assert wf == pytest.approx(weak_form_rate(TestSequence.ones(6), [s], kern)[0], rel=1e-14)
-    assert fir == pytest.approx(finite_identity_rate(TestSequence.ones(3), [s], kern, 3)[0],
+    assert wf == pytest.approx(weak_form_rate(np.ones(6), [s], kern)[0], rel=1e-14)
+    assert fir == pytest.approx(finite_identity_rate(np.ones(3), [s], kern, 3)[0],
                                 rel=1e-14)
 
 
