@@ -16,7 +16,7 @@ import numpy as np
 
 from . import experiments, kernels, output
 from .diagnostics import mass_defect
-from .errors import CoagkinError, ConfigError, NumericError
+from .errors import CoagkinError, ConfigError, NumericError, reject_unknown_keys
 from .integrator import SolverConfig, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .numerics import is_number
@@ -41,7 +41,6 @@ class RunConfig:
     solver: dict
     output_dir: str
     experiment: dict | None = None
-    source_path: str | None = None
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
@@ -52,15 +51,13 @@ class RunConfig:
                 raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"malformed JSON in {path}: {exc}") from exc
-        return cls.from_dict(raw, source_path=path)
+        return cls.from_dict(raw)
 
     @classmethod
-    def from_dict(cls, raw: dict, source_path: str | None = None) -> "RunConfig":
+    def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config", f"must be a JSON object, got {type(raw).__name__}")
-        for key in raw:
-            if key not in _TOP_KEYS:
-                raise ConfigError(key, f"unknown key; expected {', '.join(_TOP_KEYS)}")
+        reject_unknown_keys("", raw, _TOP_KEYS)
         for key in ("kernel", "initial", "truncation_k", "solver"):
             if key not in raw:
                 raise ConfigError(key, "missing required field")
@@ -87,7 +84,6 @@ class RunConfig:
             solver=dict(raw["solver"]),
             output_dir=output_dir,
             experiment=dict(exp) if exp is not None else None,
-            source_path=source_path,
         )
 
     @property
@@ -113,10 +109,9 @@ class RunConfig:
         return kern
 
     def build_solver(self) -> SolverConfig:
+        reject_unknown_keys("solver", self.solver, _SOLVER_FIELDS)
         kwargs = {}
         for key, value in self.solver.items():
-            if key not in _SOLVER_FIELDS:
-                raise ConfigError(f"solver.{key}", "unknown key")
             declared = str(_SOLVER_FIELDS[key].type)
             if value is None and "None" not in declared:
                 raise ConfigError(f"solver.{key}", "must not be null")
@@ -185,12 +180,7 @@ def _check_initial(initial: dict) -> None:
         raise ConfigError(
             "initial.type", f"unknown initial type {kind!r}; valid types: {', '.join(_INITIAL_KEYS)}"
         )
-    expected = _INITIAL_KEYS[kind]
-    for key in initial:
-        if key not in expected:
-            raise ConfigError(
-                f"initial.{key}", f"unknown key for a {kind} initial; expected {', '.join(expected)}"
-            )
+    reject_unknown_keys("initial", initial, _INITIAL_KEYS[kind], f"a {kind} initial")
     for key, in_range, rule in (
         ("mass_scale", lambda v: 0 < v < math.inf, "> 0 and finite"),
         ("ratio", lambda v: 0 < v < 1, "in (0, 1)"),
@@ -222,11 +212,7 @@ def _check_experiment(exp: dict, k: int) -> None:
         raise ConfigError("experiment.name", f"unknown experiment {name!r}; "
                           f"valid names: {', '.join(experiments.EXPERIMENTS)}")
     spec = experiments.EXPERIMENTS[name]
-    accepted = ("name", *spec.keys)
-    for key in exp:
-        if key not in accepted:
-            raise ConfigError(f"experiment.{key}",
-                              f"unknown key for a {name} experiment; expected {', '.join(accepted)}")
+    reject_unknown_keys("experiment", exp, ("name", *spec.keys), f"a {name} experiment")
     settings = spec.settings(exp, k)
     for key, integer, in_range, rule in (
         ("max_size", True, lambda v: v >= 2, ">= 2"),

@@ -13,6 +13,19 @@ class ConfigError(CoagkinError):
         super().__init__(f"config field '{field}': {message}")
 
 
+def reject_unknown_keys(block: str, given, expected, owner: str = "") -> None:
+    """Raise ConfigError at the first key of ``given`` not in ``expected``.
+
+    The field is ``block.key`` (the bare key when block is empty); ``owner``
+    says whose keys they are, as in "a monomer initial".
+    """
+    for key in given:
+        if key not in expected:
+            for_owner = f" for {owner}" if owner else ""
+            raise ConfigError(f"{block}.{key}" if block else key,
+                              f"unknown key{for_owner}; expected {', '.join(expected)}")
+
+
 class NumericError(CoagkinError):
     """Non-finite values encountered during evaluation or integration."""
 

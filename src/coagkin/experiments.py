@@ -334,6 +334,8 @@ def _identity_plan(k: int, q_list) -> tuple[list[int], list[str]]:
     """The audited partial-sum lengths (default k/4, k/2, k - 1) and the metric names."""
     if q_list is None:
         q_list = sorted({max(2, k // 4), max(2, k // 2), k - 1})
+    if len(q_list) == 0:
+        raise ValueError("q_list is empty: it needs at least one partial-sum length")
     bad = [q for q in q_list
            if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 1 <= q <= k]
     if bad:
@@ -356,10 +358,10 @@ def identity_audit(
     For each test sequence and each partial-sum length q the cumulative
     change of sum_{i<=q} phi_i xi_i must equal the time integral of the
     triangular-sum rate (Simpson on the sample grid, checked at even
-    sample indices). Pointwise, the full-length weak form must agree
-    with the inner product of the test vector against the right-hand
-    side to rounding accuracy. q = k dispatches to the full weak form;
-    q < k exercises the truncated-range identity with boundary flux.
+    sample indices). Every q goes through the truncated-range identity
+    with boundary flux, whose q = k case is the full weak form. Pointwise,
+    the full weak form must agree with the inner product of the test
+    vector against the right-hand side to rounding accuracy.
 
     The right-hand side at the samples comes from block calls of one
     ``RhsEvaluator`` on the stacked states, ``system.row_blocks`` at a
@@ -392,10 +394,7 @@ def identity_audit(
                                    float(np.max(np.abs(wf - derivs @ psi) / scale)))
         for q in q_list:
             phi = make_phi(q)
-            if q == k:
-                rates = weak_form_rate(phi, samples, kernel)
-            else:
-                rates = finite_identity_rate(phi, samples, kernel, q)
+            rates = finite_identity_rate(phi, samples, kernel, q)
             weighted = X[:, :q] @ phi
             integral = cumulative_simpson(times, rates)
             scale = np.maximum.reduce(
@@ -448,6 +447,10 @@ def time_rescaling(
     For a constant-rate kernel the flow started from alpha * xi at time t
     equals alpha times the flow started from xi at time alpha * t. This
     is special to size-independent rates and is asserted for them only.
+
+    Both runs derive from one solver: the scaled start runs on it, and the
+    unscaled one on a copy whose end time, sample times and, when set,
+    max_step and fixed_h are multiplied by alpha.
     """
     if kernel.separable is None or kernel.separable[1] != 0.0:
         raise ValueError("time rescaling is asserted for constant kernels only")
@@ -456,13 +459,13 @@ def time_rescaling(
     metrics = {}
     worst = 0.0
     for alpha in alphas:
-        cfg_a = SolverConfig(t_end=t_end, rel_tol=base.rel_tol, abs_tol=base.abs_tol,
-                             sample_times=ts)
         scaled_init = SizeDistribution(alpha * init.values, init.truncation_k, 0.0)
-        traj_a = integrate(scaled_init, kernel, cfg_a)
-        cfg_b = SolverConfig(t_end=alpha * t_end, rel_tol=base.rel_tol, abs_tol=base.abs_tol,
-                             sample_times=alpha * ts)
-        traj_b = integrate(init, kernel, cfg_b)
+        traj_a = integrate(scaled_init, kernel, base)
+        # an unset max_step or fixed_h stays None
+        stretched = replace(base, t_end=alpha * t_end, sample_times=alpha * ts,
+                            max_step=base.max_step and alpha * base.max_step,
+                            fixed_h=base.fixed_h and alpha * base.fixed_h)
+        traj_b = integrate(init, kernel, stretched)
         err = max(
             float(np.max(np.abs(sa.values - alpha * sb.values)))
             for sa, sb in zip(traj_a.samples, traj_b.samples)
@@ -477,7 +480,8 @@ def time_rescaling(
         name="time_rescaling",
         metrics=metrics,
         thresholds=thr,
-        config_echo={"kernel": kernel.name, "t_end": t_end, "alphas": list(alphas)},
+        config_echo={"kernel": kernel.name, "t_end": t_end, "alphas": list(alphas),
+                     "solver": base.to_dict()},
     )
 
 

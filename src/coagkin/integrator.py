@@ -80,6 +80,8 @@ class SolverConfig:
             raise ConfigError("solver.mode", f"unknown mode {self.mode!r}")
         if self.mode == MODE_FIXED and (self.fixed_h is None or not self.fixed_h > 0):
             raise ConfigError("solver.fixed_h", "fixed_step mode needs a positive step size")
+        if self.mode != MODE_FIXED and self.fixed_h is not None:
+            raise ConfigError("solver.fixed_h", f"applies to fixed_step mode only, mode is {self.mode!r}")
         ts = self.resolved_sample_times()
         if ts[0] != 0.0 or abs(ts[-1] - self.t_end) > 1e-12 * max(1.0, self.t_end):
             raise ConfigError("solver.sample_times", "must start at 0 and end at t_end")
@@ -210,9 +212,9 @@ def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
     A row is h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1 on the first
     n sizes, added left to right, and +0.0 beyond them. The coefficients are
     Python floats of each row's own time: a power of a numpy array may round
-    differently from the scalar one. Negative entries are zeroed as in
-    ``_clamp``, and each row holding one charges its size-weighted mass to
-    stats.clamped_mass_sample, row after row.
+    differently from the scalar one. Each row holding a negative entry goes
+    through ``_clamp``, row after row, and charges the mass it removes to
+    stats.clamped_mass_sample.
     """
     h = t1 - t0
     coef = []
@@ -227,11 +229,9 @@ def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
     vals += c10 * f0[:n]
     vals += c01 * y1[:n]
     vals += c11 * f1[:n]
-    neg = vals < 0.0
-    for row in np.flatnonzero(neg.any(axis=1)):
-        held = neg[row]
-        stats.clamped_mass_sample += float(np.dot(sizes[:n][held], -vals[row][held]))
-    vals[neg] = 0.0
+    for row in np.flatnonzero((vals < 0.0).any(axis=1)):
+        vals[row], clamped = _clamp(vals[row], sizes[:n])
+        stats.clamped_mass_sample += clamped
     return block
 
 

@@ -467,6 +467,8 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
 # keys of a kernel block, and the params keys of each kernel type
 KERNEL_KEYS = ("name", "type", "params", "A", "delta", "zeta")
 _PARAMS = {"constant": ("c",), "additive": ("a",), "power": ("a", "exponent"), "table": ("path",)}
+# the constructor of each built-in type; the params keys are its arguments
+_BUILT_IN = {"constant": constant, "additive": additive, "power": power_sum}
 # the kernel-block key of each declared constant
 _DECLARED_KEYS = {"growth_constant_A": "A", "power_delta": "delta", "lower_bound_zeta": "zeta"}
 
@@ -485,13 +487,11 @@ def from_config(block: dict) -> CoagulationKernel:
     its range is a ``ConfigError`` naming its key path; a malformed
     table file is one under ``kernel.params.path``.
     """
-    from .errors import ConfigError
+    from .errors import ConfigError, reject_unknown_keys
 
     if not isinstance(block, dict):
         raise ConfigError("kernel", f"must be an object, got {block!r}")
-    for key in block:
-        if key not in KERNEL_KEYS:
-            raise ConfigError(f"kernel.{key}", f"unknown key; expected {', '.join(KERNEL_KEYS)}")
+    reject_unknown_keys("kernel", block, KERNEL_KEYS)
     ktype = block.get("type")
     if not isinstance(ktype, str) or ktype not in _PARAMS:
         raise ConfigError("kernel.type",
@@ -499,11 +499,8 @@ def from_config(block: dict) -> CoagulationKernel:
     params = block.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("kernel.params", f"must be an object, got {params!r}")
-    expected = _PARAMS[ktype]
+    reject_unknown_keys("kernel.params", params, _PARAMS[ktype], f"a {ktype} kernel")
     for key, value in params.items():
-        if key not in expected:
-            raise ConfigError(f"kernel.params.{key}",
-                              f"unknown key for a {ktype} kernel; expected {', '.join(expected)}")
         if not (isinstance(value, str) if key == "path" else is_number(value)):
             kind = "a string" if key == "path" else "a number"
             raise ConfigError(f"kernel.params.{key}", f"must be {kind}, got {value!r}")
@@ -515,18 +512,12 @@ def from_config(block: dict) -> CoagulationKernel:
         if key in block and not (is_number(value) or (value is None and key != "A")):
             raise ConfigError(f"kernel.{key}", f"must be a number, got {value!r}")
     try:
-        if ktype == "constant":
-            kern = constant(params.get("c", 1.0), name=name)
-        elif ktype == "additive":
-            kern = additive(params.get("a", 1.0), name=name)
-        elif ktype == "power":
-            kern = power_sum(params.get("a", 1.0), params.get("exponent", 0.5), name=name)
-        else:
-            path = params.get("path")
-            if path is None:
+        if ktype == "table":
+            if "path" not in params:
                 raise ConfigError("kernel.params.path", "tabulated kernel needs a CSV path")
             if "A" not in block:
                 raise ConfigError("kernel.A", "tabulated kernel needs a declared growth constant")
+            path = params["path"]
             try:
                 return tabulated_from_csv(
                     path,
@@ -537,6 +528,7 @@ def from_config(block: dict) -> CoagulationKernel:
                 )
             except OSError as exc:
                 raise ConfigError("kernel.params.path", f"cannot read {path!r}: {exc.strerror}") from exc
+        kern = _BUILT_IN[ktype](**params, name=name)
         overrides = {}
         if "A" in block:
             overrides["growth_constant_A"] = float(block["A"])

@@ -11,11 +11,12 @@ which the i-mer absorbs one step at a time, so the evolution of xi_i is
 with the first sum empty at i = 1. The diagonal j = i appears in both
 loss sums; that is part of the model, not double counting.
 
-Two rearranged forms of the same dynamics are provided for cross
-checking: ``weak_form_rate`` (the full-length test-vector identity) and
-``finite_identity_rate`` (the truncated-range identity with boundary
-flux). Both are independent summation routes and must agree with the
-inner product of the test vector against ``rhs`` to rounding accuracy.
+A rearranged form of the same dynamics is provided for cross checking:
+``finite_identity_rate``, the truncated-range identity with boundary
+flux for the partial sums up to any q <= k. Its q = k case is the
+full-length test-vector identity ``weak_form_rate``. It is a summation
+route independent of ``rhs`` and must agree with the inner product of
+the test vector against it to rounding accuracy.
 """
 from __future__ import annotations
 
@@ -59,10 +60,6 @@ class SizeDistribution:
     @property
     def sizes(self) -> np.ndarray:
         return np.arange(1, self.truncation_k + 1)
-
-    @property
-    def number(self) -> float:
-        return float(self.values.sum())
 
     @property
     def mass(self) -> float:
@@ -331,25 +328,19 @@ def weak_form_rate(psi, states, kernel: CoagulationKernel) -> float | np.ndarray
         sum_{i=1}^{k-1} sum_{j=1}^{i} j psi_{i+1} rate(i,j) xi_i xi_j
       - sum_{i=1}^{k}   sum_{j=1}^{i} (j psi_i + psi_j) rate(i,j) xi_i xi_j
 
-    which equals <psi, rhs(state)> as an algebraic identity. ``states`` is
-    one ``SizeDistribution`` (returns a float) or a sequence of them with
-    a common truncation size (returns one rate per state). Both sums fold
-    into one lower-triangular coefficient matrix, so every state costs a
-    quadratic form.
+    which equals <psi, rhs(state)> as an algebraic identity. It is the
+    q = k case of ``finite_identity_rate``, whose boundary block is then
+    empty; psi must have length k. ``states`` is taken as there.
     """
     X, single = _stacked_values(states)
     k = X.shape[1]
-    p = _as_weights(psi, k, "psi")
-    jv = np.arange(1, k + 1, dtype=float)
-    coef = -(jv[None, :] * p[:, None] + p[None, :])
-    coef[:-1] += jv[None, :] * p[1:, None]
-    return _quadratic_forms(X, np.tril(kernel.rate_matrix(k) * coef), single)
+    return _identity_rate(_as_weights(psi, k, "psi"), X, single, kernel, k)
 
 
 def finite_identity_rate(
     phi, states, kernel: CoagulationKernel, q: int
 ) -> float | np.ndarray:
-    """Time derivative of the partial sum sum_{i<=q} phi_i xi_i, q < k.
+    """Time derivative of the partial sum sum_{i<=q} phi_i xi_i, 1 <= q <= k.
 
     Three index blocks contribute:
 
@@ -358,19 +349,24 @@ def finite_identity_rate(
         P3 = {q+1 <= i <= k, 1 <= j <= q}:  - phi_j rate(i,j) xi_i xi_j
 
     The P3 block runs to infinity for the untruncated system; components
-    above k are identically zero here, so cutting it at k is exact.
-    ``states`` is taken as in ``weak_form_rate``; the three blocks fold
-    into one lower-triangular coefficient matrix (P3 lies below the
-    diagonal because j <= q < i).
+    above k are identically zero here, so cutting it at k is exact. At
+    q = k it is empty and this is the weak form. ``states`` is one
+    ``SizeDistribution`` (returns a float) or a sequence of them with a
+    common truncation size (returns one rate per state). The three blocks
+    fold into one lower-triangular coefficient matrix (P3 lies below the
+    diagonal because j <= q < i), so every state costs a quadratic form.
     """
     X, single = _stacked_values(states)
     k = X.shape[1]
     q = int(q)
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if q >= k:
-        raise ValueError(f"q must be < truncation_k={k}, got {q}")
-    f = _as_weights(phi, q, "phi")
+    if not 1 <= q <= k:
+        raise ValueError(f"q must lie in 1..truncation_k={k}, got {q}")
+    return _identity_rate(_as_weights(phi, q, "phi"), X, single, kernel, q)
+
+
+def _identity_rate(f: np.ndarray, X: np.ndarray, single: bool, kernel, q: int):
+    """The P1 - P2 - P3 quadratic forms of ``finite_identity_rate`` for the rows of X."""
+    k = X.shape[1]
     jv = np.arange(1, q + 1, dtype=float)
     coef = np.zeros((k, k))
     coef[:q, :q] = -(jv[None, :] * f[:, None] + f[None, :])

@@ -69,12 +69,6 @@ class ConvexWeight:
         else:
             raise ValueError(f"unknown weight kind {self.kind!r}")
 
-    def __call__(self, x) -> np.ndarray | float:
-        return evaluate(self, x)
-
-    def derivative(self, x) -> np.ndarray | float:
-        return evaluate_derivative(self, x)
-
     def to_dict(self) -> dict:
         if self.kind == "power":
             return {"kind": "power", "class_tag": self.class_tag, "name": self.name, "p": self.p}

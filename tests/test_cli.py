@@ -151,6 +151,13 @@ def test_misspelled_solver_key_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_solver_key_lists_the_solver_fields(tmp_path, capsys):
+    cfg = write_config(tmp_path, solver={"reltol": 1e-3})
+    assert main(["simulate", cfg]) == 1
+    fields = ", ".join(f.name for f in dataclasses.fields(SolverConfig))
+    assert f"'solver.reltol': unknown key; expected {fields}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,overrides,key", [
     ("simulate", {"solver": {"t_end": "abc"}}, "solver.t_end"),
     ("simulate", {"solver": {"rel_tol": None}}, "solver.rel_tol"),

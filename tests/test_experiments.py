@@ -12,7 +12,7 @@ from coagkin.experiments import (
     truncation_convergence,
     weights_audit,
 )
-from coagkin.integrator import SolverConfig, integrate
+from coagkin.integrator import MODE_FIXED, SolverConfig, integrate
 from coagkin.kernels import CoagulationKernel, additive, constant, power_sum
 from coagkin.reports import ExperimentReport
 from coagkin.system import SizeDistribution, geometric, monomer
@@ -121,7 +121,7 @@ def test_identity_audit_accepts_full_length_q():
     kern = constant(1.0)
     cfg = SolverConfig(t_end=1.0, sample_times=np.linspace(0, 1, 201))
     traj = integrate(monomer(8), kern, cfg)
-    rep = identity_audit(traj, kern, q_list=[8])  # q = k goes through the weak form
+    rep = identity_audit(traj, kern, q_list=[8])  # q = k: the weak form, no boundary block
     assert rep.passed
 
 
@@ -156,7 +156,7 @@ def test_identity_audit_rate_matrices_do_not_scale_with_samples(monkeypatch):
     assert per_run[0] == per_run[1]
 
 
-@pytest.mark.parametrize("q_list", [[0], [17], [4.0], ["a"], [True]])
+@pytest.mark.parametrize("q_list", [[], [0], [17], [4.0], ["a"], [True]])
 def test_identity_audit_rejects_bad_q_before_any_rate(monkeypatch, q_list):
     kern = constant(1.0)
     traj = integrate(monomer(16), kern, SolverConfig(t_end=1.0))
@@ -177,6 +177,30 @@ def test_time_rescaling_constant_kernel_only():
         time_rescaling(additive(1.0), monomer(12), 1.0)
     with pytest.raises(ValueError):
         time_rescaling(power_sum(1.0, 0.5), monomer(12), 1.0)
+
+
+def test_time_rescaling_derives_every_run_from_the_given_solver(monkeypatch):
+    h, max_step = 0.1, 0.05
+    solver = SolverConfig(t_end=1.0, mode=MODE_FIXED, fixed_h=h, max_step=max_step)
+    configs = []
+    orig = experiments.integrate
+
+    def recording(init, kernel, config):
+        configs.append(config)
+        return orig(init, kernel, config)
+
+    monkeypatch.setattr(experiments, "integrate", recording)
+    rep = time_rescaling(constant(1.0), monomer(8), 1.0, alphas=(0.5, 2.0), solver=solver)
+    assert rep.passed
+    assert rep.config_echo["solver"] == solver.to_dict()
+    assert len(configs) == 4
+    for alpha, run_a, run_b in zip((0.5, 2.0), configs[::2], configs[1::2]):
+        assert run_a.mode == run_b.mode == MODE_FIXED
+        assert (run_a.t_end, run_a.fixed_h, run_a.max_step) == (1.0, h, max_step)
+        assert (run_b.t_end, run_b.fixed_h, run_b.max_step) == (alpha, alpha * h, alpha * max_step)
+        assert np.array_equal(run_b.resolved_sample_times(), alpha * run_a.resolved_sample_times())
+    # scaling by a power of two is exact, so the two fixed-step flows agree bit for bit
+    assert rep.metrics["max_rescaling_residual"] == 0.0
 
 
 def test_convergence_order_ratio_near_16():

@@ -27,6 +27,8 @@ def test_config_validation():
         SolverConfig(t_end=1.0, mode=MODE_FIXED).validate()
     with pytest.raises(ConfigError, match="mode"):
         SolverConfig(t_end=1.0, mode="implicit").validate()
+    with pytest.raises(ConfigError, match="solver.fixed_h"):  # adaptive mode would ignore it
+        SolverConfig(t_end=1.0, fixed_h=0.1).validate()
     with pytest.raises(ConfigError, match="sample_times"):
         SolverConfig(t_end=1.0, sample_times=np.array([0.0, 0.5])).validate()
     with pytest.raises(ConfigError, match="sample_times"):

@@ -72,7 +72,7 @@ def test_finite_identity_examples():
 def test_finite_identity_contract_errors():
     s = state([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        finite_identity_rate(np.ones(3), s, constant(1.0), 3)  # q >= k
+        finite_identity_rate(np.ones(4), s, constant(1.0), 4)  # q > k
     with pytest.raises(ValueError):
         finite_identity_rate(np.ones(3), s, constant(1.0), 2)  # length mismatch
 
@@ -396,7 +396,7 @@ def test_batched_identity_rates_match_per_state_oracle(kern, rng):
         for s, rate in zip(states, got):
             want, size = _oracle_weak_form(weights, s.values, kern)
             assert abs(rate - want) <= 1e-13 * size
-    for q in (1, 2, k // 2, k - 1):
+    for q in (1, 2, k // 2, k - 1, k):
         phi = psi[:q]
         got = finite_identity_rate(phi, states, kern, q)
         assert got.shape == (len(states),)
@@ -406,6 +406,14 @@ def test_batched_identity_rates_match_per_state_oracle(kern, rng):
     # the zero state contributes exactly nothing
     assert weak_form_rate(psi, states, kern)[5] == 0.0
     assert finite_identity_rate(psi[:3], states, kern, 3)[5] == 0.0
+    # the weak form is the q = k identity, bit for bit, batched and single-state
+    for weights in (psi, np.arange(1.0, k + 1)):
+        assert finite_identity_rate(weights, states, kern, k).tobytes() == \
+            weak_form_rate(weights, states, kern).tobytes()
+        for s in states:
+            full = finite_identity_rate(weights, s, kern, k)
+            assert type(full) is float
+            assert np.float64(full).tobytes() == np.float64(weak_form_rate(weights, s, kern)).tobytes()
 
 
 def test_single_state_identity_rate_is_a_python_float(rng):
