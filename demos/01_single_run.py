@@ -27,7 +27,7 @@ print("   t      M0 (count)   M1 (mass)    M2         mean size")
 for idx in range(0, 51, 10):
     d = traj.diagnostics[idx]
     mean = d.moment_1 / d.moment_0 if d.moment_0 > 0 else 0.0
-    print(f"{traj.samples[idx].time:6.1f}   {d.moment_0:.6f}    {d.moment_1:.6f}   "
+    print(f"{traj.times[idx]:6.1f}   {d.moment_0:.6f}    {d.moment_1:.6f}   "
           f"{d.moment_2:9.4f}  {mean:8.3f}")
 
 print()
@@ -39,7 +39,7 @@ write_trajectory_csv(os.path.join(OUT, "run_trajectory.csv"), traj)
 write_diagnostics_csv(os.path.join(OUT, "run_diagnostics.csv"), traj)
 write_line_svg(
     os.path.join(OUT, "run_moments.svg"),
-    traj.times(),
+    traj.times,
     [("M0", traj.number_series()), ("M1", traj.mass_series())],
     title="Monomer coagulation, constant kernel",
     xlabel="t",

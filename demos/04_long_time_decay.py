@@ -21,7 +21,7 @@ traj = integrate(
     monomer(128), kernel,
     SolverConfig(t_end=100.0, sample_times=np.linspace(0.0, 100.0, 201)),
 )
-times = traj.times()
+times = traj.times
 m0 = traj.number_series()
 envelope = 1.0 / (1.0 + 0.5 * times)
 

@@ -282,7 +282,7 @@ def simulate(config_path: str) -> int:
         output.write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), traj),
         output.write_line_svg(
             os.path.join(out, "moments.svg"),
-            traj.times(),
+            traj.times,
             [("M0", traj.number_series()), ("M1", traj.mass_series())],
             title=f"Moments ({kern.name}, k={cfg.truncation_k})",
             xlabel="t",

@@ -22,14 +22,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernels import CoagulationKernel
 
 
-def _held(state: SizeDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """The occupied prefix of state's values and its sizes 1..m.
+def _held(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied prefix of a state's values, or of a stored row, and its sizes 1..m.
 
     Every entry past the prefix is +0.0, which adds nothing to any sum
     below, so the sums read only the prefix.
     """
-    m = occupied_size(state.values)
-    return state.values[:m], np.arange(1.0, m + 1.0)
+    m = occupied_size(values)
+    return values[:m], np.arange(1.0, m + 1.0)
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -45,13 +45,22 @@ def _moment(held: np.ndarray, sizes: np.ndarray, m: float) -> float:
 
 def moment(state: SizeDistribution, m: float) -> float:
     """Weighted sum M_m = sum_i i**m xi_i over the truncated state."""
-    return _moment(*_held(state), m)
+    return _moment(*_held(state.values), m)
+
+
+def moment_series(traj: "Trajectory", m: float) -> np.ndarray:
+    """``moment`` of order m at every sample, read from the stored rows."""
+    return np.array([_moment(*_held(row), m) for row in traj.states])
+
+
+def _g_moment(values: np.ndarray, weight: ConvexWeight) -> float:
+    held, sizes = _held(values)
+    return _fsum(np.asarray(weight_eval(weight, sizes)) * held)
 
 
 def g_moment(state: SizeDistribution, weight: ConvexWeight) -> float:
     """Weighted sum sum_i G(i) xi_i for a convex weight G."""
-    held, sizes = _held(state)
-    return _fsum(np.asarray(weight_eval(weight, sizes)) * held)
+    return _g_moment(state.values, weight)
 
 
 @dataclass
@@ -79,7 +88,7 @@ def compute_record(
     otherwise a fresh ``RhsEvaluator`` computes it.
     """
     k = state.truncation_k
-    held, sizes = _held(state)
+    held, sizes = _held(state.values)
     mass = sizes * held
     m0 = _fsum(held)
     m1 = _fsum(mass)
@@ -107,9 +116,8 @@ def mass_defect(traj: "Trajectory") -> float:
     the leak is far below the floating-point resolution of M1 itself
     (a k=64 run can leak ~1e-45 while M1 - M1 rounds to exactly 0).
     """
-    times = np.array([s.time for s in traj.samples])
     leaks = np.array([d.mass_leak_rate for d in traj.diagnostics])
-    return float(cumulative_simpson(times, leaks)[-1])
+    return float(cumulative_simpson(traj.times, leaks)[-1])
 
 
 def mass_defect_endpoint(traj: "Trajectory") -> float:
@@ -131,10 +139,10 @@ def check_moment_propagation(
     the observed growth rate is reported alongside so a tighter constant
     can be re-audited from the report alone.
     """
-    if not traj.samples:
+    if not traj.times.size:
         raise ValueError("trajectory is empty")
-    mg = np.array([g_moment(s, weight) for s in traj.samples])
-    times = np.array([s.time for s in traj.samples])
+    mg = np.array([_g_moment(row, weight) for row in traj.states])
+    times = traj.times
     m1_0 = traj.diagnostics[0].moment_1
     c_safe = 4.0 * kernel.growth_constant_A * m1_0
 

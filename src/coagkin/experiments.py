@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import output
-from .diagnostics import mass_defect, moment
+from .diagnostics import mass_defect, moment_series
 from .integrator import MODE_FIXED, SolverConfig, Trajectory, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .numerics import cumulative_simpson
@@ -22,6 +22,7 @@ from .reports import ExperimentReport, check_threshold_names
 from .system import (
     RhsEvaluator,
     SizeDistribution,
+    StateStack,
     finite_identity_rate,
     row_blocks,
     weak_form_rate,
@@ -178,18 +179,19 @@ def continuous_dependence(
     traj_a = integrate(init_a, kernel, base)
     traj_b = integrate(init_b, kernel, base)
     sizes = np.arange(1, init_a.truncation_k + 1, dtype=float)
-    times = traj_a.times()
-    dist = np.array(
-        [
-            float(np.dot(sizes, np.abs(sa.values - sb.values)))
-            for sa, sb in zip(traj_a.samples, traj_b.samples)
-        ]
-    )
+    times = traj_a.times
+    # each distance dots over all k sizes, as numpy groups a sum by its length;
+    # past the wider stored width both runs are +0.0
+    width = max(traj_a.states.shape[1], traj_b.states.shape[1])
+    gap = np.zeros(init_a.truncation_k)
+    dist = []
+    for xa, xb in zip(traj_a.states_matrix(width), traj_b.states_matrix(width)):
+        np.abs(xa - xb, out=gap[:width])
+        dist.append(float(np.dot(sizes, gap)))
+    dist = np.array(dist)
     delta = kernel.power_delta
-    sup_m1d = max(
-        max(moment(s, 1.0 + delta) for s in traj_a.samples),
-        max(moment(s, 1.0 + delta) for s in traj_b.samples),
-    )
+    sup_m1d = float(max(moment_series(traj_a, 1.0 + delta).max(),
+                        moment_series(traj_b, 1.0 + delta).max()))
     delta_1 = max(traj_a.diagnostics[0].moment_1, traj_b.diagnostics[0].moment_1)
     c_cd = 4.0 * kernel.growth_constant_A * (sup_m1d + delta_1)
 
@@ -258,7 +260,7 @@ def asymptotic_decay(
     base = _solver(solver, t_long)
     solver = replace(base, sample_times=np.union1d(base.resolved_sample_times(), [0.9 * t_long]))
     traj = integrate(init, kernel, solver)
-    times = traj.times()
+    times = traj.times
     m0 = traj.number_series()
     m0_0 = m0[0]
 
@@ -279,11 +281,9 @@ def asymptotic_decay(
         max_ratio = 0.0 if np.all(m0 == 0.0) else np.inf
 
     near = int(np.argmin(np.abs(times - 0.9 * t_long)))
-    x_end = traj.final().values
-    x_near = traj.samples[near].values
-    n_comp = min(5, init.truncation_k)
-    conv = float(np.max(np.abs(x_end[:n_comp] - x_near[:n_comp])))
-    limit = float(np.max(np.abs(x_end[:n_comp])))
+    head = traj.states_matrix(min(5, init.truncation_k))
+    conv = float(np.max(np.abs(head[-1] - head[near])))
+    limit = float(np.max(np.abs(head[-1])))
 
     metrics = {
         "m0_monotone_violations": mono_viol,
@@ -366,17 +366,19 @@ def identity_audit(
     The right-hand side at the samples comes from block calls of one
     ``RhsEvaluator`` on the stacked states, ``system.row_blocks`` at a
     time; the identity rates never call it. A threshold naming no metric
-    of the audit raises ConfigError before any work.
+    of the audit raises ConfigError before any work. The samples are
+    stacked and checked once, as one ``StateStack`` that every identity
+    rate takes.
     """
-    if not traj.samples:
+    if not traj.times.size:
         raise ValueError("trajectory is empty")
-    k = traj.samples[0].truncation_k
+    k = traj.truncation_k
     q_list, names = _identity_plan(k, q_list)
     check_threshold_names("identity_audit", thresholds, names)
     rel_tol = traj.config.rel_tol
-    times = traj.times()
-    samples = traj.samples
-    X = traj.states_matrix()
+    times = traj.times
+    stack = StateStack(traj.states_matrix(), times)
+    X = stack.values
     ev = RhsEvaluator(kernel, k)
     derivs = np.empty_like(X)
     for rows in row_blocks(len(X), k):
@@ -388,13 +390,13 @@ def identity_audit(
     for phi_name, make_phi in _IDENTITY_RULES.items():
         psi = make_phi(k)
         # pointwise adjoint consistency of the full weak form
-        wf = weak_form_rate(psi, samples, kernel)
+        wf = weak_form_rate(psi, stack, kernel)
         scale = np.maximum(np.maximum(np.abs(derivs) @ np.abs(psi), np.abs(wf)), 1.0)
         max_adjoint_residual = max(max_adjoint_residual,
                                    float(np.max(np.abs(wf - derivs @ psi) / scale)))
         for q in q_list:
             phi = make_phi(q)
-            rates = finite_identity_rate(phi, samples, kernel, q)
+            rates = finite_identity_rate(phi, stack, kernel, q)
             weighted = X[:, :q] @ phi
             integral = cumulative_simpson(times, rates)
             scale = np.maximum.reduce(
@@ -466,10 +468,10 @@ def time_rescaling(
                             max_step=base.max_step and alpha * base.max_step,
                             fixed_h=base.fixed_h and alpha * base.fixed_h)
         traj_b = integrate(init, kernel, stretched)
-        err = max(
-            float(np.max(np.abs(sa.values - alpha * sb.values)))
-            for sa, sb in zip(traj_a.samples, traj_b.samples)
-        )
+        # past the wider of the two stored widths both runs are +0.0
+        width = max(traj_a.states.shape[1], traj_b.states.shape[1])
+        err = float(np.max(np.abs(traj_a.states_matrix(width) - alpha * traj_b.states_matrix(width)),
+                           initial=0.0))
         scale = alpha * float(np.max(np.abs(init.values)))
         metrics[f"rescaling_residual_alpha_{alpha:g}"] = err / scale
         worst = max(worst, err / scale)

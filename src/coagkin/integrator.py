@@ -143,17 +143,47 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    samples: list[SizeDistribution]
+    """A sampled run: sample i is taken at times[i] and holds states[i].
+
+    ``states`` is a (samples x w) matrix, w being the largest
+    ``occupied_size`` of any sample. Row i holds sample i's concentrations
+    of sizes 1..w; every size past w, up to truncation_k, is +0.0 in every
+    sample. So the matrix loses nothing, and its memory follows the front
+    of the run, not k. ``state``, ``final`` and ``states_matrix`` rebuild
+    full-length rows from it, and so does ``samples``, a read-only
+    convenience rebuilt on each access.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    truncation_k: int
     diagnostics: list[DiagnosticsRecord]
     step_stats: StepStats
     config: SolverConfig
     rhs_envelope: np.ndarray = field(default_factory=lambda: np.array([]))
 
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.samples])
+    def states_matrix(self, width: int | None = None) -> np.ndarray:
+        """The samples as the rows of a fresh matrix on sizes 1..width (default truncation_k)."""
+        width = self.truncation_k if width is None else width
+        out = np.zeros((self.times.size, width))
+        out[:, : self.states.shape[1]] = self.states[:, :width]
+        return out
 
-    def states_matrix(self) -> np.ndarray:
-        return np.vstack([s.values for s in self.samples])
+    def state(self, i: int) -> SizeDistribution:
+        """Sample i (negative counts from the end) as a fresh full-length state."""
+        values = np.zeros(self.truncation_k)
+        row = self.states[i]
+        values[: row.size] = row
+        return SizeDistribution(values, self.truncation_k, float(self.times[i]))
+
+    @property
+    def samples(self) -> list[SizeDistribution]:
+        """Every sample as a full-length state, rebuilt on each access.
+
+        A derived view for reading: writing to it changes nothing stored.
+        """
+        return [SizeDistribution(v, self.truncation_k, t)
+                for v, t in zip(self.states_matrix(), self.times.tolist())]
 
     def mass_series(self) -> np.ndarray:
         return np.array([d.moment_1 for d in self.diagnostics])
@@ -162,7 +192,7 @@ class Trajectory:
         return np.array([d.moment_0 for d in self.diagnostics])
 
     def final(self) -> SizeDistribution:
-        return self.samples[-1]
+        return self.state(-1)
 
     def check_invariants(self) -> list[str]:
         """Return human-readable violations (empty list = all good).
@@ -172,14 +202,15 @@ class Trajectory:
         MASS_BUDGET_REL * M1(0).
         """
         problems: list[str] = []
-        times = self.times()
+        times = self.times
         if np.any(np.diff(times) <= 0):
             problems.append("sample times are not strictly ascending")
-        for s in self.samples:
-            i = int(np.argmin(s.values))
-            if s.values[i] < 0:
-                problems.append(f"negative component xi_{i + 1} = {s.values[i]:.3e} in sample at t={s.time:.6g}")
-                break
+        negative = (self.states < 0).any(axis=1)
+        if negative.any():
+            r = int(np.argmax(negative))
+            i = int(np.argmin(self.states[r]))
+            problems.append(f"negative component xi_{i + 1} = {self.states[r, i]:.3e} "
+                            f"in sample at t={times[r]:.6g}")
         m1 = self.mass_series()
         budget = MASS_BUDGET_REL * m1[0]
         rises = np.diff(m1) > budget
@@ -209,10 +240,10 @@ def _clamp(vec: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
 def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
     """Cubic Hermite samples at the times in (t0, t1) of a nonempty list, as rows of a fresh block.
 
-    A row is h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1 on the first
-    n sizes, added left to right, and +0.0 beyond them. The coefficients are
-    Python floats of each row's own time: a power of a numpy array may round
-    differently from the scalar one. Each row holding a negative entry goes
+    The block holds the first n sizes, past which every sample is +0.0. A
+    row is h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1, added left to
+    right. The coefficients are Python floats of each row's own time: a
+    power of a numpy array may round differently from the scalar one. Each row holding a negative entry goes
     through ``_clamp``, row after row, and charges the mass it removes to
     stats.clamped_mass_sample.
     """
@@ -223,8 +254,7 @@ def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
         coef.append((2 * th**3 - 3 * th**2 + 1, h * (th**3 - 2 * th**2 + th),
                      -2 * th**3 + 3 * th**2, h * (th**3 - th**2)))
     c00, c10, c01, c11 = np.array(coef).T[:, :, None]
-    block = np.zeros((len(times), y0.size))
-    vals = block[:, :n]
+    vals = np.empty((len(times), n))
     np.multiply(c00, y0[:n], out=vals)
     vals += c10 * f0[:n]
     vals += c01 * y1[:n]
@@ -232,7 +262,13 @@ def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
     for row in np.flatnonzero((vals < 0.0).any(axis=1)):
         vals[row], clamped = _clamp(vals[row], sizes[:n])
         stats.clamped_mass_sample += clamped
-    return block
+    return vals
+
+
+def _occupied_columns(block: np.ndarray) -> int:
+    """The largest ``occupied_size`` of the rows of a 2-D block."""
+    held = block.view(np.int64).any(axis=0).nonzero()[0]
+    return int(held[-1]) + 1 if held.size else 0
 
 
 class _StepWork:
@@ -240,12 +276,14 @@ class _StepWork:
 
     ``stages`` holds the 7 stages as rows and ``terms`` their
     tableau-weighted copy for one reduction. A step uses their first n
-    columns, through views built once per width.
+    columns, through views built once per width. Both are as wide as the
+    widest step so far: a wider step replaces them by fresh ones of its
+    own width, a power of two or k (``prefix_columns``), so a run whose
+    front stays far below k never holds k columns.
     """
 
-    def __init__(self, k: int):
-        self.stages = np.empty((7, k))
-        self.terms = np.empty((7, k))
+    def __init__(self):
+        self.stages = self.terms = np.empty((7, 0))
         self._widths = {}
 
     def width(self, n: int) -> tuple:
@@ -256,6 +294,9 @@ class _StepWork:
         """
         views = self._widths.get(n)
         if views is None:
+            if n > self.stages.shape[1]:
+                self.stages, self.terms = np.empty((7, n)), np.empty((7, n))
+                self._widths.clear()
             stages, terms = self.stages[:, :n], self.terms[:, :n]
             combos = tuple((col, stages[: col.shape[0]], terms[: col.shape[0]]) for col in _DP_A)
             views = self._widths[n] = (stages, terms, combos)
@@ -344,11 +385,18 @@ def integrate(
     clamped nonnegative, charging the run budget by source; a trial step
     that would charge more than budget * h / t_end is halved.
 
+    Each sample goes into ``Trajectory.states`` on its occupied prefix: a
+    Hermite block holds the sizes the step can reach, a sample at a step
+    end copies the state's occupied prefix, and the rows are joined once,
+    at the width of the widest. So k caps the sizes but sets neither the
+    samples' memory nor the stage scratch (``_StepWork``), which follow
+    the front of the run.
+
     After stepping, the right-hand side at every sample feeds its
     diagnostics record and ``rhs_envelope``. The first sample reuses the
     stepping's first evaluation; the others are evaluated in blocks of
-    rows of at most ``system.BLOCK_CELLS`` cells, so that work scales with
-    k and not with samples x k.
+    full-length rows of at most ``system.BLOCK_CELLS`` cells, so that work
+    scales with k and not with samples x k.
     """
     config.validate()
     init.validate()
@@ -357,21 +405,27 @@ def integrate(
     k = init.truncation_k
 
     f = RhsEvaluator(kernel, k)
-    work = _StepWork(k)
+    work = _StepWork()
     stats = StepStats()
     sample_times = config.resolved_sample_times()
     sizes = np.arange(1, k + 1, dtype=float)
     budget_rate = MASS_BUDGET_REL * init.mass / config.t_end
 
-    samples: list[SizeDistribution] = [init.copy()]
+    times = sample_times.copy()
+    times[0] = init.time
+    occupied = stats.max_occupied_size = occupied_size(init.values)
+    # the samples in order, as blocks of rows on a prefix of the sizes; widest
+    # is the largest occupied_size of any of their rows
+    blocks = [init.values[None, :occupied].copy()]
+    widest = occupied
     next_sample = 1
 
     def emit(t0, y0, f0, t1, y1, f1):
         # Take the accepted state y1; Hermite-interpolate all samples in
         # (t0, t1] as one block, with exact endpoint reuse. Past the first n
-        # sizes y0 and y1 are +0.0 and f0, f1 zeros, so the full-length sum
-        # there is +0.0.
-        nonlocal next_sample, occupied
+        # sizes y0 and y1 are +0.0 and f0, f1 zeros, so every sample is +0.0
+        # there and the block leaves those sizes out.
+        nonlocal next_sample, occupied, widest
         held = occupied_size(y1)
         stats.max_occupied_size = max(stats.max_occupied_size, held)
         n = min(k, max(occupied, held) + 1)
@@ -381,19 +435,22 @@ def integrate(
             next_sample += 1
         if next_sample == first:
             return
-        times = sample_times[first:next_sample].tolist()
+        due = sample_times[first:next_sample].tolist()
         # the samples at t1 (a suffix, times being ascending) take y1 itself
-        inner = len(times)
-        while inner and abs(times[inner - 1] - t1) <= 1e-12 * max(1.0, config.t_end):
+        inner = len(due)
+        while inner and abs(due[inner - 1] - t1) <= 1e-12 * max(1.0, config.t_end):
             inner -= 1
-        rows = list(_hermite(t0, y0, f0, t1, y1, f1, times[:inner], n, sizes, stats)) if inner else []
-        rows += [y1.copy() for _ in times[inner:]]
-        samples.extend(SizeDistribution(v, k, ts) for v, ts in zip(rows, times))
+        if inner:
+            block = _hermite(t0, y0, f0, t1, y1, f1, due[:inner], n, sizes, stats)
+            blocks.append(block)
+            widest = max(widest, _occupied_columns(block))
+        if inner < len(due):
+            blocks.append(np.repeat(y1[None, :held], len(due) - inner, axis=0))
+            widest = max(widest, held)
 
     t = 0.0
     y = init.values.copy()
     fy = f0 = f(y)
-    occupied = stats.max_occupied_size = occupied_size(y)
 
     if config.mode == MODE_FIXED:
         h_nominal = float(config.fixed_h)
@@ -463,24 +520,34 @@ def integrate(
 
     if next_sample < sample_times.size:
         # end-of-run numerical fuzz: remaining samples sit at t_end
-        for ts in sample_times[next_sample:]:
-            samples.append(SizeDistribution(y.copy(), k, float(ts)))
+        blocks.append(np.repeat(y[None, :occupied], sample_times.size - next_sample, axis=0))
+        widest = max(widest, occupied)
+
+    states = np.zeros((times.size, widest))
+    row = 0
+    for block in blocks:
+        states[row:row + len(block), : block.shape[1]] = block[:, :widest]
+        row += len(block)
 
     stats.n_rhs_evals = f.n_evals
     # One rhs per sample feeds its record and the envelope, evaluated in blocks
-    # of rows, so no samples x k matrix of derivatives is kept. The first sample
-    # is the initial state, whose rhs the stepping took first; its record comes
+    # of full-length rows, so no samples x k matrix is kept. The first sample is
+    # the initial state, whose rhs the stepping took first; its record comes
     # before the first block.
-    diagnostics = [compute_record(samples[0], kernel, deriv=f0)]
+    diagnostics = [compute_record(init, kernel, deriv=f0)]
     envelope = np.abs(f0)
-    later = samples[1:]
-    for rows in row_blocks(len(later), k):
-        states = later[rows]
-        derivs = f(np.array([s.values for s in states]))
+    for rows in row_blocks(times.size - 1, k):
+        block = states[1:][rows]
+        X = np.zeros((len(block), k))
+        X[:, :widest] = block
+        derivs = f(X)
         np.maximum(envelope, np.abs(derivs).max(axis=0), out=envelope)
-        diagnostics += [compute_record(s, kernel, deriv=d) for s, d in zip(states, derivs)]
+        diagnostics += [compute_record(SizeDistribution(x, k, ts), kernel, deriv=d)
+                        for x, ts, d in zip(X, times[1:][rows].tolist(), derivs)]
     return Trajectory(
-        samples=samples,
+        times=times,
+        states=states,
+        truncation_k=k,
         diagnostics=diagnostics,
         step_stats=stats,
         config=config,

@@ -20,26 +20,26 @@ def fmt(x: float) -> str:
 
 
 def write_trajectory_csv(path: str, traj) -> str:
-    """One row per sample; the same text as joining ``fmt`` of every value.
+    """One row per sample, over all k sizes; the same text as joining ``fmt`` of every value.
 
-    Each row is one ``%.17g`` format up to the sample's ``occupied_size``
-    (a -0.0 keeps its sign), then a literal run of ``,0`` for the empty
-    tail. Rows go to the file as they are formatted.
+    Each row is one ``%.17g`` format of the stored row up to its
+    ``occupied_size`` (a -0.0 keeps its sign), then a literal run of ``,0``
+    out to size k. Rows go to the file as they are formatted.
     """
-    k = traj.samples[0].truncation_k
+    k = traj.truncation_k
     with _create(path) as fh:
         fh.write("t," + ",".join(f"xi_{i}" for i in range(1, k + 1)) + "\n")
-        for s in traj.samples:
-            n = occupied_size(s.values)
-            row = ("%.17g" + ",%.17g" * n) % (s.time, *s.values[:n].tolist())
+        for t, values in zip(traj.times.tolist(), traj.states):
+            n = occupied_size(values)
+            row = ("%.17g" + ",%.17g" * n) % (t, *values[:n].tolist())
             fh.write(row + ",0" * (k - n) + "\n")
     return path
 
 
 def write_diagnostics_csv(path: str, traj) -> str:
     lines = ["t,M0,M1,M2,tail_fraction,rhs_sup,mass_leak_rate"]
-    for s, d in zip(traj.samples, traj.diagnostics):
-        lines.append(",".join(fmt(v) for v in (s.time, d.moment_0, d.moment_1, d.moment_2,
+    for t, d in zip(traj.times.tolist(), traj.diagnostics):
+        lines.append(",".join(fmt(v) for v in (t, d.moment_0, d.moment_1, d.moment_2,
                                                 d.tail_mass_fraction, d.rhs_sup, d.mass_leak_rate)))
     with _create(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -97,7 +97,7 @@ def occupied_size(values: np.ndarray) -> int:
 
     Everything beyond it is +0.0. A set last entry costs one scalar read.
     """
-    if values[-1]:
+    if values.size and values[-1]:
         return values.size
     held = (values.view(np.int64) != 0).nonzero()[0]
     return int(held[-1]) + 1 if held.size else 0
@@ -287,14 +287,39 @@ def rhs(state: SizeDistribution, kernel: CoagulationKernel) -> np.ndarray:
     return RhsEvaluator(kernel, state.truncation_k)(state.values)
 
 
-def _stacked_values(states) -> tuple[np.ndarray, bool]:
-    """Values of one state, or of a sequence of states, as an (n, k) matrix.
+class StateStack:
+    """States as the rows of one (n, k) matrix, checked once with their times.
 
-    Every state gets the checks of ``SizeDistribution.validate``, applied to
-    the whole stack at once; the first failing state raises through
+    Every row gets the checks of ``SizeDistribution.validate``, applied to
+    the whole matrix at once; the first failing row raises through
     ``validate`` itself, so the error is the same as for a single state.
-    The flag tells whether a single state was given.
+    The identity rates take a stack as it is, so one stack serves any
+    number of them without being stacked or checked again.
     """
+
+    def __init__(self, values: np.ndarray, times: np.ndarray):
+        values = np.asarray(values, dtype=float)
+        times = np.asarray(times, dtype=float)
+        if values.ndim != 2 or times.shape != values.shape[:1]:
+            raise ValueError(f"states {values.shape} and times {times.shape} do not pair up")
+        if not values.size:
+            raise ValueError("no states given")
+        k = values.shape[1]
+        bad = ~np.all(np.isfinite(values), axis=1) | np.any(values < 0, axis=1) | (times < 0)
+        if k < 2 or bad.any():
+            i = int(np.argmax(bad))
+            SizeDistribution(values[i], k, float(times[i])).validate()
+        self.values = values
+
+
+def _stacked_values(states) -> tuple[np.ndarray, bool]:
+    """Values of one state, a sequence of states or a ``StateStack``, as an (n, k) matrix.
+
+    States are checked as ``StateStack`` checks its rows; a stack is taken
+    as it is. The flag tells whether a single state was given.
+    """
+    if isinstance(states, StateStack):
+        return states.values, False
     single = isinstance(states, SizeDistribution)
     batch = [states] if single else list(states)
     if not batch:
@@ -304,12 +329,8 @@ def _stacked_values(states) -> tuple[np.ndarray, bool]:
         if k < 2 or s.truncation_k != k or s.values.shape != (k,):
             s.validate()
             raise ValueError(f"states mix truncation sizes {k} and {s.truncation_k}")
-    X = np.array([s.values for s in batch])
-    times = np.array([s.time for s in batch])
-    bad = ~np.all(np.isfinite(X), axis=1) | np.any(X < 0, axis=1) | (times < 0)
-    if bad.any():
-        batch[int(np.argmax(bad))].validate()
-    return X, single
+    stack = StateStack(np.array([s.values for s in batch]), [s.time for s in batch])
+    return stack.values, single
 
 
 def _quadratic_forms(X: np.ndarray, A: np.ndarray, single: bool):
@@ -351,8 +372,9 @@ def finite_identity_rate(
     The P3 block runs to infinity for the untruncated system; components
     above k are identically zero here, so cutting it at k is exact. At
     q = k it is empty and this is the weak form. ``states`` is one
-    ``SizeDistribution`` (returns a float) or a sequence of them with a
-    common truncation size (returns one rate per state). The three blocks
+    ``SizeDistribution`` (returns a float), or a sequence of them with a
+    common truncation size or a ``StateStack`` (returns one rate per
+    state). The three blocks
     fold into one lower-triangular coefficient matrix (P3 lies below the
     diagonal because j <= q < i), so every state costs a quadratic form.
     """

@@ -73,7 +73,7 @@ def rhs_oracle(kernel, k):
 def hermite_oracle(t0, y0, f0, t1, y1, f1, times, n, sizes, stats):
     """The samples at times in (t0, t1] one by one, each clamped and charged on its own.
 
-    Takes and returns what ``integrator._hermite`` does, with a list of rows for the block.
+    Takes what ``integrator._hermite`` does and returns the block over all k sizes.
     """
     k = y0.size
     h = t1 - t0
@@ -95,7 +95,7 @@ def hermite_oracle(t0, y0, f0, t1, y1, f1, times, n, sizes, stats):
         val[:n] = vec
         stats.clamped_mass_sample += clamped
         rows.append(val)
-    return rows
+    return np.array(rows)
 
 
 def cumulative_simpson_oracle(t, y):

@@ -220,7 +220,7 @@ def test_c10a_number_decay_envelope():
     t0 = time.monotonic()
     traj = _decay_run()
     elapsed = time.monotonic() - t0
-    times = traj.times()
+    times = traj.times
     m0 = traj.number_series()
     mono_ok = bool(np.all(np.diff(m0) <= 1e-9))
     envelope = 1.0 / (1.0 + 0.5 * times)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coagkin import experiments
+from coagkin import experiments, system
 from coagkin.errors import ConfigError
 from coagkin.experiments import (
     asymptotic_decay,
@@ -154,6 +154,23 @@ def test_identity_audit_rate_matrices_do_not_scale_with_samples(monkeypatch):
         assert counts["rate_matrix"] <= identity_calls + 1  # + the shared rhs evaluator
         per_run.append(counts)
     assert per_run[0] == per_run[1]
+
+
+def test_identity_audit_stacks_and_checks_its_samples_once(monkeypatch):
+    kern = constant(1.0)
+    traj = integrate(monomer(16), kern, SolverConfig(t_end=1.0))
+    counts = {}
+    with monkeypatch.context() as m:
+        _counting(m, system.StateStack, "__init__", counts)
+        for attr in ("weak_form_rate", "finite_identity_rate"):
+            _counting(m, experiments, attr, counts)
+        assert identity_audit(traj, kern, q_list=[4, 8, 15]).passed
+    assert counts["weak_form_rate"] + counts["finite_identity_rate"] == 12
+    assert counts["__init__"] == 1
+    # the one check rejects a bad sample with the error of a single state
+    traj.states[40, 2] = -1e-3
+    with pytest.raises(ValueError, match=r"negative concentration xi_3 = -1\.000e-03"):
+        identity_audit(traj, kern, q_list=[4])
 
 
 @pytest.mark.parametrize("q_list", [[], [0], [17], [4.0], ["a"], [True]])

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +39,7 @@ def test_config_validation():
 
 def trial_step(y, h, rel_tol=1e-8, abs_tol=1e-10):
     f = RhsEvaluator(constant(1.0), y.size)
-    work = _StepWork(y.size)
+    work = _StepWork()
     y5, err, _ = _dp_step(f, y, f(y), h, rel_tol, abs_tol, work, occupied_size(y))
     return y5, err, work.stages
 
@@ -73,7 +74,7 @@ def test_step_with_overflowing_last_stage_raises():
     y = np.ones(64)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="non-finite values in trial step"):
-        _dp_step(f, y, f(y), 0.5, 1e-8, 1e-10, _StepWork(64), 64)
+        _dp_step(f, y, f(y), 0.5, 1e-8, 1e-10, _StepWork(), 64)
 
 
 def test_integrate_zero_state_stays_zero():
@@ -108,7 +109,7 @@ def test_all_catalog_kernels_positive_and_mass_monotone():
 def test_sample_times_are_exactly_the_requested_grid():
     ts = np.array([0.0, 0.1, 0.25, 0.3, 1.0])
     traj = integrate(monomer(4), constant(1.0), SolverConfig(t_end=1.0, sample_times=ts))
-    assert np.array_equal(traj.times(), ts)
+    assert np.array_equal(traj.times, ts)
 
 
 def test_dense_output_against_fine_fixed_reference():
@@ -157,17 +158,17 @@ def test_step_stats_account_for_the_run():
 def test_invariant_checker_flags_mass_rise():
     traj = integrate(monomer(4), constant(1.0), SolverConfig(t_end=0.5))
     # tamper: inflate the final sample's mass
-    traj.samples[-1].values[0] += 1.0
+    traj.states[-1, 0] += 1.0
     from coagkin.diagnostics import compute_record
 
-    traj.diagnostics[-1] = compute_record(traj.samples[-1], constant(1.0))
+    traj.diagnostics[-1] = compute_record(traj.final(), constant(1.0))
     problems = traj.check_invariants()
     assert any("mass increased" in p for p in problems)
 
 
 def test_invariant_messages_name_component_and_source():
     traj = integrate(monomer(4), constant(1.0), SolverConfig(t_end=0.5))
-    traj.samples[50].values[2] = -3e-12
+    traj.states[50, 2] = -3e-12
     traj.step_stats.clamped_mass_step = 2e-9
     traj.step_stats.clamped_mass_sample = 5e-10
     problems = traj.check_invariants()
@@ -221,7 +222,7 @@ def test_step_matches_oracle_bit_for_bit(kern, rng):
     norms = []
     for k in (2, 3, 64, 200, 257):
         f, f_oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
-        work = _StepWork(k)
+        work = _StepWork()
         heads = []  # an occupied head and an empty tail, as in a run
         # k // 2 at k = 200: numpy's pairwise sum of all k squared errors splits at
         # 96, inside the 128 columns the step takes; the last head's last stage
@@ -247,7 +248,7 @@ def test_step_matches_oracle_bit_for_bit(kern, rng):
 
 def test_fsal_stage_and_state_survive_the_next_step(rng):
     f = RhsEvaluator(power_sum(1.0, 0.5), 16)
-    work = _StepWork(16)
+    work = _StepWork()
     y = rng.random(16)
     y5, _, f_last = _dp_step(f, y, f(y), 0.01, 1e-8, 1e-10, work, 16)
     kept = y5.tobytes(), f_last.tobytes()
@@ -332,6 +333,49 @@ def test_samples_at_a_step_end_are_that_state(monkeypatch):
     assert len(ends) == 10
     for sample, end in zip(traj.samples[1:], ends):
         assert sample.values.tobytes() == end.tobytes(), sample.time
+
+
+def test_step_scratch_is_as_wide_as_the_widest_step():
+    k = 4096
+    f, work = RhsEvaluator(constant(1.0), k), _StepWork()
+    y = monomer(k).values
+    _dp_step(f, y, f(y), 0.01, 1e-8, 1e-10, work, 1)
+    assert work.stages.shape == work.terms.shape == (7, 8)  # prefix_columns(1 + 7, k)
+    wide = y.copy()
+    wide[20] = 0.5
+    _dp_step(f, wide, f(wide), 0.01, 1e-8, 1e-10, work, 21)
+    assert work.stages.shape == work.terms.shape == (7, 32)
+    _dp_step(f, y, f(y), 0.01, 1e-8, 1e-10, work, 1)  # a narrower step keeps the wider scratch
+    assert work.stages.shape == (7, 32)
+
+
+def test_sample_memory_follows_the_front_not_k(monkeypatch):
+    # full-length rows would take 1001 * 8192 * 8 B = 62.5 MiB; the front stays below
+    # size 300, and the whole run peaked at 5.7 MiB (Python 3.11, numpy 2.4)
+    k = 8192
+    config = SolverConfig(t_end=10.0, sample_times=np.linspace(0.0, 10.0, 1001))
+    tracemalloc.start()
+    try:
+        traj = integrate(monomer(k), constant(1.0), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    widest = max(occupied_size(row) for row in traj.states)
+    assert traj.states.shape == (1001, widest)
+    assert widest < 300
+    # the full-length path: every sample stored over all k sizes, as the samples materialise
+    for module in (integrator, diagnostics):
+        monkeypatch.setattr(module, "occupied_size", lambda values: values.size)
+    full = integrate(monomer(k), constant(1.0), config)
+    assert full.states.shape == (1001, k)
+    assert full.states[:, :widest].tobytes() == traj.states.tobytes()
+    assert not full.states[:, widest:].view(np.int64).any()  # +0.0, as the rebuilt rows hold
+    for i in (0, 1, 500, -1):
+        assert traj.state(i).values.tobytes() == full.states[i].tobytes()
+    assert traj.states_matrix(2 * widest).tobytes() == full.states[:, : 2 * widest].tobytes()
+    assert full.diagnostics == traj.diagnostics
+    assert full.rhs_envelope.tobytes() == traj.rhs_envelope.tobytes()
 
 
 def test_rejections_are_split_by_cause():

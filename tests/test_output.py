@@ -5,7 +5,7 @@ import numpy as np
 from coagkin.integrator import SolverConfig, StepStats, Trajectory, integrate
 from coagkin.kernels import constant
 from coagkin.output import fmt, write_diagnostics_csv, write_line_svg, write_trajectory_csv
-from coagkin.system import SizeDistribution, monomer
+from coagkin.system import monomer
 
 
 def test_float_format_round_trips_exactly(rng):
@@ -24,7 +24,7 @@ def test_trajectory_csv_round_trips_values(tmp_path):
     rows = open(path).read().splitlines()
     assert rows[0] == "t,xi_1,xi_2,xi_3,xi_4,xi_5,xi_6"
     parsed = np.array([r.split(",") for r in rows[1:]], dtype=float)
-    assert np.array_equal(parsed[:, 0], traj.times())
+    assert np.array_equal(parsed[:, 0], traj.times)
     assert np.array_equal(parsed[:, 1:], traj.states_matrix())
 
 
@@ -34,7 +34,7 @@ def test_diagnostics_csv_layout(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0] == "t,M0,M1,M2,tail_fraction,rhs_sup,mass_leak_rate"
     d = traj.diagnostics[-1]
-    assert lines[-1] == ",".join(fmt(v) for v in (traj.times()[-1], d.moment_0, d.moment_1,
+    assert lines[-1] == ",".join(fmt(v) for v in (traj.times[-1], d.moment_0, d.moment_1,
                                                    d.moment_2, d.tail_mass_fraction, d.rhs_sup,
                                                    d.mass_leak_rate))
 
@@ -55,11 +55,10 @@ def _oracle_rows(traj):
 
 
 def _trajectory(rows, times=None):
-    rows = [np.asarray(r, dtype=float) for r in rows]
-    times = times if times is not None else np.arange(len(rows), dtype=float)
-    samples = [SizeDistribution(r, r.size, float(t)) for r, t in zip(rows, times)]
-    return Trajectory(samples=samples, diagnostics=[], step_stats=StepStats(),
-                      config=SolverConfig(t_end=1.0))
+    states = np.array(rows, dtype=float)
+    times = np.asarray(times if times is not None else np.arange(len(rows)), dtype=float)
+    return Trajectory(times=times, states=states, truncation_k=states.shape[1], diagnostics=[],
+                      step_stats=StepStats(), config=SolverConfig(t_end=1.0))
 
 
 def _assert_matches_oracle(tmp_path, traj):
