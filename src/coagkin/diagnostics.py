@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .numerics import cumulative_simpson
 from .reports import ExperimentReport
-from .system import RhsEvaluator, SizeDistribution, mass_leak_rate, occupied_size
+from .system import RhsEvaluator, SizeDistribution, mass_leak_rates, occupied_size, occupied_sizes
 from .weights import ConvexWeight, evaluate as weight_eval
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -22,45 +22,58 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernels import CoagulationKernel
 
 
-def _held(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The occupied prefix of a state's values, or of a stored row, and its sizes 1..m.
+def _sizes(rows: np.ndarray) -> np.ndarray:
+    """The sizes 1..w of the w columns of a block of stored rows."""
+    return np.arange(1.0, rows.shape[1] + 1.0)
 
-    Every entry past the prefix is +0.0, which adds nothing to any sum
-    below, so the sums read only the prefix.
+
+def _weighted_prefixes(rows: np.ndarray, weights: list) -> Iterator[list[memoryview]]:
+    """Per stored row, its product with each weight over the row's own occupied prefix.
+
+    A weight is a scalar or a vector on the block's sizes 1..w, so a size
+    power or G(i) is evaluated once per block, not per row, and each
+    product with the rows is one multiply. Every entry past a row's
+    occupied size is +0.0, which adds nothing to any sum of it, so the
+    prefixes stop there. A prefix is a slice of a memoryview on the
+    product: ``math.fsum`` reads its entries as Python floats, faster
+    than from a list made by ``tolist`` (which also has to be built) or
+    from the numpy scalars an array iterates as.
     """
-    m = occupied_size(values)
-    return values[:m], np.arange(1.0, m + 1.0)
+    w = rows.shape[1]
+    held = occupied_sizes(rows).tolist()
+    products = [memoryview(np.multiply(weight, rows).ravel()) for weight in weights]
+    return ([p[r * w: r * w + m] for p in products] for r, m in enumerate(held))
 
 
-def _fsum(values: np.ndarray) -> float:
-    # fsum reads a list faster than it iterates an array
-    return math.fsum(values.tolist())
+def _one_row(state: SizeDistribution) -> np.ndarray:
+    """A state as a one-row block on its occupied prefix."""
+    return state.values[None, : occupied_size(state.values)]
 
 
-def _moment(held: np.ndarray, sizes: np.ndarray, m: float) -> float:
+def _moments(rows: np.ndarray, m: float) -> list[float]:
     if m < 0:
         raise ValueError(f"moment order must be nonnegative, got {m}")
-    return _fsum(sizes**m * held)
+    return [math.fsum(terms) for (terms,) in _weighted_prefixes(rows, [_sizes(rows)**m])]
 
 
 def moment(state: SizeDistribution, m: float) -> float:
     """Weighted sum M_m = sum_i i**m xi_i over the truncated state."""
-    return _moment(*_held(state.values), m)
+    return _moments(_one_row(state), m)[0]
 
 
 def moment_series(traj: "Trajectory", m: float) -> np.ndarray:
     """``moment`` of order m at every sample, read from the stored rows."""
-    return np.array([_moment(*_held(row), m) for row in traj.states])
+    return np.array(_moments(traj.states, m))
 
 
-def _g_moment(values: np.ndarray, weight: ConvexWeight) -> float:
-    held, sizes = _held(values)
-    return _fsum(np.asarray(weight_eval(weight, sizes)) * held)
+def _g_moments(rows: np.ndarray, weight: ConvexWeight) -> list[float]:
+    g = np.asarray(weight_eval(weight, _sizes(rows)))
+    return [math.fsum(terms) for (terms,) in _weighted_prefixes(rows, [g])]
 
 
 def g_moment(state: SizeDistribution, weight: ConvexWeight) -> float:
     """Weighted sum sum_i G(i) xi_i for a convex weight G."""
-    return _g_moment(state.values, weight)
+    return _g_moments(_one_row(state), weight)[0]
 
 
 @dataclass
@@ -76,35 +89,52 @@ class DiagnosticsRecord:
 
 
 def compute_record(
-    state: SizeDistribution,
+    samples: "SizeDistribution | np.ndarray",
     kernel: "CoagulationKernel",
     deriv: np.ndarray | None = None,
-) -> DiagnosticsRecord:
-    """Evaluate the observables of one ``diagnostics.csv`` row at one sample.
+) -> "DiagnosticsRecord | list[DiagnosticsRecord]":
+    """Evaluate the observables of ``diagnostics.csv`` rows, one record per sample.
+
+    ``samples`` is one state, giving one record, or a block of stored
+    sample rows on sizes 1..w (rows of ``Trajectory.states``), giving a
+    list of records, one per row. ``deriv`` is the right-hand side at the
+    samples: for one state a length-k vector, or None for a fresh
+    ``RhsEvaluator`` to compute it; for a block an (rows, k) matrix, whose
+    width gives k. A state is the one-row block of its occupied prefix.
 
     ``tail_mass_fraction`` is the mass share sitting above size k/2, the
     early-warning indicator that the truncation boundary is active.
-    ``deriv`` is the right-hand side at the sample, if the caller has it;
-    otherwise a fresh ``RhsEvaluator`` computes it.
     """
-    k = state.truncation_k
-    held, sizes = _held(state.values)
-    mass = sizes * held
-    m0 = _fsum(held)
-    m1 = _fsum(mass)
-    tail = _fsum(mass[k // 2:])
-    tail_fraction = tail / m1 if m1 > 0 else 0.0
-    if deriv is None:
-        deriv = RhsEvaluator(kernel, k)(state.values)
-    return DiagnosticsRecord(
-        moment_0=m0,
-        moment_1=m1,
-        moment_2=_moment(held, sizes, 2.0),
-        tail_mass_fraction=float(tail_fraction),
-        # the derivative vanishes past size m + 1
-        rhs_sup=float(np.max(np.abs(deriv[: held.size + 1]))),
-        mass_leak_rate=mass_leak_rate(state, kernel),
-    )
+    if isinstance(samples, SizeDistribution):
+        k = samples.truncation_k
+        if deriv is None:
+            deriv = RhsEvaluator(kernel, k)(samples.values)
+        return _records(_one_row(samples), k, kernel, deriv[None])[0]
+    if deriv is None or len(deriv) != len(samples):
+        raise ValueError("a block of sample rows needs its derivative block, one row per sample")
+    return _records(samples, deriv.shape[1], kernel, deriv)
+
+
+def _records(rows: np.ndarray, k: int, kernel, deriv: np.ndarray) -> list[DiagnosticsRecord]:
+    """The records of the rows of a block on sizes 1..w, w <= k, with derivatives deriv."""
+    # a derivative vanishes past its state's occupied size + 1 <= w + 1
+    sups = np.abs(deriv[:, : rows.shape[1] + 1]).max(axis=1).tolist()
+    leaks = mass_leak_rates(rows, kernel, k)
+    records = []
+    sizes = _sizes(rows)
+    prefixes = _weighted_prefixes(rows, [1.0, sizes, sizes**2.0])
+    for (values, mass, squares), sup, leak in zip(prefixes, sups, leaks):
+        m1 = math.fsum(mass)
+        tail = math.fsum(mass[k // 2:])
+        records.append(DiagnosticsRecord(
+            moment_0=math.fsum(values),
+            moment_1=m1,
+            moment_2=math.fsum(squares),
+            tail_mass_fraction=tail / m1 if m1 > 0 else 0.0,
+            rhs_sup=sup,
+            mass_leak_rate=leak,
+        ))
+    return records
 
 
 def mass_defect(traj: "Trajectory") -> float:
@@ -141,7 +171,7 @@ def check_moment_propagation(
     """
     if not traj.times.size:
         raise ValueError("trajectory is empty")
-    mg = np.array([_g_moment(row, weight) for row in traj.states])
+    mg = np.array(_g_moments(traj.states, weight))
     times = traj.times
     m1_0 = traj.diagnostics[0].moment_1
     c_safe = 4.0 * kernel.growth_constant_A * m1_0

@@ -396,7 +396,8 @@ def integrate(
     diagnostics record and ``rhs_envelope``. The first sample reuses the
     stepping's first evaluation; the others are evaluated in blocks of
     full-length rows of at most ``system.BLOCK_CELLS`` cells, so that work
-    scales with k and not with samples x k.
+    scales with k and not with samples x k. One ``compute_record`` call
+    takes each block's stored rows and derivatives.
     """
     config.validate()
     init.validate()
@@ -531,9 +532,10 @@ def integrate(
 
     stats.n_rhs_evals = f.n_evals
     # One rhs per sample feeds its record and the envelope, evaluated in blocks
-    # of full-length rows, so no samples x k matrix is kept. The first sample is
-    # the initial state, whose rhs the stepping took first; its record comes
-    # before the first block.
+    # of full-length rows, so no samples x k matrix is kept; each block's
+    # records come from its stored rows in one call. The first sample is the
+    # initial state, whose rhs the stepping took first; its record comes before
+    # the first block.
     diagnostics = [compute_record(init, kernel, deriv=f0)]
     envelope = np.abs(f0)
     for rows in row_blocks(times.size - 1, k):
@@ -542,8 +544,7 @@ def integrate(
         X[:, :widest] = block
         derivs = f(X)
         np.maximum(envelope, np.abs(derivs).max(axis=0), out=envelope)
-        diagnostics += [compute_record(SizeDistribution(x, k, ts), kernel, deriv=d)
-                        for x, ts, d in zip(X, times[1:][rows].tolist(), derivs)]
+        diagnostics += compute_record(block, kernel, deriv=derivs)
     return Trajectory(
         times=times,
         states=states,

@@ -37,12 +37,17 @@ def write_trajectory_csv(path: str, traj) -> str:
 
 
 def write_diagnostics_csv(path: str, traj) -> str:
-    lines = ["t,M0,M1,M2,tail_fraction,rhs_sup,mass_leak_rate"]
-    for t, d in zip(traj.times.tolist(), traj.diagnostics):
-        lines.append(",".join(fmt(v) for v in (t, d.moment_0, d.moment_1, d.moment_2,
-                                                d.tail_mass_fraction, d.rhs_sup, d.mass_leak_rate)))
+    """One row per sample; the same text as joining ``fmt`` of every value.
+
+    Each row is one ``%.17g`` format of its seven values, written as soon
+    as it is formatted.
+    """
     with _create(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("t,M0,M1,M2,tail_fraction,rhs_sup,mass_leak_rate\n")
+        for t, d in zip(traj.times.tolist(), traj.diagnostics):
+            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+                t, d.moment_0, d.moment_1, d.moment_2, d.tail_mass_fraction, d.rhs_sup,
+                d.mass_leak_rate))
     return path
 
 

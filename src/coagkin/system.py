@@ -103,6 +103,12 @@ def occupied_size(values: np.ndarray) -> int:
     return int(held[-1]) + 1 if held.size else 0
 
 
+def occupied_sizes(rows: np.ndarray) -> np.ndarray:
+    """``occupied_size`` of every row of a 2-D block, as one integer array."""
+    held = rows.view(np.int64) != 0
+    return (held * np.arange(1, rows.shape[1] + 1)).max(axis=1, initial=0)
+
+
 def prefix_columns(need: int, k: int) -> int:
     """The smallest power of two >= need, capped at k: the width of a prefix evaluation.
 
@@ -408,11 +414,24 @@ def mass_leak_rate(state: SizeDistribution, kernel: CoagulationKernel) -> float:
     exact rate at which the truncated system loses mass, measurable far
     below the floating-point resolution of the mass itself.
     """
-    k = state.truncation_k
-    x = state.values
-    if x[-1] == 0.0:
-        return 0.0
-    jv = np.arange(1, k + 1, dtype=float)
-    row = np.asarray(kernel.rule(np.full(k, k), np.arange(1, k + 1)), dtype=float)
-    s_k = float(np.dot(jv, row * x))
-    return (k + 1.0) * float(x[-1]) * s_k
+    return mass_leak_rates(state.values[None], kernel, state.truncation_k)[0]
+
+
+def mass_leak_rates(rows: np.ndarray, kernel: CoagulationKernel, k: int) -> list[float]:
+    """``mass_leak_rate`` of every row of a block of states stored on sizes 1..w, w <= k.
+
+    Only a row of width k can hold xi_k, and a row whose xi_k is zero (of
+    either sign) leaks 0.0. The kernel row rate(k, .) is built once per
+    call, and only if some row leaks; the leaking rows are weighted by it
+    in one product, and each then takes its own dot product with the
+    sizes, as a one-state call does.
+    """
+    leaks = [0.0] * len(rows)
+    leaking = np.flatnonzero(rows[:, k - 1]) if rows.shape[1] == k else []
+    if len(leaking):
+        jv = np.arange(1, k + 1, dtype=float)
+        rate = np.asarray(kernel.rule(np.full(k, k), np.arange(1, k + 1)), dtype=float)
+        X = rows[leaking]
+        for r, last, weighted in zip(leaking.tolist(), X[:, -1].tolist(), rate * X):
+            leaks[r] = (k + 1.0) * last * float(np.dot(jv, weighted))
+    return leaks

@@ -6,14 +6,18 @@ The tableau combinations are summed term by term from the left, as Python's
 vector. Hermite samples are formed one at a time and Simpson pairs summed
 in a Python loop. ``RhsEvaluator``, ``integrator._dp_step``,
 ``integrator._hermite`` and ``numerics.cumulative_simpson`` arrange the
-same operations into fewer numpy calls; these oracles pin that every
-rounding stays where it was.
+same operations into fewer numpy calls, and so does
+``diagnostics.compute_record`` with the one-state record of
+``record_oracle``; these oracles pin that every rounding stays where it
+was.
 
 The oracles always work on all k sizes. The library evaluates only the
 occupied prefix of a state and returns +0.0 beyond it, so comparing with
 them over the full length also checks that nothing past the prefix was
 dropped.
 """
+import math
+
 import numpy as np
 
 _A = (
@@ -120,3 +124,28 @@ def cumulative_simpson_oracle(t, y):
     for m in range(1, n, 2):
         out[m] = out[m - 1] + 0.5 * (t[m] - t[m - 1]) * (y[m] + y[m - 1])
     return out
+
+
+def record_oracle(values, kernel, deriv):
+    """(M0, M1, M2, tail fraction, rhs_sup, leak) of one full-length state, one sum at a time.
+
+    Each moment is ``math.fsum`` over the occupied prefix (a -0.0 counts
+    as occupied) of a fresh product on sizes 1..m, rhs_sup reads the whole
+    derivative, and the leak dots the sizes with the state weighted by the
+    kernel row rate(k, .).
+    """
+    k = values.size
+    nonzero = np.flatnonzero(values.view(np.int64))
+    m = int(nonzero[-1]) + 1 if nonzero.size else 0
+    held = values[:m]
+    sizes = np.arange(1.0, m + 1.0)
+    mass = sizes * held
+    m1 = math.fsum(mass.tolist())
+    tail = math.fsum(mass[k // 2:].tolist())
+    leak = 0.0
+    if values[-1] != 0.0:
+        jv = np.arange(1, k + 1, dtype=float)
+        row = np.asarray(kernel.rule(np.full(k, k), np.arange(1, k + 1)), dtype=float)
+        leak = (k + 1.0) * float(values[-1]) * float(np.dot(jv, row * values))
+    return (math.fsum(held.tolist()), m1, math.fsum((sizes**2.0 * held).tolist()),
+            tail / m1 if m1 > 0 else 0.0, float(np.max(np.abs(deriv))), leak)

@@ -1,8 +1,9 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from oracles import cumulative_simpson_oracle
+from oracles import cumulative_simpson_oracle, record_oracle
 
 from coagkin.diagnostics import (
     check_moment_propagation,
@@ -11,9 +12,10 @@ from coagkin.diagnostics import (
     mass_defect,
     mass_defect_endpoint,
     moment,
+    moment_series,
 )
 from coagkin.integrator import SolverConfig, integrate
-from coagkin.kernels import additive, constant
+from coagkin.kernels import additive, constant, demo_table, power_sum
 from coagkin.numerics import cumulative_simpson
 from coagkin import system
 from coagkin.system import RhsEvaluator, SizeDistribution, monomer
@@ -80,6 +82,70 @@ def test_integrate_evaluates_the_rhs_once_per_sample(monkeypatch):
     assert len(calls) - len(blocks) == traj.step_stats.n_rhs_evals
     assert len(blocks) <= math.ceil((len(traj.samples) - 1) / 3)
     assert all(m * k <= 3 * 16 for m, k in blocks)
+
+
+def _bits(record) -> bytes:
+    """Every field of a record or an oracle tuple, sign of zero included."""
+    fields = astuple(record) if not isinstance(record, tuple) else record
+    return np.array(fields).tobytes()
+
+
+def _stored_rows(rng, w):
+    """Stored sample rows on sizes 1..w, with values over nine decades.
+
+    Row 0 has every entry set (the leak path once w = k), row 1 a -0.0
+    inside and one last, row 2 is all zero, row 3 ends in zeros and row 4
+    holds a lone -0.0.
+    """
+    rows = rng.random((6, w)) * 10.0 ** rng.integers(-6, 3, (6, w))
+    rows[1, rng.integers(w)] = -0.0
+    rows[1, -1] = -0.0
+    rows[2] = 0.0
+    rows[3, max(1, w // 2):] = 0.0
+    rows[4] = 0.0
+    rows[4, 0] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("kern", [constant(1.0), additive(1.0), power_sum(1.0, 0.5), demo_table(64)],
+                         ids=lambda kern: kern.name)
+@pytest.mark.parametrize("k", [2, 3, 17, 64])
+def test_block_records_equal_one_state_records_bit_for_bit(kern, k, rng):
+    f = RhsEvaluator(kern, k)
+    for w in sorted({max(1, k // 2), k}):
+        rows = _stored_rows(rng, w)
+        X = np.zeros((len(rows), k))
+        X[:, :w] = rows
+        derivs = f(X)
+        block = compute_record(rows, kern, deriv=derivs)
+        assert len(block) == len(rows)
+        for x, d, rec in zip(X, derivs, block):
+            one = compute_record(SizeDistribution(x, k), kern)
+            assert _bits(rec) == _bits(one) == _bits(record_oracle(x, kern, d)), (w, rec, one)
+        assert (block[0].mass_leak_rate > 0.0) == (w == k)
+        assert block[2].rhs_sup == block[2].moment_1 == 0.0 and not np.signbit(block[2].moment_0)
+    with pytest.raises(ValueError, match="derivative block"):
+        compute_record(rows, kern)
+
+
+def test_integrate_records_equal_per_sample_records():
+    kern = additive(1.0)
+    traj = integrate(monomer(16), kern, SolverConfig(t_end=2.0, sample_times=np.linspace(0, 2, 41)))
+    f = RhsEvaluator(kern, 16)
+    per_sample = [compute_record(traj.state(i), kern) for i in range(traj.times.size)]
+    assert [_bits(r) for r in traj.diagnostics] == [_bits(r) for r in per_sample]
+    assert [_bits(r) for r in per_sample] == [
+        _bits(record_oracle(x, kern, f(x))) for x in traj.states_matrix()]
+    assert traj.diagnostics[-1].mass_leak_rate > 0.0  # the front reached k
+    # moments read from the stored rows equal the one-state moments
+    for m in (0.0, 1.5, 2.0):
+        assert moment_series(traj, m).tolist() == [moment(traj.state(i), m)
+                                                   for i in range(traj.times.size)]
+    weight = power_weight(1.5)
+    mg = np.array([g_moment(traj.state(i), weight) for i in range(traj.times.size)])
+    rep = check_moment_propagation(traj, weight, kern)
+    envelope = mg[0] * np.exp(rep.metrics["c_safe"] * traj.times)
+    assert rep.metrics["max_ratio"] == float(np.max(mg / envelope))
 
 
 def test_rhs_envelope_is_the_componentwise_max_over_samples():

@@ -166,6 +166,36 @@ def test_invariant_checker_flags_mass_rise():
     assert any("mass increased" in p for p in problems)
 
 
+@pytest.mark.parametrize("config", [
+    SolverConfig(t_end=2.0, sample_times=np.linspace(0, 2, 41)),
+    SolverConfig(t_end=2.0, mode=MODE_FIXED, fixed_h=0.05),
+], ids=["adaptive", "fixed"])
+def test_first_record_opens_after_the_last_stepping_rhs_call(config, monkeypatch):
+    # A tracer labels every rhs evaluation before the first compute_record call
+    # as stepping and every later one as diagnostics; that split must count
+    # exactly step_stats.n_rhs_evals stepping evaluations.
+    events = []
+    rhs_call, record = RhsEvaluator.__call__, integrator.compute_record
+
+    def traced_rhs(self, x):
+        events.append(("rhs", len(x) if x.ndim == 2 else 1))
+        return rhs_call(self, x)
+
+    def traced_record(*args, **kwargs):
+        events.append(("record", 0))
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(RhsEvaluator, "__call__", traced_rhs)
+    monkeypatch.setattr(integrator, "compute_record", traced_record)
+    traj = integrate(monomer(16), additive(1.0), config)
+    first = events.index(("record", 0))
+    assert sum(n for kind, n in events[:first] if kind == "rhs") == traj.step_stats.n_rhs_evals
+    later = [n for kind, n in events[first:] if kind == "rhs"]
+    assert sum(later) == traj.times.size - 1
+    # one record call for the initial sample, then one per block of samples
+    assert sum(1 for kind, _ in events if kind == "record") == 1 + len(later)
+
+
 def test_invariant_messages_name_component_and_source():
     traj = integrate(monomer(4), constant(1.0), SolverConfig(t_end=0.5))
     traj.states[50, 2] = -3e-12

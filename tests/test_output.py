@@ -33,10 +33,10 @@ def test_diagnostics_csv_layout(tmp_path):
     path = write_diagnostics_csv(str(tmp_path / "d.csv"), traj)
     lines = open(path).read().splitlines()
     assert lines[0] == "t,M0,M1,M2,tail_fraction,rhs_sup,mass_leak_rate"
-    d = traj.diagnostics[-1]
-    assert lines[-1] == ",".join(fmt(v) for v in (traj.times[-1], d.moment_0, d.moment_1,
-                                                   d.moment_2, d.tail_mass_fraction, d.rhs_sup,
-                                                   d.mass_leak_rate))
+    assert lines[1:] == [",".join(fmt(v) for v in (t, d.moment_0, d.moment_1, d.moment_2,
+                                                    d.tail_mass_fraction, d.rhs_sup,
+                                                    d.mass_leak_rate))
+                         for t, d in zip(traj.times, traj.diagnostics)]
 
 
 def test_svg_is_wellformed_and_handles_log_zeros(tmp_path):
