@@ -194,15 +194,6 @@ def _check_initial(initial: dict) -> None:
             raise ConfigError("initial.path", f"file not found: {path!r}")
 
 
-def _int_list(key: str, value) -> list[int]:
-    """The experiment setting ``key`` as a list of integers."""
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise ConfigError(f"experiment.{key}", f"must be a list of integers, got {value!r}")
-    return value
-
-
 def _check_experiment(exp: dict, k: int) -> None:
     """The experiment's name, its keys, and every setting it reads, defaults included."""
     if "name" not in exp:
@@ -233,18 +224,18 @@ def _check_experiment(exp: dict, k: int) -> None:
     ):
         raise ConfigError("experiment.thresholds",
                           f"must map metric names to numbers, got {thresholds!r}")
-    if "k_list" in settings:
-        k_list = _int_list("k_list", settings["k_list"])
-        if len(k_list) < 3:
-            raise ConfigError("experiment.k_list", f"needs at least 3 entries, got {len(k_list)}")
-        if sorted(k_list) != k_list or k_list[0] < 2:
-            raise ConfigError(
-                "experiment.k_list", f"must be ascending with every entry >= 2, got {k_list}"
-            )
+    if "k_list" in settings:  # the default [k/4, k/2, k] too
+        _check_list("k_list", experiments.check_k_list, settings["k_list"])
     if "q_list" in exp:  # absent, the audit chooses its own
-        q_list = _int_list("q_list", exp["q_list"])
-        if not q_list or not all(1 <= q <= k for q in q_list):
-            raise ConfigError("experiment.q_list", f"needs entries in 1..{k}, got {q_list}")
+        _check_list("q_list", experiments.check_q_list, exp["q_list"], k)
+
+
+def _check_list(key: str, rule, *args) -> None:
+    """The library's rule for the list setting ``key``, its ValueError a ConfigError."""
+    try:
+        rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"experiment.{key}", str(exc)) from exc
 
 
 def _fail(msg: str) -> int:
@@ -262,12 +253,17 @@ def simulate(config_path: str) -> int:
     except ConfigError as exc:
         return _fail(str(exc))
 
-    # 4k covers every rate a run can evaluate, with margin; tables cap it at their size
-    adm = check_admissibility(kern, 4 * cfg.truncation_k)
+    # a k-truncated run reads rate(i, j) on 1 <= i, j <= k only: the right-hand
+    # side, the leak row rate(k, .) and the identity matrices
+    adm = check_admissibility(kern, cfg.truncation_k)
     if not adm.passed:
-        bad = {k: v for k, v in adm.metrics.items() if "violation" in k and v > 0}
-        grid = adm.config_echo["max_size"]
-        return _fail(f"kernel '{kern.name}' failed admissibility on grid 1..{grid}: {bad}")
+        failed = ", ".join(f"{key} {got:g} > {bound:g}"
+                           for key, (got, bound) in adm.failing_metrics().items())
+        m = adm.metrics
+        return _fail(f"kernel '{kern.name}' failed admissibility on grid "
+                     f"1..{adm.config_echo['max_size']}: {failed}; first violation at "
+                     f"(i, j) = ({m['first_violation_i']:g}, {m['first_violation_j']:g}), "
+                     f"rate {m['first_violation_rate']!r}")
 
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)

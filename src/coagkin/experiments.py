@@ -34,6 +34,42 @@ def _run_ordered(fn, items):
     return [fn(it) for it in items]
 
 
+def _integer_list(name: str, values) -> list[int]:
+    """``values`` as a list of ints.
+
+    Anything but a list, tuple or array of integers raises a ValueError
+    naming ``name``; a bool, float or str entry is not an integer.
+    """
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values
+    ):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    return [int(v) for v in values]
+
+
+def check_k_list(k_list) -> list[int]:
+    """The truncation sizes of a convergence study: at least 3 integers, ascending, each >= 2."""
+    k_list = _integer_list("k_list", k_list)
+    if len(k_list) < 3:
+        raise ValueError(f"k_list needs at least 3 entries, got {len(k_list)}")
+    if sorted(k_list) != k_list or k_list[0] < 2:
+        raise ValueError(f"k_list must be ascending with every entry >= 2, got {k_list}")
+    return k_list
+
+
+def check_q_list(q_list, k: int) -> list[int]:
+    """The partial-sum lengths of an identity audit at truncation size k: integers in 1..k."""
+    q_list = _integer_list("q_list", q_list)
+    if not q_list:
+        raise ValueError("q_list is empty: it needs at least one partial-sum length")
+    bad = [q for q in q_list if not 1 <= q <= k]
+    if bad:
+        raise ValueError(f"q_list entries must lie in 1..{k}, got {bad}")
+    return q_list
+
+
 def _solver(solver: SolverConfig | None, t_end: float, n_samples: int = 101) -> SolverConfig:
     """The given solver, which must end at t_end, else the default one on n_samples uniform times."""
     if solver is not None:
@@ -61,11 +97,7 @@ def truncation_convergence(
     noise floor, and (c) the defect at the largest k is below the
     conservation threshold.
     """
-    k_list = [int(k) for k in k_list]
-    if len(k_list) < 3:
-        raise ValueError(f"k_list needs at least 3 entries, got {len(k_list)}")
-    if sorted(k_list) != k_list or any(k < 2 for k in k_list):
-        raise ValueError("k_list must be ascending with every entry >= 2")
+    k_list = check_k_list(k_list)
     pairs = list(zip(k_list[:-1], k_list[1:]))
     check_threshold_names("truncation_convergence", thresholds, [
         "defect_final_max", "defect_monotone_violations", "distance_violations",
@@ -334,13 +366,7 @@ def _identity_plan(k: int, q_list) -> tuple[list[int], list[str]]:
     """The audited partial-sum lengths (default k/4, k/2, k - 1) and the metric names."""
     if q_list is None:
         q_list = sorted({max(2, k // 4), max(2, k // 2), k - 1})
-    if len(q_list) == 0:
-        raise ValueError("q_list is empty: it needs at least one partial-sum length")
-    bad = [q for q in q_list
-           if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or not 1 <= q <= k]
-    if bad:
-        raise ValueError(f"q_list entries must be integers in 1..{k}, got {bad}")
-    q_list = [int(q) for q in q_list]
+    q_list = check_q_list(q_list, k)
     return q_list, ["max_identity_residual", "max_adjoint_residual",
                     *(f"identity_residual_{name}_q{q}"
                       for name in _IDENTITY_RULES for q in q_list)]

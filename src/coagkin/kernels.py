@@ -299,44 +299,10 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     rows r0 <= i < r1 evaluates its row strip (i in the block, j >= r0)
     and the mirror column strip (j in the block, i >= r1); comparing the
     two, and the diagonal square with its transpose, checks symmetry.
-    Every cell is evaluated once and counted once, in the block holding
-    min(i, j). A strip holds about ``STRIP_CELLS`` cells, so the memory
-    used does not grow with ``max_size``.
-
-    Evaluation and bounds: the rule is called on a column of i against
-    a row of j, so a power or additive rule takes i**d once per index,
-    not once per cell. a*(i+j) and a*(i+j)*(1 + GROWTH_SLACK) depend on
-    s = i+j alone: each is one table over s, read through a Hankel view
-    H[i-1, j-1] = table[i+j]. Its entries equal the cell-wise products
-    bit for bit, because i+j converts to float exactly.
-
-    Clean strips: each strip is first tested with reductions. Every
-    cell lies between lo = g.min() and hi = g.max(), and each bound is
-    least at the strip's first cell (least i and j), because rounding is
-    monotone: a*s*(1 + GROWTH_SLACK) does not decrease with s, nor
-    a*(p + q)*(1 + GROWTH_SLACK) with p or q, taken at the suffix minima
-    of i**d. So lo >= max(0, zeta*(1 - GROWTH_SLACK)) (0 without zeta)
-    rules out every negativity and zeta hit, and hi at most the least
-    growth (delta) bound rules out every growth (delta) hit; otherwise
-    one comparison into scratch, tested with any(), decides. A strip
-    shown to have no hit adds only its maximum ratio and builds no
-    masks. With hi >= 0 no ratio g / (a*(i+j)) exceeds hi over the least
-    a*(i+j), so a strip whose quotient is below the running maximum
-    skips the division. A NaN makes min() and max() return NaN, which
-    fails every comparison, so a strip holding one always takes the
-    full mask fold, as does a block with an asymmetric cell.
-
-    Mirror rule: when no cell of a block differs from its mirror, the
-    column strip is not folded. Each of its cells (i, j) compares equal
-    to (j, i) in the row strip, and every bound is symmetric: a*(i+j) is
-    read by s = i+j, a*(i**d + j**d) is a commutative float add and
-    zeta a constant. So the mirror cells have the masks and ratios of
-    the row strip's columns right of the diagonal square, whose hits are
-    counted twice, and add no new maximum ratio. The first violation
-    cannot move either: a mirror cell comes after its partner in
-    row-major order, and the partner lies in the row strip. A block
-    holding an asymmetric or NaN cell (NaN != NaN) folds its column
-    strip in full.
+    Both strips are then folded with every mask, so every cell is
+    evaluated once and counted once. The rule is called on a column of i
+    against a row of j. A strip holds about ``STRIP_CELLS`` cells, so the
+    memory used does not grow with ``max_size``.
     """
     if max_size < 2:
         raise ValueError(f"max_size must be >= 2, got {max_size}")
@@ -348,73 +314,37 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     a = kernel.growth_constant_A
     d = kernel.power_delta
     zeta = kernel.lower_bound_zeta
-    hankel = np.lib.stride_tricks.sliding_window_view  # read-only, hankel(t, n)[r, c] = t[r + c]
-    lin_s = a * np.arange(2, 2 * n + 1)  # a*s for s = 2..2n
-    lin_bound = hankel(lin_s, n)  # lin_bound[i-1, j-1] = a*(i+j)
-    growth_bound = hankel(lin_s * (1.0 + GROWTH_SLACK), n)
-    if d is not None:
-        idx_pow = idx.astype(float) ** d
-        # min of idx_pow[r:]: pow is not correctly rounded everywhere, so x**d need
-        # not grow with x
-        pow_floor = np.minimum.accumulate(idx_pow[::-1])[::-1]
-    floor = max(0.0, zeta * (1.0 - GROWTH_SLACK)) if zeta is not None else 0.0
-    # scratch for the largest strip, max(STRIP_CELLS, n) cells
-    cells = max(STRIP_CELLS, n)
-    scratch, hit = np.empty(cells), np.empty(cells, dtype=bool)
+    idx_pow = idx.astype(float) ** d if d is not None else None
 
     counts = dict.fromkeys(_VIOLATIONS, 0)
     max_ratio = -np.inf
     first = None  # (i, j, rate) of the row-major first violation so far
 
-    def delta_bound(rows, cols, out):
-        """a*(i**d + j**d)*(1 + GROWTH_SLACK) on rows x cols, rounded as written."""
-        np.add(idx_pow[rows, None], idx_pow[None, cols], out=out)
-        out *= a
-        out *= 1.0 + GROWTH_SLACK
-        return out
-
-    def fold(g, rows, cols, asym=None, mirror=None):
+    def fold(g, rows, cols, asym):
         """Fold strip g[r, c] = rate(idx[rows][r], idx[cols][c]) into the tallies.
 
-        ``asym`` is the strip's symmetry mask, None for a block without an
-        asymmetric cell. With ``mirror`` set, the columns g[:, mirror:]
-        also stand for their mirror cells, whose hits are counted once more.
+        ``asym`` is the strip's symmetry mask.
         """
         nonlocal max_ratio, first
         if g.size == 0:
             return
-        buf = scratch[:g.size].reshape(g.shape)
-        i0, j0 = rows.start, cols.start  # the strip's least i and j, where its bounds are least
-        lo, hi = g.min(), g.max()
-        # with hi >= 0 no ratio exceeds hi / (least a*(i+j)): divide only if that can raise the max
-        if not (hi >= 0 and hi / lin_bound[i0, j0] < max_ratio):
-            max_ratio = np.maximum(max_ratio, np.divide(g, lin_bound[rows, cols], out=buf).max())
-        if asym is None and lo >= floor:
-            seen = hit[:g.size].reshape(g.shape)
-            over_growth = hi > growth_bound[i0, j0] and np.greater(
-                g, growth_bound[rows, cols], out=seen).any()
-            # the least delta bound of the strip, rounded as delta_bound rounds
-            over_delta = d is not None and hi > (pow_floor[i0] + pow_floor[j0]) * a * (
-                1.0 + GROWTH_SLACK) and np.greater(g, delta_bound(rows, cols, buf), out=seen).any()
-            if not (over_growth or over_delta):
-                return
+        lin = a * (idx[rows, None] + idx[None, cols])
+        max_ratio = np.maximum(max_ratio, (g / lin).max())
         masks = {
             "negativity_violations": g < 0,
-            "growth_violations": g > growth_bound[rows, cols],
+            "symmetry_violations": asym,
+            "growth_violations": g > lin * (1.0 + GROWTH_SLACK),
         }
-        if asym is not None:
-            masks["symmetry_violations"] = asym
         if d is not None:
-            masks["delta_violations"] = g > delta_bound(rows, cols, buf)
+            bound = a * (idx_pow[rows, None] + idx_pow[None, cols])
+            masks["delta_violations"] = g > bound * (1.0 + GROWTH_SLACK)
         if zeta is not None:
             masks["zeta_violations"] = g < zeta * (1.0 - GROWTH_SLACK)
         found = 0
         for key, mask in masks.items():
             hits = int(np.count_nonzero(mask))
-            found += hits
-            if mirror is not None and hits:
-                hits += int(np.count_nonzero(mask[:, mirror:]))
             counts[key] += hits
+            found += hits
         if found:
             union = np.logical_or.reduce(list(masks.values()))
             r, c = divmod(int(np.argmax(union)), g.shape[1])  # row-major within the strip
@@ -432,15 +362,12 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
         # (the last block's is empty, and no rule is called on an empty grid)
         col_t = (_rate_block(kernel.rule, idx[None, r1:], idx[rows, None])
                  if r1 < n else row_strip[:, b:])
-        asym = hit[:row_strip.size].reshape(row_strip.shape)  # a fold given asym leaves hit alone
         square = row_strip[:, :b]
+        asym = np.empty(row_strip.shape, dtype=bool)
         np.not_equal(square, square.T, out=asym[:, :b])
         np.not_equal(row_strip[:, b:], col_t, out=asym[:, b:])
-        if not asym.any():
-            fold(row_strip, rows, slice(r0, n), mirror=b)
-        else:
-            fold(row_strip, rows, slice(r0, n), asym)
-            fold(col_t.T, slice(r1, n), rows, asym[:, b:].T)
+        fold(row_strip, rows, slice(r0, n), asym)
+        fold(col_t.T, slice(r1, n), rows, asym[:, b:].T)
         r0 = r1
 
     metrics = {key: float(count) for key, count in counts.items()}

@@ -48,6 +48,9 @@ def test_simulate_writes_outputs(tmp_path):
         assert (out / name).exists(), name
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t," + ",".join(f"xi_{i}" for i in range(1, 17))
+    # the precheck covers the rates a k = 16 run reads, 1 <= i, j <= 16
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["admissibility"]["config_echo"]["max_size"] == 16
 
 
 def test_simulate_round_trip_is_bit_identical(tmp_path):
@@ -163,6 +166,7 @@ def test_unknown_solver_key_lists_the_solver_fields(tmp_path, capsys):
     ("simulate", {"solver": {"rel_tol": None}}, "solver.rel_tol"),
     ("simulate", {"solver": {"sample_times": ["a", "b"]}}, "solver.sample_times"),
     ("verify", {"experiment": {"name": "truncation", "k_list": ["a", 4, 8]}}, "experiment.k_list"),
+    ("verify", {"experiment": {"name": "truncation", "k_list": [4, 8.0, 16]}}, "experiment.k_list"),
     ("verify", {"experiment": {"name": "identity", "q_list": [40]}}, "experiment.q_list"),
     ("verify", {"experiment": {"name": "identity", "q_list": [0]}}, "experiment.q_list"),
     ("verify", {"experiment": {"name": "identity", "q_list": ["a"]}}, "experiment.q_list"),
@@ -201,8 +205,8 @@ def test_unknown_solver_key_lists_the_solver_fields(tmp_path, capsys):
     ("verify", {"experiment": {"name": "admissibility", "thresholds": {"growth_violations": 1000}}},
      "experiment.thresholds"),
     ("simulate", {"seed": 0}, "'seed'"),
-], ids=["t_end_abc", "rel_tol_null", "sample_times_strings", "k_list_string", "q_list_above_k",
-        "q_list_zero", "q_list_string", "max_size_string", "epsilon_string",
+], ids=["t_end_abc", "rel_tol_null", "sample_times_strings", "k_list_string", "k_list_float",
+        "q_list_above_k", "q_list_zero", "q_list_string", "max_size_string", "epsilon_string",
         "perturb_size_above_k", "tail_budget_negative", "kernel_param_unknown",
         "kernel_param_string", "positivity_floor_removed", "initial_key_unknown",
         "initial_ratio_string", "initial_not_object", "kernel_not_object",
@@ -484,9 +488,29 @@ def test_table_smaller_than_run_is_a_config_error(tmp_path):
 
 def test_admissibility_failure_names_the_grid_checked(tmp_path, capsys):
     table = tmp_path / "k.csv"
-    table.write_text("1,1,5.0\n2,1,1.0\n2,2,1.0\n")
     cfg = write_config(tmp_path, truncation_k=2,
                        kernel={"type": "table", "params": {"path": str(table)}, "A": 1.0})
-    assert main(["simulate", cfg]) == 1
-    assert "grid 1..2:" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for rate, failed in (("5.0", "growth_violations 1 > 0"), ("-1.0", "negativity_violations 1 > 0")):
+        table.write_text(f"1,1,{rate}\n2,1,1.0\n2,2,1.0\n")
+        assert main(["simulate", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"grid 1..2: {failed}; first violation at (i, j) = (1, 1), rate {rate}" in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_violation_beyond_k_passes_simulate_and_fails_verify(tmp_path):
+    # a 4k table whose only bad cell, (10, 3), lies past the k = 4 a run reads
+    k = 4
+    table = tmp_path / "k.csv"
+    table.write_text("".join(f"{i},{j},{-1.0 if (i, j) == (10, 3) else 1.0}\n"
+                             for i in range(1, 4 * k + 1) for j in range(1, i + 1)))
+    kernel = {"type": "table", "params": {"path": str(table)}, "A": 1.0}
+    cfg = write_config(tmp_path, kernel=kernel, truncation_k=k)
+    assert main(["simulate", cfg]) == 0
+    cfg = write_config(tmp_path, name="verify.json", kernel=kernel, truncation_k=k,
+                       experiment={"name": "admissibility"}, output_dir=str(tmp_path / "v"))
+    assert main(["verify", cfg]) == 2
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert report["config_echo"]["max_size"] == 4 * k
+    # the table mirrors (10, 3), and (3, 10) comes first in row-major order
+    assert (report["metrics"]["first_violation_i"], report["metrics"]["first_violation_j"]) == (3, 10)

@@ -37,6 +37,10 @@ def test_truncation_validates_k_list():
         truncation_convergence(constant(1.0), monomer, [4], 1.0)
     with pytest.raises(ValueError):
         truncation_convergence(constant(1.0), monomer, [16, 8, 32], 1.0)
+    # no entry is rounded or parsed into an integer
+    for k_list in ([4.5, 8, 16], [4, "8", 16], [True, 8, 16]):
+        with pytest.raises(ValueError, match="k_list must be a list of integers"):
+            truncation_convergence(constant(1.0), monomer, k_list, 1.0)
 
 
 def test_truncation_writes_artifacts(tmp_path):

@@ -406,7 +406,7 @@ def test_streamed_admissibility_matches_dense_oracle_on_drawn_tables(kern, strip
     (constant(1.0), 0.5), (additive(1.0), 1.0), (power_sum(1.0, 0.5), 1.0),
 ], ids=["constant", "additive", "power"])
 def test_precheck_report_at_cli_scale(kern, ratio):
-    # the grid simulate checks at k=1024, beyond the dense oracle's reach
+    # verify admissibility's default grid at k=1024, beyond the dense oracle's reach
     metrics = check_admissibility(kern, 4096).metrics
     assert {key: metrics[key] for key in kernels._VIOLATIONS} == dict.fromkeys(
         kernels._VIOLATIONS, 0.0)
