@@ -17,7 +17,7 @@ import numpy as np
 from . import experiments, kernels, output
 from .diagnostics import mass_defect
 from .errors import CoagkinError, ConfigError, NumericError, reject_unknown_keys
-from .integrator import SolverConfig, integrate
+from .integrator import STEP_REACH, SolverConfig, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .numerics import is_number
 from .reports import write_json_atomic
@@ -243,8 +243,31 @@ def _fail(msg: str) -> int:
     return 1
 
 
+def _admissibility_failure(kern: CoagulationKernel, adm) -> int:
+    failed = ", ".join(f"{key} {got:g} > {bound:g}"
+                       for key, (got, bound) in adm.failing_metrics().items())
+    m = adm.metrics
+    return _fail(f"kernel '{kern.name}' failed admissibility on grid "
+                 f"1..{adm.config_echo['max_size']}: {failed}; first violation at "
+                 f"(i, j) = ({m['first_violation_i']:g}, {m['first_violation_j']:g}), "
+                 f"rate {m['first_violation_rate']!r}")
+
+
 def simulate(config_path: str) -> int:
-    """Run one integration and emit trajectory/diagnostics/summary/plots."""
+    """Run one integration and emit trajectory/diagnostics/summary/plots.
+
+    The kernel's declared constants are checked after the run, on the
+    rates it read. A k-truncated run reads rate(i, j) only as a factor of
+    xi_i * xi_j, so a rate with a size past the run's front never touches
+    the solution. Every state the run handed to the right-hand side (the
+    accepted states, the stage inputs of accepted and rejected steps, the
+    samples) lies on sizes 1..G, G = min(k, max_occupied_size + STEP_REACH),
+    and once the front reaches k, G = k covers the leak row rate(k, .).
+    The output directory is created only once that check passes. A run that
+    fails numerically may have read any rate on 1..k, so its kernel is
+    checked there: a failing check exits 1 as a kernel error, a passing
+    one leaves the numeric failure, exit 3. Neither writes any file.
+    """
     try:
         cfg = RunConfig.load(config_path)
         kern = cfg.build_kernel()
@@ -253,26 +276,20 @@ def simulate(config_path: str) -> int:
     except ConfigError as exc:
         return _fail(str(exc))
 
-    # a k-truncated run reads rate(i, j) on 1 <= i, j <= k only: the right-hand
-    # side, the leak row rate(k, .) and the identity matrices
-    adm = check_admissibility(kern, cfg.truncation_k)
-    if not adm.passed:
-        failed = ", ".join(f"{key} {got:g} > {bound:g}"
-                           for key, (got, bound) in adm.failing_metrics().items())
-        m = adm.metrics
-        return _fail(f"kernel '{kern.name}' failed admissibility on grid "
-                     f"1..{adm.config_echo['max_size']}: {failed}; first violation at "
-                     f"(i, j) = ({m['first_violation_i']:g}, {m['first_violation_j']:g}), "
-                     f"rate {m['first_violation_rate']!r}")
-
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    k = cfg.truncation_k
     try:
         traj = integrate(init, kern, solver)
     except NumericError as exc:
+        adm = check_admissibility(kern, k)
+        if not adm.passed:
+            return _admissibility_failure(kern, adm)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    adm = check_admissibility(kern, min(k, traj.step_stats.max_occupied_size + STEP_REACH))
+    if not adm.passed:
+        return _admissibility_failure(kern, adm)
 
+    out = cfg.output_dir  # each writer creates it
     files = [
         output.write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj),
         output.write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), traj),

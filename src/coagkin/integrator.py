@@ -49,6 +49,12 @@ _FAC_MAX = 5.0
 # run budget for clamped mass and for a rise of sampled mass, relative to M1(0)
 MASS_BUDGET_REL = 1e-9
 
+# Sizes past y's occupied size that one trial step from y can reach: each of
+# the 7 Dormand-Prince stages reaches one size further than its input (the
+# 4 stages of a fixed RK4 step reach less). No state a step hands to the
+# right-hand side, and no sample formed from the step, holds anything past it.
+STEP_REACH = 7
+
 MODE_ADAPTIVE = "adaptive"
 MODE_FIXED = "fixed_step"
 
@@ -315,9 +321,9 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
 
     ``occupied`` is occupied_size(y). Each stage reaches one size further
     than its input, so no stage, stage input, y5 or f_last holds anything
-    beyond size occupied + 7, and the step works on the first
-    n = prefix_columns(occupied + 7, k) columns only. Beyond them the
-    full-length arithmetic adds zeros to the +0.0 tail of y, which gives
+    beyond size occupied + STEP_REACH, and the step works on the first
+    n = prefix_columns(occupied + STEP_REACH, k) columns only. Beyond them
+    the full-length arithmetic adds zeros to the +0.0 tail of y, which gives
     +0.0 whatever the signs of those zeros: that is the tail of y5, and of
     every stage input handed to f. The error norm sums its squares over a
     full-length buffer whose tail is +0.0, so numpy's pairwise sum groups
@@ -331,7 +337,7 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     weight zero, so that input is y5 and is not formed a second time.
     """
     k = y.size
-    n = prefix_columns(occupied + 7, k)
+    n = prefix_columns(occupied + STEP_REACH, k)
     stages, terms, combos = work.width(n)
     yn = y[:n]
     vec = np.zeros(k)  # one stage input at a time, then the squared error; +0.0 beyond n

@@ -27,8 +27,8 @@ RateRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 # rules (e.g. fractional powers) are not flagged on rounding alone.
 GROWTH_SLACK = 1e-12
 
-# Cells per strip of the admissibility scan (about 128 KiB of float64).
-STRIP_CELLS = 1 << 14
+# Cells per strip of the admissibility scan (about 64 KiB of float64).
+STRIP_CELLS = 1 << 13
 
 _VIOLATIONS = (
     "negativity_violations",
@@ -301,8 +301,12 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     two, and the diagonal square with its transpose, checks symmetry.
     Both strips are then folded with every mask, so every cell is
     evaluated once and counted once. The rule is called on a column of i
-    against a row of j. A strip holds about ``STRIP_CELLS`` cells, so the
-    memory used does not grow with ``max_size``.
+    against a row of j. A strip holds about ``STRIP_CELLS`` cells, and the
+    column strip is folded in the layout it was evaluated in, one row per
+    j in the block: every mask is symmetric in i and j, and a transposed
+    view would run each of them over rows of a few cells. The bounds and
+    masks of a strip are formed one at a time in scratch arrays allocated
+    once per call, so the memory used does not grow with ``max_size``.
     """
     if max_size < 2:
         raise ValueError(f"max_size must be >= 2, got {max_size}")
@@ -319,35 +323,48 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
     counts = dict.fromkeys(_VIOLATIONS, 0)
     max_ratio = -np.inf
     first = None  # (i, j, rate) of the row-major first violation so far
+    # scratch for the largest strip: b rows of n - r0 cells, b = 1 past STRIP_CELLS cells
+    cap = max(STRIP_CELLS, n)
+    lin_buf, tmp_buf, mask_buf = np.empty(cap), np.empty(cap), np.empty(cap, dtype=bool)
 
-    def fold(g, rows, cols, asym):
+    def tally(key, hit, union):
+        """Count the cells of mask ``hit`` under key; union: the strip's violations so far."""
+        hits = int(np.count_nonzero(hit))
+        counts[key] += hits
+        if not hits:
+            return union
+        return hit.copy() if union is None else np.logical_or(union, hit, out=union)
+
+    def fold(g, rows, cols, asym, transposed=False):
         """Fold strip g[r, c] = rate(idx[rows][r], idx[cols][c]) into the tallies.
 
-        ``asym`` is the strip's symmetry mask.
+        ``asym`` is the strip's symmetry mask. A ``transposed`` strip holds
+        g[r, c] = rate(idx[cols][c], idx[rows][r]): every mask is symmetric
+        in the two sizes, so only its first violation is sought in that order.
         """
         nonlocal max_ratio, first
         if g.size == 0:
             return
-        lin = a * (idx[rows, None] + idx[None, cols])
-        max_ratio = np.maximum(max_ratio, (g / lin).max())
-        masks = {
-            "negativity_violations": g < 0,
-            "symmetry_violations": asym,
-            "growth_violations": g > lin * (1.0 + GROWTH_SLACK),
-        }
+        lin, tmp, mask = (buf[: g.size].reshape(g.shape) for buf in (lin_buf, tmp_buf, mask_buf))
+        np.add(idx[rows, None], idx[None, cols], out=lin)
+        lin *= a
+        max_ratio = np.maximum(max_ratio, np.divide(g, lin, out=tmp).max())
+        union = tally("negativity_violations", np.less(g, 0, out=mask), None)
+        union = tally("symmetry_violations", asym, union)
+        np.multiply(lin, 1.0 + GROWTH_SLACK, out=tmp)
+        union = tally("growth_violations", np.greater(g, tmp, out=mask), union)
         if d is not None:
-            bound = a * (idx_pow[rows, None] + idx_pow[None, cols])
-            masks["delta_violations"] = g > bound * (1.0 + GROWTH_SLACK)
+            np.add(idx_pow[rows, None], idx_pow[None, cols], out=tmp)
+            tmp *= a
+            tmp *= 1.0 + GROWTH_SLACK
+            union = tally("delta_violations", np.greater(g, tmp, out=mask), union)
         if zeta is not None:
-            masks["zeta_violations"] = g < zeta * (1.0 - GROWTH_SLACK)
-        found = 0
-        for key, mask in masks.items():
-            hits = int(np.count_nonzero(mask))
-            counts[key] += hits
-            found += hits
-        if found:
-            union = np.logical_or.reduce(list(masks.values()))
-            r, c = divmod(int(np.argmax(union)), g.shape[1])  # row-major within the strip
+            np.less(g, zeta * (1.0 - GROWTH_SLACK), out=mask)
+            union = tally("zeta_violations", mask, union)
+        if union is not None:
+            if transposed:
+                union, g, rows, cols = union.T, g.T, cols, rows
+            r, c = divmod(int(np.argmax(union)), g.shape[1])  # row-major in (i, j)
             cell = (int(idx[rows][r]), int(idx[cols][c]))
             if first is None or cell < first[:2]:
                 first = (*cell, float(g[r, c]))
@@ -367,7 +384,7 @@ def check_admissibility(kernel: CoagulationKernel, max_size: int) -> ExperimentR
         np.not_equal(square, square.T, out=asym[:, :b])
         np.not_equal(row_strip[:, b:], col_t, out=asym[:, b:])
         fold(row_strip, rows, slice(r0, n), asym)
-        fold(col_t.T, slice(r1, n), rows, asym[:, b:].T)
+        fold(col_t, rows, slice(r1, n), asym[:, b:], transposed=True)
         r0 = r1
 
     metrics = {key: float(count) for key, count in counts.items()}

@@ -139,7 +139,9 @@ class RhsEvaluator:
     else goes through cached lower/upper triangular rate matrices and two
     matrix-vector products (O(k^2), fixed summation order).
 
-    A call reads only the occupied prefix. With m = occupied_size(x),
+    A call reads only the occupied prefix, and it checks only that prefix
+    for non-finite entries: NaN and +-inf have nonzero bit patterns, so
+    none lies past it. With m = occupied_size(x),
     component i reads x_{i-1} and x_i, so the derivative vanishes beyond
     size m + 1: both paths run on the first n = prefix_columns(m + 1, k)
     columns and return +0.0 beyond them. On those columns the arithmetic
@@ -210,8 +212,6 @@ class RhsEvaluator:
         return views
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if not np.isfinite(x).all():
-            raise NumericError("non-finite state entries passed to rhs")
         if x.ndim == 1:
             return self._state(x)
         # a one-row block is cheaper through the one-state statements
@@ -219,9 +219,11 @@ class RhsEvaluator:
 
     def _state(self, x: np.ndarray) -> np.ndarray:
         """The derivative at one state, on its occupied prefix."""
-        self.n_evals += 1
         k = self.k
-        n = k if x[-1] else prefix_columns(occupied_size(x) + 1, k)
+        m = occupied_size(x)
+        _check_finite(x[:m])
+        self.n_evals += 1
+        n = prefix_columns(m + 1, k)
         xn = x[:n]
         views = self._widths.get(n) or self._width(n)
         if self._a is not None:
@@ -253,10 +255,11 @@ class RhsEvaluator:
     def _rows(self, X: np.ndarray) -> np.ndarray:
         """The statements of _state with a leading axis over the rows of X."""
         m, k = X.shape
-        self.n_evals += m
-        widths = [k if x[-1] else prefix_columns(occupied_size(x) + 1, k) for x in X]
+        widths = [prefix_columns(occupied_size(x) + 1, k) for x in X]
         n = max(widths, default=1)
         Xn = X[:, :n]
+        _check_finite(Xn)  # every row's occupied prefix lies within n
+        self.n_evals += m
         views = self._widths.get(n) or self._width(n)
         if self._a is not None:
             # weights shaped (2, 1, n): (2, n) would broadcast along the rows of a 2-row block
@@ -285,6 +288,11 @@ class RhsEvaluator:
         for row, width in zip(out, widths):
             row[width:n] = 0.0
         return out
+
+
+def _check_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise NumericError("non-finite state entries passed to rhs")
 
 
 def rhs(state: SizeDistribution, kernel: CoagulationKernel) -> np.ndarray:

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from coagkin import cli, experiments, kernels
 from coagkin.cli import main
-from coagkin.integrator import SolverConfig
+from coagkin.errors import NumericError
+from coagkin.integrator import SolverConfig, integrate
 
 BASE = {
     "kernel": {"type": "constant", "params": {"c": 1.0}},
@@ -48,7 +49,7 @@ def test_simulate_writes_outputs(tmp_path):
         assert (out / name).exists(), name
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t," + ",".join(f"xi_{i}" for i in range(1, 17))
-    # the precheck covers the rates a k = 16 run reads, 1 <= i, j <= 16
+    # the front of this run reaches k = 16, so the check covers 1 <= i, j <= 16
     summary = json.loads((out / "summary.json").read_text())
     assert summary["admissibility"]["config_echo"]["max_size"] == 16
 
@@ -514,3 +515,98 @@ def test_violation_beyond_k_passes_simulate_and_fails_verify(tmp_path):
     assert report["config_echo"]["max_size"] == 4 * k
     # the table mirrors (10, 3), and (3, 10) comes first in row-major order
     assert (report["metrics"]["first_violation_i"], report["metrics"]["first_violation_j"]) == (3, 10)
+
+
+def test_simulate_checks_the_grid_the_run_reached(tmp_path, monkeypatch):
+    # at k = 16,384 the front stops far below k, and so does the checked grid
+    k = 16_384
+    grids = []
+
+    def spy(kern, max_size):
+        grids.append(max_size)
+        return kernels.check_admissibility(kern, max_size)
+
+    monkeypatch.setattr(cli, "check_admissibility", spy)
+    assert main(["simulate", write_config(tmp_path, truncation_k=k)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    reach = min(k, summary["step_stats"]["max_occupied_size"] + 7)
+    assert reach < k
+    assert grids == [reach]
+    assert summary["admissibility"]["config_echo"]["max_size"] == reach
+
+
+def _table_rows(k, bad=None, rate=-1.0):
+    """CSV rows of a k x k table of rate 1.0 whose cell ``bad`` (i >= j) holds ``rate``."""
+    return "".join(f"{i},{j},{rate if (i, j) == bad else 1.0}\n"
+                   for i in range(1, k + 1) for j in range(1, i + 1))
+
+
+def _front_run(tmp_path, k):
+    """A config running a table of rate 1.0 to t = 0.1 at truncation k, and its table file.
+
+    The run is made once on the clean table; its step_stats are returned
+    and its output directory removed.
+    """
+    table = tmp_path / "front.csv"
+    table.write_text(_table_rows(k))
+    kernel = {"type": "table", "params": {"path": str(table)}, "A": 1.0}
+    cfg = write_config(tmp_path, kernel=kernel, truncation_k=k, solver={"t_end": 0.1})
+    assert main(["simulate", cfg]) == 0
+    stats = json.loads((tmp_path / "out" / "summary.json").read_text())["step_stats"]
+    shutil.rmtree(tmp_path / "out")
+    return cfg, table, stats
+
+
+def test_bad_rate_between_front_and_reach_fails_simulate(tmp_path, capsys):
+    k = 128
+    cfg, table, stats = _front_run(tmp_path, k)
+    reach = stats["max_occupied_size"] + 7
+    assert reach < k  # G = reach, and the bad cell (G, 1) lies in (max_occupied_size, G]
+    table.write_text(_table_rows(k, bad=(reach, 1)))
+    assert main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert (f"grid 1..{reach}: negativity_violations 2 > 0; "
+            f"first violation at (i, j) = (1, {reach}), rate -1.0") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_rate_past_reach_passes_simulate(tmp_path):
+    k = 128
+    cfg, table, stats = _front_run(tmp_path, k)
+    reach = stats["max_occupied_size"] + 7
+    assert reach < k  # the bad cell (G + 1, 1) lies in (G, k]
+    table.write_text(_table_rows(k, bad=(reach + 1, 1)))
+    assert main(["simulate", cfg]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["step_stats"] == stats
+    assert summary["admissibility"]["status"] == "pass"
+    assert summary["admissibility"]["config_echo"]["max_size"] == reach
+
+
+def test_kernel_that_breaks_the_integration_is_an_admissibility_failure(tmp_path, capsys):
+    # rate(1, 1) = -1000 blows xi_1 up at once: the run fails numerically, and the
+    # kernel is then checked on all of 1..k, where the negative rate shows
+    k = 16
+    table = tmp_path / "k.csv"
+    table.write_text(_table_rows(k, bad=(1, 1), rate=-1000.0))
+    cfg = write_config(tmp_path, kernel={"type": "table", "params": {"path": str(table)}, "A": 1.0})
+    run = cli.RunConfig.load(cfg)
+    with pytest.raises(NumericError):
+        integrate(run.build_initial(), run.build_kernel(), run.build_solver())
+    assert main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"failed admissibility on grid 1..{k}: negativity_violations 1 > 0" in err
+    assert "numeric failure" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_tracer_installs_on_this_checkout():
+    # the benchmark's tracer wraps entry points by name (cli.check_admissibility,
+    # experiments._run_ordered, integrator.compute_record, ...): renaming one breaks it
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; "
+            "from spans import Tracer; Tracer().install()")
+    proc = subprocess.run([sys.executable, "-c", code, os.path.join(root, "src"),
+                           os.path.join(root, "perfbench")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -284,8 +284,8 @@ def _equivalence_kernels():
                   lambda i, j: np.where((i == 250) & (j == 3), 9.0, 1.0),
                   growth_constant_A=1.0, vectorized=True),
         symmetric_spike(),
-        # one asymmetric pair: its block folds the column strip in full,
-        # while the symmetric spike at (100, 300) is counted by the mirror rule
+        # an asymmetric cell, (200, 5), beside a symmetric spike at (100, 300):
+        # both cells of the pair count as symmetry violations, the spike's as growth only
         from_rule("one_asymmetric_pair",
                   lambda i, j: np.where(((i == 200) & (j == 5)) | _pair(i, j, 100, 300),
                                         1000.0, 1.0),
@@ -297,7 +297,7 @@ def _equivalence_kernels():
         CoagulationKernel(name="asymmetric_table",
                           rule=lambda i, j: asym_table[i - 1, j - 1],
                           growth_constant_A=1.0, table=asym_table),
-        # -0.0 is not negative: a strip minimum of -0.0 passes the floor of 0
+        # -0.0 is not negative, so these cells are no negativity violations
         from_rule("negative_zero", lambda i, j: np.where((i + j) % 7 == 0, -0.0, 1.0),
                   growth_constant_A=1.0, vectorized=True),
         from_rule("symmetric_inf_pair", lambda i, j: np.where(_pair(i, j, 3, 250), np.inf, 1.0),
@@ -305,15 +305,15 @@ def _equivalence_kernels():
         # ignores j: every strip comes back as a (rows, 1) column or a (1, cols) row
         from_rule("row_only", lambda i, j: 0.5 * np.asarray(i, dtype=float),
                   growth_constant_A=1.0, vectorized=True),
-        # symmetric pairs, so their blocks take the mirror rule: one zeta hit each ...
+        # symmetric pairs, each cell counted once, in its own strip: one zeta hit each ...
         from_rule("zeta_dip_pair", lambda i, j: np.where(_pair(i, j, 3, 250), 0.5, 1.0),
                   growth_constant_A=1.0, lower_bound_zeta=1.0, vectorized=True),
-        # ... and one delta hit each, 3.5 > 2**0.5 + 3**0.5 but below 2 + 3; the
-        # strip's least delta bound, not its largest, shows that a hit may exist
+        # ... and one delta hit each: 3.5 > 2**0.5 + 3**0.5 but below 2 + 3, so
+        # only the delta bound is broken
         from_rule("delta_spike_pair", lambda i, j: np.where(_pair(i, j, 2, 3), 3.5, 1.0),
                   growth_constant_A=1.0, power_delta=0.5, vectorized=True),
-        # all negative, the largest ratio (-1/260) in a later block than -1/151: a
-        # strip's hi over its least a*(i+j) bounds its ratios only when hi >= 0
+        # all negative, the largest ratio (-1/260) in a later block than -1/151:
+        # max_growth_ratio is the largest over all blocks, not the first block's
         from_rule("negative_late_max",
                   lambda i, j: np.where(_pair(i, j, 1, 150) | _pair(i, j, 60, 200), -1.0, -1e6),
                   growth_constant_A=1.0, vectorized=True),
@@ -335,8 +335,9 @@ def test_symmetric_spike_counts_both_cells(n):
 
 
 @pytest.mark.parametrize("n", [300, 333])
-def test_symmetric_nan_pair_takes_the_full_fold(n):
-    # NaN != NaN, so the block holding the pair cannot use the mirror rule
+def test_symmetric_nan_pair_counts_as_asymmetric(n):
+    # NaN != NaN, so both cells of the pair are symmetry violations, and the
+    # NaN rate makes max_growth_ratio and first_violation_rate NaN
     kern = from_rule("nan_pair", lambda i, j: np.where(_pair(i, j, 3, 250), np.nan, 1.0),
                      growth_constant_A=1.0, vectorized=True)
     got = check_admissibility(kern, n).metrics
