@@ -32,7 +32,7 @@ for idx in range(0, 51, 10):
 
 print()
 print(f"mass defect over the run: {mass_defect(traj):.3e}  (leak through the size-64 boundary)")
-print(f"largest component derivative seen: {traj.rhs_envelope.max():.4f}")
+print(f"largest component derivative seen: {max(d.rhs_sup for d in traj.diagnostics):.4f}")
 
 os.makedirs(OUT, exist_ok=True)
 write_trajectory_csv(os.path.join(OUT, "run_trajectory.csv"), traj)

@@ -21,7 +21,7 @@ from .integrator import STEP_REACH, SolverConfig, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .numerics import is_number
 from .reports import write_json_atomic
-from .system import SizeDistribution, geometric, monomer
+from .system import SizeDistribution, geometric, monomer, prefix_columns
 
 _SOLVER_FIELDS = {f.name: f for f in fields(SolverConfig)}
 _TOP_KEYS = ("kernel", "initial", "truncation_k", "solver", "experiment", "output_dir")
@@ -264,9 +264,13 @@ def simulate(config_path: str) -> int:
     samples) lies on sizes 1..G, G = min(k, max_occupied_size + STEP_REACH),
     and once the front reaches k, G = k covers the leak row rate(k, .).
     The output directory is created only once that check passes. A run that
-    fails numerically may have read any rate on 1..k, so its kernel is
-    checked there: a failing check exits 1 as a kernel error, a passing
-    one leaves the numeric failure, exit 3. Neither writes any file.
+    fails numerically may also have read a non-finite rate past G, as
+    0 * inf: the matrix route multiplies every rate of the prefix a call
+    evaluates. So its kernel is checked on the widest prefix any call
+    took, 1..P with P = prefix_columns(max_occupied_size + STEP_REACH, k)
+    and the size the error carries: a failing check exits 1 as a kernel
+    error, a passing one leaves the numeric failure, exit 3. Neither
+    writes any file.
     """
     try:
         cfg = RunConfig.load(config_path)
@@ -280,7 +284,7 @@ def simulate(config_path: str) -> int:
     try:
         traj = integrate(init, kern, solver)
     except NumericError as exc:
-        adm = check_admissibility(kern, k)
+        adm = check_admissibility(kern, prefix_columns(exc.max_occupied_size + STEP_REACH, k))
         if not adm.passed:
             return _admissibility_failure(kern, adm)
         print(f"numeric failure: {exc}", file=sys.stderr)

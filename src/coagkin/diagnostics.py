@@ -91,28 +91,29 @@ class DiagnosticsRecord:
 def compute_record(
     samples: "SizeDistribution | np.ndarray",
     kernel: "CoagulationKernel",
-    deriv: np.ndarray | None = None,
+    rhs: RhsEvaluator | None = None,
 ) -> "DiagnosticsRecord | list[DiagnosticsRecord]":
     """Evaluate the observables of ``diagnostics.csv`` rows, one record per sample.
 
     ``samples`` is one state, giving one record, or a block of stored
     sample rows on sizes 1..w (rows of ``Trajectory.states``), giving a
-    list of records, one per row. ``deriv`` is the right-hand side at the
-    samples: for one state a length-k vector, or None for a fresh
-    ``RhsEvaluator`` to compute it; for a block an (rows, k) matrix, whose
-    width gives k. A state is the one-row block of its occupied prefix.
+    list of records, one per row. ``rhs`` is an ``RhsEvaluator`` of the
+    kernel at the truncation size k; this call evaluates the samples'
+    right-hand sides with it, as one block of full-length rows. A block
+    needs one, and its k sets the row length; a state without one gets a
+    fresh evaluator. A state is the one-row block of its occupied prefix.
 
     ``tail_mass_fraction`` is the mass share sitting above size k/2, the
     early-warning indicator that the truncation boundary is active.
     """
     if isinstance(samples, SizeDistribution):
-        k = samples.truncation_k
-        if deriv is None:
-            deriv = RhsEvaluator(kernel, k)(samples.values)
-        return _records(_one_row(samples), k, kernel, deriv[None])[0]
-    if deriv is None or len(deriv) != len(samples):
-        raise ValueError("a block of sample rows needs its derivative block, one row per sample")
-    return _records(samples, deriv.shape[1], kernel, deriv)
+        rhs = rhs if rhs is not None else RhsEvaluator(kernel, samples.truncation_k)
+        return compute_record(_one_row(samples), kernel, rhs)[0]
+    if rhs is None:
+        raise ValueError("a block of sample rows needs the RhsEvaluator of its kernel and k")
+    X = np.zeros((len(samples), rhs.k))
+    X[:, : samples.shape[1]] = samples
+    return _records(samples, rhs.k, kernel, rhs(X))
 
 
 def _records(rows: np.ndarray, k: int, kernel, deriv: np.ndarray) -> list[DiagnosticsRecord]:
@@ -140,19 +141,20 @@ def _records(rows: np.ndarray, k: int, kernel, deriv: np.ndarray) -> list[Diagno
 def mass_defect(traj: "Trajectory") -> float:
     """Mass lost through the truncation boundary over the whole run.
 
-    Integrates the recorded boundary-leak rate with composite Simpson
-    (the last entry of ``cumulative_simpson``).
+    Integrates the boundary-leak rate at the samples (``mass_leak_rates``
+    of the stored rows, the same numbers as the records' ``mass_leak_rate``)
+    with composite Simpson (the last entry of ``cumulative_simpson``).
     This equals M1(0) - M1(t_end) analytically but stays meaningful when
     the leak is far below the floating-point resolution of M1 itself
     (a k=64 run can leak ~1e-45 while M1 - M1 rounds to exactly 0).
     """
-    leaks = np.array([d.mass_leak_rate for d in traj.diagnostics])
-    return float(cumulative_simpson(traj.times, leaks)[-1])
+    leaks = mass_leak_rates(traj.states, traj.kernel, traj.truncation_k)
+    return float(cumulative_simpson(traj.times, np.array(leaks))[-1])
 
 
 def mass_defect_endpoint(traj: "Trajectory") -> float:
     """The literal difference M1(first) - M1(last); resolution ~1e-16 * M1."""
-    return traj.diagnostics[0].moment_1 - traj.diagnostics[-1].moment_1
+    return moment(traj.state(0), 1) - moment(traj.state(-1), 1)
 
 
 def check_moment_propagation(
@@ -173,7 +175,7 @@ def check_moment_propagation(
         raise ValueError("trajectory is empty")
     mg = np.array(_g_moments(traj.states, weight))
     times = traj.times
-    m1_0 = traj.diagnostics[0].moment_1
+    m1_0 = moment(traj.state(0), 1)
     c_safe = 4.0 * kernel.growth_constant_A * m1_0
 
     metrics: dict[str, float] = {"c_safe": c_safe, "g_moment_initial": float(mg[0])}

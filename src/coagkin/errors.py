@@ -27,7 +27,13 @@ def reject_unknown_keys(block: str, given, expected, owner: str = "") -> None:
 
 
 class NumericError(CoagkinError):
-    """Non-finite values encountered during evaluation or integration."""
+    """Non-finite values encountered during evaluation or integration.
+
+    ``max_occupied_size`` is set when ``integrate`` raises it: the largest
+    occupied size of the initial and every accepted state of the run.
+    """
+
+    max_occupied_size: int | None = None
 
     def __init__(self, message: str, time: float | None = None):
         self.time = time

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import output
-from .diagnostics import mass_defect, moment_series
+from .diagnostics import mass_defect, moment, moment_series
 from .integrator import MODE_FIXED, SolverConfig, Trajectory, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .numerics import cumulative_simpson
@@ -107,7 +107,7 @@ def truncation_convergence(
 
     trajs = _run_ordered(lambda k: integrate(initial(k), kernel, base), k_list)
     defects = [mass_defect(tr) for tr in trajs]
-    m1_0 = trajs[0].diagnostics[0].moment_1
+    m1_0 = moment(trajs[0].state(0), 1)
 
     kmin = k_list[0]
     sizes = np.arange(1, kmin + 1, dtype=float)
@@ -224,7 +224,7 @@ def continuous_dependence(
     delta = kernel.power_delta
     sup_m1d = float(max(moment_series(traj_a, 1.0 + delta).max(),
                         moment_series(traj_b, 1.0 + delta).max()))
-    delta_1 = max(traj_a.diagnostics[0].moment_1, traj_b.diagnostics[0].moment_1)
+    delta_1 = max(moment(traj_a.state(0), 1), moment(traj_b.state(0), 1))
     c_cd = 4.0 * kernel.growth_constant_A * (sup_m1d + delta_1)
 
     metrics = {"c_cd": c_cd, "d_initial": float(dist[0]), "d_final": float(dist[-1])}

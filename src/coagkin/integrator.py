@@ -14,7 +14,8 @@ accuracy cross checks; it never rejects steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,7 +150,7 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """A sampled run: sample i is taken at times[i] and holds states[i].
+    """A sampled run of ``kernel``: sample i is taken at times[i] and holds states[i].
 
     ``states`` is a (samples x w) matrix, w being the largest
     ``occupied_size`` of any sample. Row i holds sample i's concentrations
@@ -158,15 +159,33 @@ class Trajectory:
     of the run, not k. ``state``, ``final`` and ``states_matrix`` rebuild
     full-length rows from it, and so does ``samples``, a read-only
     convenience rebuilt on each access.
+
+    ``diagnostics`` is derived from ``states`` on first read and kept, so
+    a caller that reads no record pays for none.
     """
 
     times: np.ndarray
     states: np.ndarray
     truncation_k: int
-    diagnostics: list[DiagnosticsRecord]
+    kernel: CoagulationKernel
     step_stats: StepStats
     config: SolverConfig
-    rhs_envelope: np.ndarray = field(default_factory=lambda: np.array([]))
+
+    @cached_property
+    def diagnostics(self) -> list[DiagnosticsRecord]:
+        """One record per sample, computed on first read.
+
+        One ``compute_record`` call per block of ``system.row_blocks`` of
+        the stored rows, each evaluating its block's right-hand side inside
+        the call. The blocks share one ``RhsEvaluator``, built by this read
+        and dropped after it: the trajectory keeps none, so a table kernel's
+        k x k rate matrices do not outlive the read.
+        """
+        rhs = RhsEvaluator(self.kernel, self.truncation_k)
+        records = []
+        for rows in row_blocks(self.times.size, self.truncation_k):
+            records += compute_record(self.states[rows], self.kernel, rhs)
+        return records
 
     def states_matrix(self, width: int | None = None) -> np.ndarray:
         """The samples as the rows of a fresh matrix on sizes 1..width (default truncation_k)."""
@@ -398,12 +417,12 @@ def integrate(
     samples' memory nor the stage scratch (``_StepWork``), which follow
     the front of the run.
 
-    After stepping, the right-hand side at every sample feeds its
-    diagnostics record and ``rhs_envelope``. The first sample reuses the
-    stepping's first evaluation; the others are evaluated in blocks of
-    full-length rows of at most ``system.BLOCK_CELLS`` cells, so that work
-    scales with k and not with samples x k. One ``compute_record`` call
-    takes each block's stored rows and derivatives.
+    The run stops after its last step: it evaluates the right-hand side
+    exactly ``step_stats.n_rhs_evals`` times, and the diagnostics records
+    are left to the first read of ``Trajectory.diagnostics``. A
+    ``NumericError`` raised while stepping (``IntegrationStalledError``
+    included) carries the run's ``max_occupied_size`` so far, which bounds
+    the sizes whose rates any right-hand-side call of the run read.
     """
     config.validate()
     init.validate()
@@ -457,73 +476,77 @@ def integrate(
 
     t = 0.0
     y = init.values.copy()
-    fy = f0 = f(y)
+    try:
+        fy = f(y)
 
-    if config.mode == MODE_FIXED:
-        h_nominal = float(config.fixed_h)
-        while t < config.t_end - 1e-14 * config.t_end:
-            h = min(h_nominal, config.t_end - t)
-            k1 = fy
-            k2 = f(y + 0.5 * h * k1)
-            k3 = f(y + 0.5 * h * k2)
-            k4 = f(y + h * k3)
-            y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y_new)):
-                raise NumericError("non-finite values in fixed step", time=t)
-            y_new, clamped = _clamp(y_new, sizes)
-            stats.clamped_mass_step += clamped
-            f_new = f(y_new)
-            emit(t, y, k1, t + h, y_new, f_new)
-            t += h
-            y = y_new
-            fy = f_new
-            stats.n_accepted += 1
-            stats.min_step = min(stats.min_step, h)
-            stats.max_step = max(stats.max_step, h)
-    else:
-        max_step = config.resolved_max_step()
-        min_step = 1e-12 * config.t_end
-        # initial step from the derivative scale
-        fnorm = float(np.max(np.abs(fy)))
-        ynorm = float(np.max(np.abs(y)))
-        if fnorm > 0:
-            h = min(max_step, 0.01 * (ynorm + config.abs_tol) / fnorm, config.t_end)
+        if config.mode == MODE_FIXED:
+            h_nominal = float(config.fixed_h)
+            while t < config.t_end - 1e-14 * config.t_end:
+                h = min(h_nominal, config.t_end - t)
+                k1 = fy
+                k2 = f(y + 0.5 * h * k1)
+                k3 = f(y + 0.5 * h * k2)
+                k4 = f(y + h * k3)
+                y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.all(np.isfinite(y_new)):
+                    raise NumericError("non-finite values in fixed step", time=t)
+                y_new, clamped = _clamp(y_new, sizes)
+                stats.clamped_mass_step += clamped
+                f_new = f(y_new)
+                emit(t, y, k1, t + h, y_new, f_new)
+                t += h
+                y = y_new
+                fy = f_new
+                stats.n_accepted += 1
+                stats.min_step = min(stats.min_step, h)
+                stats.max_step = max(stats.max_step, h)
         else:
-            h = min(max_step, config.t_end)
-        err_prev = 1.0
-        while t < config.t_end - 1e-14 * config.t_end:
-            h = min(h, config.t_end - t, max_step)
-            if h < min_step:
-                raise IntegrationStalledError(
-                    f"step size underflow (h={h:.3e} < {min_step:.3e})",
-                    time=t,
-                    last_state=SizeDistribution(y.copy(), k, t),
-                )
-            y5, err_norm, f_last = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol, work, occupied)
-            if err_norm > 1.0:
-                stats.n_rejected_error += 1
-                h *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / 5.0))
-                continue
-            y_new, clamped = _clamp(y5, sizes)
-            if clamped > budget_rate * h:
-                stats.n_rejected_positivity += 1
-                h *= 0.5
-                continue
-            stats.clamped_mass_step += clamped
-            # FSAL: the last stage is f(y5); a clamped state needs a fresh evaluation
-            f_new = f_last if y_new is y5 else f(y_new)
-            emit(t, y, fy, t + h, y_new, f_new)
-            stats.n_accepted += 1
-            stats.min_step = min(stats.min_step, h)
-            stats.max_step = max(stats.max_step, h)
-            t += h
-            y = y_new
-            fy = f_new
-            # PI update: react to the current error, damp with the previous
-            err_norm = max(err_norm, 1e-10)
-            fac = _SAFETY * err_norm**-_PI_ALPHA * err_prev**_PI_BETA
-            h *= min(_FAC_MAX, max(_FAC_MIN, fac))
-            err_prev = err_norm
+            max_step = config.resolved_max_step()
+            min_step = 1e-12 * config.t_end
+            # initial step from the derivative scale
+            fnorm = float(np.max(np.abs(fy)))
+            ynorm = float(np.max(np.abs(y)))
+            if fnorm > 0:
+                h = min(max_step, 0.01 * (ynorm + config.abs_tol) / fnorm, config.t_end)
+            else:
+                h = min(max_step, config.t_end)
+            err_prev = 1.0
+            while t < config.t_end - 1e-14 * config.t_end:
+                h = min(h, config.t_end - t, max_step)
+                if h < min_step:
+                    raise IntegrationStalledError(
+                        f"step size underflow (h={h:.3e} < {min_step:.3e})",
+                        time=t,
+                        last_state=SizeDistribution(y.copy(), k, t),
+                    )
+                y5, err_norm, f_last = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol, work, occupied)
+                if err_norm > 1.0:
+                    stats.n_rejected_error += 1
+                    h *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / 5.0))
+                    continue
+                y_new, clamped = _clamp(y5, sizes)
+                if clamped > budget_rate * h:
+                    stats.n_rejected_positivity += 1
+                    h *= 0.5
+                    continue
+                stats.clamped_mass_step += clamped
+                # FSAL: the last stage is f(y5); a clamped state needs a fresh evaluation
+                f_new = f_last if y_new is y5 else f(y_new)
+                emit(t, y, fy, t + h, y_new, f_new)
+                stats.n_accepted += 1
+                stats.min_step = min(stats.min_step, h)
+                stats.max_step = max(stats.max_step, h)
+                t += h
+                y = y_new
+                fy = f_new
+                # PI update: react to the current error, damp with the previous
+                err_norm = max(err_norm, 1e-10)
+                fac = _SAFETY * err_norm**-_PI_ALPHA * err_prev**_PI_BETA
+                h *= min(_FAC_MAX, max(_FAC_MIN, fac))
+                err_prev = err_norm
+    except NumericError as exc:
+        exc.max_occupied_size = stats.max_occupied_size
+        raise
 
     if next_sample < sample_times.size:
         # end-of-run numerical fuzz: remaining samples sit at t_end
@@ -537,26 +560,11 @@ def integrate(
         row += len(block)
 
     stats.n_rhs_evals = f.n_evals
-    # One rhs per sample feeds its record and the envelope, evaluated in blocks
-    # of full-length rows, so no samples x k matrix is kept; each block's
-    # records come from its stored rows in one call. The first sample is the
-    # initial state, whose rhs the stepping took first; its record comes before
-    # the first block.
-    diagnostics = [compute_record(init, kernel, deriv=f0)]
-    envelope = np.abs(f0)
-    for rows in row_blocks(times.size - 1, k):
-        block = states[1:][rows]
-        X = np.zeros((len(block), k))
-        X[:, :widest] = block
-        derivs = f(X)
-        np.maximum(envelope, np.abs(derivs).max(axis=0), out=envelope)
-        diagnostics += compute_record(block, kernel, deriv=derivs)
     return Trajectory(
         times=times,
         states=states,
         truncation_k=k,
-        diagnostics=diagnostics,
+        kernel=kernel,
         step_stats=stats,
         config=config,
-        rhs_envelope=envelope,
     )

@@ -149,3 +149,25 @@ def record_oracle(values, kernel, deriv):
         leak = (k + 1.0) * float(values[-1]) * float(np.dot(jv, row * values))
     return (math.fsum(held.tolist()), m1, math.fsum((sizes**2.0 * held).tolist()),
             tail / m1 if m1 > 0 else 0.0, float(np.max(np.abs(deriv))), leak)
+
+
+def eager_record_reads(kernel):
+    """(mass_defect, moment) stand-ins that read records, as when every run came with its records.
+
+    Both build a state's record with ``record_oracle``, one sample at a
+    time over all k sizes. ``mass_defect`` integrates every sample's leak
+    rate with the Simpson loop; ``moment(state, m)`` reads M0, M1 or M2
+    (m = 0, 1, 2) from the state's record.
+    """
+
+    def record(values):
+        return record_oracle(values, kernel, np.zeros(1))
+
+    def mass_defect(traj):
+        leaks = [record(x)[5] for x in traj.states_matrix()]
+        return float(cumulative_simpson_oracle(traj.times, leaks)[-1])
+
+    def moment(state, m):
+        return record(state.values)[int(m)]
+
+    return mass_defect, moment

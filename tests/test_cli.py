@@ -11,14 +11,16 @@ import sys
 import tempfile
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coagkin import cli, experiments, kernels
+from coagkin import cli, experiments, integrator, kernels
 from coagkin.cli import main
 from coagkin.errors import NumericError
-from coagkin.integrator import SolverConfig, integrate
+from coagkin.integrator import STEP_REACH, SolverConfig, integrate
+from coagkin.system import prefix_columns
 
 BASE = {
     "kernel": {"type": "constant", "params": {"c": 1.0}},
@@ -105,6 +107,38 @@ def test_verify_identity_passes(tmp_path):
     assert report["status"] == "pass"
     assert report["thresholds"]
     assert report["config_echo"]["run_config"]["truncation_k"] == 16
+
+
+@pytest.mark.parametrize("experiment", [
+    {"name": "identity", "q_list": [4, 8, 15]},
+    {"name": "truncation", "k_list": [4, 8, 16]},
+    {"name": "dependence"},
+], ids=lambda e: e["name"])
+def test_verify_reads_no_record_and_matches_the_eager_path(tmp_path, monkeypatch, experiment):
+    # these experiments read the stored samples only: no diagnostics record is
+    # built, and their files are the bytes the record-reading path writes
+    calls = []
+    record = integrator.compute_record
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "compute_record", spy)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, solver={"t_end": 1.0}, experiment=experiment)
+    rc = main(["verify", cfg])
+    assert calls == []
+    lazy = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    shutil.rmtree(out)
+    mass_defect, moment = oracles.eager_record_reads(kernels.constant(1.0))
+    monkeypatch.setattr(experiments, "mass_defect", mass_defect)
+    monkeypatch.setattr(experiments, "moment", moment)
+    assert main(["verify", cfg]) == rc == 0
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == lazy
+    if experiment["name"] == "truncation":
+        report = json.loads(lazy["report.json"])
+        assert report["metrics"]["defect_k4"] > 0.0  # the leak path is taken
 
 
 def test_verify_decay_default_thresholds_pass(tmp_path):
@@ -517,9 +551,8 @@ def test_violation_beyond_k_passes_simulate_and_fails_verify(tmp_path):
     assert (report["metrics"]["first_violation_i"], report["metrics"]["first_violation_j"]) == (3, 10)
 
 
-def test_simulate_checks_the_grid_the_run_reached(tmp_path, monkeypatch):
-    # at k = 16,384 the front stops far below k, and so does the checked grid
-    k = 16_384
+def _spy_grids(monkeypatch) -> list:
+    """The grid of every check_admissibility call simulate makes, in order."""
     grids = []
 
     def spy(kern, max_size):
@@ -527,6 +560,13 @@ def test_simulate_checks_the_grid_the_run_reached(tmp_path, monkeypatch):
         return kernels.check_admissibility(kern, max_size)
 
     monkeypatch.setattr(cli, "check_admissibility", spy)
+    return grids
+
+
+def test_simulate_checks_the_grid_the_run_reached(tmp_path, monkeypatch):
+    # at k = 16,384 the front stops far below k, and so does the checked grid
+    k = 16_384
+    grids = _spy_grids(monkeypatch)
     assert main(["simulate", write_config(tmp_path, truncation_k=k)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     reach = min(k, summary["step_stats"]["max_occupied_size"] + 7)
@@ -585,18 +625,55 @@ def test_bad_rate_past_reach_passes_simulate(tmp_path):
 
 def test_kernel_that_breaks_the_integration_is_an_admissibility_failure(tmp_path, capsys):
     # rate(1, 1) = -1000 blows xi_1 up at once: the run fails numerically, and the
-    # kernel is then checked on all of 1..k, where the negative rate shows
+    # kernel is then checked on the widest prefix any rhs call read, where the
+    # negative rate shows
     k = 16
     table = tmp_path / "k.csv"
     table.write_text(_table_rows(k, bad=(1, 1), rate=-1000.0))
     cfg = write_config(tmp_path, kernel={"type": "table", "params": {"path": str(table)}, "A": 1.0})
     run = cli.RunConfig.load(cfg)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError) as exc:
         integrate(run.build_initial(), run.build_kernel(), run.build_solver())
+    grid = prefix_columns(exc.value.max_occupied_size + STEP_REACH, k)
+    assert grid < k
     assert main(["simulate", cfg]) == 1
     err = capsys.readouterr().err
-    assert f"failed admissibility on grid 1..{k}: negativity_violations 1 > 0" in err
+    assert f"failed admissibility on grid 1..{grid}: negativity_violations 1 > 0" in err
     assert "numeric failure" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_numeric_failure_checks_only_the_prefix_the_run_read(tmp_path, capsys, monkeypatch):
+    # the first step stalls at once (min_step = 1e-12 * t_end = 1): the kernel is
+    # checked on the 8 sizes a step from monomers reads, not on all of 1..k
+    k = 16_384
+    grids = _spy_grids(monkeypatch)
+    cfg = write_config(tmp_path, truncation_k=k, solver={"t_end": 1e12})
+    assert main(["simulate", cfg]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert grids == [prefix_columns(1 + STEP_REACH, k)] == [8]
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_rate_read_as_zero_times_inf_fails_simulate(tmp_path, capsys, monkeypatch):
+    # a NaN at (32, 1) lies past G = max_occupied_size + STEP_REACH of the failed run,
+    # but the matrix route reads it, times xi_32 = 0, once a stage input reaches
+    # size 16, and the NaN breaks the run; the prefix 1..32 that call took shows it
+    k = 64
+    table = tmp_path / "k.csv"
+    table.write_text(_table_rows(k, bad=(32, 1), rate=math.nan))
+    cfg = write_config(tmp_path, truncation_k=k, solver={"t_end": 10.0},
+                       kernel={"type": "table", "params": {"path": str(table)}, "A": 1.0})
+    run = cli.RunConfig.load(cfg)
+    with pytest.raises(NumericError) as exc:
+        integrate(run.build_initial(), run.build_kernel(), run.build_solver())
+    reach = exc.value.max_occupied_size + STEP_REACH
+    assert reach < 32 == prefix_columns(reach, k)
+    grids = _spy_grids(monkeypatch)
+    assert main(["simulate", cfg]) == 1
+    assert grids == [32]
+    err = capsys.readouterr().err
+    assert "failed admissibility on grid 1..32" in err and "rate nan" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -610,3 +687,31 @@ def test_benchmark_tracer_installs_on_this_checkout():
                            os.path.join(root, "perfbench")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("simulate", {}),
+    ("verify", {"experiment": {"name": "identity", "q_list": [4, 8, 15]}}),
+    ("verify", {"experiment": {"name": "truncation", "k_list": [4, 8, 16]}}),
+], ids=["simulate", "identity", "truncation"])
+def test_traced_benchmark_run_passes_its_self_checks(tmp_path, command, overrides):
+    # one traced benchmark iteration (perfbench/child.py, TRACE=1) on a small config:
+    # every rhs evaluation has a known consumer, the stepping ones match step_stats,
+    # and one cli.main span holds all others; only simulate builds records
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    cfg = write_config(tmp_path, **overrides)
+    result = tmp_path / "result.json"
+    proc = subprocess.run([sys.executable, os.path.join(root, "perfbench", "child.py"),
+                           os.path.join(root, "src"), command, cfg, "0.0", "1", str(result)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(result.read_text())
+    assert run["rc"] == 0
+    checks, metrics = run["trace"]["checks"], run["trace"]["metrics"]
+    assert checks["rhs_other"] == 0
+    assert checks["rhs_step_vs_step_stats"] == 0
+    assert checks["root_spans"] == 1
+    assert metrics["system.rhs_evals.step"] > 0
+    reads_records = command == "simulate"
+    assert (metrics["diagnostics.records"] > 0) == reads_records
+    assert (metrics["system.rhs_evals.diagnostics"] > 0) == reads_records

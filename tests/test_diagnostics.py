@@ -62,7 +62,7 @@ def test_moments_are_correctly_rounded_sums(rng):
     assert compute_record(state(np.zeros(8)), constant(1.0)).moment_1 == math.fsum(np.zeros(8))
 
 
-def test_integrate_evaluates_the_rhs_once_per_sample(monkeypatch):
+def test_records_evaluate_the_rhs_once_per_sample(monkeypatch):
     calls = []
     original = RhsEvaluator.__call__
 
@@ -74,14 +74,14 @@ def test_integrate_evaluates_the_rhs_once_per_sample(monkeypatch):
     monkeypatch.setattr(system, "BLOCK_CELLS", 3 * 16)  # blocks of 3 rows at k = 16
     traj = integrate(monomer(16), additive(1.0),
                      SolverConfig(t_end=2.0, sample_times=np.linspace(0, 2, 41)))
-    # the first sample is the initial state, whose rhs the first step already took
-    rows = sum(shape[0] if len(shape) == 2 else 1 for shape in calls)
-    assert rows == traj.step_stats.n_rhs_evals + len(traj.samples) - 1
-    # the stepping evaluates single states; the diagnostics, blocks within the cell budget
-    blocks = [shape for shape in calls if len(shape) == 2]
-    assert len(calls) - len(blocks) == traj.step_stats.n_rhs_evals
-    assert len(blocks) <= math.ceil((len(traj.samples) - 1) / 3)
-    assert all(m * k <= 3 * 16 for m, k in blocks)
+    # the stepping evaluates single states, and only those
+    assert calls == [(16,)] * traj.step_stats.n_rhs_evals
+    del calls[:]
+    traj.diagnostics
+    # the first read evaluates every sample once, in blocks within the cell budget
+    assert sum(m for m, _ in calls) == len(traj.samples)
+    assert len(calls) == math.ceil(len(traj.samples) / 3)
+    assert all(m * k <= 3 * 16 for m, k in calls)
 
 
 def _bits(record) -> bytes:
@@ -117,14 +117,14 @@ def test_block_records_equal_one_state_records_bit_for_bit(kern, k, rng):
         X = np.zeros((len(rows), k))
         X[:, :w] = rows
         derivs = f(X)
-        block = compute_record(rows, kern, deriv=derivs)
+        block = compute_record(rows, kern, f)
         assert len(block) == len(rows)
         for x, d, rec in zip(X, derivs, block):
             one = compute_record(SizeDistribution(x, k), kern)
             assert _bits(rec) == _bits(one) == _bits(record_oracle(x, kern, d)), (w, rec, one)
         assert (block[0].mass_leak_rate > 0.0) == (w == k)
         assert block[2].rhs_sup == block[2].moment_1 == 0.0 and not np.signbit(block[2].moment_0)
-    with pytest.raises(ValueError, match="derivative block"):
+    with pytest.raises(ValueError, match="needs the RhsEvaluator"):
         compute_record(rows, kern)
 
 
@@ -148,13 +148,14 @@ def test_integrate_records_equal_per_sample_records():
     assert rep.metrics["max_ratio"] == float(np.max(mg / envelope))
 
 
-def test_rhs_envelope_is_the_componentwise_max_over_samples():
+def test_rhs_sup_is_the_largest_derivative_of_its_sample():
     kern = additive(1.0)
     traj = integrate(monomer(32), kern, SolverConfig(t_end=3.0))
     f = RhsEvaluator(kern, 32)
     derivs = np.vstack([f(s.values) for s in traj.samples])
-    assert np.array_equal(traj.rhs_envelope, np.max(np.abs(derivs), axis=0))
     assert [d.rhs_sup for d in traj.diagnostics] == np.max(np.abs(derivs), axis=1).tolist()
+    traj = integrate(monomer(8), constant(1.0), SolverConfig(t_end=1.0))
+    assert traj.diagnostics[0].rhs_sup == 2.0  # |rhs_1| = 2 at t = 0
 
 
 def test_simpson_exact_on_quadratics():
@@ -228,6 +229,18 @@ def test_mass_defect_routes_agree_when_resolvable():
     endpoint = mass_defect_endpoint(traj)
     assert leak == pytest.approx(endpoint, rel=1e-4)
     assert endpoint >= -1e-9 * traj.diagnostics[0].moment_1
+
+
+@pytest.mark.parametrize("kern,k,leaking", [(additive(1.0), 32, True), (constant(1.0), 256, False)],
+                         ids=["leaking", "not_leaking"])
+def test_mass_defect_equals_the_integral_of_the_record_leaks_bit_for_bit(kern, k, leaking):
+    traj = integrate(monomer(k), kern, SolverConfig(t_end=2.0))
+    defect = mass_defect(traj)  # from the stored rows, before any record exists
+    assert "diagnostics" not in vars(traj)
+    leaks = np.array([d.mass_leak_rate for d in traj.diagnostics])
+    assert np.array(defect).tobytes() == np.array(cumulative_simpson(traj.times, leaks)[-1]).tobytes()
+    assert (defect > 0.0) == leaking
+    assert mass_defect_endpoint(traj) == traj.diagnostics[0].moment_1 - traj.diagnostics[-1].moment_1
 
 
 def test_mass_defect_resolves_below_float_cancellation():

@@ -16,7 +16,14 @@ from coagkin.integrator import (
     integrate,
 )
 from coagkin.kernels import additive, catalog, constant, demo_table, power_sum
-from coagkin.system import RhsEvaluator, SizeDistribution, monomer, occupied_size, prefix_columns
+from coagkin.system import (
+    RhsEvaluator,
+    SizeDistribution,
+    monomer,
+    occupied_size,
+    prefix_columns,
+    row_blocks,
+)
 
 
 def test_config_validation():
@@ -138,13 +145,6 @@ def test_integration_stall_raises_with_last_state():
     assert exc.value.last_state.truncation_k == 8
 
 
-def test_rhs_envelope_reported_per_component():
-    traj = integrate(monomer(8), constant(1.0), SolverConfig(t_end=1.0))
-    assert traj.rhs_envelope.shape == (8,)
-    assert np.all(np.isfinite(traj.rhs_envelope))
-    assert traj.rhs_envelope[0] >= 2.0 - 1e-12  # |rhs_1| = 2 at t = 0
-
-
 def test_step_stats_account_for_the_run():
     traj = integrate(monomer(8), constant(1.0), SolverConfig(t_end=1.0))
     st = traj.step_stats
@@ -171,29 +171,40 @@ def test_invariant_checker_flags_mass_rise():
     SolverConfig(t_end=2.0, mode=MODE_FIXED, fixed_h=0.05),
 ], ids=["adaptive", "fixed"])
 def test_first_record_opens_after_the_last_stepping_rhs_call(config, monkeypatch):
-    # A tracer labels every rhs evaluation before the first compute_record call
-    # as stepping and every later one as diagnostics; that split must count
-    # exactly step_stats.n_rhs_evals stepping evaluations.
+    # integrate makes exactly step_stats.n_rhs_evals evaluations and no record; the
+    # first read of the diagnostics makes one record call per block of samples and
+    # evaluates every sample's rhs inside those calls, and a second read makes none
     events = []
+    depth = []
     rhs_call, record = RhsEvaluator.__call__, integrator.compute_record
 
     def traced_rhs(self, x):
-        events.append(("rhs", len(x) if x.ndim == 2 else 1))
+        events.append(("rhs" if not depth else "rhs_in_record", len(x) if x.ndim == 2 else 1))
         return rhs_call(self, x)
 
     def traced_record(*args, **kwargs):
         events.append(("record", 0))
-        return record(*args, **kwargs)
+        depth.append(None)
+        try:
+            return record(*args, **kwargs)
+        finally:
+            depth.pop()
 
     monkeypatch.setattr(RhsEvaluator, "__call__", traced_rhs)
     monkeypatch.setattr(integrator, "compute_record", traced_record)
     traj = integrate(monomer(16), additive(1.0), config)
-    first = events.index(("record", 0))
-    assert sum(n for kind, n in events[:first] if kind == "rhs") == traj.step_stats.n_rhs_evals
-    later = [n for kind, n in events[first:] if kind == "rhs"]
-    assert sum(later) == traj.times.size - 1
-    # one record call for the initial sample, then one per block of samples
-    assert sum(1 for kind, _ in events if kind == "record") == 1 + len(later)
+    assert {kind for kind, _ in events} == {"rhs"}
+    assert sum(n for _, n in events) == traj.step_stats.n_rhs_evals
+    del events[:]
+    records = traj.diagnostics
+    assert len(records) == traj.times.size
+    assert [kind for kind, _ in events] == ["record", "rhs_in_record"] * (len(events) // 2)
+    blocks = row_blocks(traj.times.size, 16)
+    assert [n for kind, n in events if kind == "rhs_in_record"] == [
+        len(range(traj.times.size)[rows]) for rows in blocks]
+    del events[:]
+    assert traj.diagnostics is records
+    assert events == []
 
 
 def test_invariant_messages_name_component_and_source():
@@ -292,7 +303,7 @@ class _OracleRhs:
     """The full-length oracle rhs behind RhsEvaluator's interface; a block is evaluated row by row."""
 
     def __init__(self, kernel, k):
-        self.f, self.n_evals = rhs_oracle(kernel, k), 0
+        self.f, self.k, self.n_evals = rhs_oracle(kernel, k), k, 0
 
     def __call__(self, x):
         if x.ndim == 2:
@@ -311,6 +322,7 @@ def test_integrate_matches_oracle_stepping_bit_for_bit(kern, k, abs_tol, monkeyp
     # the oracle run steps and evaluates the rhs over all k sizes
     config = SolverConfig(t_end=10.0, abs_tol=abs_tol)
     new = integrate(monomer(k), kern, config)
+    records = new.diagnostics  # read before the oracle stands in for the rhs
 
     def oracle_step(f, y, f0, h, rel_tol, abs_tol, work, occupied):
         y5, err, stages = dp_step_oracle(f, y, f0, h, rel_tol, abs_tol)
@@ -324,8 +336,7 @@ def test_integrate_matches_oracle_stepping_bit_for_bit(kern, k, abs_tol, monkeyp
     assert old.step_stats.max_occupied_size == k
     assert new.states_matrix().tobytes() == old.states_matrix().tobytes()
     assert new.step_stats == replace(old.step_stats, max_occupied_size=new.step_stats.max_occupied_size)
-    assert new.diagnostics == old.diagnostics
-    assert new.rhs_envelope.tobytes() == old.rhs_envelope.tobytes()
+    assert records == old.diagnostics
 
 
 @pytest.mark.parametrize("kern,k,config", [
@@ -381,7 +392,7 @@ def test_step_scratch_is_as_wide_as_the_widest_step():
 
 def test_sample_memory_follows_the_front_not_k(monkeypatch):
     # full-length rows would take 1001 * 8192 * 8 B = 62.5 MiB; the front stays below
-    # size 300, and the whole run peaked at 5.7 MiB (Python 3.11, numpy 2.4)
+    # size 300, and the whole run peaked at 5.0 MiB (Python 3.11, numpy 2.4)
     k = 8192
     config = SolverConfig(t_end=10.0, sample_times=np.linspace(0.0, 10.0, 1001))
     tracemalloc.start()
@@ -405,7 +416,6 @@ def test_sample_memory_follows_the_front_not_k(monkeypatch):
         assert traj.state(i).values.tobytes() == full.states[i].tobytes()
     assert traj.states_matrix(2 * widest).tobytes() == full.states[:, : 2 * widest].tobytes()
     assert full.diagnostics == traj.diagnostics
-    assert full.rhs_envelope.tobytes() == traj.rhs_envelope.tobytes()
 
 
 def test_rejections_are_split_by_cause():

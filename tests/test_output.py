@@ -57,7 +57,7 @@ def _oracle_rows(traj):
 def _trajectory(rows, times=None):
     states = np.array(rows, dtype=float)
     times = np.asarray(times if times is not None else np.arange(len(rows)), dtype=float)
-    return Trajectory(times=times, states=states, truncation_k=states.shape[1], diagnostics=[],
+    return Trajectory(times=times, states=states, truncation_k=states.shape[1], kernel=constant(1.0),
                       step_stats=StepStats(), config=SolverConfig(t_end=1.0))
 
 
