@@ -145,6 +145,16 @@ def test_integration_stall_raises_with_last_state():
     assert exc.value.last_state.truncation_k == 8
 
 
+def test_rhs_envelope_reported_per_component():
+    traj = integrate(monomer(8), constant(1.0), SolverConfig(t_end=1.0))
+    envelope = np.max(np.abs(RhsEvaluator(traj.kernel, 8)(traj.states)), axis=0)
+    assert envelope.shape == (8,)
+    assert np.all(np.isfinite(envelope))
+    assert envelope[0] >= 2.0 - 1e-12  # |rhs_1| = 2 at t = 0
+    assert traj.diagnostics[0].rhs_sup == 2.0
+    assert max(d.rhs_sup for d in traj.diagnostics) == float(np.max(envelope))
+
+
 def test_step_stats_account_for_the_run():
     traj = integrate(monomer(8), constant(1.0), SolverConfig(t_end=1.0))
     st = traj.step_stats
