@@ -65,5 +65,5 @@ traj = integrate(monomer(64), additive(1.0), SolverConfig(t_end=5.0))
 rep = check_moment_propagation(traj, w, additive(1.0))
 print(f"constructed weight along an integrated run: {rep.status}, "
       f"max ratio {rep.metrics['max_ratio']:.2e}")
-print(f"g-moment at start {g_moment(traj.samples[0], w):.4e}, "
-      f"at end {g_moment(traj.samples[-1], w):.4e}")
+print(f"g-moment at start {g_moment(traj.state(0), w):.4e}, "
+      f"at end {g_moment(traj.final(), w):.4e}")

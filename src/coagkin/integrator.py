@@ -157,8 +157,7 @@ class Trajectory:
     of sizes 1..w; every size past w, up to truncation_k, is +0.0 in every
     sample. So the matrix loses nothing, and its memory follows the front
     of the run, not k. ``state``, ``final`` and ``states_matrix`` rebuild
-    full-length rows from it, and so does ``samples``, a read-only
-    convenience rebuilt on each access.
+    full-length rows from it.
 
     ``diagnostics`` is derived from ``states`` on first read and kept, so
     a caller that reads no record pays for none.
@@ -200,15 +199,6 @@ class Trajectory:
         row = self.states[i]
         values[: row.size] = row
         return SizeDistribution(values, self.truncation_k, float(self.times[i]))
-
-    @property
-    def samples(self) -> list[SizeDistribution]:
-        """Every sample as a full-length state, rebuilt on each access.
-
-        A derived view for reading: writing to it changes nothing stored.
-        """
-        return [SizeDistribution(v, self.truncation_k, t)
-                for v, t in zip(self.states_matrix(), self.times.tolist())]
 
     def mass_series(self) -> np.ndarray:
         return np.array([d.moment_1 for d in self.diagnostics])
@@ -252,14 +242,18 @@ class Trajectory:
         return problems
 
 
-def _clamp(vec: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, float]:
-    """vec with negatives zeroed (vec itself if none), and the size-weighted mass removed."""
-    if vec.min(initial=0.0) >= 0.0:
+def _clamp(vec: np.ndarray, sizes: np.ndarray, n: int | None = None) -> tuple[np.ndarray, float]:
+    """vec with negatives zeroed (vec itself if none), and the size-weighted mass removed.
+
+    Only the first n entries are looked at (default all): vec is +0.0 past them.
+    """
+    head = vec[:n]
+    if head.min(initial=0.0) >= 0.0:
         return vec, 0.0
-    neg = vec < 0.0
+    neg = head < 0.0
     out = vec.copy()
-    out[neg] = 0.0
-    return out, float(np.dot(sizes[neg], -vec[neg]))
+    out[:n][neg] = 0.0
+    return out, float(np.dot(sizes[:n][neg], -head[neg]))
 
 
 def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
@@ -305,18 +299,30 @@ class _StepWork:
     widest step so far: a wider step replaces them by fresh ones of its
     own width, a power of two or k (``prefix_columns``), so a run whose
     front stays far below k never holds k columns.
+
+    ``vec`` is one length-k buffer whose first n entries take a step's
+    stage inputs, then its squared error; past them it is +0.0. A step
+    narrower than the last zeroes the columns the last one wrote.
     """
 
     def __init__(self):
         self.stages = self.terms = np.empty((7, 0))
+        self.vec = np.empty(0)
+        self._written = 0
         self._widths = {}
 
-    def width(self, n: int) -> tuple:
-        """(stages, terms, combos) on the first n columns, built once per width.
+    def width(self, n: int, k: int) -> tuple:
+        """(stages, terms, combos, head) on the first n columns of a step at truncation k.
 
         A combo is a tableau column with the stage rows it weighs and the
-        rows of terms its products go to.
+        rows of terms its products go to; head is vec[:n].
         """
+        if self.vec.size != k:
+            self.vec = np.zeros(k)
+            self._widths.clear()
+        elif n < self._written:
+            self.vec[n:self._written] = 0.0
+        self._written = n
         views = self._widths.get(n)
         if views is None:
             if n > self.stages.shape[1]:
@@ -324,7 +330,7 @@ class _StepWork:
                 self._widths.clear()
             stages, terms = self.stages[:, :n], self.terms[:, :n]
             combos = tuple((col, stages[: col.shape[0]], terms[: col.shape[0]]) for col in _DP_A)
-            views = self._widths[n] = (stages, terms, combos)
+            views = self._widths[n] = (stages, terms, combos, self.vec[:n])
         return views
 
 
@@ -344,9 +350,11 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     n = prefix_columns(occupied + STEP_REACH, k) columns only. Beyond them
     the full-length arithmetic adds zeros to the +0.0 tail of y, which gives
     +0.0 whatever the signs of those zeros: that is the tail of y5, and of
-    every stage input handed to f. The error norm sums its squares over a
-    full-length buffer whose tail is +0.0, so numpy's pairwise sum groups
-    and rounds every term as it would over the full-length error.
+    every stage input handed to f. Stages 2 to 7 are written straight into
+    their rows (``f(x, out=row)``), whose occupied sizes f finds on the n
+    columns. The error norm sums its squares over a full-length buffer whose
+    tail is +0.0, so numpy's pairwise sum groups and rounds every term as it
+    would over the full-length error.
 
     Each combination sum_j c_j * k_j is one multiply of the stage rows by
     a tableau column and one np.add.reduce over axis 0. That reduction
@@ -354,13 +362,21 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     exactly like the left-to-right sum of the terms. The 7th stage's
     input weights are the 5th order weights, which give stage 7 itself
     weight zero, so that input is y5 and is not formed a second time.
+
+    The step checks finiteness once, over stages 2 to 6 and y5, before
+    it evaluates stage 7; f checks no stage input. That raises
+    ``NumericError`` in the same trial steps as checking every stage
+    input and y5 would. Component i of f(x) ends in - x_i * (S_i + T_i),
+    and the product of a NaN or an infinity with any float, zero
+    included, is NaN or infinite, as is a difference with one. So a
+    non-finite stage input gives a non-finite stage, through the
+    separable and the matrix route alike. A non-finite stage 7 shows in
+    the error norm, so it raises only when err_norm is not finite.
     """
     k = y.size
     n = prefix_columns(occupied + STEP_REACH, k)
-    stages, terms, combos = work.width(n)
+    stages, terms, combos, head = work.width(n, k)
     yn = y[:n]
-    vec = np.zeros(k)  # one stage input at a time, then the squared error; +0.0 beyond n
-    head = vec[:n]
 
     def increment(combo):
         # h * sum_j col_j * stage_j, in head
@@ -373,11 +389,16 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     stages[0] = f0[:n]
     for s, combo in enumerate(combos[:-1], start=1):
         np.add(yn, increment(combo), out=head)
-        stages[s] = f(vec)[:n]
+        f(work.vec, out=stages[s])
+    # y5 sits in row 6 until stage 7 takes the row, so one check covers it and stages 2-6
+    np.add(yn, increment(combos[-1]), out=stages[6])
+    if not np.isfinite(stages[1:]).all():
+        raise NumericError("non-finite values in trial step")
     y5 = np.zeros(k)
-    y5n = np.add(yn, increment(combos[-1]), out=y5[:n])
-    f_last = f(y5)
-    stages[6] = f_last[:n]
+    y5n = y5[:n]
+    y5n[:] = stages[6]
+    f_last = np.zeros(k)
+    stages[6] = f(y5, out=f_last[:n])
     np.multiply(_DP_ERR, stages, out=terms)
     err = np.add.reduce(terms, axis=0, out=head)
     err *= h
@@ -388,9 +409,8 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     scale += abs_tol
     err /= scale
     err *= err
-    err_norm = math.sqrt(np.add.reduce(vec) / k)
-    # f checked every stage input; a non-finite last stage shows only in the error
-    if not math.isfinite(err_norm) and not np.isfinite(f_last).all():
+    err_norm = math.sqrt(np.add.reduce(work.vec) / k)
+    if not math.isfinite(err_norm) and not np.isfinite(stages[6]).all():
         raise NumericError("non-finite values in trial step")
     return y5, err_norm, f_last
 
@@ -452,7 +472,7 @@ def integrate(
         # sizes y0 and y1 are +0.0 and f0, f1 zeros, so every sample is +0.0
         # there and the block leaves those sizes out.
         nonlocal next_sample, occupied, widest
-        held = occupied_size(y1)
+        held = occupied_size(y1[:prefix_columns(occupied + STEP_REACH, k)])
         stats.max_occupied_size = max(stats.max_occupied_size, held)
         n = min(k, max(occupied, held) + 1)
         occupied = held
@@ -524,7 +544,7 @@ def integrate(
                     stats.n_rejected_error += 1
                     h *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / 5.0))
                     continue
-                y_new, clamped = _clamp(y5, sizes)
+                y_new, clamped = _clamp(y5, sizes, prefix_columns(occupied + STEP_REACH, k))
                 if clamped > budget_rate * h:
                     stats.n_rejected_positivity += 1
                     h *= 0.5

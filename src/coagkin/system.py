@@ -134,9 +134,11 @@ class RhsEvaluator:
     """Precomputed right-hand-side apparatus for one (kernel, k) pair.
 
     Separable kernels rate = a * (i**d + j**d) use O(k) prefix/suffix
-    sums: the four weighted vectors they sum sit in one (4, k) scratch
-    matrix and one accumulate along its rows sums them all. Everything
-    else goes through cached lower/upper triangular rate matrices and two
+    sums of four weighted vectors. They sit as the real and imaginary
+    parts of two complex scratch rows, so one accumulate along the rows
+    sums them all: a complex sum adds the real parts and the imaginary
+    parts apart, each rounded as its float sum. Everything else goes
+    through cached lower/upper triangular rate matrices and two
     matrix-vector products (O(k^2), fixed summation order).
 
     A call reads only the occupied prefix, and it checks only that prefix
@@ -157,6 +159,19 @@ class RhsEvaluator:
     its sign. The views of each width are built on first use and cached:
     at most floor(log2(k)) + 2 widths, the width-k one with the evaluator.
 
+    ``f(x, out=row)`` writes the derivative at the one state x into
+    ``row`` instead of a fresh array, and returns it; x is not checked.
+    The row has a width w <= k that is k or a power of two above
+    occupied_size(x), as a trial step's rows are, and x is +0.0 past its
+    first w sizes: its occupied size is found on x[:w], so the call does
+    no length-k work. The row gets the derivative on its first n columns
+    and +0.0 on the rest. A non-finite entry of x leaves the derivative
+    non-finite at its size (``integrator._dp_step`` gives the argument),
+    so the caller finds it by checking the rows it gets back. Only a
+    non-finite x can fill a trial step's row up to its last column w < k
+    (a NaN stage is NaN on every column); such an x is evaluated on the
+    row's w columns, which keeps each of its non-finite sizes non-finite.
+
     A call also takes an (m, k) block of states, one per row, and returns
     an (m, k) block equal bit for bit to the m one-state results; n_evals
     counts states, not calls. The block runs the same statements with a
@@ -168,9 +183,9 @@ class RhsEvaluator:
     callers keep blocks small (``row_blocks``); a one-row block runs the
     one-state statements.
 
-    Every call returns a fresh array, so the results of earlier calls stay
-    valid. The scratch is reused across calls, so one evaluator must not be
-    called from two threads at once.
+    Without ``out`` every call returns a fresh array, so the results of
+    earlier calls stay valid. The scratch is reused across calls, so one
+    evaluator must not be called from two threads at once.
     """
 
     def __init__(self, kernel: CoagulationKernel, k: int):
@@ -186,7 +201,7 @@ class RhsEvaluator:
             self._a = float(a)
             self._ipow = self.sizes**d
             self._fwd_weights = np.vstack([self.sizes, self.sizes ** (1.0 + d)])
-            self._sums = np.empty((4, k))
+            self._sums = np.empty((2, k), dtype=complex)
         else:
             g = kernel.rate_matrix(k)
             self._gamma_low = np.tril(g)
@@ -198,32 +213,43 @@ class RhsEvaluator:
     def _width(self, n: int) -> tuple:
         """Views on the first n columns, built once per width."""
         if self._a is not None:
+            # complex row 0 sums x reversed (real) and i * x (imaginary), row 1
+            # i**d * x reversed and i**(1+d) * x; after the accumulate row 0's
+            # float pairs are weighed by i**d reversed and i**d, row 1's added,
+            # and row 0 holds T reversed (real) and S (imaginary)
             ipow = self._ipow[:n]
-            # rows 0 and 2 weigh reversed x by 1 and i**d reversed; after the
-            # accumulate, rows 0 and 1 weigh their prefix sums by i**d reversed and i**d
-            rev = np.vstack([np.ones(n), ipow[::-1], ipow])
-            W = self._sums[:, :n]
-            views = (rev[:2], rev[1:], self._fwd_weights[:, :n], W, W[0::2], W[1::2],
-                     W[:2], W[2:], W[1], W[0, ::-1], self._loss[:n])
+            pair_weights = np.empty(2 * n)
+            pair_weights[0::2], pair_weights[1::2] = ipow[::-1], ipow
+            Z = self._sums[:, :n]
+            parts = Z.view(float)
+            pair = parts[0]
+            views = (np.vstack([np.ones(n), ipow[::-1]]), self._fwd_weights[:, :n], pair_weights,
+                     Z, parts[:, 0::2], parts[:, 1::2], pair, parts[1], pair[1::2],
+                     pair[0::2][::-1], self._loss[:n])
         else:
             views = (self.sizes[:n], self._gamma_low[:n, :n], self._gamma_up[:n, :n],
                      self._loss[:n])
         self._widths[n] = views
         return views
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is not None:
+            return self._into(x, occupied_size(x[:out.size]), out)
         if x.ndim == 1:
             return self._state(x)
         # a one-row block is cheaper through the one-state statements
         return self._rows(x) if len(x) > 1 else self._state(x[0])[None]
 
     def _state(self, x: np.ndarray) -> np.ndarray:
-        """The derivative at one state, on its occupied prefix."""
-        k = self.k
+        """The derivative at one state, checked on its occupied prefix, as a fresh array."""
         m = occupied_size(x)
         _check_finite(x[:m])
+        return self._into(x, m, np.zeros(self.k))
+
+    def _into(self, x: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+        """The derivative at one state of occupied size m, written into the row out."""
+        n = min(prefix_columns(m + 1, self.k), out.size)
         self.n_evals += 1
-        n = prefix_columns(m + 1, k)
         xn = x[:n]
         views = self._widths.get(n) or self._width(n)
         if self._a is not None:
@@ -231,48 +257,53 @@ class RhsEvaluator:
             #     = a * (i**d * sum_{j<=i} j*xi_j + sum_{j<=i} j**(1+d)*xi_j)
             # T_i = sum_{j>=i} rate(i,j)*xi_j
             #     = a * (i**d * sum_{j>=i} xi_j + sum_{j>=i} j**d*xi_j)
-            # The suffix sums of T are prefix sums of reversed vectors (rows 0
-            # and 2; rows 1 and 3 weigh x by j and j**(1+d)), so one accumulate
-            # takes all four; rows 0 and 1 then become T reversed and S.
-            rev_weights, pair_weights, fwd_weights, W, rev_rows, fwd_rows, pair, rest, S, T, loss = views
-            np.multiply(rev_weights, xn[::-1], out=rev_rows)
-            np.multiply(fwd_weights, xn, out=fwd_rows)
-            np.add.accumulate(W, axis=1, out=W)
+            # The suffix sums of T are prefix sums of reversed vectors (the
+            # real parts; the imaginary ones weigh x by j and j**(1+d)), so one
+            # accumulate takes all four.
+            rev_weights, fwd_weights, pair_weights, Z, rev_parts, fwd_parts, pair, rest, S, T, loss = views
+            np.multiply(rev_weights, xn[::-1], out=rev_parts)
+            np.multiply(fwd_weights, xn, out=fwd_parts)
+            np.add.accumulate(Z, axis=1, out=Z)
             pair *= pair_weights
             pair += rest
-            pair *= self._a
+            if self._a != 1.0:  # x * 1.0 is x, bit for bit
+                pair *= self._a
         else:
             sizes, low, up, loss = views
             S = low @ (sizes * xn)
             T = up @ xn
-        out = np.zeros(k)
+        out[0] = 0.0
         np.multiply(xn[:-1], S[:-1], out=out[1:n])
         np.add(S, T, out=loss)
         loss *= xn
         out[:n] -= loss
+        if n < out.size:
+            out[n:] = 0.0
         return out
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
-        """The statements of _state with a leading axis over the rows of X."""
+        """The statements of _into with a leading axis over the rows of X."""
         m, k = X.shape
-        widths = [prefix_columns(occupied_size(x) + 1, k) for x in X]
-        n = max(widths, default=1)
+        widths = [prefix_columns(size + 1, k) for size in occupied_sizes(X).tolist()]
+        n = max(widths)
         Xn = X[:, :n]
         _check_finite(Xn)  # every row's occupied prefix lies within n
         self.n_evals += m
         views = self._widths.get(n) or self._width(n)
         if self._a is not None:
             # weights shaped (2, 1, n): (2, n) would broadcast along the rows of a 2-row block
-            rev_weights, pair_weights, fwd_weights = (w[:, None] for w in views[:3])
-            W = np.empty((4, m, n))
-            np.multiply(rev_weights, Xn[:, ::-1], out=W[0::2])
-            np.multiply(fwd_weights, Xn, out=W[1::2])
-            np.add.accumulate(W, axis=2, out=W)
-            pair = W[:2]
+            rev_weights, fwd_weights, pair_weights = views[:3]
+            Z = np.empty((2, m, n), dtype=complex)
+            parts = Z.view(float)
+            np.multiply(rev_weights[:, None], Xn[:, ::-1], out=parts[..., 0::2])
+            np.multiply(fwd_weights[:, None], Xn, out=parts[..., 1::2])
+            np.add.accumulate(Z, axis=2, out=Z)
+            pair = parts[0]
             pair *= pair_weights
-            pair += W[2:]
-            pair *= self._a
-            S, T = W[1], W[0, :, ::-1]
+            pair += parts[1]
+            if self._a != 1.0:
+                pair *= self._a
+            S, T = pair[:, 1::2], pair[:, 0::2][:, ::-1]
         else:
             sizes, low, up, _ = views
             Y = sizes * Xn

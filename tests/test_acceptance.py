@@ -50,7 +50,7 @@ def test_c1_positivity_and_mass_monotonicity():
         elapsed = time.monotonic() - t0
         m1 = traj.mass_series()
         budget = 1e-9 * m1[0]
-        pos_ok = all(s.values.min() >= 0.0 for s in traj.samples)
+        pos_ok = bool(traj.states.min() >= 0.0)
         clamp_ok = traj.step_stats.clamped_mass_step + traj.step_stats.clamped_mass_sample <= budget
         mass_ok = bool(np.all(np.diff(m1) <= budget))
         time_ok = elapsed <= 10.0
@@ -70,7 +70,7 @@ def test_c2_oracle_equivalence():
     ad = integrate(init, kern, SolverConfig(t_end=1.0, rel_tol=1e-8, sample_times=ts))
     fx = integrate(init, kern, SolverConfig(t_end=1.0, mode=MODE_FIXED, fixed_h=1e-4,
                                             sample_times=ts))
-    err = max(np.max(np.abs(a.values - f.values)) for a, f in zip(ad.samples, fx.samples))
+    err = float(np.max(np.abs(ad.states_matrix() - fx.states_matrix())))
     elapsed = time.monotonic() - t0
     ok = err <= 1e-6 and elapsed <= 5.0
     announce("C2 oracle equivalence", ok, f"max-abs={err:.3e} (<=1e-6), {elapsed:.2f}s (<=5)")

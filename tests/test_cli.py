@@ -481,11 +481,14 @@ def test_outputs_stay_under_output_dir(tmp_path, monkeypatch):
     assert (tmp_path / "only_here" / "summary.json").exists()
 
 
-def test_simulate_numeric_failure_exit_code(tmp_path, capsys):
-    # a horizon this long stalls the step controller: numeric failure, exit 3
+def test_simulate_numeric_failure_exit_code(tmp_path, capsys, recwarn):
+    # a horizon this long stalls the step controller: numeric failure, exit 3, one
+    # line on stderr and no numpy warning
     cfg = write_config(tmp_path, solver={"t_end": 1e12})
     assert main(["simulate", cfg]) == 3
-    assert "numeric failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numeric failure: step size underflow (h=5.000e-03 < 1.000e+00) (at t=0)\n")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_geometric_initial_mass_normalization(tmp_path):
@@ -623,7 +626,7 @@ def test_bad_rate_past_reach_passes_simulate(tmp_path):
     assert summary["admissibility"]["config_echo"]["max_size"] == reach
 
 
-def test_kernel_that_breaks_the_integration_is_an_admissibility_failure(tmp_path, capsys):
+def test_kernel_that_breaks_the_integration_is_an_admissibility_failure(tmp_path, capsys, recwarn):
     # rate(1, 1) = -1000 blows xi_1 up at once: the run fails numerically, and the
     # kernel is then checked on the widest prefix any rhs call read, where the
     # negative rate shows
@@ -640,22 +643,26 @@ def test_kernel_that_breaks_the_integration_is_an_admissibility_failure(tmp_path
     err = capsys.readouterr().err
     assert f"failed admissibility on grid 1..{grid}: negativity_violations 1 > 0" in err
     assert "numeric failure" not in err
+    assert err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
 
 
-def test_numeric_failure_checks_only_the_prefix_the_run_read(tmp_path, capsys, monkeypatch):
+def test_numeric_failure_checks_only_the_prefix_the_run_read(tmp_path, capsys, monkeypatch, recwarn):
     # the first step stalls at once (min_step = 1e-12 * t_end = 1): the kernel is
     # checked on the 8 sizes a step from monomers reads, not on all of 1..k
     k = 16_384
     grids = _spy_grids(monkeypatch)
     cfg = write_config(tmp_path, truncation_k=k, solver={"t_end": 1e12})
     assert main(["simulate", cfg]) == 3
-    assert "numeric failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numeric failure: step size underflow (h=5.000e-03 < 1.000e+00) (at t=0)\n")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert grids == [prefix_columns(1 + STEP_REACH, k)] == [8]
     assert not (tmp_path / "out").exists()
 
 
-def test_non_finite_rate_read_as_zero_times_inf_fails_simulate(tmp_path, capsys, monkeypatch):
+def test_non_finite_rate_read_as_zero_times_inf_fails_simulate(tmp_path, capsys, monkeypatch, recwarn):
     # a NaN at (32, 1) lies past G = max_occupied_size + STEP_REACH of the failed run,
     # but the matrix route reads it, times xi_32 = 0, once a stage input reaches
     # size 16, and the NaN breaks the run; the prefix 1..32 that call took shows it
@@ -674,6 +681,8 @@ def test_non_finite_rate_read_as_zero_times_inf_fails_simulate(tmp_path, capsys,
     assert grids == [32]
     err = capsys.readouterr().err
     assert "failed admissibility on grid 1..32" in err and "rate nan" in err
+    assert err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
 
 

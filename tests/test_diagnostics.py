@@ -66,9 +66,9 @@ def test_records_evaluate_the_rhs_once_per_sample(monkeypatch):
     calls = []
     original = RhsEvaluator.__call__
 
-    def counted(self, x):
+    def counted(self, x, **kwargs):
         calls.append(x.shape)
-        return original(self, x)
+        return original(self, x, **kwargs)
 
     monkeypatch.setattr(RhsEvaluator, "__call__", counted)
     monkeypatch.setattr(system, "BLOCK_CELLS", 3 * 16)  # blocks of 3 rows at k = 16
@@ -79,8 +79,8 @@ def test_records_evaluate_the_rhs_once_per_sample(monkeypatch):
     del calls[:]
     traj.diagnostics
     # the first read evaluates every sample once, in blocks within the cell budget
-    assert sum(m for m, _ in calls) == len(traj.samples)
-    assert len(calls) == math.ceil(len(traj.samples) / 3)
+    assert sum(m for m, _ in calls) == traj.times.size
+    assert len(calls) == math.ceil(traj.times.size / 3)
     assert all(m * k <= 3 * 16 for m, k in calls)
 
 
@@ -154,7 +154,7 @@ def test_rhs_envelope_is_the_componentwise_max_over_samples():
     kern = additive(1.0)
     traj = integrate(monomer(32), kern, SolverConfig(t_end=3.0))
     f = RhsEvaluator(kern, 32)
-    derivs = np.vstack([f(s.values) for s in traj.samples])
+    derivs = np.vstack([f(x) for x in traj.states_matrix()])
     envelope = np.max(np.abs(derivs), axis=0)
     assert np.array_equal(np.max(np.abs(RhsEvaluator(traj.kernel, 32)(traj.states)), axis=0),
                           envelope)
@@ -300,5 +300,5 @@ def test_constructed_weight_moment_stays_bounded_along_run():
     rep = check_moment_propagation(traj, weight, kern)
     assert rep.passed
     kappa = np.exp(rep.metrics["c_safe"] * 5.0)
-    g0 = g_moment(traj.samples[0], weight)
-    assert all(g_moment(s, weight) <= kappa * g0 for s in traj.samples)
+    g0 = g_moment(traj.state(0), weight)
+    assert all(g_moment(traj.state(i), weight) <= kappa * g0 for i in range(traj.times.size))

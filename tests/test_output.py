@@ -51,7 +51,8 @@ def test_svg_is_wellformed_and_handles_log_zeros(tmp_path):
 
 def _oracle_rows(traj):
     """Per-value join: the text write_trajectory_csv must reproduce byte for byte."""
-    return [",".join([fmt(s.time)] + [fmt(v) for v in s.values]) for s in traj.samples]
+    return [",".join([fmt(t)] + [fmt(v) for v in row])
+            for t, row in zip(traj.times.tolist(), traj.states_matrix())]
 
 
 def _trajectory(rows, times=None):
@@ -63,7 +64,7 @@ def _trajectory(rows, times=None):
 
 def _assert_matches_oracle(tmp_path, traj):
     path = write_trajectory_csv(str(tmp_path / "t.csv"), traj)
-    k = traj.samples[0].truncation_k
+    k = traj.truncation_k
     header = "t," + ",".join(f"xi_{i}" for i in range(1, k + 1))
     expected = "\n".join([header] + _oracle_rows(traj)) + "\n"
     assert open(path, "rb").read() == expected.encode()

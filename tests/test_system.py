@@ -198,6 +198,28 @@ BLOCK_KERNELS = [constant(0.7), additive(1.3), power_sum(1.0, 0.5), power_sum(0.
 
 @pytest.mark.parametrize("k", [2, 3, 48, 257])
 @pytest.mark.parametrize("kern", BLOCK_KERNELS, ids=[kn.name for kn in BLOCK_KERNELS])
+def test_rhs_into_a_row_equals_the_public_call(kern, k, rng):
+    # a trial step's stage rows: the derivative goes into a row of width
+    # prefix_columns(m + 7, k), whatever it held before, and is +0.0 past its own width
+    ev = RhsEvaluator(kern, k)
+    for held in sorted({0, 1, 2, k // 3, k - 7, k - 1, k} & set(range(k + 1))):
+        x = np.zeros(k)
+        x[:held] = rng.random(held) - 0.2  # negative entries, as in a stage input
+        width = prefix_columns(held + 7, k)
+        row = np.full(width, np.nan)
+        before = ev.n_evals
+        assert ev(x, out=row) is row
+        assert ev.n_evals == before + 1
+        expected = ev(x)
+        assert row.tobytes() == expected[:width].tobytes(), held
+        n = prefix_columns(held + 1, k)
+        assert not row[n:].view(np.int64).any()  # +0.0, not merely zero
+        assert not expected[width:].view(np.int64).any()
+
+
+
+@pytest.mark.parametrize("k", [2, 3, 48, 257])
+@pytest.mark.parametrize("kern", BLOCK_KERNELS, ids=[kn.name for kn in BLOCK_KERNELS])
 def test_block_rhs_matches_row_by_row_calls_bit_for_bit(kern, k, rng):
     ev = RhsEvaluator(kern, k)
     scratch = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]
