@@ -15,7 +15,7 @@ import numpy as np
 
 from . import output
 from .diagnostics import mass_defect, moment, moment_series
-from .integrator import MODE_FIXED, SolverConfig, Trajectory, integrate
+from .integrator import MODE_FIXED, STEP_REACH, SolverConfig, Trajectory, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .numerics import cumulative_simpson
 from .reports import ExperimentReport, check_threshold_names
@@ -79,6 +79,31 @@ def _solver(solver: SolverConfig | None, t_end: float, n_samples: int = 101) -> 
     return SolverConfig(t_end=t_end, sample_times=np.linspace(0.0, t_end, n_samples))
 
 
+def _shared_run(prev_init: SizeDistribution, prev: Trajectory, init: SizeDistribution,
+                kernel: CoagulationKernel) -> Trajectory | None:
+    """The run ``prev`` from ``prev_init`` as the run from ``init``, or None if it may differ.
+
+    ``prev`` is shared when its front stayed below its truncation size
+    k_p (``max_occupied_size + STEP_REACH < k_p``) and init, at size k,
+    is prev_init padded with +0.0. Then no stage, sample or leak of the
+    run touched size k_p, and ``integrate`` at k would repeat its
+    arithmetic bit for bit: a step's error norm divides by its support,
+    not by k, and the right-hand side, the clamps and the samples work on
+    the occupied prefix. Only ``truncation_k`` differs, and the samples
+    are stored on the occupied prefix. A shared run still builds the
+    ``RhsEvaluator`` at k that ``integrate`` builds first, so a kernel
+    that cannot be evaluated on sizes 1..k raises as it would there.
+    """
+    k_p, k = prev.truncation_k, init.truncation_k
+    values = init.values
+    if (prev.step_stats.max_occupied_size + STEP_REACH >= k_p or values.shape != (k,)
+            or init.time != prev_init.time or values[:k_p].tobytes() != prev_init.values.tobytes()
+            or values[k_p:].view(np.int64).any()):
+        return None
+    RhsEvaluator(kernel, k)
+    return replace(prev, truncation_k=k)
+
+
 def truncation_convergence(
     kernel: CoagulationKernel,
     initial: Callable[[int], SizeDistribution],
@@ -96,16 +121,35 @@ def truncation_convergence(
     consecutive resolutions shrinks or is already at the integrator
     noise floor, and (c) the defect at the largest k is below the
     conservation threshold.
+
+    The sub-runs go in k_list order. A sub-run whose front never came
+    near its k already is the run at the next k, when that k starts from
+    the same data padded with zeros (``_shared_run``): then the next k
+    takes it instead of integrating again, and its trajectory CSV is
+    formatted once for every k it serves. ``front_k{k}`` reports the
+    run's ``max_occupied_size`` at each k, with no threshold of its own,
+    and ``config_echo["integrated_k"]`` the k that were integrated; a
+    shared k has distance 0.0 to the k before it.
     """
     k_list = check_k_list(k_list)
     pairs = list(zip(k_list[:-1], k_list[1:]))
     check_threshold_names("truncation_convergence", thresholds, [
         "defect_final_max", "defect_monotone_violations", "distance_violations",
         "distance_noise_floor", "initial_mass",
-        *(f"defect_k{k}" for k in k_list), *(f"distance_k{a}_k{b}" for a, b in pairs)])
+        *(f"defect_k{k}" for k in k_list), *(f"distance_k{a}_k{b}" for a, b in pairs),
+        *(f"front_k{k}" for k in k_list)])
     base = _solver(solver, t_end)
 
-    trajs = _run_ordered(lambda k: integrate(initial(k), kernel, base), k_list)
+    inits, trajs, fresh = [], [], []  # per k so far; fresh: integrated, not shared
+
+    def sub_run(k):
+        init = initial(k)
+        shared = _shared_run(inits[-1], trajs[-1], init, kernel) if inits else None
+        fresh.append(shared is None)
+        inits.append(init)
+        trajs.append(integrate(init, kernel, base) if shared is None else shared)
+
+    _run_ordered(sub_run, k_list)
     defects = [mass_defect(tr) for tr in trajs]
     m1_0 = moment(trajs[0].state(0), 1)
 
@@ -144,12 +188,19 @@ def truncation_convergence(
         metrics[f"defect_k{k}"] = d
     for (a, b), d in zip(pairs, distances):
         metrics[f"distance_k{a}_k{b}"] = d
+    for k, tr in zip(k_list, trajs):
+        metrics[f"front_k{k}"] = tr.step_stats.max_occupied_size
 
     artifacts = []
     if out_dir:
-        for k, tr in zip(k_list, trajs):
+        rows = None
+        for i, (k, tr) in enumerate(zip(k_list, trajs)):
+            if fresh[i]:
+                # a run that serves the next k too is formatted once for all its files
+                shared = i + 1 < len(k_list) and not fresh[i + 1]
+                rows = list(output.trajectory_rows(tr)) if shared else None
             artifacts.append(
-                output.write_trajectory_csv(os.path.join(out_dir, f"trajectory_k{k}.csv"), tr)
+                output.write_trajectory_csv(os.path.join(out_dir, f"trajectory_k{k}.csv"), tr, rows)
             )
         artifacts.append(
             output.write_line_svg(
@@ -172,6 +223,7 @@ def truncation_convergence(
         config_echo={
             "kernel": kernel.name,
             "k_list": k_list,
+            "integrated_k": [k for k, f in zip(k_list, fresh) if f],
             "t_end": t_end,
             "solver": base.to_dict(),
         },

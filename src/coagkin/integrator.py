@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, compute_record
+from .diagnostics import DiagnosticsRecord, compute_record, moment
 from .errors import ConfigError, IntegrationStalledError, NumericError
 from .kernels import CoagulationKernel
 from .system import RhsEvaluator, SizeDistribution, occupied_size, prefix_columns, row_blocks
@@ -293,40 +293,31 @@ def _occupied_columns(block: np.ndarray) -> int:
 class _StepWork:
     """Scratch that every trial step of one run reuses.
 
-    ``stages`` holds the 7 stages as rows and ``terms`` their
-    tableau-weighted copy for one reduction. A step uses their first n
-    columns, through views built once per width. Both are as wide as the
-    widest step so far: a wider step replaces them by fresh ones of its
-    own width, a power of two or k (``prefix_columns``), so a run whose
-    front stays far below k never holds k columns.
-
-    ``vec`` is one length-k buffer whose first n entries take a step's
-    stage inputs, then its squared error; past them it is +0.0. A step
-    narrower than the last zeroes the columns the last one wrote.
+    ``stages`` holds the 7 stages as rows, ``terms`` their tableau-weighted
+    copy for one reduction, and ``vec`` a step's stage inputs, then its
+    squared scaled error. A step uses their first n columns, through views
+    built once per width. All three are as wide as the widest step so far:
+    a wider step replaces them by fresh ones of its own width, a power of
+    two or k (``prefix_columns``), so a run whose front stays far below k
+    never holds k columns. A step reads no column of them past its own n,
+    so what a wider step left there does not matter.
     """
 
     def __init__(self):
         self.stages = self.terms = np.empty((7, 0))
         self.vec = np.empty(0)
-        self._written = 0
         self._widths = {}
 
-    def width(self, n: int, k: int) -> tuple:
-        """(stages, terms, combos, head) on the first n columns of a step at truncation k.
+    def width(self, n: int) -> tuple:
+        """(stages, terms, combos, head) on the first n columns.
 
         A combo is a tableau column with the stage rows it weighs and the
         rows of terms its products go to; head is vec[:n].
         """
-        if self.vec.size != k:
-            self.vec = np.zeros(k)
-            self._widths.clear()
-        elif n < self._written:
-            self.vec[n:self._written] = 0.0
-        self._written = n
         views = self._widths.get(n)
         if views is None:
-            if n > self.stages.shape[1]:
-                self.stages, self.terms = np.empty((7, n)), np.empty((7, n))
+            if n > self.vec.size:
+                self.stages, self.terms, self.vec = np.empty((7, n)), np.empty((7, n)), np.empty(n)
                 self._widths.clear()
             stages, terms = self.stages[:, :n], self.terms[:, :n]
             combos = tuple((col, stages[: col.shape[0]], terms[: col.shape[0]]) for col in _DP_A)
@@ -340,21 +331,29 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     Stage 1 is the caller's f0: the pair is first-same-as-last, so the
     last stage of an accepted step is f at its new state. Returns
     (y5, err_norm, f_last) with y5 the 5th order solution, err_norm the
-    weighted RMS norm of its difference to the embedded 4th order one and
-    f_last = f(y5); both arrays are fresh, and work.stages holds the 7
-    stages until the next call.
+    RMS norm of its difference to the embedded 4th order one, weighted
+    by abs_tol + rel_tol * max(|y|, |y5|), and f_last = f(y5); both arrays
+    are fresh, and work.stages holds the 7 stages until the next call.
 
     ``occupied`` is occupied_size(y). Each stage reaches one size further
     than its input, so no stage, stage input, y5 or f_last holds anything
     beyond size occupied + STEP_REACH, and the step works on the first
     n = prefix_columns(occupied + STEP_REACH, k) columns only. Beyond them
     the full-length arithmetic adds zeros to the +0.0 tail of y, which gives
-    +0.0 whatever the signs of those zeros: that is the tail of y5, and of
-    every stage input handed to f. Stages 2 to 7 are written straight into
-    their rows (``f(x, out=row)``), whose occupied sizes f finds on the n
-    columns. The error norm sums its squares over a full-length buffer whose
-    tail is +0.0, so numpy's pairwise sum groups and rounds every term as it
-    would over the full-length error.
+    +0.0 whatever the signs of those zeros: that is the tail of y5. Stage
+    inputs take the n-column ``work.vec``, which f reads no further than
+    the row it writes (``f(x, out=row)``); stages 2 to 7 are written
+    straight into their rows, whose occupied sizes f finds on the n columns.
+
+    The norm is that of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
+    over the components that can be nonzero: the squared scaled errors of
+    the support, the first min(k, occupied + STEP_REACH) sizes, are summed
+    (one pairwise np.add.reduce) and divided by the support's size. The
+    error past the support is exactly zero, so dividing by k instead would
+    loosen the tolerance by about sqrt(k / support). The sum runs over the
+    support alone, not over the n columns: numpy groups a pairwise sum by
+    its length, and n depends on k where k is not a power of two. So while
+    occupied + STEP_REACH < k, the step gives the same bits at every k.
 
     Each combination sum_j c_j * k_j is one multiply of the stage rows by
     a tableau column and one np.add.reduce over axis 0. That reduction
@@ -363,19 +362,22 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     input weights are the 5th order weights, which give stage 7 itself
     weight zero, so that input is y5 and is not formed a second time.
 
-    The step checks finiteness once, over stages 2 to 6 and y5, before
-    it evaluates stage 7; f checks no stage input. That raises
-    ``NumericError`` in the same trial steps as checking every stage
-    input and y5 would. Component i of f(x) ends in - x_i * (S_i + T_i),
-    and the product of a NaN or an infinity with any float, zero
-    included, is NaN or infinite, as is a difference with one. So a
-    non-finite stage input gives a non-finite stage, through the
-    separable and the matrix route alike. A non-finite stage 7 shows in
-    the error norm, so it raises only when err_norm is not finite.
+    The step checks finiteness over stages 2 to 6 and y5, before it
+    evaluates stage 7, and over stage 7; f checks no stage input. That
+    raises ``NumericError`` in the same trial steps as checking every
+    stage input, y5 and f_last would. Component i of f(x) ends in
+    - x_i * (S_i + T_i), and the product of a NaN or an infinity with any
+    float, zero included, is NaN or infinite, as is a difference with
+    one. So a non-finite stage input gives a non-finite stage, through
+    the separable and the matrix route alike. Stage 7 is checked on all
+    n columns, not through the norm: a rate sum that overflows past the
+    support gives 0 * inf there, which the norm does not read. A step of
+    finite stages whose error overflows has err_norm inf and is rejected.
     """
     k = y.size
-    n = prefix_columns(occupied + STEP_REACH, k)
-    stages, terms, combos, head = work.width(n, k)
+    support = min(k, occupied + STEP_REACH)
+    n = prefix_columns(support, k)
+    stages, terms, combos, head = work.width(n)
     yn = y[:n]
 
     def increment(combo):
@@ -389,7 +391,7 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     stages[0] = f0[:n]
     for s, combo in enumerate(combos[:-1], start=1):
         np.add(yn, increment(combo), out=head)
-        f(work.vec, out=stages[s])
+        f(head, out=stages[s])
     # y5 sits in row 6 until stage 7 takes the row, so one check covers it and stages 2-6
     np.add(yn, increment(combos[-1]), out=stages[6])
     if not np.isfinite(stages[1:]).all():
@@ -399,6 +401,8 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     y5n[:] = stages[6]
     f_last = np.zeros(k)
     stages[6] = f(y5, out=f_last[:n])
+    if not np.isfinite(stages[6]).all():
+        raise NumericError("non-finite values in trial step")
     np.multiply(_DP_ERR, stages, out=terms)
     err = np.add.reduce(terms, axis=0, out=head)
     err *= h
@@ -409,10 +413,7 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     scale += abs_tol
     err /= scale
     err *= err
-    err_norm = math.sqrt(np.add.reduce(work.vec) / k)
-    if not math.isfinite(err_norm) and not np.isfinite(stages[6]).all():
-        raise NumericError("non-finite values in trial step")
-    return y5, err_norm, f_last
+    return y5, math.sqrt(np.add.reduce(err[:support]) / support), f_last
 
 
 def integrate(
@@ -435,7 +436,10 @@ def integrate(
     end copies the state's occupied prefix, and the rows are joined once,
     at the width of the widest. So k caps the sizes but sets neither the
     samples' memory nor the stage scratch (``_StepWork``), which follow
-    the front of the run.
+    the front of the run. Nor does k enter the step control, whose error
+    norm is taken over each step's support (``_dp_step``): a run whose
+    front stays below k, m + STEP_REACH < k, is the same run at every
+    such k.
 
     The run stops after its last step: it evaluates the right-hand side
     exactly ``step_stats.n_rhs_evals`` times, and the diagnostics records
@@ -455,7 +459,8 @@ def integrate(
     stats = StepStats()
     sample_times = config.resolved_sample_times()
     sizes = np.arange(1, k + 1, dtype=float)
-    budget_rate = MASS_BUDGET_REL * init.mass / config.t_end
+    # M1(0) summed on the occupied prefix (fsum), as Trajectory.check_invariants reads it
+    budget_rate = MASS_BUDGET_REL * moment(init, 1) / config.t_end
 
     times = sample_times.copy()
     times[0] = init.time

@@ -8,30 +8,41 @@ data of record.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
 from .reports import write_json_atomic
-from .system import occupied_size
+from .system import occupied_sizes
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_trajectory_csv(path: str, traj) -> str:
+def trajectory_rows(traj) -> Iterator[tuple[str, int]]:
+    """Each sample's CSV row up to its ``occupied_size`` n, with n, one after another.
+
+    A row is one ``%.17g`` format of the time and of the stored row's
+    sizes 1..n (a -0.0 keeps its sign). It does not depend on
+    truncation_k, so a run that serves several k is formatted once.
+    """
+    for t, values, n in zip(traj.times.tolist(), traj.states, occupied_sizes(traj.states).tolist()):
+        yield ("%.17g" + ",%.17g" * n) % (t, *values[:n].tolist()), n
+
+
+def write_trajectory_csv(path: str, traj, rows=None) -> str:
     """One row per sample, over all k sizes; the same text as joining ``fmt`` of every value.
 
-    Each row is one ``%.17g`` format of the stored row up to its
-    ``occupied_size`` (a -0.0 keeps its sign), then a literal run of ``,0``
-    out to size k. Rows go to the file as they are formatted.
+    Each row is its ``trajectory_rows`` text, then a literal run of ``,0``
+    out to size k. ``rows`` is those of a run with the same times and
+    states, formatted once by a caller that writes it at several k;
+    without it, rows go to the file as they are formatted.
     """
     k = traj.truncation_k
     with _create(path) as fh:
         fh.write("t," + ",".join(f"xi_{i}" for i in range(1, k + 1)) + "\n")
-        for t, values in zip(traj.times.tolist(), traj.states):
-            n = occupied_size(values)
-            row = ("%.17g" + ",%.17g" * n) % (t, *values[:n].tolist())
+        for row, n in trajectory_rows(traj) if rows is None else rows:
             fh.write(row + ",0" * (k - n) + "\n")
     return path
 

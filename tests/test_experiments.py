@@ -13,7 +13,7 @@ from coagkin.experiments import (
     weights_audit,
 )
 from coagkin.integrator import MODE_FIXED, SolverConfig, integrate
-from coagkin.kernels import CoagulationKernel, additive, constant, power_sum
+from coagkin.kernels import CoagulationKernel, additive, constant, power_sum, tabulated
 from coagkin.reports import ExperimentReport
 from coagkin.system import SizeDistribution, geometric, monomer
 
@@ -47,6 +47,85 @@ def test_truncation_writes_artifacts(tmp_path):
     rep = truncation_convergence(constant(1.0), monomer, [4, 8, 16], 1.0,
                                  out_dir=str(tmp_path))
     assert rep.artifacts and all((tmp_path / "defect_vs_k.svg").exists() for _ in rep.artifacts)
+
+
+def _integrate_calls(monkeypatch) -> list:
+    """The k of every integrate call the study makes, recorded by a spy."""
+    calls = []
+
+    def spy(init, kernel, config):
+        calls.append(init.truncation_k)
+        return integrate(init, kernel, config)
+
+    monkeypatch.setattr(experiments, "integrate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kern,integrated", [(constant(1.0), [64, 512]),
+                                             (power_sum(1.0, 0.5), [64, 512, 1024])],
+                         ids=["constant", "power"])
+def test_truncation_shared_runs_give_the_unshared_bytes(kern, integrated, tmp_path, monkeypatch):
+    # a run whose front stays below its k serves the next k: every file and metric is
+    # the one that integrating afresh at every k gives
+    k_list = [64, 512, 1024, 2048, 4096]
+    calls = _integrate_calls(monkeypatch)
+    shared = truncation_convergence(kern, monomer, k_list, 10.0, out_dir=str(tmp_path / "shared"))
+    assert calls == shared.config_echo["integrated_k"] == integrated
+    monkeypatch.setattr(experiments, "_shared_run", lambda *args: None)
+    fresh = truncation_convergence(kern, monomer, k_list, 10.0, out_dir=str(tmp_path / "fresh"))
+    assert calls[len(integrated):] == fresh.config_echo["integrated_k"] == k_list
+    assert (shared.status, shared.metrics, shared.thresholds) == (fresh.status, fresh.metrics,
+                                                                 fresh.thresholds)
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "shared").iterdir())
+    for name in names:
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    # the front of the run serving each k; past the last integrated k every distance is 0.0
+    front = [shared.metrics[f"front_k{k}"] for k in k_list]
+    assert front[0] == 64 and front[-1] < integrated[-1] - 7
+    assert all(front[i] == front[-1] for i in range(k_list.index(integrated[-1]), len(k_list)))
+    assert shared.metrics["distance_k2048_k4096"] == 0.0
+    assert not any(name.startswith("front_k") for name in shared.thresholds)
+
+
+def test_truncation_front_at_every_k_integrates_every_k(monkeypatch):
+    calls = _integrate_calls(monkeypatch)
+    rep = truncation_convergence(power_sum(1.0, 0.5), monomer, [64, 128, 256], 10.0)
+    assert calls == rep.config_echo["integrated_k"] == [64, 128, 256]
+    assert [rep.metrics[f"front_k{k}"] for k in (64, 128, 256)] == [64, 128, 256]
+
+
+def _monomer_and_a_cluster_past_256(k):
+    init = monomer(k)
+    if k > 256:
+        init.values[299] = 1e-3
+    return init
+
+
+@pytest.mark.parametrize("initial,front", [(lambda k: geometric(k, 0.5), 256),
+                                           (lambda k: monomer(k, 1.0 + 1.0 / k), 199),
+                                           (_monomer_and_a_cluster_past_256, 199)],
+                         ids=["geometric", "scaled_monomer", "cluster_past_k"])
+def test_truncation_data_that_change_with_k_are_never_shared(initial, front, monkeypatch):
+    # the data at k are not the data at the k before padded with zeros: geometric data
+    # are nonzero past every k, and the front from a monomer stays below k = 256 while
+    # the scaled monomer differs on sizes 1..256 and the cluster lies past them
+    calls = _integrate_calls(monkeypatch)
+    rep = truncation_convergence(constant(1.0), initial, [256, 512, 1024], 2.0)
+    assert calls == rep.config_echo["integrated_k"] == [256, 512, 1024]
+    assert rep.metrics["front_k256"] == front
+
+
+def test_truncation_shared_run_still_needs_a_kernel_that_reaches_k():
+    # the front stays near size 300, yet the table cannot be evaluated at k = 1024
+    with pytest.raises(ValueError, match="tabulated kernel covers sizes 1..600"):
+        truncation_convergence(tabulated(np.ones((600, 600)), 1.0), monomer, [512, 1024, 2048], 10.0)
+
+
+def test_truncation_threshold_on_the_front():
+    rep = truncation_convergence(constant(1.0), monomer, [4, 8, 16], 1.0,
+                                 thresholds={"front_k16": 8.0})
+    assert rep.failing_metrics() == {"front_k16": (16.0, 8.0)}
 
 
 def test_dependence_identical_inits_stay_identical():

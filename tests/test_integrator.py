@@ -10,6 +10,7 @@ from coagkin.errors import ConfigError, IntegrationStalledError, NumericError
 from coagkin.integrator import (
     MASS_BUDGET_REL,
     MODE_FIXED,
+    STEP_REACH,
     SolverConfig,
     _dp_step,
     _StepWork,
@@ -106,8 +107,8 @@ def test_non_finite_start_or_stage_raises_in_the_trial_step(kern):
 
 @pytest.mark.parametrize("kern", [additive(1.0), demo_table(256)], ids=["separable", "table"])
 def test_step_work_reused_after_a_wider_step_gives_the_fresh_bits(kern):
-    # the stage-input buffer persists across steps: a narrower step after a wider
-    # one must see +0.0 past its width again, or its error norm sums stale squares
+    # the scratch persists across steps: a narrower step after a wider one must read
+    # nothing the wider one left past its own columns, or its error norm sums stale squares
     k = 256
     f = RhsEvaluator(kern, k)
     wide = np.zeros(k)
@@ -333,9 +334,9 @@ def test_step_matches_oracle_bit_for_bit(kern, rng):
         f, f_oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
         work = _StepWork()
         heads = []  # an occupied head and an empty tail, as in a run
-        # k // 2 at k = 200: numpy's pairwise sum of all k squared errors splits at
-        # 96, inside the 128 columns the step takes; the last head's last stage
-        # reaches one size past the largest 2**p < k
+        # supports of k // 3 + 7 and k // 2 + 7 sizes, narrower than the columns the
+        # step takes, whose pairwise sums would group differently; the last head's
+        # last stage reaches one size past the largest 2**p < k
         for m in (max(1, k // 3), max(1, k // 2), max(1, (1 << ((k - 1).bit_length() - 1)) - 6)):
             heads.append(rng.random(k) * (np.arange(k) < m))
         for y in heads + [rng.random(k) * 10.0 ** rng.uniform(-12, 0, k)]:
@@ -409,7 +410,7 @@ def test_integrate_matches_oracle_stepping_bit_for_bit(kern, k, abs_tol, monkeyp
 
 @pytest.mark.parametrize("kern,k,config", [
     (constant(1.0), 32, SolverConfig(t_end=5.0, sample_times=np.linspace(0.0, 5.0, 1001))),
-    (additive(1.0), 64, SolverConfig(t_end=10.0, abs_tol=1e-8)),
+    (additive(1.0), 64, SolverConfig(t_end=10.0, abs_tol=1e-6)),
 ], ids=["many_samples_per_step", "sample_clamps"])
 def test_hermite_block_matches_per_sample_oracle_bit_for_bit(kern, k, config, monkeypatch):
     new = integrate(monomer(k), kern, config)
@@ -473,7 +474,12 @@ def test_sample_memory_follows_the_front_not_k(monkeypatch):
     widest = max(occupied_size(row) for row in traj.states)
     assert traj.states.shape == (1001, widest)
     assert widest < 300
-    # the full-length path: every sample stored over all k sizes, as the samples materialise
+    # the full-length path: every step on all k columns and every sample stored over all
+    # k sizes, as the samples materialise; each step's error norm keeps its support
+    step = integrator._dp_step
+    monkeypatch.setattr(integrator, "_dp_step", lambda f, y, f0, h, rel_tol, abs_tol, work, occupied:
+                        step(f, y, f0, h, rel_tol, abs_tol, work, occupied_size(y)))
+    monkeypatch.setattr(integrator, "prefix_columns", lambda need, k: k)
     for module in (integrator, diagnostics):
         monkeypatch.setattr(module, "occupied_size", lambda values: values.size)
     full = integrate(monomer(k), constant(1.0), config)
@@ -501,17 +507,27 @@ def test_step_counts_pinned_for_power_k64_at_tight_tolerance():
     traj = integrate(monomer(64), power_sum(1.0, 0.5),
                      SolverConfig(t_end=10.0, rel_tol=1e-12, abs_tol=1e-16))
     st = traj.step_stats
-    assert (st.n_accepted, st.n_rejected, st.n_rhs_evals) == (1620, 1, 9727)
+    assert (st.n_accepted, st.n_rejected, st.n_rhs_evals) == (1622, 1, 9739)
 
 
 @pytest.mark.parametrize("kern,k,counts", [
-    (constant(1.0), 4096, (67, 0, 0, 403)),
-    (additive(1.0), 256, (575, 7, 86, 4095)),
+    (constant(1.0), 4096, (87, 0, 0, 523)),
+    (additive(1.0), 256, (579, 2, 87, 4095)),
 ], ids=["constant_k4096", "additive_k256"])
 def test_step_counts_pinned_for_default_config(kern, k, counts):
     # the default solver from a monomer start; a change in any rounding would move these
     st = integrate(monomer(k), kern, SolverConfig(t_end=10.0)).step_stats
     assert (st.n_accepted, st.n_rejected_error, st.n_rejected_positivity, st.n_rhs_evals) == counts
+
+
+def test_step_control_does_not_depend_on_k():
+    # the error norm is taken over each step's support, not over all k sizes: while the
+    # front stays below k, the run at k = 512 is the run at k = 4096, step for step
+    a, b = (integrate(monomer(k), constant(1.0), SolverConfig(t_end=10.0)) for k in (512, 4096))
+    assert a.step_stats == b.step_stats
+    assert a.step_stats.max_occupied_size + STEP_REACH < 512
+    assert a.states.shape == b.states.shape
+    assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_max_occupied_size_is_the_widest_accepted_state(monkeypatch):
@@ -527,8 +543,8 @@ def test_max_occupied_size_is_the_widest_accepted_state(monkeypatch):
     monkeypatch.setattr(integrator, "_dp_step", spy)
     traj = integrate(monomer(4096), constant(1.0), SolverConfig(t_end=10.0))
     widest = max(seen + [occupied_size(traj.final().values)])
-    assert traj.step_stats.max_occupied_size == widest == 285  # the front stays far below k
-    assert traj.step_stats.to_dict()["max_occupied_size"] == 285
+    assert traj.step_stats.max_occupied_size == widest == 294  # the front stays far below k
+    assert traj.step_stats.to_dict()["max_occupied_size"] == 294
     # a front that reaches the truncation boundary
     assert integrate(monomer(8), constant(1.0), SolverConfig(t_end=10.0)).step_stats.max_occupied_size == 8
     # the initial state counts: its -0.0 at size k is occupied, and the first step drops it
