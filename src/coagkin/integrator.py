@@ -8,8 +8,10 @@ values are pure discretization overshoot: clamped to zero, with their
 size-weighted mass charged to one run budget MASS_BUDGET_REL * M1(0), of
 which a trial step may take its share by h, else it is rejected.
 
-A fixed-step classical RK4 mode serves as an independent oracle for
-accuracy cross checks; it never rejects steps.
+A fixed-step classical RK4 mode, an independent method, is the oracle for
+accuracy cross checks. It runs as a second tableau through the same trial
+step and loop, never rejecting; its independent code route is
+``tests/oracles.rk4_oracle``.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, compute_record, moment
 from .errors import ConfigError, IntegrationStalledError, NumericError
 from .kernels import CoagulationKernel
-from .system import RhsEvaluator, SizeDistribution, occupied_size, prefix_columns, row_blocks
+from .system import RhsEvaluator, SizeDistribution, occupied_size, occupied_sizes, prefix_columns, row_blocks
 
 # Dormand-Prince 5(4) tableau
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
@@ -38,6 +40,13 @@ _DP_A = tuple(np.array(row)[:, None] for row in (
     _DP_B5[:6],
 ))
 _DP_ERR = (_DP_B5 - _DP_B4)[:, None]
+# classical RK4 in the same form, with no embedded error estimate
+_RK4_A = tuple(np.array(row)[:, None] for row in (
+    (1 / 2,),
+    (0.0, 1 / 2),
+    (0.0, 0.0, 1.0),
+    (1 / 6, 1 / 3, 1 / 3, 1 / 6),
+))
 
 # PI step controller (error-estimator order 4): classic exponents,
 # safety 0.9, per-step growth clamped to [0.2, 5].
@@ -51,9 +60,9 @@ _FAC_MAX = 5.0
 MASS_BUDGET_REL = 1e-9
 
 # Sizes past y's occupied size that one trial step from y can reach: each of
-# the 7 Dormand-Prince stages reaches one size further than its input (the
-# 4 stages of a fixed RK4 step reach less). No state a step hands to the
-# right-hand side, and no sample formed from the step, holds anything past it.
+# the 7 Dormand-Prince stages reaches one size further than its input (the 5
+# rows of an RK4 step reach less). No state a step hands to the right-hand
+# side, and no sample formed from the step, holds anything past it.
 STEP_REACH = 7
 
 MODE_ADAPTIVE = "adaptive"
@@ -242,10 +251,10 @@ class Trajectory:
         return problems
 
 
-def _clamp(vec: np.ndarray, sizes: np.ndarray, n: int | None = None) -> tuple[np.ndarray, float]:
+def _clamp(vec: np.ndarray, sizes: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """vec with negatives zeroed (vec itself if none), and the size-weighted mass removed.
 
-    Only the first n entries are looked at (default all): vec is +0.0 past them.
+    Only the first n entries are looked at: vec is +0.0 past them.
     """
     head = vec[:n]
     if head.min(initial=0.0) >= 0.0:
@@ -279,23 +288,20 @@ def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
     vals += c01 * y1[:n]
     vals += c11 * f1[:n]
     for row in np.flatnonzero((vals < 0.0).any(axis=1)):
-        vals[row], clamped = _clamp(vals[row], sizes[:n])
+        vals[row], clamped = _clamp(vals[row], sizes, n)
         stats.clamped_mass_sample += clamped
     return vals
 
 
-def _occupied_columns(block: np.ndarray) -> int:
-    """The largest ``occupied_size`` of the rows of a 2-D block."""
-    held = block.view(np.int64).any(axis=0).nonzero()[0]
-    return int(held[-1]) + 1 if held.size else 0
-
-
 class _StepWork:
-    """Scratch that every trial step of one run reuses.
+    """The tableau every trial step of one run takes, and the scratch it reuses.
 
-    ``stages`` holds the 7 stages as rows, ``terms`` their tableau-weighted
-    copy for one reduction, and ``vec`` a step's stage inputs, then its
-    squared scaled error. A step uses their first n columns, through views
+    The tableau is ``couplings`` in ``_DP_A``'s form and ``error``, the error
+    weights of all stages, None for RK4 (``_StepWork(_RK4_A, None)``); the
+    default is Dormand-Prince. ``stages`` holds the stages as rows, the last
+    f at the new state, ``terms`` their tableau-weighted copy for one
+    reduction, and ``vec`` a step's stage inputs, then its squared scaled
+    error. A step uses their first n columns, through views
     built once per width. All three are as wide as the widest step so far:
     a wider step replaces them by fresh ones of its own width, a power of
     two or k (``prefix_columns``), so a run whose front stays far below k
@@ -303,8 +309,9 @@ class _StepWork:
     so what a wider step left there does not matter.
     """
 
-    def __init__(self):
-        self.stages = self.terms = np.empty((7, 0))
+    def __init__(self, couplings: tuple = _DP_A, error: np.ndarray | None = _DP_ERR):
+        self.couplings, self.error = couplings, error
+        self.stages = self.terms = np.empty((len(couplings) + 1, 0))
         self.vec = np.empty(0)
         self._widths = {}
 
@@ -317,23 +324,24 @@ class _StepWork:
         views = self._widths.get(n)
         if views is None:
             if n > self.vec.size:
-                self.stages, self.terms, self.vec = np.empty((7, n)), np.empty((7, n)), np.empty(n)
+                rows = self.stages.shape[0]
+                self.stages, self.terms, self.vec = np.empty((rows, n)), np.empty((rows, n)), np.empty(n)
                 self._widths.clear()
             stages, terms = self.stages[:, :n], self.terms[:, :n]
-            combos = tuple((col, stages[: col.shape[0]], terms[: col.shape[0]]) for col in _DP_A)
+            combos = tuple((col, stages[: col.shape[0]], terms[: col.shape[0]]) for col in self.couplings)
             views = self._widths[n] = (stages, terms, combos, self.vec[:n])
         return views
 
 
 def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
-    """One Dormand-Prince trial step of size h from y, where f0 = f(y).
+    """One trial step of size h from y, where f0 = f(y), of the tableau in ``work``.
 
-    Stage 1 is the caller's f0: the pair is first-same-as-last, so the
-    last stage of an accepted step is f at its new state. Returns
-    (y5, err_norm, f_last) with y5 the 5th order solution, err_norm the
-    RMS norm of its difference to the embedded 4th order one, weighted
-    by abs_tol + rel_tol * max(|y|, |y5|), and f_last = f(y5); both arrays
-    are fresh, and work.stages holds the 7 stages until the next call.
+    Stage 1 is the caller's f0 and the last stage is f at the new state
+    (Dormand-Prince is first-same-as-last; RK4 takes it for the same reuse).
+    Returns (y5, err_norm, f_last) with y5 the new state, err_norm the RMS
+    norm of the error estimate, weighted by abs_tol + rel_tol * max(|y|, |y5|),
+    or 0.0 for a tableau without one (RK4), and f_last = f(y5); both arrays
+    are fresh, and work.stages holds the stages until the next call.
 
     ``occupied`` is occupied_size(y). Each stage reaches one size further
     than its input, so no stage, stage input, y5 or f_last holds anything
@@ -342,7 +350,7 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     the full-length arithmetic adds zeros to the +0.0 tail of y, which gives
     +0.0 whatever the signs of those zeros: that is the tail of y5. Stage
     inputs take the n-column ``work.vec``, which f reads no further than
-    the row it writes (``f(x, out=row)``); stages 2 to 7 are written
+    the row it writes (``f(x, out=row)``); the stages are written
     straight into their rows, whose occupied sizes f finds on the n columns.
 
     The norm is that of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
@@ -358,21 +366,21 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     Each combination sum_j c_j * k_j is one multiply of the stage rows by
     a tableau column and one np.add.reduce over axis 0. That reduction
     adds whole rows one after another, first to last, so it rounds
-    exactly like the left-to-right sum of the terms. The 7th stage's
-    input weights are the 5th order weights, which give stage 7 itself
-    weight zero, so that input is y5 and is not formed a second time.
+    exactly like the left-to-right sum of the terms. The last coupling
+    row forms y5, which gives the last stage weight zero.
 
-    The step checks finiteness over stages 2 to 6 and y5, before it
-    evaluates stage 7, and over stage 7; f checks no stage input. That
-    raises ``NumericError`` in the same trial steps as checking every
-    stage input, y5 and f_last would. Component i of f(x) ends in
-    - x_i * (S_i + T_i), and the product of a NaN or an infinity with any
-    float, zero included, is NaN or infinite, as is a difference with
-    one. So a non-finite stage input gives a non-finite stage, through
-    the separable and the matrix route alike. Stage 7 is checked on all
-    n columns, not through the norm: a rate sum that overflows past the
-    support gives 0 * inf there, which the norm does not read. A step of
-    finite stages whose error overflows has err_norm inf and is rejected.
+    The step checks finiteness over the stages before the last and y5,
+    before it evaluates the last stage, and over the last stage; f checks
+    no stage input. That raises ``NumericError`` in the same trial steps
+    as checking every stage input, y5 and f_last would. Component i of
+    f(x) ends in - x_i * (S_i + T_i), and the product of a NaN or an
+    infinity with any float, zero included, is NaN or infinite, as is a
+    difference with one. So a non-finite stage input gives a non-finite
+    stage, through the separable and the matrix route alike. The last
+    stage is checked on all n columns, not through the norm: a rate sum
+    that overflows past the support gives 0 * inf there, which the norm
+    does not read. A step of finite stages whose error overflows has
+    err_norm inf and is rejected.
     """
     k = y.size
     support = min(k, occupied + STEP_REACH)
@@ -392,18 +400,20 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     for s, combo in enumerate(combos[:-1], start=1):
         np.add(yn, increment(combo), out=head)
         f(head, out=stages[s])
-    # y5 sits in row 6 until stage 7 takes the row, so one check covers it and stages 2-6
-    np.add(yn, increment(combos[-1]), out=stages[6])
+    # y5 sits in the last row until the last stage takes the row, so one check covers it and the stages
+    np.add(yn, increment(combos[-1]), out=stages[-1])
     if not np.isfinite(stages[1:]).all():
         raise NumericError("non-finite values in trial step")
     y5 = np.zeros(k)
     y5n = y5[:n]
-    y5n[:] = stages[6]
+    y5n[:] = stages[-1]
     f_last = np.zeros(k)
-    stages[6] = f(y5, out=f_last[:n])
-    if not np.isfinite(stages[6]).all():
+    stages[-1] = f(y5, out=f_last[:n])
+    if not np.isfinite(stages[-1]).all():
         raise NumericError("non-finite values in trial step")
-    np.multiply(_DP_ERR, stages, out=terms)
+    if work.error is None:
+        return y5, 0.0, f_last
+    np.multiply(work.error, stages, out=terms)
     err = np.add.reduce(terms, axis=0, out=head)
     err *= h
     # scale = abs_tol + rel_tol * max(|y|, |y5|), in the rows terms no longer needs
@@ -423,13 +433,16 @@ def integrate(
 ) -> Trajectory:
     """Integrate the truncated system and sample it on the output grid.
 
-    Adaptive mode runs the embedded pair under PI step control between
-    min_step = 1e-12 * t_end and max_step; fixed_step mode marches
-    classical RK4 with constant h and no rejection. Dense output between
-    accepted steps is cubic Hermite on the stored derivatives, all samples
-    of one step formed as one block (``_hermite``). Steps and samples are
-    clamped nonnegative, charging the run budget by source; a trial step
-    that would charge more than budget * h / t_end is halved.
+    One loop serves both modes, which set only its parameters. Adaptive
+    mode runs the embedded pair under PI step control between min_step =
+    1e-12 * t_end and max_step. fixed_step mode runs the RK4 tableau with
+    max_step = fixed_h, no stall floor and no rejection: its err_norm is
+    0.0, so the PI update raises h and the cap returns it to fixed_h.
+    Dense output between accepted steps is cubic Hermite on the stored
+    derivatives, all samples of one step formed as one block (``_hermite``).
+    Steps and samples are clamped nonnegative, charging the run budget by
+    source; an adaptive trial step that would charge more than
+    budget * h / t_end is halved.
 
     Each sample goes into ``Trajectory.states`` on its occupied prefix: a
     Hermite block holds the sizes the step can reach, a sample at a step
@@ -455,12 +468,9 @@ def integrate(
     k = init.truncation_k
 
     f = RhsEvaluator(kernel, k)
-    work = _StepWork()
     stats = StepStats()
     sample_times = config.resolved_sample_times()
     sizes = np.arange(1, k + 1, dtype=float)
-    # M1(0) summed on the occupied prefix (fsum), as Trajectory.check_invariants reads it
-    budget_rate = MASS_BUDGET_REL * moment(init, 1) / config.t_end
 
     times = sample_times.copy()
     times[0] = init.time
@@ -494,7 +504,7 @@ def integrate(
         if inner:
             block = _hermite(t0, y0, f0, t1, y1, f1, due[:inner], n, sizes, stats)
             blocks.append(block)
-            widest = max(widest, _occupied_columns(block))
+            widest = max(widest, int(occupied_sizes(block).max()))
         if inner < len(due):
             blocks.append(np.repeat(y1[None, :held], len(due) - inner, axis=0))
             widest = max(widest, held)
@@ -503,31 +513,18 @@ def integrate(
     y = init.values.copy()
     try:
         fy = f(y)
-
         if config.mode == MODE_FIXED:
-            h_nominal = float(config.fixed_h)
-            while t < config.t_end - 1e-14 * config.t_end:
-                h = min(h_nominal, config.t_end - t)
-                k1 = fy
-                k2 = f(y + 0.5 * h * k1)
-                k3 = f(y + 0.5 * h * k2)
-                k4 = f(y + h * k3)
-                y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.all(np.isfinite(y_new)):
-                    raise NumericError("non-finite values in fixed step", time=t)
-                y_new, clamped = _clamp(y_new, sizes)
-                stats.clamped_mass_step += clamped
-                f_new = f(y_new)
-                emit(t, y, k1, t + h, y_new, f_new)
-                t += h
-                y = y_new
-                fy = f_new
-                stats.n_accepted += 1
-                stats.min_step = min(stats.min_step, h)
-                stats.max_step = max(stats.max_step, h)
+            # RK4 estimates no error, so every step is accepted; the PI update
+            # then raises h, and max_step brings it back to fixed_h
+            work = _StepWork(_RK4_A, None)
+            h = max_step = float(config.fixed_h)
+            min_step, budget_rate = 0.0, math.inf  # no stall floor; clamps are charged, never rejected
         else:
+            work = _StepWork()
             max_step = config.resolved_max_step()
             min_step = 1e-12 * config.t_end
+            # M1(0) summed on the occupied prefix (fsum), as Trajectory.check_invariants reads it
+            budget_rate = MASS_BUDGET_REL * moment(init, 1) / config.t_end
             # initial step from the derivative scale
             fnorm = float(np.max(np.abs(fy)))
             ynorm = float(np.max(np.abs(y)))
@@ -535,40 +532,40 @@ def integrate(
                 h = min(max_step, 0.01 * (ynorm + config.abs_tol) / fnorm, config.t_end)
             else:
                 h = min(max_step, config.t_end)
-            err_prev = 1.0
-            while t < config.t_end - 1e-14 * config.t_end:
-                h = min(h, config.t_end - t, max_step)
-                if h < min_step:
-                    raise IntegrationStalledError(
-                        f"step size underflow (h={h:.3e} < {min_step:.3e})",
-                        time=t,
-                        last_state=SizeDistribution(y.copy(), k, t),
-                    )
-                y5, err_norm, f_last = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol, work, occupied)
-                if err_norm > 1.0:
-                    stats.n_rejected_error += 1
-                    h *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / 5.0))
-                    continue
-                y_new, clamped = _clamp(y5, sizes, prefix_columns(occupied + STEP_REACH, k))
-                if clamped > budget_rate * h:
-                    stats.n_rejected_positivity += 1
-                    h *= 0.5
-                    continue
-                stats.clamped_mass_step += clamped
-                # FSAL: the last stage is f(y5); a clamped state needs a fresh evaluation
-                f_new = f_last if y_new is y5 else f(y_new)
-                emit(t, y, fy, t + h, y_new, f_new)
-                stats.n_accepted += 1
-                stats.min_step = min(stats.min_step, h)
-                stats.max_step = max(stats.max_step, h)
-                t += h
-                y = y_new
-                fy = f_new
-                # PI update: react to the current error, damp with the previous
-                err_norm = max(err_norm, 1e-10)
-                fac = _SAFETY * err_norm**-_PI_ALPHA * err_prev**_PI_BETA
-                h *= min(_FAC_MAX, max(_FAC_MIN, fac))
-                err_prev = err_norm
+        err_prev = 1.0
+        while t < config.t_end - 1e-14 * config.t_end:
+            h = min(h, config.t_end - t, max_step)
+            if h < min_step:
+                raise IntegrationStalledError(
+                    f"step size underflow (h={h:.3e} < {min_step:.3e})",
+                    time=t,
+                    last_state=SizeDistribution(y.copy(), k, t),
+                )
+            y5, err_norm, f_last = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol, work, occupied)
+            if err_norm > 1.0:
+                stats.n_rejected_error += 1
+                h *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / 5.0))
+                continue
+            y_new, clamped = _clamp(y5, sizes, prefix_columns(occupied + STEP_REACH, k))
+            if clamped > budget_rate * h:
+                stats.n_rejected_positivity += 1
+                h *= 0.5
+                continue
+            stats.clamped_mass_step += clamped
+            # the last stage is f(y5); a clamped state needs a fresh evaluation
+            f_new = f_last if y_new is y5 else f(y_new)
+            emit(t, y, fy, t + h, y_new, f_new)
+            stats.n_accepted += 1
+            stats.min_step = min(stats.min_step, h)
+            stats.max_step = max(stats.max_step, h)
+            t += h
+            y = y_new
+            fy = f_new
+            # PI update: react to the current error, damp with the previous
+            err_norm = max(err_norm, 1e-10)
+            fac = _SAFETY * err_norm**-_PI_ALPHA * err_prev**_PI_BETA
+            h *= min(_FAC_MAX, max(_FAC_MIN, fac))
+            err_prev = err_norm
     except NumericError as exc:
         exc.max_occupied_size = stats.max_occupied_size
         raise

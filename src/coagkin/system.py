@@ -57,14 +57,6 @@ class SizeDistribution:
                 f"negative concentration xi_{worst + 1} = {self.values[worst]:.3e}"
             )
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.arange(1, self.truncation_k + 1)
-
-    @property
-    def mass(self) -> float:
-        return float(np.dot(self.sizes, self.values))
-
     def copy(self) -> "SizeDistribution":
         return SizeDistribution(self.values.copy(), self.truncation_k, self.time)
 

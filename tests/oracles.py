@@ -1,5 +1,6 @@
 """Straightforward arithmetic that the library's stepping, rhs, dense output
-and quadrature must reproduce bit for bit.
+and quadrature must reproduce bit for bit, and the textbook RK4 loop that
+the fixed-step mode must reproduce to rounding.
 
 The tableau combinations are summed term by term from the left, as Python's
 ``sum`` does, and the separable rhs takes one ``np.cumsum`` per weighted
@@ -17,6 +18,7 @@ them over the full length also checks that nothing past the prefix was
 dropped.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -108,6 +110,58 @@ def hermite_oracle(t0, y0, f0, t1, y1, f1, times, n, sizes, stats):
         stats.clamped_mass_sample += clamped
         rows.append(val)
     return np.array(rows)
+
+
+def rk4_oracle(init, kernel, config):
+    """(states, stats) of a fixed_step run by the textbook classical RK4 loop over all k sizes.
+
+    Each step of h = min(fixed_h, t_end - t) forms k2..k4 and
+    y + (h / 6) * (k1 + 2 k2 + 2 k3 + k4) from full-length arrays with
+    ``rhs_oracle``, zeroes its negative entries, charging their
+    size-weighted mass, and evaluates f at the clamped state. A sample in
+    (t0, t1] within 1e-12 * max(1, t_end) of t1 copies the state, any
+    other is the ``hermite_oracle`` value, and samples left after the
+    last step copy the final state. states holds the samples as rows over
+    all k sizes; stats holds n_accepted, min_step, max_step,
+    clamped_mass_step and clamped_mass_sample.
+    """
+    k = init.truncation_k
+    f = rhs_oracle(kernel, k)
+    sizes = np.arange(1, k + 1, dtype=float)
+    ts = config.resolved_sample_times()
+    t_end, h_nominal = config.t_end, float(config.fixed_h)
+    stats = SimpleNamespace(n_accepted=0, min_step=np.inf, max_step=0.0,
+                            clamped_mass_step=0.0, clamped_mass_sample=0.0)
+    t, y = 0.0, init.values.copy()
+    rows = [y.copy()]
+    fy = f(y)
+    while t < t_end - 1e-14 * t_end:
+        h = min(h_nominal, t_end - t)
+        k1 = fy
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y_new).all():
+            raise FloatingPointError(f"non-finite values in fixed step at t={t}")
+        neg = y_new < 0.0
+        if neg.any():
+            stats.clamped_mass_step += float(np.dot(sizes[neg], -y_new[neg]))
+            y_new[neg] = 0.0
+        f_new = f(y_new)
+        t1 = t + h
+        due = ts[len(rows):][ts[len(rows):] <= t1 + 1e-14 * max(1.0, t1)]
+        for ts_i in due.tolist():
+            if abs(ts_i - t1) <= 1e-12 * max(1.0, t_end):
+                rows.append(y_new.copy())
+            else:
+                rows.extend(hermite_oracle(t, y, k1, t1, y_new, f_new, [ts_i], k, sizes, stats))
+        t, y, fy = t1, y_new, f_new
+        stats.n_accepted += 1
+        stats.min_step = min(stats.min_step, h)
+        stats.max_step = max(stats.max_step, h)
+    rows += [y.copy()] * (ts.size - len(rows))
+    return np.array(rows), stats
 
 
 def cumulative_simpson_oracle(t, y):

@@ -648,6 +648,17 @@ def test_kernel_that_breaks_the_integration_is_an_admissibility_failure(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def test_fixed_step_blow_up_is_a_numeric_failure(tmp_path, capsys):
+    # RK4 at h = 0.3 blows up for the additive kernel at k = 8; the run must stop
+    # with the numeric-failure code and write nothing, not a trajectory of NaN rows
+    cfg = write_config(tmp_path, truncation_k=8, kernel={"type": "additive", "params": {"a": 1.0}},
+                       solver={"t_end": 1.0, "mode": "fixed_step", "fixed_h": 0.3})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", cfg]) == 3
+    assert capsys.readouterr().err == "numeric failure: non-finite values in trial step\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_numeric_failure_checks_only_the_prefix_the_run_read(tmp_path, capsys, monkeypatch, recwarn):
     # the first step stalls at once (min_step = 1e-12 * t_end = 1): the kernel is
     # checked on the 8 sizes a step from monomers reads, not on all of 1..k

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from coagkin.experiments import (
     weights_audit,
 )
 from coagkin.integrator import MODE_FIXED, SolverConfig, integrate
-from coagkin.kernels import CoagulationKernel, additive, constant, power_sum, tabulated
+from coagkin.kernels import CoagulationKernel, additive, constant, from_rule, power_sum, tabulated
 from coagkin.reports import ExperimentReport
 from coagkin.system import SizeDistribution, geometric, monomer
 
@@ -128,6 +130,22 @@ def test_truncation_threshold_on_the_front():
     assert rep.failing_metrics() == {"front_k16": (16.0, 8.0)}
 
 
+@pytest.mark.parametrize("name,rule,failing", [
+    ("sum_power_1.5", lambda i, j: (i + j) ** 1.5, {"defect_final_max", "defect_monotone_violations"}),
+    ("product", lambda i, j: i * j, {"defect_final_max"}),
+])
+def test_truncation_fails_for_a_kernel_of_superlinear_growth(name, rule, failing):
+    # negative control: existence of mass-conserving solutions needs a kernel of at most
+    # linear growth. (i + j)**1.5 and i * j break that hypothesis, mass runs to the
+    # truncation boundary, and the defect at k = 256 stays of order one (0.911 and 0.614)
+    kern = from_rule(name, lambda i, j: rule(np.asarray(i, float), np.asarray(j, float)),
+                     growth_constant_A=1.0, vectorized=True)
+    rep = truncation_convergence(kern, monomer, [64, 128, 256], 2.0)
+    assert rep.status == "fail"
+    assert set(rep.failing_metrics()) >= failing
+    assert rep.metrics["defect_final_max"] > 0.5
+
+
 def test_dependence_identical_inits_stay_identical():
     rep = continuous_dependence(constant(1.0), monomer(16), monomer(16), 1.0)
     assert rep.passed
@@ -174,6 +192,17 @@ def test_solver_must_end_at_the_given_end_time(run):
     # a solver ending at the given time runs, and the report echoes that time
     echo = run(1.0, SolverConfig(t_end=1.0)).config_echo
     assert echo.get("t_end", echo.get("t_long")) == 1.0
+
+
+def test_decay_fails_for_an_overstated_lower_bound():
+    # negative control: the envelope M0(0) / (1 + (zeta / 2) M0(0) t) needs rate >= zeta.
+    # Declaring zeta = 4 for the constant rate 1 breaks that hypothesis, and M0 ends
+    # 3.37 times above the envelope
+    kern = replace(constant(1.0), name="constant(1) declared zeta 4", lower_bound_zeta=4.0)
+    rep = asymptotic_decay(kern, monomer(256), 20.0)
+    assert rep.status == "fail"
+    assert "max_envelope_ratio" in rep.failing_metrics()
+    assert rep.metrics["max_envelope_ratio"] > 3.0
 
 
 def test_decay_zero_init():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import dp_step_oracle, hermite_oracle, rhs_oracle
+from oracles import dp_step_oracle, hermite_oracle, rhs_oracle, rk4_oracle
 
 from coagkin import diagnostics, integrator
 from coagkin.errors import ConfigError, IntegrationStalledError, NumericError
@@ -194,6 +194,55 @@ def test_fixed_mode_nondivisible_h_lands_on_t_end():
                                   sample_times=np.array([0.0, 1.0])))
     assert traj.final().time == 1.0
     assert traj.step_stats.n_accepted == 4  # 0.3 + 0.3 + 0.3 + 0.1
+
+
+@pytest.mark.parametrize("kern,k,h,t_end", [
+    (constant(1.0), 8, 1e-3, 1.0),
+    (additive(1.0), 32, 0.005, 1.0),
+    (additive(1.0), 8, 0.1, 1.0),
+    (power_sum(1.0, 0.5), 32, 0.2, 5.0),
+], ids=["constant", "additive_k32", "additive_k8_sample_clamps", "power_step_clamps"])
+def test_fixed_mode_matches_the_rk4_oracle(kern, k, h, t_end):
+    # the library runs RK4 as a tableau through the Dormand-Prince stage machinery on
+    # the occupied prefix; the oracle is the textbook loop over all k sizes, whose final
+    # combination (h / 6) * (k1 + 2 k2 + 2 k3 + k4) rounds differently
+    config = SolverConfig(t_end=t_end, mode=MODE_FIXED, fixed_h=h)
+    traj = integrate(monomer(k), kern, config)
+    states, stats = rk4_oracle(monomer(k), kern, config)
+    assert np.max(np.abs(traj.states_matrix() - states)) <= 1e-15
+    st = traj.step_stats
+    assert (st.n_accepted, st.min_step, st.max_step) == (stats.n_accepted, stats.min_step, stats.max_step)
+    assert st.n_rejected == 0
+    assert st.clamped_mass_step == pytest.approx(stats.clamped_mass_step, rel=1e-12, abs=0.0)
+    assert st.clamped_mass_sample == pytest.approx(stats.clamped_mass_sample, rel=1e-12, abs=0.0)
+
+
+def test_fixed_mode_follows_the_front_not_k(monkeypatch):
+    # every stage, and f at every new state, is written into a row of the step's
+    # own width, far below k while the front stays near the monomers
+    k = 16_384
+    widths = []
+    rhs_call = RhsEvaluator.__call__
+
+    def spy(self, x, out=None):
+        widths.append(x.shape[-1] if out is None else out.size)
+        return rhs_call(self, x, out=out)
+
+    monkeypatch.setattr(RhsEvaluator, "__call__", spy)
+    traj = integrate(monomer(k), constant(1.0), SolverConfig(t_end=1.0, mode=MODE_FIXED, fixed_h=0.05))
+    st = traj.step_stats
+    assert st.clamped_mass_step == 0.0  # no clamped state, so no fresh full-length evaluation
+    assert widths[0] == k  # the initial derivative
+    assert len(widths) == 1 + 4 * st.n_accepted == 81
+    assert max(widths[1:]) < k
+
+
+def test_fixed_mode_blow_up_raises():
+    # RK4 at h = 0.3 is unstable for the additive kernel at k = 8: f at the new state
+    # overflows, and the step raises instead of handing a NaN state on
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="non-finite values in trial step"):
+        integrate(monomer(8), additive(1.0), SolverConfig(t_end=1.0, mode=MODE_FIXED, fixed_h=0.3))
 
 
 def test_integration_stall_raises_with_last_state():
@@ -432,8 +481,8 @@ def test_samples_at_a_step_end_are_that_state(monkeypatch):
     ends = []
     clamp = integrator._clamp
 
-    def spy(vec, sizes):
-        out, mass = clamp(vec, sizes)
+    def spy(vec, sizes, n):
+        out, mass = clamp(vec, sizes, n)
         ends.append(out.copy())
         return out, mass
 

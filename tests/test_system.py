@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import rhs_oracle
 
+from coagkin.diagnostics import moment
 from coagkin.errors import NumericError
 from coagkin.kernels import (
     CoagulationKernel,
@@ -104,7 +105,7 @@ def test_initial_factories():
     # M1 of 0.5, 0.25, 0.125 is 1.375; the state is scaled to M1 = mass
     g = geometric(3, 0.5)
     assert np.allclose(g.values, np.array([0.5, 0.25, 0.125]) / 1.375)
-    assert g.mass == pytest.approx(1.0, rel=1e-15) and g.time == 0.0
+    assert moment(g, 1) == pytest.approx(1.0, rel=1e-15) and g.time == 0.0
     v = 0.3 ** np.arange(1, 41)
     heavy = geometric(40, 0.3, mass=2.5)
     assert heavy.values.tobytes() == (2.5 * v / np.dot(np.arange(1, 41), v)).tobytes()
