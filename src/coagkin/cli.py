@@ -17,7 +17,7 @@ import numpy as np
 from . import experiments, kernels, output
 from .diagnostics import mass_defect
 from .errors import CoagkinError, ConfigError, NumericError, reject_unknown_keys
-from .integrator import STEP_REACH, SolverConfig, integrate
+from .integrator import SolverConfig, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .numerics import is_number
 from .reports import write_json_atomic
@@ -261,16 +261,17 @@ def simulate(config_path: str) -> int:
     xi_i * xi_j, so a rate with a size past the run's front never touches
     the solution. Every state the run handed to the right-hand side (the
     accepted states, the stage inputs of accepted and rejected steps, the
-    samples) lies on sizes 1..G, G = min(k, max_occupied_size + STEP_REACH),
-    and once the front reaches k, G = k covers the leak row rate(k, .).
+    samples) lies on sizes 1..G, G = min(k, max_occupied_size + reach), the
+    reach of the run's tableau (``StepStats.reach``), and once the front
+    reaches k, G = k covers the leak row rate(k, .).
     The output directory is created only once that check passes. A run that
     fails numerically may also have read a non-finite rate past G, as
     0 * inf: the matrix route multiplies every rate of the prefix a call
     evaluates. So its kernel is checked on the widest prefix any call
-    took, 1..P with P = prefix_columns(max_occupied_size + STEP_REACH, k)
-    and the size the error carries: a failing check exits 1 as a kernel
-    error, a passing one leaves the numeric failure, exit 3. Neither
-    writes any file.
+    took, 1..P with P = prefix_columns(max_occupied_size + reach, k) and
+    the size and reach the error carries: a failing check exits 1 as a
+    kernel error, a passing one leaves the numeric failure, exit 3.
+    Neither writes any file.
     """
     try:
         cfg = RunConfig.load(config_path)
@@ -284,12 +285,12 @@ def simulate(config_path: str) -> int:
     try:
         traj = integrate(init, kern, solver)
     except NumericError as exc:
-        adm = check_admissibility(kern, prefix_columns(exc.max_occupied_size + STEP_REACH, k))
+        adm = check_admissibility(kern, prefix_columns(exc.max_occupied_size + exc.reach, k))
         if not adm.passed:
             return _admissibility_failure(kern, adm)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    adm = check_admissibility(kern, min(k, traj.step_stats.max_occupied_size + STEP_REACH))
+    adm = check_admissibility(kern, min(k, traj.step_stats.max_occupied_size + traj.step_stats.reach))
     if not adm.passed:
         return _admissibility_failure(kern, adm)
 

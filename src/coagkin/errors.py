@@ -29,11 +29,14 @@ def reject_unknown_keys(block: str, given, expected, owner: str = "") -> None:
 class NumericError(CoagkinError):
     """Non-finite values encountered during evaluation or integration.
 
-    ``max_occupied_size`` is set when ``integrate`` raises it: the largest
-    occupied size of the initial and every accepted state of the run.
+    ``max_occupied_size`` and ``reach`` are set when ``integrate`` raises
+    it: the largest occupied size of the initial and every accepted state
+    of the run, and how many sizes past it a step of the run's tableau
+    reaches.
     """
 
     max_occupied_size: int | None = None
+    reach: int | None = None
 
     def __init__(self, message: str, time: float | None = None):
         self.time = time

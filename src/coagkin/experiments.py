@@ -15,7 +15,7 @@ import numpy as np
 
 from . import output
 from .diagnostics import mass_defect, moment, moment_series
-from .integrator import MODE_FIXED, STEP_REACH, SolverConfig, Trajectory, integrate
+from .integrator import MODE_FIXED, SolverConfig, Trajectory, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .numerics import cumulative_simpson
 from .reports import ExperimentReport, check_threshold_names
@@ -84,8 +84,8 @@ def _shared_run(prev_init: SizeDistribution, prev: Trajectory, init: SizeDistrib
     """The run ``prev`` from ``prev_init`` as the run from ``init``, or None if it may differ.
 
     ``prev`` is shared when its front stayed below its truncation size
-    k_p (``max_occupied_size + STEP_REACH < k_p``) and init, at size k,
-    is prev_init padded with +0.0. Then no stage, sample or leak of the
+    k_p (``max_occupied_size + reach < k_p``, the reach of its tableau)
+    and init, at size k, is prev_init padded with +0.0. Then no stage, sample or leak of the
     run touched size k_p, and ``integrate`` at k would repeat its
     arithmetic bit for bit: a step's error norm divides by its support,
     not by k, and the right-hand side, the clamps and the samples work on
@@ -96,7 +96,7 @@ def _shared_run(prev_init: SizeDistribution, prev: Trajectory, init: SizeDistrib
     """
     k_p, k = prev.truncation_k, init.truncation_k
     values = init.values
-    if (prev.step_stats.max_occupied_size + STEP_REACH >= k_p or values.shape != (k,)
+    if (prev.step_stats.max_occupied_size + prev.step_stats.reach >= k_p or values.shape != (k,)
             or init.time != prev_init.time or values[:k_p].tobytes() != prev_init.values.tobytes()
             or values[k_p:].view(np.int64).any()):
         return None

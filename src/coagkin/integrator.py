@@ -1,15 +1,24 @@
 """Positivity-budgeted adaptive time integration of the truncated system.
 
-The workhorse is the Dormand-Prince embedded Runge-Kutta pair: the 5th
-order solution is propagated and the difference to the embedded 4th
-order solution drives step control. The right-hand side is
-quasi-positive (a vanished component can only be created), so negative
-values are pure discretization overshoot: clamped to zero, with their
-size-weighted mass charged to one run budget MASS_BUDGET_REL * M1(0), of
-which a trial step may take its share by h, else it is rejected.
+The workhorse is an embedded Runge-Kutta pair: the higher order solution
+is propagated and its difference to the embedded lower order ones drives
+step control. At rel_tol above DOP853_REL_TOL, the 1e-8 default
+included, that is the Dormand-Prince 5(4) pair, sampled by cubic Hermite
+interpolation on the stored derivatives. At or below it, it is
+Dormand-Prince 8(5,3) (DOP853), sampled by its own 7th-degree dense
+output, whose three extra stages only a step that holds a sample
+evaluates. Each tableau has its reach, the sizes past a state's
+occupied size that a step from it and the step's samples can reach: 7
+for Dormand-Prince 5(4) and RK4 (STEP_REACH), 16 for DOP853.
+
+The right-hand side is quasi-positive (a vanished component can only be
+created), so negative values are pure discretization overshoot: clamped
+to zero, with their size-weighted mass charged to one run budget
+MASS_BUDGET_REL * M1(0), of which a trial step may take its share by h,
+else it is rejected.
 
 A fixed-step classical RK4 mode, an independent method, is the oracle for
-accuracy cross checks. It runs as a second tableau through the same trial
+accuracy cross checks. It runs as a third tableau through the same trial
 step and loop, never rejecting; its independent code route is
 ``tests/oracles.rk4_oracle``.
 """
@@ -26,12 +35,18 @@ from .errors import ConfigError, IntegrationStalledError, NumericError
 from .kernels import CoagulationKernel
 from .system import RhsEvaluator, SizeDistribution, occupied_size, occupied_sizes, prefix_columns, row_blocks
 
+
+def _columns(rows) -> tuple:
+    """Each row of tableau weights as a column, to multiply stage rows by."""
+    return tuple(np.array(row)[:, None] for row in rows)
+
+
 # Dormand-Prince 5(4) tableau
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 # stage couplings of stages 2..7, each a column over the stages before it; the
 # last is the 5th order weights (first same as last)
-_DP_A = tuple(np.array(row)[:, None] for row in (
+_DP_A = _columns((
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
@@ -41,17 +56,106 @@ _DP_A = tuple(np.array(row)[:, None] for row in (
 ))
 _DP_ERR = (_DP_B5 - _DP_B4)[:, None]
 # classical RK4 in the same form, with no embedded error estimate
-_RK4_A = tuple(np.array(row)[:, None] for row in (
+_RK4_A = _columns((
     (1 / 2,),
     (0.0, 1 / 2),
     (0.0, 0.0, 1.0),
     (1 / 6, 1 / 3, 1 / 3, 1 / 6),
 ))
 
-# PI step controller (error-estimator order 4): classic exponents,
-# safety 0.9, per-step growth clamped to [0.2, 5].
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+# Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.6),
+# the decimal literals of scipy/integrate/_ivp/dop853_coefficients.py. Stage couplings
+# of stages 2..12, then the 8th order weights; f at the new state is stage 13.
+_DOP853_A = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+     -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+     1.89151789931450038304281599044, -5.8012039600105847814672114227,
+     3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+     2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2),
+)
+# the couplings of the three dense-output stages 14..16, over stages 1..13 and each other
+_DOP853_A_DENSE = (
+    (5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0, 2.53500210216624811088794765333e-1,
+     -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+     1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+     7.56789766054569976138603589584e-3, -8.298e-3),
+    (3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0, 2.83009096723667755288322961402e-2,
+     5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2, 0.0, 0.0,
+     -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+     -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1),
+    (-4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0, -4.69762141536116384314449447206,
+     7.68342119606259904184240953878, 4.06898981839711007970213554331,
+     3.56727187455281109270669543021e-1, 0.0, 0.0, 0.0, -1.39902416515901462129418009734e-3,
+     2.9475147891527723389556272149, -9.15095847217987001081870187138),
+)
+_DOP853_B = np.array(_DOP853_A[-1])
+# the 5th order error weights, and the 3rd order ones as the 8th order weights less bhh
+_DOP853_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0.0])
+_DOP853_BHH = np.zeros(12)
+_DOP853_BHH[[0, 8, 11]] = (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                           0.220588235294117647058823529412e-1)
+_DOP853_E3 = np.append(_DOP853_B - _DOP853_BHH, 0.0)
+# interpolant rows F3..F6 over stages 1..16, each times h (F0..F2 come from the step's ends)
+_DOP853_D = np.array([
+    (-0.84289382761090128651353491142e+1, 0.0, 0.0, 0.0, 0.0, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1),
+    (0.10427508642579134603413151009e+2, 0.0, 0.0, 0.0, 0.0, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2),
+    (0.19985053242002433820987653617e+2, 0.0, 0.0, 0.0, 0.0, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2),
+    (-0.25693933462703749003312586129e+2, 0.0, 0.0, 0.0, 0.0, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3),
+])
+
+# PI step controller: exponents 0.7 / q and 0.4 / q, rejection exponent -1 / q,
+# q the order of the tableau; safety 0.9, per-step growth clamped to [0.2, 5].
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
@@ -59,11 +163,48 @@ _FAC_MAX = 5.0
 # run budget for clamped mass and for a rise of sampled mass, relative to M1(0)
 MASS_BUDGET_REL = 1e-9
 
-# Sizes past y's occupied size that one trial step from y can reach: each of
-# the 7 Dormand-Prince stages reaches one size further than its input (the 5
-# rows of an RK4 step reach less). No state a step hands to the right-hand
-# side, and no sample formed from the step, holds anything past it.
+# Sizes past y's occupied size that one trial step from y, and the samples formed
+# from it, can reach under Dormand-Prince 5(4) and RK4: each of the 7 Dormand-Prince
+# stages reaches one size further than its input (the 5 rows of an RK4 step reach
+# less), and a Hermite sample reaches no further than f at the new state. No state a
+# step hands to the right-hand side, and no sample formed from the step, holds
+# anything past it. DOP853 reaches 16: 13 stages, then 3 dense-output stages.
 STEP_REACH = 7
+
+# Adaptive runs at rel_tol at or below this take DOP853, the others Dormand-Prince
+# 5(4): the loosest rel_tol at which DOP853 took no more right-hand-side evaluations
+# on any of the measured cases (README, "Which pair runs").
+DOP853_REL_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class _Tableau:
+    """An explicit Runge-Kutta tableau as ``_dp_step`` takes it.
+
+    ``couplings`` are columns in ``_DP_A``'s form, stages 2.. then the
+    weights of the new state, whose f is the last stage. ``errors`` are the
+    error weight columns over all those stages: none (RK4), one (Dormand-
+    Prince 5(4)) or two, E5 and E3 (DOP853). ``order`` is the q of the PI
+    controller. ``reach`` is how many sizes past y's occupied size a step
+    and its samples can reach. ``dense`` are the couplings of the
+    dense-output stages and ``interpolant`` the rows that weigh every stage
+    into F3..F6; a tableau without them samples by cubic Hermite.
+    """
+
+    name: str
+    couplings: tuple
+    errors: tuple
+    order: int
+    reach: int
+    dense: tuple = ()
+    interpolant: tuple = ()
+
+
+_DOPRI5 = _Tableau("dopri5", _DP_A, (_DP_ERR,), 5, STEP_REACH)
+_RK4 = _Tableau("rk4", _RK4_A, (), 4, STEP_REACH)
+_DOP853 = _Tableau("dop853", _columns(_DOP853_A), _columns((_DOP853_E5, _DOP853_E3)), 8, 16,
+                   _columns(_DOP853_A_DENSE), _columns(_DOP853_D))
+_TABLEAUX = {t.name: t for t in (_DOPRI5, _DOP853, _RK4)}
 
 MODE_ADAPTIVE = "adaptive"
 MODE_FIXED = "fixed_step"
@@ -136,6 +277,13 @@ class StepStats:
     n_rhs_evals: int = 0
     # largest occupied_size over the initial and every accepted state; k once the front reached k
     max_occupied_size: int = 0
+    # the tableau that ran: "dopri5", "dop853" or "rk4"
+    tableau: str = "dopri5"
+
+    @property
+    def reach(self) -> int:
+        """Sizes past an accepted state's occupied size that a step of the run and its samples can reach."""
+        return _TABLEAUX[self.tableau].reach
 
     @property
     def n_rejected(self) -> int:
@@ -144,6 +292,7 @@ class StepStats:
 
     def to_dict(self) -> dict:
         return {
+            "tableau": self.tableau,
             "n_accepted": self.n_accepted,
             "n_rejected": self.n_rejected,
             "n_rejected_error": self.n_rejected_error,
@@ -265,15 +414,26 @@ def _clamp(vec: np.ndarray, sizes: np.ndarray, n: int) -> tuple[np.ndarray, floa
     return out, float(np.dot(sizes[:n][neg], -head[neg]))
 
 
+def _clamp_rows(vals, sizes, stats) -> np.ndarray:
+    """vals with each row that holds a negative entry through ``_clamp``, row after row.
+
+    The mass each row gives up is charged to stats.clamped_mass_sample.
+    """
+    n = vals.shape[1]
+    for row in np.flatnonzero((vals < 0.0).any(axis=1)):
+        vals[row], clamped = _clamp(vals[row], sizes, n)
+        stats.clamped_mass_sample += clamped
+    return vals
+
+
 def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
     """Cubic Hermite samples at the times in (t0, t1) of a nonempty list, as rows of a fresh block.
 
     The block holds the first n sizes, past which every sample is +0.0. A
     row is h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1, added left to
     right. The coefficients are Python floats of each row's own time: a
-    power of a numpy array may round differently from the scalar one. Each row holding a negative entry goes
-    through ``_clamp``, row after row, and charges the mass it removes to
-    stats.clamped_mass_sample.
+    power of a numpy array may round differently from the scalar one. The
+    rows are clamped and charged by ``_clamp_rows``.
     """
     h = t1 - t0
     coef = []
@@ -287,50 +447,59 @@ def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
     vals += c10 * f0[:n]
     vals += c01 * y1[:n]
     vals += c11 * f1[:n]
-    for row in np.flatnonzero((vals < 0.0).any(axis=1)):
-        vals[row], clamped = _clamp(vals[row], sizes, n)
-        stats.clamped_mass_sample += clamped
-    return vals
+    return _clamp_rows(vals, sizes, stats)
 
 
 class _StepWork:
     """The tableau every trial step of one run takes, and the scratch it reuses.
 
-    The tableau is ``couplings`` in ``_DP_A``'s form and ``error``, the error
-    weights of all stages, None for RK4 (``_StepWork(_RK4_A, None)``); the
-    default is Dormand-Prince. ``stages`` holds the stages as rows, the last
-    f at the new state, ``terms`` their tableau-weighted copy for one
-    reduction, and ``vec`` a step's stage inputs, then its squared scaled
-    error. A step uses their first n columns, through views
-    built once per width. All three are as wide as the widest step so far:
-    a wider step replaces them by fresh ones of its own width, a power of
-    two or k (``prefix_columns``), so a run whose front stays far below k
-    never holds k columns. A step reads no column of them past its own n,
-    so what a wider step left there does not matter.
+    ``tableau`` is a ``_Tableau``, Dormand-Prince 5(4) by default.
+    ``stages`` holds the stages as rows: the step's, the last being f at
+    the new state, then the dense-output stages, if any. ``terms`` holds
+    their tableau-weighted copy for one reduction, and ``vec`` two rows: a
+    step's stage inputs, then its squared scaled errors, and the error
+    scale. A step uses their first n columns, through views built once per
+    width. All three are as wide as the widest step so far: a wider step
+    replaces them by fresh ones of its own width, a power of two or k
+    (``prefix_columns``), so a run whose front stays far below k never
+    holds k columns. A step reads no column of them past its own n, so
+    what a wider step left there does not matter.
     """
 
-    def __init__(self, couplings: tuple = _DP_A, error: np.ndarray | None = _DP_ERR):
-        self.couplings, self.error = couplings, error
-        self.stages = self.terms = np.empty((len(couplings) + 1, 0))
-        self.vec = np.empty(0)
+    def __init__(self, tableau: _Tableau = _DOPRI5):
+        self.tableau = tableau
+        rows = len(tableau.couplings) + 1 + len(tableau.dense)
+        self.stages = self.terms = np.empty((rows, 0))
+        self.vec = np.empty((2, 0))
         self._widths = {}
 
     def width(self, n: int) -> tuple:
-        """(stages, terms, combos, head) on the first n columns.
+        """(stages, terms, combos, head, scale) on the first n columns.
 
         A combo is a tableau column with the stage rows it weighs and the
-        rows of terms its products go to; head is vec[:n].
+        rows of terms its products go to, for every coupling and then every
+        dense-output coupling; head and scale are the rows of vec.
         """
         views = self._widths.get(n)
         if views is None:
-            if n > self.vec.size:
+            if n > self.vec.shape[1]:
                 rows = self.stages.shape[0]
-                self.stages, self.terms, self.vec = np.empty((rows, n)), np.empty((rows, n)), np.empty(n)
+                self.stages, self.terms, self.vec = np.empty((rows, n)), np.empty((rows, n)), np.empty((2, n))
                 self._widths.clear()
             stages, terms = self.stages[:, :n], self.terms[:, :n]
-            combos = tuple((col, stages[: col.shape[0]], terms[: col.shape[0]]) for col in self.couplings)
-            views = self._widths[n] = (stages, terms, combos, self.vec[:n])
+            combos = tuple((col, stages[: col.shape[0]], terms[: col.shape[0]])
+                           for col in self.tableau.couplings + self.tableau.dense)
+            views = self._widths[n] = (stages, terms, combos, self.vec[0, :n], self.vec[1, :n])
         return views
+
+
+def _increment(combo, h, head):
+    """h * sum_j col_j * stage_j of a combo, in head."""
+    col, rows, products = combo
+    np.multiply(col, rows, out=products)
+    incr = np.add.reduce(products, axis=0, out=head)
+    incr *= h
+    return incr
 
 
 def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
@@ -338,30 +507,36 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
 
     Stage 1 is the caller's f0 and the last stage is f at the new state
     (Dormand-Prince is first-same-as-last; RK4 takes it for the same reuse).
-    Returns (y5, err_norm, f_last) with y5 the new state, err_norm the RMS
-    norm of the error estimate, weighted by abs_tol + rel_tol * max(|y|, |y5|),
+    Returns (y5, err_norm, f_last) with y5 the new state, err_norm the norm
+    of the error estimate, weighted by abs_tol + rel_tol * max(|y|, |y5|),
     or 0.0 for a tableau without one (RK4), and f_last = f(y5); both arrays
     are fresh, and work.stages holds the stages until the next call.
 
     ``occupied`` is occupied_size(y). Each stage reaches one size further
     than its input, so no stage, stage input, y5 or f_last holds anything
-    beyond size occupied + STEP_REACH, and the step works on the first
-    n = prefix_columns(occupied + STEP_REACH, k) columns only. Beyond them
-    the full-length arithmetic adds zeros to the +0.0 tail of y, which gives
-    +0.0 whatever the signs of those zeros: that is the tail of y5. Stage
-    inputs take the n-column ``work.vec``, which f reads no further than
-    the row it writes (``f(x, out=row)``); the stages are written
-    straight into their rows, whose occupied sizes f finds on the n columns.
+    beyond size occupied + reach, the tableau's reach, and the step works
+    on the first n = prefix_columns(occupied + reach, k) columns only.
+    Beyond them the full-length arithmetic adds zeros to the +0.0 tail of
+    y, which gives +0.0 whatever the signs of those zeros: that is the tail
+    of y5. Stage inputs take the n-column ``work.vec`` row, which f reads
+    no further than the row it writes (``f(x, out=row)``); the stages are
+    written straight into their rows, whose occupied sizes f finds on the n
+    columns.
 
     The norm is that of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
-    over the components that can be nonzero: the squared scaled errors of
-    the support, the first min(k, occupied + STEP_REACH) sizes, are summed
-    (one pairwise np.add.reduce) and divided by the support's size. The
-    error past the support is exactly zero, so dividing by k instead would
-    loosen the tolerance by about sqrt(k / support). The sum runs over the
-    support alone, not over the n columns: numpy groups a pairwise sum by
-    its length, and n depends on k where k is not a power of two. So while
-    occupied + STEP_REACH < k, the step gives the same bits at every k.
+    over the components that can be nonzero, the support, the first
+    min(k, occupied + reach) sizes. Dormand-Prince 5(4) takes the RMS of
+    the scaled error h * sum_i e_i k_i: the squares are summed over the
+    support (one pairwise np.add.reduce) and divided by its size. DOP853
+    takes Hairer's combined norm h * s5 / sqrt((s5 + 0.01 * s3) * support),
+    s5 and s3 the sums of squares of the scaled E5 and E3 combinations
+    (the estimate of Hairer's DOP853 code), and inf when either sum
+    overflows. The error past the support
+    is exactly zero, so dividing by k instead would loosen the tolerance by
+    about sqrt(k / support). The sums run over the support alone, not over
+    the n columns: numpy groups a pairwise sum by its length, and n depends
+    on k where k is not a power of two. So while occupied + reach < k, the
+    step gives the same bits at every k.
 
     Each combination sum_j c_j * k_j is one multiply of the stage rows by
     a tableau column and one np.add.reduce over axis 0. That reduction
@@ -383,47 +558,99 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     err_norm inf and is rejected.
     """
     k = y.size
-    support = min(k, occupied + STEP_REACH)
+    tableau = work.tableau
+    support = min(k, occupied + tableau.reach)
     n = prefix_columns(support, k)
-    stages, terms, combos, head = work.width(n)
+    stages, terms, combos, head, scale = work.width(n)
+    last = len(tableau.couplings)  # the row of f at the new state
+    step, step_terms = stages[: last + 1], terms[: last + 1]
     yn = y[:n]
 
-    def increment(combo):
-        # h * sum_j col_j * stage_j, in head
-        col, rows, products = combo
-        np.multiply(col, rows, out=products)
-        incr = np.add.reduce(products, axis=0, out=head)
-        incr *= h
-        return incr
-
     stages[0] = f0[:n]
-    for s, combo in enumerate(combos[:-1], start=1):
-        np.add(yn, increment(combo), out=head)
+    for s, combo in enumerate(combos[: last - 1], start=1):
+        np.add(yn, _increment(combo, h, head), out=head)
         f(head, out=stages[s])
     # y5 sits in the last row until the last stage takes the row, so one check covers it and the stages
-    np.add(yn, increment(combos[-1]), out=stages[-1])
-    if not np.isfinite(stages[1:]).all():
+    np.add(yn, _increment(combos[last - 1], h, head), out=stages[last])
+    if not np.isfinite(step[1:]).all():
         raise NumericError("non-finite values in trial step")
     y5 = np.zeros(k)
     y5n = y5[:n]
-    y5n[:] = stages[-1]
+    y5n[:] = stages[last]
     f_last = np.zeros(k)
-    stages[-1] = f(y5, out=f_last[:n])
-    if not np.isfinite(stages[-1]).all():
+    stages[last] = f(y5, out=f_last[:n])
+    if not np.isfinite(stages[last]).all():
         raise NumericError("non-finite values in trial step")
-    if work.error is None:
+    if not tableau.errors:
         return y5, 0.0, f_last
-    np.multiply(work.error, stages, out=terms)
-    err = np.add.reduce(terms, axis=0, out=head)
-    err *= h
-    # scale = abs_tol + rel_tol * max(|y|, |y5|), in the rows terms no longer needs
-    scale = np.abs(yn, out=terms[0])
-    np.maximum(scale, np.abs(y5n, out=terms[1]), out=scale)
+    np.abs(yn, out=scale)
+    np.maximum(scale, np.abs(y5n, out=head), out=scale)
     scale *= rel_tol
     scale += abs_tol
-    err /= scale
-    err *= err
-    return y5, math.sqrt(np.add.reduce(err[:support]) / support), f_last
+
+    def squares(col, times_h):
+        # the sum over the support of the squared scaled error sum_i col_i * k_i (times h)
+        np.multiply(col, step, out=step_terms)
+        err = np.add.reduce(step_terms, axis=0, out=head)
+        if times_h:
+            err *= h
+        err /= scale
+        err *= err
+        return float(np.add.reduce(err[:support]))
+
+    if len(tableau.errors) == 1:
+        return y5, math.sqrt(squares(tableau.errors[0], True) / support), f_last
+    s5, s3 = (squares(col, False) for col in tableau.errors)
+    if not math.isfinite(s5 + s3):
+        return y5, math.inf, f_last
+    if s5 == 0.0:
+        return y5, 0.0, f_last
+    return y5, h * s5 / math.sqrt((s5 + 0.01 * s3) * support), f_last
+
+
+def _dense_samples(f, work: _StepWork, t0, h, y0, f0, y1, f1, times, n, sizes, stats) -> np.ndarray:
+    """DOP853 samples at the times in (t0, t0 + h) of a nonempty list, as rows of a fresh block.
+
+    The step of size h from y0, where f0 = f(y0), left its stages in
+    ``work`` on its n = prefix_columns(occupied_size(y0) + reach, k)
+    columns, and was accepted as y1, f1 = f(y1): y1 is its new state, or
+    that state clamped. This evaluates the three dense-output stages into
+    the rows after the step's and forms the 7th-degree interpolant of
+    Hairer, Norsett & Wanner (Solving ODEs I, II.6, as scipy's DOP853):
+    F0 = y1 - y0, F1 = h f0 - F0, F2 = 2 F0 - h (f1 + f0), and F3..F6 =
+    h * D K over all 16 stages. A row at theta = (t - t0) / (t1 - t0) is
+    y0 + theta (F0 + (1 - theta) (F1 + theta (F2 + (1 - theta) (F3 +
+    theta (F4 + (1 - theta) (F5 + theta F6)))))), formed for all rows at
+    once. So at theta = 1 the polynomial passes through y1, clamped or
+    not. The block holds the n columns, past which every sample is +0.0;
+    its rows are clamped and charged by ``_clamp_rows``. A non-finite
+    dense-output stage raises ``NumericError``.
+    """
+    stages, terms, combos, head, _ = work.width(n)
+    tableau = work.tableau
+    first = len(tableau.couplings) + 1  # the row of the first dense-output stage
+    y0n = y0[:n]
+    for s, combo in enumerate(combos[first - 1:], start=first):
+        np.add(y0n, _increment(combo, h, head), out=head)
+        f(head, out=stages[s])
+    if not np.isfinite(stages[first:]).all():
+        raise NumericError("non-finite values in dense output")
+    F = np.empty((3 + len(tableau.interpolant), n))
+    np.subtract(y1[:n], y0n, out=F[0])
+    np.subtract(h * f0[:n], F[0], out=F[1])
+    np.subtract(2 * F[0], h * (f1[:n] + f0[:n]), out=F[2])
+    for row, col in zip(F[3:], tableau.interpolant):
+        np.multiply(col, stages, out=terms)
+        np.add.reduce(terms, axis=0, out=row)
+        row *= h
+    t1 = t0 + h
+    theta = ((np.array(times) - t0) / (t1 - t0))[:, None]
+    vals = F[-1] * theta
+    for i in range(len(F) - 2, -1, -1):
+        vals += F[i]
+        vals *= theta if i % 2 == 0 else 1 - theta
+    vals += y0n
+    return _clamp_rows(vals, sizes, stats)
 
 
 def integrate(
@@ -433,33 +660,38 @@ def integrate(
 ) -> Trajectory:
     """Integrate the truncated system and sample it on the output grid.
 
-    One loop serves both modes, which set only its parameters. Adaptive
-    mode runs the embedded pair under PI step control between min_step =
-    1e-12 * t_end and max_step. fixed_step mode runs the RK4 tableau with
-    max_step = fixed_h, no stall floor and no rejection: its err_norm is
-    0.0, so the PI update raises h and the cap returns it to fixed_h.
-    Dense output between accepted steps is cubic Hermite on the stored
-    derivatives, all samples of one step formed as one block (``_hermite``).
-    Steps and samples are clamped nonnegative, charging the run budget by
-    source; an adaptive trial step that would charge more than
-    budget * h / t_end is halved.
+    One loop serves every tableau, which sets only its parameters.
+    Adaptive mode runs an embedded pair under PI step control between
+    min_step = 1e-12 * t_end and max_step: DOP853 when rel_tol is at or
+    below ``DOP853_REL_TOL``, else Dormand-Prince 5(4). fixed_step mode
+    runs the RK4 tableau with max_step = fixed_h, no stall floor and no
+    rejection: its err_norm is 0.0, so the PI update raises h and the cap
+    returns it to fixed_h. The samples of one step are formed as one
+    block: by DOP853's own interpolant (``_dense_samples``), whose three
+    extra stages only a step holding such a sample evaluates, or else by
+    cubic Hermite on the stored derivatives (``_hermite``). A sample at a
+    step's end is that state. Steps and samples are clamped nonnegative,
+    charging the run budget by source; an adaptive trial step that would
+    charge more than budget * h / t_end is halved.
 
     Each sample goes into ``Trajectory.states`` on its occupied prefix: a
-    Hermite block holds the sizes the step can reach, a sample at a step
-    end copies the state's occupied prefix, and the rows are joined once,
-    at the width of the widest. So k caps the sizes but sets neither the
+    block holds the sizes the step can reach, a sample at a step end
+    copies the state's occupied prefix, and the rows are joined once, at
+    the width of the widest. So k caps the sizes but sets neither the
     samples' memory nor the stage scratch (``_StepWork``), which follow
     the front of the run. Nor does k enter the step control, whose error
     norm is taken over each step's support (``_dp_step``): a run whose
-    front stays below k, m + STEP_REACH < k, is the same run at every
-    such k.
+    front stays below k, m + reach < k, is the same run at every such k.
 
     The run stops after its last step: it evaluates the right-hand side
     exactly ``step_stats.n_rhs_evals`` times, and the diagnostics records
-    are left to the first read of ``Trajectory.diagnostics``. A
-    ``NumericError`` raised while stepping (``IntegrationStalledError``
-    included) carries the run's ``max_occupied_size`` so far, which bounds
-    the sizes whose rates any right-hand-side call of the run read.
+    are left to the first read of ``Trajectory.diagnostics``. Overflow
+    and invalid-value warnings are silenced while stepping, since the
+    finiteness checks turn those values into a ``NumericError``. One raised
+    while stepping (``IntegrationStalledError`` included) carries the
+    run's ``max_occupied_size`` so far and the tableau's ``reach``, whose
+    sum bounds the sizes whose rates any right-hand-side call of the run
+    read.
     """
     config.validate()
     init.validate()
@@ -467,8 +699,15 @@ def integrate(
         raise ValueError(f"initial state must carry time 0, got {init.time}")
     k = init.truncation_k
 
+    if config.mode == MODE_FIXED:
+        tableau = _RK4
+    else:
+        tableau = _DOP853 if config.rel_tol <= DOP853_REL_TOL else _DOPRI5
+    reach = tableau.reach
+    alpha, beta, reject = 0.7 / tableau.order, 0.4 / tableau.order, -1.0 / tableau.order
     f = RhsEvaluator(kernel, k)
-    stats = StepStats()
+    work = _StepWork(tableau)
+    stats = StepStats(tableau=tableau.name)
     sample_times = config.resolved_sample_times()
     sizes = np.arange(1, k + 1, dtype=float)
 
@@ -481,16 +720,18 @@ def integrate(
     widest = occupied
     next_sample = 1
 
-    def emit(t0, y0, f0, t1, y1, f1):
-        # Take the accepted state y1; Hermite-interpolate all samples in
-        # (t0, t1] as one block, with exact endpoint reuse. Past the first n
-        # sizes y0 and y1 are +0.0 and f0, f1 zeros, so every sample is +0.0
-        # there and the block leaves those sizes out.
+    def emit(t0, h, y0, f0, y1, f1):
+        # Take the accepted state y1 at t1 = t0 + h; form all samples in (t0, t1]
+        # as one block, with exact endpoint reuse. Past the step's window y0 and
+        # y1 are +0.0, and f0, f1 and the stages zeros, so every sample is +0.0
+        # there; a Hermite block leaves out the sizes past max(occupied, held) + 1.
         nonlocal next_sample, occupied, widest
-        held = occupied_size(y1[:prefix_columns(occupied + STEP_REACH, k)])
+        window = prefix_columns(occupied + reach, k)
+        held = occupied_size(y1[:window])
         stats.max_occupied_size = max(stats.max_occupied_size, held)
         n = min(k, max(occupied, held) + 1)
         occupied = held
+        t1 = t0 + h
         first = next_sample
         while next_sample < sample_times.size and sample_times[next_sample] <= t1 + 1e-14 * max(1.0, t1):
             next_sample += 1
@@ -502,7 +743,10 @@ def integrate(
         while inner and abs(due[inner - 1] - t1) <= 1e-12 * max(1.0, config.t_end):
             inner -= 1
         if inner:
-            block = _hermite(t0, y0, f0, t1, y1, f1, due[:inner], n, sizes, stats)
+            if tableau.interpolant:
+                block = _dense_samples(f, work, t0, h, y0, f0, y1, f1, due[:inner], window, sizes, stats)
+            else:
+                block = _hermite(t0, y0, f0, t1, y1, f1, due[:inner], n, sizes, stats)
             blocks.append(block)
             widest = max(widest, int(occupied_sizes(block).max()))
         if inner < len(due):
@@ -512,62 +756,61 @@ def integrate(
     t = 0.0
     y = init.values.copy()
     try:
-        fy = f(y)
-        if config.mode == MODE_FIXED:
-            # RK4 estimates no error, so every step is accepted; the PI update
-            # then raises h, and max_step brings it back to fixed_h
-            work = _StepWork(_RK4_A, None)
-            h = max_step = float(config.fixed_h)
-            min_step, budget_rate = 0.0, math.inf  # no stall floor; clamps are charged, never rejected
-        else:
-            work = _StepWork()
-            max_step = config.resolved_max_step()
-            min_step = 1e-12 * config.t_end
-            # M1(0) summed on the occupied prefix (fsum), as Trajectory.check_invariants reads it
-            budget_rate = MASS_BUDGET_REL * moment(init, 1) / config.t_end
-            # initial step from the derivative scale
-            fnorm = float(np.max(np.abs(fy)))
-            ynorm = float(np.max(np.abs(y)))
-            if fnorm > 0:
-                h = min(max_step, 0.01 * (ynorm + config.abs_tol) / fnorm, config.t_end)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fy = f(y)
+            if config.mode == MODE_FIXED:
+                # RK4 estimates no error, so every step is accepted; the PI update
+                # then raises h, and max_step brings it back to fixed_h
+                h = max_step = float(config.fixed_h)
+                min_step, budget_rate = 0.0, math.inf  # no stall floor; clamps are charged, never rejected
             else:
-                h = min(max_step, config.t_end)
-        err_prev = 1.0
-        while t < config.t_end - 1e-14 * config.t_end:
-            h = min(h, config.t_end - t, max_step)
-            if h < min_step:
-                raise IntegrationStalledError(
-                    f"step size underflow (h={h:.3e} < {min_step:.3e})",
-                    time=t,
-                    last_state=SizeDistribution(y.copy(), k, t),
-                )
-            y5, err_norm, f_last = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol, work, occupied)
-            if err_norm > 1.0:
-                stats.n_rejected_error += 1
-                h *= max(_FAC_MIN, _SAFETY * err_norm ** (-1.0 / 5.0))
-                continue
-            y_new, clamped = _clamp(y5, sizes, prefix_columns(occupied + STEP_REACH, k))
-            if clamped > budget_rate * h:
-                stats.n_rejected_positivity += 1
-                h *= 0.5
-                continue
-            stats.clamped_mass_step += clamped
-            # the last stage is f(y5); a clamped state needs a fresh evaluation
-            f_new = f_last if y_new is y5 else f(y_new)
-            emit(t, y, fy, t + h, y_new, f_new)
-            stats.n_accepted += 1
-            stats.min_step = min(stats.min_step, h)
-            stats.max_step = max(stats.max_step, h)
-            t += h
-            y = y_new
-            fy = f_new
-            # PI update: react to the current error, damp with the previous
-            err_norm = max(err_norm, 1e-10)
-            fac = _SAFETY * err_norm**-_PI_ALPHA * err_prev**_PI_BETA
-            h *= min(_FAC_MAX, max(_FAC_MIN, fac))
-            err_prev = err_norm
+                max_step = config.resolved_max_step()
+                min_step = 1e-12 * config.t_end
+                # M1(0) summed on the occupied prefix (fsum), as Trajectory.check_invariants reads it
+                budget_rate = MASS_BUDGET_REL * moment(init, 1) / config.t_end
+                # initial step from the derivative scale
+                fnorm = float(np.max(np.abs(fy)))
+                ynorm = float(np.max(np.abs(y)))
+                if fnorm > 0:
+                    h = min(max_step, 0.01 * (ynorm + config.abs_tol) / fnorm, config.t_end)
+                else:
+                    h = min(max_step, config.t_end)
+            err_prev = 1.0
+            while t < config.t_end - 1e-14 * config.t_end:
+                h = min(h, config.t_end - t, max_step)
+                if h < min_step:
+                    raise IntegrationStalledError(
+                        f"step size underflow (h={h:.3e} < {min_step:.3e})",
+                        time=t,
+                        last_state=SizeDistribution(y.copy(), k, t),
+                    )
+                y5, err_norm, f_last = _dp_step(f, y, fy, h, config.rel_tol, config.abs_tol, work, occupied)
+                if err_norm > 1.0:
+                    stats.n_rejected_error += 1
+                    h *= max(_FAC_MIN, _SAFETY * err_norm ** reject)
+                    continue
+                y_new, clamped = _clamp(y5, sizes, prefix_columns(occupied + reach, k))
+                if clamped > budget_rate * h:
+                    stats.n_rejected_positivity += 1
+                    h *= 0.5
+                    continue
+                stats.clamped_mass_step += clamped
+                # the last stage is f(y5); a clamped state needs a fresh evaluation
+                f_new = f_last if y_new is y5 else f(y_new)
+                emit(t, h, y, fy, y_new, f_new)
+                stats.n_accepted += 1
+                stats.min_step = min(stats.min_step, h)
+                stats.max_step = max(stats.max_step, h)
+                t += h
+                y = y_new
+                fy = f_new
+                # PI update: react to the current error, damp with the previous
+                err_norm = max(err_norm, 1e-10)
+                fac = _SAFETY * err_norm**-alpha * err_prev**beta
+                h *= min(_FAC_MAX, max(_FAC_MIN, fac))
+                err_prev = err_norm
     except NumericError as exc:
-        exc.max_occupied_size = stats.max_occupied_size
+        exc.max_occupied_size, exc.reach = stats.max_occupied_size, reach
         raise
 
     if next_sample < sample_times.size:

@@ -4,9 +4,10 @@ the fixed-step mode must reproduce to rounding.
 
 The tableau combinations are summed term by term from the left, as Python's
 ``sum`` does, and the separable rhs takes one ``np.cumsum`` per weighted
-vector. Hermite samples are formed one at a time and Simpson pairs summed
-in a Python loop. ``RhsEvaluator``, ``integrator._dp_step``,
-``integrator._hermite`` and ``numerics.cumulative_simpson`` arrange the
+vector. Hermite and DOP853 samples are formed one at a time and Simpson
+pairs summed in a Python loop. ``RhsEvaluator``, ``integrator._dp_step``,
+``integrator._hermite``, ``integrator._dense_samples`` and
+``numerics.cumulative_simpson`` arrange the
 same operations into fewer numpy calls, and so does
 ``diagnostics.compute_record`` with the one-state record of
 ``record_oracle``; these oracles pin that every rounding stays where it
@@ -21,6 +22,8 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+
+from coagkin.integrator import _DOP853_A, _DOP853_A_DENSE, _DOP853_D, _DOP853_E3, _DOP853_E5
 
 _A = (
     (),
@@ -51,9 +54,69 @@ def dp_step_oracle(f, y, f0, h, rel_tol, abs_tol):
     y5 = y + h * sum(b * ki for b, ki in zip(_B5, k))
     err = h * sum(e * ki for e, ki in zip(_ERR, k))
     scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-    nonzero = np.flatnonzero(y.view(np.int64))
-    support = min(y.size, (int(nonzero[-1]) + 1 if nonzero.size else 0) + 7)
+    support = _support(y, 7)
     return y5, float(np.sqrt(np.mean(((err / scale) ** 2)[:support]))), k
+
+
+def _support(y, reach):
+    """min(k, m + reach), m being the last size of y with a nonzero bit pattern."""
+    nonzero = np.flatnonzero(y.view(np.int64))
+    return min(y.size, (int(nonzero[-1]) + 1 if nonzero.size else 0) + reach)
+
+
+def dop853_step_oracle(f, y, f0, h, rel_tol, abs_tol):
+    """(y8, err_norm, stages) of one DOP853 trial step, stages a list of 13 arrays, f(y8) last.
+
+    err_norm is Hairer's combined norm h * s5 / sqrt((s5 + 0.01 * s3) *
+    support), s5 and s3 the sums of the squared scaled E5 and E3 errors
+    over the support, the first min(k, m + 16) sizes: 13 stages and 3
+    dense-output stages each reach one size further than their input. It
+    is 0.0 when s5 is. The coefficients are the library's, which
+    ``test_integrator`` checks against scipy's.
+    """
+    k = [f0]
+    for row in _DOP853_A[:-1]:
+        incr = sum(c * ki for c, ki in zip(row, k))
+        k.append(f(y + h * incr))
+    y8 = y + h * sum(b * ki for b, ki in zip(_DOP853_A[-1], k))
+    k.append(f(y8))
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y8))
+    support = _support(y, 16)
+    s5, s3 = (float(np.sum(((sum(e * ki for e, ki in zip(weights, k)) / scale) ** 2)[:support]))
+              for weights in (_DOP853_E5, _DOP853_E3))
+    err = 0.0 if s5 == 0.0 else h * s5 / math.sqrt((s5 + 0.01 * s3) * support)
+    return y8, err, k
+
+
+def dop853_dense_oracle(f, t0, h, y0, f0, stages, y1, f1, times, sizes, stats):
+    """The DOP853 samples at times in (t0, t0 + h) one by one over all k sizes, each clamped and charged.
+
+    stages are the 13 of the step from y0 (``dop853_step_oracle``); the
+    step was accepted as y1, f1 = f(y1). The three dense-output stages
+    follow them, then F0 = y1 - y0, F1 = h f0 - F0, F2 = 2 F0 - h (f1 + f0)
+    and F3..F6 = h * sum_j D_ij K_j; a sample at theta is the nested
+    product y0 + theta (F0 + (1 - theta) (F1 + theta (F2 + ...))).
+    """
+    k = list(stages)
+    for row in _DOP853_A_DENSE:
+        k.append(f(y0 + h * sum(c * ki for c, ki in zip(row, k))))
+    F = [y1 - y0]
+    F.append(h * f0 - F[0])
+    F.append(2 * F[0] - h * (f1 + f0))
+    F += [h * sum(d * ki for d, ki in zip(row, k)) for row in _DOP853_D]
+    rows = []
+    for ts in times:
+        x = (ts - t0) / ((t0 + h) - t0)
+        val = F[6] * x
+        for i in range(5, -1, -1):
+            val = (val + F[i]) * (x if i % 2 == 0 else 1 - x)
+        val = val + y0
+        neg = val < 0.0
+        if neg.any():
+            stats.clamped_mass_sample += float(np.dot(sizes[neg], -val[neg]))
+            val[neg] = 0.0
+        rows.append(val)
+    return np.array(rows)
 
 
 def rhs_oracle(kernel, k):

@@ -54,6 +54,7 @@ def test_simulate_writes_outputs(tmp_path):
     # the front of this run reaches k = 16, so the check covers 1 <= i, j <= 16
     summary = json.loads((out / "summary.json").read_text())
     assert summary["admissibility"]["config_echo"]["max_size"] == 16
+    assert summary["step_stats"]["tableau"] == "dopri5"  # the default rel_tol lies above the switch point
 
 
 def test_simulate_round_trip_is_bit_identical(tmp_path):
@@ -584,16 +585,16 @@ def _table_rows(k, bad=None, rate=-1.0):
                    for i in range(1, k + 1) for j in range(1, i + 1))
 
 
-def _front_run(tmp_path, k):
+def _front_run(tmp_path, k, **solver):
     """A config running a table of rate 1.0 to t = 0.1 at truncation k, and its table file.
 
-    The run is made once on the clean table; its step_stats are returned
-    and its output directory removed.
+    ``solver`` adds solver keys. The run is made once on the clean table;
+    its step_stats are returned and its output directory removed.
     """
     table = tmp_path / "front.csv"
     table.write_text(_table_rows(k))
     kernel = {"type": "table", "params": {"path": str(table)}, "A": 1.0}
-    cfg = write_config(tmp_path, kernel=kernel, truncation_k=k, solver={"t_end": 0.1})
+    cfg = write_config(tmp_path, kernel=kernel, truncation_k=k, solver={"t_end": 0.1, **solver})
     assert main(["simulate", cfg]) == 0
     stats = json.loads((tmp_path / "out" / "summary.json").read_text())["step_stats"]
     shutil.rmtree(tmp_path / "out")
@@ -626,6 +627,31 @@ def test_bad_rate_past_reach_passes_simulate(tmp_path):
     assert summary["admissibility"]["config_echo"]["max_size"] == reach
 
 
+def test_bad_rate_within_the_dop853_reach_fails_simulate(tmp_path, capsys):
+    # a run at the switch point steps with DOP853, whose steps and samples reach 16
+    # sizes past the front: the bad cell at (front + 16, 1) lies in G
+    k = 256
+    cfg, table, stats = _front_run(tmp_path, k, rel_tol=integrator.DOP853_REL_TOL)
+    assert stats["tableau"] == "dop853"
+    reach = stats["max_occupied_size"] + 16
+    assert reach < k
+    table.write_text(_table_rows(k, bad=(reach, 1)))
+    assert main(["simulate", cfg]) == 1
+    assert f"grid 1..{reach}: negativity_violations 2 > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_numeric_failure_of_a_dop853_run_checks_its_reach(tmp_path, capsys, monkeypatch):
+    # the first DOP853 step stalls at once; its stages read the 32 sizes of
+    # prefix_columns(1 + 16, k), not the 8 of a Dormand-Prince 5(4) step
+    k = 16_384
+    grids = _spy_grids(monkeypatch)
+    cfg = write_config(tmp_path, truncation_k=k, solver={"t_end": 1e12, "rel_tol": 1e-12})
+    assert main(["simulate", cfg]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: step size underflow")
+    assert grids == [prefix_columns(1 + 16, k)] == [32]
+
+
 def test_kernel_that_breaks_the_integration_is_an_admissibility_failure(tmp_path, capsys, recwarn):
     # rate(1, 1) = -1000 blows xi_1 up at once: the run fails numerically, and the
     # kernel is then checked on the widest prefix any rhs call read, where the
@@ -648,14 +674,14 @@ def test_kernel_that_breaks_the_integration_is_an_admissibility_failure(tmp_path
     assert not (tmp_path / "out").exists()
 
 
-def test_fixed_step_blow_up_is_a_numeric_failure(tmp_path, capsys):
+def test_fixed_step_blow_up_is_a_numeric_failure(tmp_path, capsys, recwarn):
     # RK4 at h = 0.3 blows up for the additive kernel at k = 8; the run must stop
     # with the numeric-failure code and write nothing, not a trajectory of NaN rows
     cfg = write_config(tmp_path, truncation_k=8, kernel={"type": "additive", "params": {"a": 1.0}},
                        solver={"t_end": 1.0, "mode": "fixed_step", "fixed_h": 0.3})
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate", cfg]) == 3
+    assert main(["simulate", cfg]) == 3
     assert capsys.readouterr().err == "numeric failure: non-finite values in trial step\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]  # the overflow is not noise
     assert not (tmp_path / "out").exists()
 
 

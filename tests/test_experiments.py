@@ -97,6 +97,17 @@ def test_truncation_front_at_every_k_integrates_every_k(monkeypatch):
     assert [rep.metrics[f"front_k{k}"] for k in (64, 128, 256)] == [64, 128, 256]
 
 
+def test_truncation_shares_a_dop853_run_only_past_its_reach(monkeypatch):
+    # at rel_tol 1e-12 the front stays at 284: k = 296 lies within the 16 sizes a DOP853
+    # step reaches past it (not within the 7 of a Dormand-Prince 5(4) step), so the run
+    # at 296 may differ from the one at 512, which serves 1024
+    calls = _integrate_calls(monkeypatch)
+    solver = SolverConfig(t_end=10.0, rel_tol=1e-12, sample_times=np.linspace(0.0, 10.0, 101))
+    rep = truncation_convergence(constant(1.0), monomer, [296, 512, 1024], 10.0, solver=solver)
+    assert rep.metrics["front_k296"] == 284
+    assert calls == rep.config_echo["integrated_k"] == [296, 512]
+
+
 def _monomer_and_a_cluster_past_256(k):
     init = monomer(k)
     if k > 256:

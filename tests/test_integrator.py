@@ -1,18 +1,27 @@
+import ast
+import pathlib
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import dp_step_oracle, hermite_oracle, rhs_oracle, rk4_oracle
+from oracles import dop853_dense_oracle, dop853_step_oracle, dp_step_oracle, hermite_oracle, rhs_oracle, rk4_oracle
 
 from coagkin import diagnostics, integrator
 from coagkin.errors import ConfigError, IntegrationStalledError, NumericError
 from coagkin.integrator import (
+    _DOP853,
+    StepStats,
+    DOP853_REL_TOL,
     MASS_BUDGET_REL,
     MODE_FIXED,
     STEP_REACH,
     SolverConfig,
+    _clamp,
+    _dense_samples,
     _dp_step,
+    _hermite,
     _StepWork,
     integrate,
 )
@@ -239,9 +248,10 @@ def test_fixed_mode_follows_the_front_not_k(monkeypatch):
 
 def test_fixed_mode_blow_up_raises():
     # RK4 at h = 0.3 is unstable for the additive kernel at k = 8: f at the new state
-    # overflows, and the step raises instead of handing a NaN state on
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericError, match="non-finite values in trial step"):
+    # overflows, and the step raises instead of handing a NaN state on; the overflow
+    # on the way warns nothing, since the step's checks report it
+    with warnings.catch_warnings(), pytest.raises(NumericError, match="non-finite values in trial step"):
+        warnings.simplefilter("error", RuntimeWarning)
         integrate(monomer(8), additive(1.0), SolverConfig(t_end=1.0, mode=MODE_FIXED, fixed_h=0.3))
 
 
@@ -552,11 +562,22 @@ def test_rejections_are_split_by_cause():
 
 
 def test_step_counts_pinned_for_power_k64_at_tight_tolerance():
-    # counts of the stepping arithmetic; a change in any rounding would move them
+    # counts of the DOP853 stepping arithmetic; a change in any rounding would move them.
+    # 12 evaluations per step, 3 more on each of the 88 steps that hold a sample
     traj = integrate(monomer(64), power_sum(1.0, 0.5),
                      SolverConfig(t_end=10.0, rel_tol=1e-12, abs_tol=1e-16))
     st = traj.step_stats
-    assert (st.n_accepted, st.n_rejected, st.n_rhs_evals) == (1622, 1, 9739)
+    assert st.tableau == "dop853"
+    assert (st.n_accepted, st.n_rejected, st.n_rhs_evals) == (198, 0, 2641)
+
+
+def test_step_counts_pinned_for_dopri5_next_to_the_switch_point():
+    # Dormand-Prince 5(4) at the tightest measured rel_tol it still runs at
+    traj = integrate(monomer(64), power_sum(1.0, 0.5),
+                     SolverConfig(t_end=10.0, rel_tol=1e-9, abs_tol=1e-13))
+    st = traj.step_stats
+    assert st.tableau == "dopri5"
+    assert (st.n_accepted, st.n_rejected, st.n_rhs_evals) == (418, 1, 2515)
 
 
 @pytest.mark.parametrize("kern,k,counts", [
@@ -571,12 +592,15 @@ def test_step_counts_pinned_for_default_config(kern, k, counts):
 
 def test_step_control_does_not_depend_on_k():
     # the error norm is taken over each step's support, not over all k sizes: while the
-    # front stays below k, the run at k = 512 is the run at k = 4096, step for step
-    a, b = (integrate(monomer(k), constant(1.0), SolverConfig(t_end=10.0)) for k in (512, 4096))
-    assert a.step_stats == b.step_stats
-    assert a.step_stats.max_occupied_size + STEP_REACH < 512
-    assert a.states.shape == b.states.shape
-    assert a.states.tobytes() == b.states.tobytes()
+    # front stays below k, the run at k = 512 is the run at k = 4096, step for step,
+    # under Dormand-Prince 5(4) and under DOP853 with its dense output
+    for config, reach in ((SolverConfig(t_end=10.0), STEP_REACH), (SolverConfig(t_end=10.0, rel_tol=1e-12), 16)):
+        a, b = (integrate(monomer(k), constant(1.0), config) for k in (512, 4096))
+        assert a.step_stats == b.step_stats
+        assert a.step_stats.reach == reach
+        assert a.step_stats.max_occupied_size + reach < 512
+        assert a.states.shape == b.states.shape
+        assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_max_occupied_size_is_the_widest_accepted_state(monkeypatch):
@@ -602,3 +626,114 @@ def test_max_occupied_size_is_the_widest_accepted_state(monkeypatch):
     seen.clear()
     traj = integrate(init, constant(1.0), SolverConfig(t_end=10.0))
     assert traj.step_stats.max_occupied_size == 4096 > max(seen[1:] + [occupied_size(traj.final().values)])
+
+
+@pytest.mark.parametrize("kern", [constant(0.7), additive(1.3), power_sum(0.7, 0.3), demo_table(257)],
+                         ids=["constant", "additive", "power", "table"])
+def test_dop853_step_and_samples_match_oracle_bit_for_bit(kern, rng):
+    norms = []
+    for k in (2, 3, 64, 200, 257):
+        f, f_oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
+        sizes = np.arange(1.0, k + 1.0)
+        work = _StepWork(_DOP853)
+        heads = []  # an occupied head and an empty tail, as in a run
+        for m in (max(1, k // 3), max(1, k // 2), max(1, (1 << ((k - 1).bit_length() - 1)) - 15)):
+            heads.append(rng.random(k) * (np.arange(k) < m))
+        for y in heads + [rng.random(k) * 10.0 ** rng.uniform(-12, 0, k)]:
+            for frac in (1e-4, 1e-2, 1.0):  # of the time scale 1 / |f(y)|
+                h = frac / (1.0 + np.max(np.abs(f(y))))
+                y8, err, f_last = _dp_step(f, y, f(y), h, 1e-8, 1e-10, work, occupied_size(y))
+                y8_o, err_o, stages_o = dop853_step_oracle(f_oracle, y, f_oracle(y), h, 1e-8, 1e-10)
+                assert y8.tobytes() == y8_o.tobytes(), (k, h)
+                assert err == err_o, (k, h)
+                assert f_last.tobytes() == stages_o[-1].tobytes()
+                n = prefix_columns(occupied_size(y) + 16, k)
+                assert work.stages[:13, :n].tobytes() == np.array(stages_o)[:, :n].tobytes(), (k, h)
+                norms.append(err)
+                # the samples of the step accepted as it is, and as clamped: the polynomial
+                # ends at the clamped state, to rounding
+                y1, _ = _clamp(y8, sizes, n)
+                f1 = f_last if y1 is y8 else f(y1)
+                t0 = 0.3
+                times = [t0 + h * th for th in (0.1, 0.5, 0.9)]
+                stats, stats_o = (StepStats(), StepStats())
+                block = _dense_samples(f, work, t0, h, y, f(y), y1, f1, times, n, sizes, stats)
+                rows = dop853_dense_oracle(f_oracle, t0, h, y, f_oracle(y), stages_o, y1,
+                                           f_oracle(y1), times, sizes, stats_o)
+                assert block.tobytes() == rows[:, :n].tobytes(), (k, h)
+                assert not rows[:, n:].any()
+                assert stats.clamped_mass_sample == stats_o.clamped_mass_sample
+                end = _dense_samples(f, work, t0, h, y, f(y), y1, f1, [t0 + h], n, sizes, StepStats())
+                assert np.max(np.abs(end[0] - y1[:n])) <= 4e-16 * np.max(np.abs(y))
+    assert min(norms) <= 1.0 < max(norms)  # accepted and rejected step sizes both covered
+
+
+@pytest.mark.parametrize("kern", [power_sum(1.0, 0.5), additive(1.0)], ids=["power", "additive"])
+def test_dop853_samples_are_as_accurate_as_the_steps(kern, monkeypatch):
+    # against a rel_tol 1e-13 run, DOP853's own samples at rel_tol 1e-12 are off by
+    # 6.9e-16 (power) and 3.6e-16 (additive); cubic Hermite samples of the same steps
+    # are off by 2.0e-8 and 8.8e-9, above the bound the native ones meet
+    config = SolverConfig(t_end=10.0, rel_tol=1e-12, abs_tol=1e-16)
+    ref = integrate(monomer(64), kern, SolverConfig(t_end=10.0, rel_tol=1e-13, abs_tol=1e-17)).states_matrix()
+    native = integrate(monomer(64), kern, config)
+    assert native.step_stats.tableau == "dop853"
+    assert np.max(np.abs(native.states_matrix() - ref)) <= 10 * config.rel_tol
+    monkeypatch.setattr(integrator, "_dense_samples",
+                        lambda f, work, t0, h, y0, f0, y1, f1, times, n, sizes, stats:
+                        _hermite(t0, y0, f0, t0 + h, y1, f1, times, n, sizes, stats))
+    hermite = integrate(monomer(64), kern, config)
+    assert hermite.step_stats.n_accepted == native.step_stats.n_accepted
+    assert np.max(np.abs(hermite.states_matrix() - ref)) > 10 * config.rel_tol
+
+
+def test_tableau_follows_the_switch_point():
+    # DOP853 at rel_tol <= DOP853_REL_TOL, Dormand-Prince 5(4) above it, RK4 in fixed mode;
+    # the run records which, and the reach its checks read
+    assert DOP853_REL_TOL < SolverConfig(t_end=1.0).rel_tol
+    for config, name, reach in ((SolverConfig(t_end=1.0, rel_tol=DOP853_REL_TOL), "dop853", 16),
+                                (SolverConfig(t_end=1.0, rel_tol=2 * DOP853_REL_TOL), "dopri5", 7),
+                                (SolverConfig(t_end=1.0, mode=MODE_FIXED, fixed_h=0.1), "rk4", 7)):
+        st = integrate(monomer(8), constant(1.0), config).step_stats
+        assert (st.tableau, st.to_dict()["tableau"], st.reach) == (name, name, reach)
+    for rel_tol, reach in ((DOP853_REL_TOL, 16), (2 * DOP853_REL_TOL, 7)):
+        with pytest.raises(IntegrationStalledError) as exc:  # an error raised while stepping carries the reach
+            integrate(monomer(8), constant(1.0), SolverConfig(t_end=1e12, rel_tol=rel_tol))
+        assert exc.value.reach == reach
+
+
+def test_src_imports_no_scipy():
+    # the DOP853 coefficients are copied into the source; scipy is a test-only dependency
+    src = pathlib.Path(integrator.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+
+def test_dop853_coefficients_are_scipys():
+    coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    a = np.zeros((16, 16))
+    for s, row in enumerate(integrator._DOP853_A + integrator._DOP853_A_DENSE, start=1):
+        a[s, : len(row)] = row
+    a[12] = 0.0  # scipy keeps the weights B in row 12, and no couplings of stage 13
+    assert np.array_equal(a, np.where(np.arange(16)[:, None] == 12, 0.0, coef.A))
+    assert np.array_equal(integrator._DOP853_B, coef.A[12, :12])
+    assert np.array_equal(integrator._DOP853_E3, coef.E3)
+    assert np.array_equal(integrator._DOP853_E5, coef.E5)
+    assert np.array_equal(integrator._DOP853_D, coef.D)
+    # the nodes c_i are the row sums of the couplings; the stepping never reads them
+    assert np.allclose(a.sum(axis=1)[np.arange(16) != 12], coef.C[np.arange(16) != 12], rtol=0, atol=1e-15)
+
+
+def test_non_finite_dense_output_stage_raises():
+    # a dense-output stage is evaluated after the step's checks, so it has its own
+    k = 64
+    f, work = RhsEvaluator(additive(1.0), k), _StepWork(_DOP853)
+    y = monomer(k).values
+    y8, _, f_last = _dp_step(f, y, f(y), 0.01, 1e-12, 1e-16, work, 1)
+    n = prefix_columns(1 + 16, k)
+    work.stages[12, :n] = 1e200  # f at the new state, as the first dense stage reads it
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="non-finite values in dense output"):
+        _dense_samples(f, work, 0.0, 0.01, y, f(y), y8, f_last, [0.005], n, np.arange(1.0, k + 1.0), StepStats())
