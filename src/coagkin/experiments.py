@@ -90,9 +90,10 @@ def _shared_run(prev_init: SizeDistribution, prev: Trajectory, init: SizeDistrib
     arithmetic bit for bit: a step's error norm divides by its support,
     not by k, and the right-hand side, the clamps and the samples work on
     the occupied prefix. Only ``truncation_k`` differs, and the samples
-    are stored on the occupied prefix. A shared run still builds the
-    ``RhsEvaluator`` at k that ``integrate`` builds first, so a kernel
-    that cannot be evaluated on sizes 1..k raises as it would there.
+    are stored on the occupied prefix. A shared run still evaluates the
+    kernel at (k, k), so a table kernel that does not cover sizes 1..k
+    raises the error the ``RhsEvaluator`` of ``integrate`` at k would,
+    without building that evaluator's k x k rate matrices.
     """
     k_p, k = prev.truncation_k, init.truncation_k
     values = init.values
@@ -100,7 +101,7 @@ def _shared_run(prev_init: SizeDistribution, prev: Trajectory, init: SizeDistrib
             or init.time != prev_init.time or values[:k_p].tobytes() != prev_init.values.tobytes()
             or values[k_p:].view(np.int64).any()):
         return None
-    RhsEvaluator(kernel, k)
+    kernel.evaluate(k, k)
     return replace(prev, truncation_k=k)
 
 

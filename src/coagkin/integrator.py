@@ -3,13 +3,15 @@
 The workhorse is an embedded Runge-Kutta pair: the higher order solution
 is propagated and its difference to the embedded lower order ones drives
 step control. At rel_tol above DOP853_REL_TOL, the 1e-8 default
-included, that is the Dormand-Prince 5(4) pair, sampled by cubic Hermite
-interpolation on the stored derivatives. At or below it, it is
-Dormand-Prince 8(5,3) (DOP853), sampled by its own 7th-degree dense
-output, whose three extra stages only a step that holds a sample
-evaluates. Each tableau has its reach, the sizes past a state's
-occupied size that a step from it and the step's samples can reach: 7
-for Dormand-Prince 5(4) and RK4 (STEP_REACH), 16 for DOP853.
+included, that is the Dormand-Prince 5(4) pair. At or below it, it is
+Dormand-Prince 8(5,3) (DOP853). One routine samples every tableau, the
+nested dense-output polynomial of DOP853. DOP853 takes all seven of its
+rows, whose three extra stages only a step that holds a sample
+evaluates; Dormand-Prince 5(4) and RK4 take the first three, which are
+cubic Hermite interpolation on the stored derivatives. Each tableau has
+its reach, the sizes past a state's occupied size that a step from it
+and the step's samples can reach: 7 for Dormand-Prince 5(4) and RK4
+(STEP_REACH), 16 for DOP853.
 
 The right-hand side is quasi-positive (a vanished component can only be
 created), so negative values are pure discretization overshoot: clamped
@@ -166,9 +168,10 @@ MASS_BUDGET_REL = 1e-9
 # Sizes past y's occupied size that one trial step from y, and the samples formed
 # from it, can reach under Dormand-Prince 5(4) and RK4: each of the 7 Dormand-Prince
 # stages reaches one size further than its input (the 5 rows of an RK4 step reach
-# less), and a Hermite sample reaches no further than f at the new state. No state a
-# step hands to the right-hand side, and no sample formed from the step, holds
-# anything past it. DOP853 reaches 16: 13 stages, then 3 dense-output stages.
+# less), and a sample of these tableaux, with no dense-output stage (cubic Hermite,
+# ``_dense_samples`` on F0..F2), reaches no further than f at the new state. No
+# state a step hands to the right-hand side, and no sample formed from the step,
+# holds anything past it. DOP853 reaches 16: 13 stages, then 3 dense-output stages.
 STEP_REACH = 7
 
 # Adaptive runs at rel_tol at or below this take DOP853, the others Dormand-Prince
@@ -188,7 +191,8 @@ class _Tableau:
     controller. ``reach`` is how many sizes past y's occupied size a step
     and its samples can reach. ``dense`` are the couplings of the
     dense-output stages and ``interpolant`` the rows that weigh every stage
-    into F3..F6; a tableau without them samples by cubic Hermite.
+    into F3, F4, ... of ``_dense_samples``; a tableau without them samples
+    by F0..F2 alone, the cubic Hermite interpolant.
     """
 
     name: str
@@ -415,39 +419,17 @@ def _clamp(vec: np.ndarray, sizes: np.ndarray, n: int) -> tuple[np.ndarray, floa
 
 
 def _clamp_rows(vals, sizes, stats) -> np.ndarray:
-    """vals with each row that holds a negative entry through ``_clamp``, row after row.
+    """vals with its negative entries zeroed in place, as ``_clamp`` zeroes each row.
 
-    The mass each row gives up is charged to stats.clamped_mass_sample.
+    The mass each row gives up, the dot ``_clamp`` takes, is charged to
+    stats.clamped_mass_sample row after row.
     """
-    n = vals.shape[1]
-    for row in np.flatnonzero((vals < 0.0).any(axis=1)):
-        vals[row], clamped = _clamp(vals[row], sizes, n)
-        stats.clamped_mass_sample += clamped
+    neg = vals < 0.0
+    held = sizes[: vals.shape[1]]
+    for row in np.flatnonzero(neg.any(axis=1)):
+        stats.clamped_mass_sample += float(np.dot(held[neg[row]], -vals[row, neg[row]]))
+    vals[neg] = 0.0
     return vals
-
-
-def _hermite(t0, y0, f0, t1, y1, f1, times, n, sizes, stats) -> np.ndarray:
-    """Cubic Hermite samples at the times in (t0, t1) of a nonempty list, as rows of a fresh block.
-
-    The block holds the first n sizes, past which every sample is +0.0. A
-    row is h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1, added left to
-    right. The coefficients are Python floats of each row's own time: a
-    power of a numpy array may round differently from the scalar one. The
-    rows are clamped and charged by ``_clamp_rows``.
-    """
-    h = t1 - t0
-    coef = []
-    for ts in times:
-        th = (ts - t0) / h
-        coef.append((2 * th**3 - 3 * th**2 + 1, h * (th**3 - 2 * th**2 + th),
-                     -2 * th**3 + 3 * th**2, h * (th**3 - th**2)))
-    c00, c10, c01, c11 = np.array(coef).T[:, :, None]
-    vals = np.empty((len(times), n))
-    np.multiply(c00, y0[:n], out=vals)
-    vals += c10 * f0[:n]
-    vals += c01 * y1[:n]
-    vals += c11 * f1[:n]
-    return _clamp_rows(vals, sizes, stats)
 
 
 class _StepWork:
@@ -609,19 +591,23 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
 
 
 def _dense_samples(f, work: _StepWork, t0, h, y0, f0, y1, f1, times, n, sizes, stats) -> np.ndarray:
-    """DOP853 samples at the times in (t0, t0 + h) of a nonempty list, as rows of a fresh block.
+    """Samples at the times in (t0, t0 + h) of a nonempty list, as rows of a fresh block.
 
     The step of size h from y0, where f0 = f(y0), left its stages in
     ``work`` on its n = prefix_columns(occupied_size(y0) + reach, k)
     columns, and was accepted as y1, f1 = f(y1): y1 is its new state, or
-    that state clamped. This evaluates the three dense-output stages into
-    the rows after the step's and forms the 7th-degree interpolant of
-    Hairer, Norsett & Wanner (Solving ODEs I, II.6, as scipy's DOP853):
-    F0 = y1 - y0, F1 = h f0 - F0, F2 = 2 F0 - h (f1 + f0), and F3..F6 =
-    h * D K over all 16 stages. A row at theta = (t - t0) / (t1 - t0) is
-    y0 + theta (F0 + (1 - theta) (F1 + theta (F2 + (1 - theta) (F3 +
-    theta (F4 + (1 - theta) (F5 + theta F6)))))), formed for all rows at
-    once. So at theta = 1 the polynomial passes through y1, clamped or
+    that state clamped. This evaluates the tableau's dense-output stages,
+    if any, into the rows after the step's and forms the nested
+    polynomial of Hairer, Norsett & Wanner (Solving ODEs I, II.6, as
+    scipy's DOP853): F0 = y1 - y0, F1 = h f0 - F0, F2 = 2 F0 - h (f1 +
+    f0), then one row h * D K over all stages for each ``interpolant``
+    row D. A row at theta = (t - t0) / (t1 - t0) is y0 + theta (F0 + (1 -
+    theta) (F1 + theta (F2 + ...))): the factor after F_i is theta for an
+    even i and 1 - theta for an odd one, the last row's included. It is
+    formed for all rows at once. With F0..F2 alone (Dormand-Prince 5(4),
+    RK4) this is the cubic Hermite interpolant on (y0, h f0, y1, h f1);
+    DOP853's F3..F6 make it that tableau's 7th-degree dense output.
+    Either way the polynomial passes through y1 at theta = 1, clamped or
     not. The block holds the n columns, past which every sample is +0.0;
     its rows are clamped and charged by ``_clamp_rows``. A non-finite
     dense-output stage raises ``NumericError``.
@@ -629,26 +615,27 @@ def _dense_samples(f, work: _StepWork, t0, h, y0, f0, y1, f1, times, n, sizes, s
     stages, terms, combos, head, _ = work.width(n)
     tableau = work.tableau
     first = len(tableau.couplings) + 1  # the row of the first dense-output stage
-    y0n = y0[:n]
+    y0n, f0n = y0[:n], f0[:n]
     for s, combo in enumerate(combos[first - 1:], start=first):
         np.add(y0n, _increment(combo, h, head), out=head)
-        f(head, out=stages[s])
-    if not np.isfinite(stages[first:]).all():
-        raise NumericError("non-finite values in dense output")
+        if not np.isfinite(f(head, out=stages[s])).all():
+            raise NumericError("non-finite values in dense output")
     F = np.empty((3 + len(tableau.interpolant), n))
     np.subtract(y1[:n], y0n, out=F[0])
-    np.subtract(h * f0[:n], F[0], out=F[1])
-    np.subtract(2 * F[0], h * (f1[:n] + f0[:n]), out=F[2])
+    np.subtract(h * f0n, F[0], out=F[1])
+    np.subtract(2 * F[0], h * (f1[:n] + f0n), out=F[2])
     for row, col in zip(F[3:], tableau.interpolant):
         np.multiply(col, stages, out=terms)
         np.add.reduce(terms, axis=0, out=row)
         row *= h
     t1 = t0 + h
-    theta = ((np.array(times) - t0) / (t1 - t0))[:, None]
-    vals = F[-1] * theta
-    for i in range(len(F) - 2, -1, -1):
+    theta = np.array([(t - t0) / (t1 - t0) for t in times])[:, None]
+    odd = 1 - theta  # the factor after an odd-indexed row
+    last = len(F) - 1
+    vals = F[last] * (odd if last % 2 else theta)
+    for i in range(last - 1, -1, -1):
         vals += F[i]
-        vals *= theta if i % 2 == 0 else 1 - theta
+        vals *= odd if i % 2 else theta
     vals += y0n
     return _clamp_rows(vals, sizes, stats)
 
@@ -667,10 +654,11 @@ def integrate(
     runs the RK4 tableau with max_step = fixed_h, no stall floor and no
     rejection: its err_norm is 0.0, so the PI update raises h and the cap
     returns it to fixed_h. The samples of one step are formed as one
-    block: by DOP853's own interpolant (``_dense_samples``), whose three
-    extra stages only a step holding such a sample evaluates, or else by
-    cubic Hermite on the stored derivatives (``_hermite``). A sample at a
-    step's end is that state. Steps and samples are clamped nonnegative,
+    block by the tableau's nested dense-output polynomial
+    (``_dense_samples``): DOP853's own, whose three extra stages only a
+    step holding such a sample evaluates, and for the other tableaux its
+    three-row case, cubic Hermite on the stored derivatives. A sample at
+    a step's end is that state. Steps and samples are clamped nonnegative,
     charging the run budget by source; an adaptive trial step that would
     charge more than budget * h / t_end is halved.
 
@@ -723,13 +711,11 @@ def integrate(
     def emit(t0, h, y0, f0, y1, f1):
         # Take the accepted state y1 at t1 = t0 + h; form all samples in (t0, t1]
         # as one block, with exact endpoint reuse. Past the step's window y0 and
-        # y1 are +0.0, and f0, f1 and the stages zeros, so every sample is +0.0
-        # there; a Hermite block leaves out the sizes past max(occupied, held) + 1.
+        # y1 are +0.0, and f0, f1 and the stages zeros, so every sample is +0.0 there.
         nonlocal next_sample, occupied, widest
         window = prefix_columns(occupied + reach, k)
         held = occupied_size(y1[:window])
         stats.max_occupied_size = max(stats.max_occupied_size, held)
-        n = min(k, max(occupied, held) + 1)
         occupied = held
         t1 = t0 + h
         first = next_sample
@@ -743,10 +729,7 @@ def integrate(
         while inner and abs(due[inner - 1] - t1) <= 1e-12 * max(1.0, config.t_end):
             inner -= 1
         if inner:
-            if tableau.interpolant:
-                block = _dense_samples(f, work, t0, h, y0, f0, y1, f1, due[:inner], window, sizes, stats)
-            else:
-                block = _hermite(t0, y0, f0, t1, y1, f1, due[:inner], n, sizes, stats)
+            block = _dense_samples(f, work, t0, h, y0, f0, y1, f1, due[:inner], window, sizes, stats)
             blocks.append(block)
             widest = max(widest, int(occupied_sizes(block).max()))
         if inner < len(due):

@@ -1,14 +1,14 @@
 """Straightforward arithmetic that the library's stepping, rhs, dense output
-and quadrature must reproduce bit for bit, and the textbook RK4 loop that
-the fixed-step mode must reproduce to rounding.
+and quadrature must reproduce bit for bit, and textbook forms, the RK4
+loop and cubic Hermite by its basis polynomials, that the library must
+reproduce to rounding.
 
 The tableau combinations are summed term by term from the left, as Python's
 ``sum`` does, and the separable rhs takes one ``np.cumsum`` per weighted
-vector. Hermite and DOP853 samples are formed one at a time and Simpson
-pairs summed in a Python loop. ``RhsEvaluator``, ``integrator._dp_step``,
-``integrator._hermite``, ``integrator._dense_samples`` and
-``numerics.cumulative_simpson`` arrange the
-same operations into fewer numpy calls, and so does
+vector. Samples are formed one at a time and Simpson pairs summed in a
+Python loop. ``RhsEvaluator``, ``integrator._dp_step``,
+``integrator._dense_samples`` and ``numerics.cumulative_simpson`` arrange
+the same operations into fewer numpy calls, and so does
 ``diagnostics.compute_record`` with the one-state record of
 ``record_oracle``; these oracles pin that every rounding stays where it
 was.
@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from coagkin.integrator import _DOP853_A, _DOP853_A_DENSE, _DOP853_D, _DOP853_E3, _DOP853_E5
+from coagkin.integrator import _DOP853_A, _DOP853_E3, _DOP853_E5
 
 _A = (
     (),
@@ -88,27 +88,33 @@ def dop853_step_oracle(f, y, f0, h, rel_tol, abs_tol):
     return y8, err, k
 
 
-def dop853_dense_oracle(f, t0, h, y0, f0, stages, y1, f1, times, sizes, stats):
-    """The DOP853 samples at times in (t0, t0 + h) one by one over all k sizes, each clamped and charged.
+def dense_oracle(f, t0, h, y0, f0, stages, y1, f1, times, sizes, stats, dense, interpolant):
+    """A tableau's samples at times in (t0, t0 + h) one by one over all k sizes, each clamped and charged.
 
-    stages are the 13 of the step from y0 (``dop853_step_oracle``); the
-    step was accepted as y1, f1 = f(y1). The three dense-output stages
-    follow them, then F0 = y1 - y0, F1 = h f0 - F0, F2 = 2 F0 - h (f1 + f0)
-    and F3..F6 = h * sum_j D_ij K_j; a sample at theta is the nested
-    product y0 + theta (F0 + (1 - theta) (F1 + theta (F2 + ...))).
+    stages are those of the step from y0 (``dop853_step_oracle``'s 13 for
+    DOP853; a tableau without dense-output stages reads none); the step
+    was accepted as y1, f1 = f(y1). One stage follows them for each row of
+    ``dense``, the couplings of the dense-output stages, then F0 = y1 - y0,
+    F1 = h f0 - F0, F2 = 2 F0 - h (f1 + f0) and one F = h * sum_j D_j K_j
+    for each row D of ``interpolant``. A sample at theta is the nested
+    product y0 + theta (F0 + (1 - theta) (F1 + theta (F2 + ...))), the
+    factor after F_i theta for an even i and 1 - theta for an odd one.
+    DOP853 passes its three dense couplings and four D rows; Dormand-Prince
+    5(4) and RK4 pass none, which leaves the cubic Hermite interpolant.
     """
     k = list(stages)
-    for row in _DOP853_A_DENSE:
+    for row in dense:
         k.append(f(y0 + h * sum(c * ki for c, ki in zip(row, k))))
     F = [y1 - y0]
     F.append(h * f0 - F[0])
     F.append(2 * F[0] - h * (f1 + f0))
-    F += [h * sum(d * ki for d, ki in zip(row, k)) for row in _DOP853_D]
+    F += [h * sum(d * ki for d, ki in zip(row, k)) for row in interpolant]
+    last = len(F) - 1
     rows = []
     for ts in times:
         x = (ts - t0) / ((t0 + h) - t0)
-        val = F[6] * x
-        for i in range(5, -1, -1):
+        val = F[last] * (x if last % 2 == 0 else 1 - x)
+        for i in range(last - 1, -1, -1):
             val = (val + F[i]) * (x if i % 2 == 0 else 1 - x)
         val = val + y0
         neg = val < 0.0
@@ -148,9 +154,13 @@ def rhs_oracle(kernel, k):
 
 
 def hermite_oracle(t0, y0, f0, t1, y1, f1, times, n, sizes, stats):
-    """The samples at times in (t0, t1] one by one, each clamped and charged on its own.
+    """Cubic Hermite samples at times in (t0, t1] one by one, each clamped and charged on its own.
 
-    Takes what ``integrator._hermite`` does and returns the block over all k sizes.
+    Each is h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1 on the first
+    n sizes, from the textbook basis polynomials; the block is over all k
+    sizes. ``integrator._dense_samples`` forms the same polynomial in nested
+    form, so its samples of a tableau without dense-output stages equal
+    these to rounding, not bit for bit.
     """
     k = y0.size
     h = t1 - t0

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from coagkin.experiments import (
     weights_audit,
 )
 from coagkin.integrator import MODE_FIXED, SolverConfig, integrate
-from coagkin.kernels import CoagulationKernel, additive, constant, from_rule, power_sum, tabulated
+from coagkin.kernels import CoagulationKernel, additive, constant, demo_table, from_rule, power_sum, tabulated
 from coagkin.reports import ExperimentReport
 from coagkin.system import SizeDistribution, geometric, monomer
 
@@ -133,6 +134,21 @@ def test_truncation_shared_run_still_needs_a_kernel_that_reaches_k():
     # the front stays near size 300, yet the table cannot be evaluated at k = 1024
     with pytest.raises(ValueError, match="tabulated kernel covers sizes 1..600"):
         truncation_convergence(tabulated(np.ones((600, 600)), 1.0), monomer, [512, 1024, 2048], 10.0)
+
+
+def test_truncation_shared_run_builds_no_rate_matrix_at_k():
+    # a shared k checks the table at (k, k) alone; building the right-hand side at
+    # k = 2048 for that check took its 2048 x 2048 rate matrix and two triangular
+    # copies, a 100 MiB peak, where the study now peaks at 6.3 MiB (numpy 2.4)
+    kern = demo_table(2048)
+    tracemalloc.start()
+    try:
+        rep = truncation_convergence(kern, monomer, [512, 1024, 2048], 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.config_echo["integrated_k"] == [512]
+    assert peak < 20 * 2**20
 
 
 def test_truncation_threshold_on_the_front():

@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import dop853_dense_oracle, dop853_step_oracle, dp_step_oracle, hermite_oracle, rhs_oracle, rk4_oracle
+from oracles import dense_oracle, dop853_step_oracle, dp_step_oracle, hermite_oracle, rhs_oracle, rk4_oracle
 
 from coagkin import diagnostics, integrator
 from coagkin.errors import ConfigError, IntegrationStalledError, NumericError
 from coagkin.integrator import (
     _DOP853,
+    _DOPRI5,
     StepStats,
     DOP853_REL_TOL,
     MASS_BUDGET_REL,
@@ -19,9 +20,9 @@ from coagkin.integrator import (
     STEP_REACH,
     SolverConfig,
     _clamp,
+    _columns,
     _dense_samples,
     _dp_step,
-    _hermite,
     _StepWork,
     integrate,
 )
@@ -470,14 +471,30 @@ def test_integrate_matches_oracle_stepping_bit_for_bit(kern, k, abs_tol, monkeyp
 @pytest.mark.parametrize("kern,k,config", [
     (constant(1.0), 32, SolverConfig(t_end=5.0, sample_times=np.linspace(0.0, 5.0, 1001))),
     (additive(1.0), 64, SolverConfig(t_end=10.0, abs_tol=1e-6)),
-], ids=["many_samples_per_step", "sample_clamps"])
+    (power_sum(1.0, 0.5), 32, SolverConfig(t_end=5.0, mode=MODE_FIXED, fixed_h=0.2,
+                                           sample_times=np.linspace(0.0, 5.0, 201))),
+], ids=["many_samples_per_step", "sample_clamps", "rk4"])
 def test_hermite_block_matches_per_sample_oracle_bit_for_bit(kern, k, config, monkeypatch):
+    # Dormand-Prince 5(4) and RK4 sample by the dense-output polynomial's three-row case:
+    # bit for bit the nested form taken one sample at a time, and the textbook cubic
+    # Hermite to rounding (measured: at most 1.1e-16 apart)
     new = integrate(monomer(k), kern, config)
-    monkeypatch.setattr(integrator, "_hermite", hermite_oracle)
+    assert new.step_stats.tableau == ("rk4" if config.mode == MODE_FIXED else "dopri5")
+    monkeypatch.setattr(integrator, "_dense_samples",
+                        lambda f, work, t0, h, y0, f0, y1, f1, times, n, sizes, stats:
+                        dense_oracle(f, t0, h, y0, f0, (), y1, f1, times, sizes, stats, (), ()))
     old = integrate(monomer(k), kern, config)
     assert new.states_matrix().tobytes() == old.states_matrix().tobytes()
     assert new.step_stats == old.step_stats
     assert new.diagnostics == old.diagnostics
+    monkeypatch.setattr(integrator, "_dense_samples",
+                        lambda f, work, t0, h, y0, f0, y1, f1, times, n, sizes, stats:
+                        hermite_oracle(t0, y0, f0, t0 + h, y1, f1, times, n, sizes, stats))
+    textbook = integrate(monomer(k), kern, config)
+    assert np.max(np.abs(new.states_matrix() - textbook.states_matrix())) <= 1e-15
+    assert new.step_stats == replace(textbook.step_stats, clamped_mass_sample=new.step_stats.clamped_mass_sample)
+    assert new.step_stats.clamped_mass_sample == pytest.approx(textbook.step_stats.clamped_mass_sample,
+                                                               rel=1e-12, abs=0.0)
     st = new.step_stats
     if kern.name.startswith("constant"):
         assert new.times.size > 10 * st.n_accepted  # blocks of many rows
@@ -520,7 +537,8 @@ def test_step_scratch_is_as_wide_as_the_widest_step():
 
 def test_sample_memory_follows_the_front_not_k(monkeypatch):
     # full-length rows would take 1001 * 8192 * 8 B = 62.5 MiB; the front stays below
-    # size 300, and the whole run peaked at 5.0 MiB (Python 3.11, numpy 2.4)
+    # size 300, and the whole run peaked at 6.2 MiB (Python 3.11, numpy 2.4), its sample
+    # blocks being as wide as their steps' power-of-two windows until they are joined
     k = 8192
     config = SolverConfig(t_end=10.0, sample_times=np.linspace(0.0, 10.0, 1001))
     tracemalloc.start()
@@ -658,8 +676,8 @@ def test_dop853_step_and_samples_match_oracle_bit_for_bit(kern, rng):
                 times = [t0 + h * th for th in (0.1, 0.5, 0.9)]
                 stats, stats_o = (StepStats(), StepStats())
                 block = _dense_samples(f, work, t0, h, y, f(y), y1, f1, times, n, sizes, stats)
-                rows = dop853_dense_oracle(f_oracle, t0, h, y, f_oracle(y), stages_o, y1,
-                                           f_oracle(y1), times, sizes, stats_o)
+                rows = dense_oracle(f_oracle, t0, h, y, f_oracle(y), stages_o, y1, f_oracle(y1), times,
+                                    sizes, stats_o, integrator._DOP853_A_DENSE, integrator._DOP853_D)
                 assert block.tobytes() == rows[:, :n].tobytes(), (k, h)
                 assert not rows[:, n:].any()
                 assert stats.clamped_mass_sample == stats_o.clamped_mass_sample
@@ -668,20 +686,42 @@ def test_dop853_step_and_samples_match_oracle_bit_for_bit(kern, rng):
     assert min(norms) <= 1.0 < max(norms)  # accepted and rejected step sizes both covered
 
 
+def test_dense_samples_end_in_the_factor_of_the_last_rows_parity(rng):
+    # one interpolant row makes F3 the last, so the nested product ends in 1 - theta, not
+    # theta as after DOP853's F6 or the cubic case's F2; an arbitrary row over the 7
+    # Dormand-Prince stages stands in for a native extension
+    k, h, t0 = 64, 0.01, 0.3
+    f, f_oracle = RhsEvaluator(power_sum(0.7, 0.3), k), rhs_oracle(power_sum(0.7, 0.3), k)
+    sizes = np.arange(1.0, k + 1.0)
+    row = tuple(rng.uniform(-1.0, 1.0, 7))
+    work = _StepWork(replace(_DOPRI5, interpolant=_columns((row,))))
+    y = rng.random(k) * (np.arange(k) < 20)
+    y5, _, f_last = _dp_step(f, y, f(y), h, 1e-8, 1e-10, work, occupied_size(y))
+    _, _, stages_o = dp_step_oracle(f_oracle, y, f_oracle(y), h, 1e-8, 1e-10)
+    n = prefix_columns(occupied_size(y) + STEP_REACH, k)
+    times = [t0 + h * th for th in (0.1, 0.5, 0.9)]
+    block = _dense_samples(f, work, t0, h, y, f(y), y5, f_last, times, n, sizes, StepStats())
+    rows = dense_oracle(f_oracle, t0, h, y, f_oracle(y), stages_o, y5, f_oracle(y5), times, sizes,
+                        StepStats(), (), (row,))
+    assert block.tobytes() == rows[:, :n].tobytes()
+    cubic = _dense_samples(f, _StepWork(), t0, h, y, f(y), y5, f_last, times, n, sizes, StepStats())
+    assert np.max(np.abs(block - cubic)) > 1e-6  # the row is read
+
+
 @pytest.mark.parametrize("kern", [power_sum(1.0, 0.5), additive(1.0)], ids=["power", "additive"])
 def test_dop853_samples_are_as_accurate_as_the_steps(kern, monkeypatch):
     # against a rel_tol 1e-13 run, DOP853's own samples at rel_tol 1e-12 are off by
-    # 6.9e-16 (power) and 3.6e-16 (additive); cubic Hermite samples of the same steps
-    # are off by 2.0e-8 and 8.8e-9, above the bound the native ones meet
+    # 6.9e-16 (power) and 3.6e-16 (additive); the same steps sampled without the dense
+    # rows, by the shared routine's cubic Hermite case, are off by 2.0e-8 and 8.8e-9,
+    # above the bound the native ones meet
     config = SolverConfig(t_end=10.0, rel_tol=1e-12, abs_tol=1e-16)
     ref = integrate(monomer(64), kern, SolverConfig(t_end=10.0, rel_tol=1e-13, abs_tol=1e-17)).states_matrix()
     native = integrate(monomer(64), kern, config)
     assert native.step_stats.tableau == "dop853"
     assert np.max(np.abs(native.states_matrix() - ref)) <= 10 * config.rel_tol
-    monkeypatch.setattr(integrator, "_dense_samples",
-                        lambda f, work, t0, h, y0, f0, y1, f1, times, n, sizes, stats:
-                        _hermite(t0, y0, f0, t0 + h, y1, f1, times, n, sizes, stats))
+    monkeypatch.setattr(integrator, "_DOP853", replace(_DOP853, dense=(), interpolant=()))
     hermite = integrate(monomer(64), kern, config)
+    assert hermite.step_stats.tableau == "dop853"
     assert hermite.step_stats.n_accepted == native.step_stats.n_accepted
     assert np.max(np.abs(hermite.states_matrix() - ref)) > 10 * config.rel_tol
 
