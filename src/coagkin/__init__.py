@@ -39,18 +39,22 @@ from .system import (
     rhs,
     weak_form_rate,
 )
-from .weights import (
-    ConvexWeight,
-    check_inequality,
-    construct_tail_weight,
-    evaluate,
-    evaluate_derivative,
-    identity_weight,
-    power_weight,
-    sample_class_invariants,
-)
 
 __version__ = "0.1.0"
+
+# The weights module loads on first use of one of its names (PEP 562): a
+# plain ``simulate`` reads no weight, and each module a run imports is
+# compiled again when no bytecode is cached.
+_WEIGHTS_NAMES = (
+    "ConvexWeight",
+    "check_inequality",
+    "construct_tail_weight",
+    "evaluate",
+    "evaluate_derivative",
+    "identity_weight",
+    "power_weight",
+    "sample_class_invariants",
+)
 
 __all__ = [
     "CoagkinError",
@@ -94,3 +98,17 @@ __all__ = [
     "tabulated_from_csv",
     "weak_form_rate",
 ]
+
+
+def __getattr__(name: str):
+    if name in _WEIGHTS_NAMES:
+        from . import weights
+
+        value = getattr(weights, name)
+        globals()[name] = value  # later lookups skip this hook
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_WEIGHTS_NAMES))

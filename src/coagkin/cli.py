@@ -11,10 +11,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import experiments, kernels, output
+from . import kernels, output
 from .diagnostics import mass_defect
 from .errors import CoagkinError, ConfigError, NumericError, reject_unknown_keys
 from .integrator import SolverConfig, integrate
@@ -22,6 +24,13 @@ from .kernels import CoagulationKernel, check_admissibility
 from .numerics import is_number
 from .reports import write_json_atomic
 from .system import SizeDistribution, geometric, monomer, prefix_columns
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .experiments import Experiment
+
+# ``experiments`` is imported where a config names an experiment, never at
+# module level: each module a run imports is compiled again when no bytecode
+# is cached, and ``simulate`` runs no experiment.
 
 _SOLVER_FIELDS = {f.name: f for f in fields(SolverConfig)}
 _TOP_KEYS = ("kernel", "initial", "truncation_k", "solver", "experiment", "output_dir")
@@ -87,9 +96,13 @@ class RunConfig:
         )
 
     @property
-    def spec(self) -> experiments.Experiment | None:
+    def spec(self) -> Experiment | None:
         """The experiment table's entry for the configured experiment (None: no experiment)."""
-        return None if self.experiment is None else experiments.EXPERIMENTS[self.experiment["name"]]
+        if self.experiment is None:
+            return None
+        from .experiments import EXPERIMENTS
+
+        return EXPERIMENTS[self.experiment["name"]]
 
     def build_kernel(self) -> CoagulationKernel:
         kern = kernels.from_config(self.kernel)
@@ -144,11 +157,7 @@ class RunConfig:
         elif kind == "geometric":
             state = geometric(k, float(self.initial.get("ratio", 0.5)), scale)
         else:
-            path = self.initial["path"]
-            try:
-                vals = np.loadtxt(path, dtype=float).reshape(-1)
-            except (OSError, ValueError) as exc:
-                raise ConfigError("initial.path", f"cannot read {path!r}: {exc}") from exc
+            vals = self._file_values
             if vals.size > k:
                 raise ConfigError(
                     "initial.path", f"file holds {vals.size} sizes, truncation_k is only {k}"
@@ -160,6 +169,15 @@ class RunConfig:
             state = SizeDistribution(v, k)
         state.validate()
         return state
+
+    @cached_property
+    def _file_values(self) -> np.ndarray:
+        """The initial-data file's concentrations, parsed once however many k a study builds."""
+        path = self.initial["path"]
+        try:
+            return np.loadtxt(path, dtype=float).reshape(-1)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("initial.path", f"cannot read {path!r}: {exc}") from exc
 
     def resolved_dict(self) -> dict:
         """Fully materialized config; feeding it back reproduces the run."""
@@ -196,6 +214,8 @@ def _check_initial(initial: dict) -> None:
 
 def _check_experiment(exp: dict, k: int) -> None:
     """The experiment's name, its keys, and every setting it reads, defaults included."""
+    from . import experiments
+
     if "name" not in exp:
         raise ConfigError("experiment.name", "missing experiment name")
     name = exp["name"]

@@ -15,11 +15,11 @@ import numpy as np
 from .numerics import cumulative_simpson
 from .reports import ExperimentReport
 from .system import RhsEvaluator, SizeDistribution, mass_leak_rates, occupied_size, occupied_sizes
-from .weights import ConvexWeight, evaluate as weight_eval
 
 if TYPE_CHECKING:  # pragma: no cover
     from .integrator import Trajectory
     from .kernels import CoagulationKernel
+    from .weights import ConvexWeight
 
 
 def _sizes(rows: np.ndarray) -> np.ndarray:
@@ -66,12 +66,14 @@ def moment_series(traj: "Trajectory", m: float) -> np.ndarray:
     return np.array(_moments(traj.states, m))
 
 
-def _g_moments(rows: np.ndarray, weight: ConvexWeight) -> list[float]:
-    g = np.asarray(weight_eval(weight, _sizes(rows)))
+def _g_moments(rows: np.ndarray, weight: "ConvexWeight") -> list[float]:
+    from .weights import evaluate  # loads on first use: a plain simulate never reads a weight
+
+    g = np.asarray(evaluate(weight, _sizes(rows)))
     return [math.fsum(terms) for (terms,) in _weighted_prefixes(rows, [g])]
 
 
-def g_moment(state: SizeDistribution, weight: ConvexWeight) -> float:
+def g_moment(state: SizeDistribution, weight: "ConvexWeight") -> float:
     """Weighted sum sum_i G(i) xi_i for a convex weight G."""
     return _g_moments(_one_row(state), weight)[0]
 
@@ -159,7 +161,7 @@ def mass_defect_endpoint(traj: "Trajectory") -> float:
 
 def check_moment_propagation(
     traj: "Trajectory",
-    weight: ConvexWeight,
+    weight: "ConvexWeight",
     kernel: "CoagulationKernel",
 ) -> ExperimentReport:
     """Verify the exponential envelope on the G-weighted moment.

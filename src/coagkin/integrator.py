@@ -663,7 +663,8 @@ def integrate(
     charge more than budget * h / t_end is halved.
 
     Each sample goes into ``Trajectory.states`` on its occupied prefix: a
-    block holds the sizes the step can reach, a sample at a step end
+    block is kept on the sizes up to its widest occupied row, not on the
+    step's whole window, a sample at a step end
     copies the state's occupied prefix, and the rows are joined once, at
     the width of the widest. So k caps the sizes but sets neither the
     samples' memory nor the stage scratch (``_StepWork``), which follow
@@ -730,8 +731,10 @@ def integrate(
             inner -= 1
         if inner:
             block = _dense_samples(f, work, t0, h, y0, f0, y1, f1, due[:inner], window, sizes, stats)
-            blocks.append(block)
-            widest = max(widest, int(occupied_sizes(block).max()))
+            # kept at its widest occupied row: the window's columns past it are +0.0
+            used = int(occupied_sizes(block).max())
+            blocks.append(block[:, :used].copy() if used < window else block)
+            widest = max(widest, used)
         if inner < len(due):
             blocks.append(np.repeat(y1[None, :held], len(due) - inner, axis=0))
             widest = max(widest, held)

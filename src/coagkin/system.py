@@ -149,7 +149,10 @@ class RhsEvaluator:
     without negative entries, possibly -0.0 for a stage input with some,
     and a trial step adds that zero to the +0.0 tail of y, which drops
     its sign. The views of each width are built on first use and cached:
-    at most floor(log2(k)) + 2 widths, the width-k one with the evaluator.
+    at most floor(log2(k)) + 2 widths. They are cut from rows as wide as
+    the widest call so far, which a wider call replaces, so an evaluator
+    whose calls stay far below k holds no length-k row (only the matrix
+    path's rate matrices are k x k, built with the evaluator).
 
     ``f(x, out=row)`` writes the derivative at the one state x into
     ``row`` instead of a fresh array, and returns it; x is not checked.
@@ -185,25 +188,36 @@ class RhsEvaluator:
             raise ValueError(f"truncation size must be >= 2, got {k}")
         self.kernel = kernel
         self.k = int(k)
-        self.sizes = np.arange(1, k + 1, dtype=float)
         self.n_evals = 0
-        self._loss = np.empty(k)
         if kernel.separable is not None:
             a, d = kernel.separable
-            self._a = float(a)
-            self._ipow = self.sizes**d
-            self._fwd_weights = np.vstack([self.sizes, self.sizes ** (1.0 + d)])
-            self._sums = np.empty((2, k), dtype=complex)
+            self._a, self._d = float(a), d
         else:
             g = kernel.rate_matrix(k)
             self._gamma_low = np.tril(g)
             self._gamma_up = np.triu(g)
             self._a = None
+        self._loss = np.empty(0)  # with the other rows, grown to the widest call so far
         self._widths = {}
-        self._width(self.k)
+
+    def _grow(self, n: int) -> None:
+        """Build the length-n rows the views of every width up to n are cut from.
+
+        Each entry depends on its size alone, so a row built at width n
+        agrees bit for bit with the first n entries of the length-k one.
+        """
+        self._sizes = np.arange(1, n + 1, dtype=float)
+        self._loss = np.empty(n)
+        if self._a is not None:
+            self._ipow = self._sizes**self._d
+            self._fwd_weights = np.vstack([self._sizes, self._sizes ** (1.0 + self._d)])
+            self._sums = np.empty((2, n), dtype=complex)
+        self._widths.clear()  # the narrower views are cut from the old rows
 
     def _width(self, n: int) -> tuple:
         """Views on the first n columns, built once per width."""
+        if n > self._loss.size:
+            self._grow(n)
         if self._a is not None:
             # complex row 0 sums x reversed (real) and i * x (imaginary), row 1
             # i**d * x reversed and i**(1+d) * x; after the accumulate row 0's
@@ -219,7 +233,7 @@ class RhsEvaluator:
                      Z, parts[:, 0::2], parts[:, 1::2], pair, parts[1], pair[1::2],
                      pair[0::2][::-1], self._loss[:n])
         else:
-            views = (self.sizes[:n], self._gamma_low[:n, :n], self._gamma_up[:n, :n],
+            views = (self._sizes[:n], self._gamma_low[:n, :n], self._gamma_up[:n, :n],
                      self._loss[:n])
         self._widths[n] = views
         return views

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coagkin import cli, experiments, integrator, kernels
+import coagkin
+from coagkin import cli, experiments, integrator, kernels, weights
 from coagkin.cli import main
 from coagkin.errors import NumericError
 from coagkin.integrator import STEP_REACH, SolverConfig, integrate
@@ -95,6 +96,69 @@ def test_simulate_initial_from_file(tmp_path):
     rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     first = np.array(rows[1].split(","), dtype=float)
     assert np.array_equal(first[1:4], [1.0, 0.5, 0.25])
+
+
+def test_verify_truncation_parses_the_initial_file_once(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "init.txt"
+    data.write_text("0.5\n0.25\n0.125\n")
+    parses = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: parses.append(a) or loadtxt(*a, **kw))
+    cfg = write_config(tmp_path, initial={"type": "file", "path": str(data)},
+                       experiment={"name": "truncation", "k_list": [4, 8, 16]})
+    assert main(["verify", cfg]) == 0
+    assert len(parses) == 1
+    # each k still checks that the file fits it
+    parses.clear()
+    cfg = write_config(tmp_path, initial={"type": "file", "path": str(data)},
+                       experiment={"name": "truncation", "k_list": [2, 8, 16]})
+    assert main(["verify", cfg]) == 1
+    assert "file holds 3 sizes, truncation_k is only 2" in capsys.readouterr().err
+    assert len(parses) == 1
+
+
+_IMPORT_PROBE = """
+import json, sys
+import coagkin, coagkin.cli
+def loaded():
+    return [m for m in ("coagkin.experiments", "coagkin.weights") if m in sys.modules]
+seen = {"import": loaded(), "dir": dir(coagkin)}
+for command, config in zip(("simulate", "verify"), sys.argv[1:]):
+    assert coagkin.cli.main([command, config]) == 0
+    seen[command] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_simulate_loads_neither_experiments_nor_weights(tmp_path):
+    # without cached bytecode every imported module is compiled on each run, so
+    # simulate imports only what it runs; a verify config loads the experiments
+    sim = write_config(tmp_path, name="sim.json", output_dir=str(tmp_path / "sim"))
+    ver = write_config(tmp_path, name="ver.json", output_dir=str(tmp_path / "ver"),
+                       experiment={"name": "identity", "q_list": [4, 8, 15]})
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, sim, ver], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["simulate"] == []
+    assert "coagkin.experiments" in seen["verify"]
+    assert set(coagkin.__all__) <= set(seen["dir"])  # the weights names before they load
+
+
+def test_package_names_resolve_as_before():
+    for name in coagkin.__all__:
+        assert getattr(coagkin, name) is not None, name
+    assert coagkin.evaluate is weights.evaluate and coagkin.ConvexWeight is weights.ConvexWeight
+    bound = {}
+    exec("from coagkin import *", bound)
+    del bound["__builtins__"]
+    assert sorted(bound) == sorted(coagkin.__all__)
+    assert set(coagkin.__all__) <= set(dir(coagkin))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        coagkin.no_such_name
 
 
 def test_verify_identity_passes(tmp_path):

@@ -32,6 +32,7 @@ from coagkin.system import (
     SizeDistribution,
     monomer,
     occupied_size,
+    occupied_sizes,
     prefix_columns,
     row_blocks,
 )
@@ -537,8 +538,8 @@ def test_step_scratch_is_as_wide_as_the_widest_step():
 
 def test_sample_memory_follows_the_front_not_k(monkeypatch):
     # full-length rows would take 1001 * 8192 * 8 B = 62.5 MiB; the front stays below
-    # size 300, and the whole run peaked at 6.2 MiB (Python 3.11, numpy 2.4), its sample
-    # blocks being as wide as their steps' power-of-two windows until they are joined
+    # size 300, and the whole run peaked at 4.3 MiB (Python 3.11, numpy 2.4), its sample
+    # blocks kept at their widest occupied rows until they are joined
     k = 8192
     config = SolverConfig(t_end=10.0, sample_times=np.linspace(0.0, 10.0, 1001))
     tracemalloc.start()
@@ -567,6 +568,48 @@ def test_sample_memory_follows_the_front_not_k(monkeypatch):
         assert traj.state(i).values.tobytes() == full.states[i].tobytes()
     assert traj.states_matrix(2 * widest).tobytes() == full.states[:, : 2 * widest].tobytes()
     assert full.diagnostics == traj.diagnostics
+
+
+def test_sample_blocks_keep_only_their_occupied_columns(monkeypatch):
+    # a dense-output block is stored at its widest occupied row, not at its step's
+    # power-of-two window: the run's memory no longer grows with k past the front.
+    # Peaks (Python 3.11, numpy 2.4), k = 1024 / 8192: 5.31 / 6.18 MiB with blocks kept
+    # at their windows and eager length-k evaluator rows, 4.18 / 4.34 MiB now
+    config = SolverConfig(t_end=10.0, sample_times=np.linspace(0.0, 10.0, 1001))
+    runs, peaks = [], []
+    for k in (1024, 8192):
+        tracemalloc.start()
+        try:
+            runs.append(integrate(monomer(k), constant(1.0), config))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert runs[0].states.tobytes() == runs[1].states.tobytes()
+    assert abs(peaks[1] - peaks[0]) < 0.25 * 2**20
+    # the stored samples are the blocks _dense_samples formed, byte for byte, and the
+    # columns trimmed from them were +0.0
+    formed = []
+    dense = integrator._dense_samples
+
+    def keep(*args):
+        block = dense(*args)
+        formed.append((args[8], block.copy()))  # the block's sample times
+        return block
+
+    monkeypatch.setattr(integrator, "_dense_samples", keep)
+    traj = integrate(monomer(8192), constant(1.0), config)
+    assert traj.states.tobytes() == runs[1].states.tobytes()
+    trimmed = 0
+    for times, block in formed:
+        rows = np.searchsorted(traj.times, times)
+        assert traj.times[rows].tolist() == times
+        width = max(block.shape[1], traj.states.shape[1])
+        stored, full = np.zeros((len(rows), width)), np.zeros((len(rows), width))
+        stored[:, : traj.states.shape[1]] = traj.states[rows]
+        full[:, : block.shape[1]] = block
+        assert stored.tobytes() == full.tobytes()
+        trimmed += block.shape[1] > occupied_sizes(block).max()
+    assert trimmed > len(formed) // 2
 
 
 def test_rejections_are_split_by_cause():

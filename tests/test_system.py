@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -194,6 +196,39 @@ def test_rhs_on_every_support_matches_oracle_bit_for_bit(kern, k, rng):
         assert not any(np.shares_memory(out, buf) for buf in scratch)
 
 
+def test_evaluator_builds_its_rows_on_first_use():
+    # the length-k rows (sizes, powers, scratch) took 13.0 MiB at k = 131072 right
+    # after construction, whatever the front; they now grow with the widest call
+    k = 131072
+    kern = constant(1.0)
+    tracemalloc.start()
+    try:
+        ev = RhsEvaluator(kern, k)
+        built = tracemalloc.get_traced_memory()[0]
+        x = monomer(k).values
+        out = ev(x)
+        held = tracemalloc.get_traced_memory()[0] - out.nbytes - x.nbytes
+    finally:
+        tracemalloc.stop()
+    assert built < 0.1 * 2**20
+    assert held < 0.1 * 2**20  # a monomer call reads 2 columns
+    assert out.tobytes() == rhs_oracle(kern, k)(x).tobytes()
+
+
+@pytest.mark.parametrize("kern", [power_sum(0.7, 0.3), demo_table(257), ASYMMETRIC],
+                         ids=["separable", "table", "asymmetric"])
+def test_rows_grown_by_a_wide_call_serve_narrower_calls_bit_for_bit(kern, rng):
+    # fronts that widen, narrow and widen again: every width is cut from the widest rows so far
+    k = 257
+    ev, oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
+    for m in (3, 100, 2, 257, 5, 64, 1):
+        x = np.zeros(k)
+        x[:m] = rng.random(m)
+        assert ev(x).tobytes() == oracle(x).tobytes(), m
+        block = ev(np.vstack([x, x * 0.5]))
+        assert block.tobytes() == np.array([oracle(x), oracle(x * 0.5)]).tobytes(), m
+
+
 BLOCK_KERNELS = [constant(0.7), additive(1.3), power_sum(1.0, 0.5), power_sum(0.7, 0.3), demo_table(257)]
 
 
@@ -223,7 +258,6 @@ def test_rhs_into_a_row_equals_the_public_call(kern, k, rng):
 @pytest.mark.parametrize("kern", BLOCK_KERNELS, ids=[kn.name for kn in BLOCK_KERNELS])
 def test_block_rhs_matches_row_by_row_calls_bit_for_bit(kern, k, rng):
     ev = RhsEvaluator(kern, k)
-    scratch = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]
     results = []
     for m in (1, 2, 3, 513):
         # rows of every occupied size: empty, partial, a -0.0 last entry, negative
@@ -246,6 +280,7 @@ def test_block_rhs_matches_row_by_row_calls_bit_for_bit(kern, k, rng):
         block = ev(X)
         assert ev.n_evals == before + m  # states, not calls
         rows = [ev(x) for x in X]
+        scratch = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]  # grown by the calls
         assert block.shape == (m, k)
         assert block.tobytes() == np.array(rows).tobytes(), m
         assert not any(np.shares_memory(block, buf) for buf in scratch)
