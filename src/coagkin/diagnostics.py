@@ -14,7 +14,7 @@ import numpy as np
 
 from .numerics import cumulative_simpson
 from .reports import ExperimentReport
-from .system import RhsEvaluator, SizeDistribution, mass_leak_rates, occupied_size, occupied_sizes
+from .system import RhsEvaluator, SizeDistribution, mass_leak_rates, occupied_size, occupied_sizes, prefix_columns
 
 if TYPE_CHECKING:  # pragma: no cover
     from .integrator import Trajectory
@@ -101,9 +101,12 @@ def compute_record(
     sample rows on sizes 1..w (rows of ``Trajectory.states``), giving a
     list of records, one per row. ``rhs`` is an ``RhsEvaluator`` of the
     kernel at the truncation size k; this call evaluates the samples'
-    right-hand sides with it, as one block of full-length rows. A block
-    needs one, and its k sets the row length; a state without one gets a
-    fresh evaluator. A state is the one-row block of its occupied prefix.
+    right-hand sides with it, as one block of rows. A block needs one; a
+    state without one gets a fresh evaluator. A state is the one-row block
+    of its occupied prefix. A block stored on sizes 1..w is padded to
+    prefix_columns(w + 1, k) columns, which hold every row's derivative,
+    since it vanishes past size w + 1. On them each row's derivative takes
+    the same columns as on all k, so its cost follows w, not k.
 
     ``tail_mass_fraction`` is the mass share sitting above size k/2, the
     early-warning indicator that the truncation boundary is active.
@@ -113,7 +116,7 @@ def compute_record(
         return compute_record(_one_row(samples), kernel, rhs)[0]
     if rhs is None:
         raise ValueError("a block of sample rows needs the RhsEvaluator of its kernel and k")
-    X = np.zeros((len(samples), rhs.k))
+    X = np.zeros((len(samples), prefix_columns(samples.shape[1] + 1, rhs.k)))
     X[:, : samples.shape[1]] = samples
     return _records(samples, rhs.k, kernel, rhs(X))
 

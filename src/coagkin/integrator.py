@@ -43,6 +43,11 @@ def _columns(rows) -> tuple:
     return tuple(np.array(row)[:, None] for row in rows)
 
 
+def _stack(rows) -> np.ndarray:
+    """Rows of tableau weights, all over the same stages, as one (rows, stages, 1) stack of columns."""
+    return np.array(rows, dtype=float).reshape(len(rows), -1 if len(rows) else 1, 1)
+
+
 # Dormand-Prince 5(4) tableau
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
@@ -56,7 +61,6 @@ _DP_A = _columns((
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     _DP_B5[:6],
 ))
-_DP_ERR = (_DP_B5 - _DP_B4)[:, None]
 # classical RK4 in the same form, with no embedded error estimate
 _RK4_A = _columns((
     (1 / 2,),
@@ -185,29 +189,30 @@ class _Tableau:
     """An explicit Runge-Kutta tableau as ``_dp_step`` takes it.
 
     ``couplings`` are columns in ``_DP_A``'s form, stages 2.. then the
-    weights of the new state, whose f is the last stage. ``errors`` are the
-    error weight columns over all those stages: none (RK4), one (Dormand-
-    Prince 5(4)) or two, E5 and E3 (DOP853). ``order`` is the q of the PI
-    controller. ``reach`` is how many sizes past y's occupied size a step
-    and its samples can reach. ``dense`` are the couplings of the
-    dense-output stages and ``interpolant`` the rows that weigh every stage
-    into F3, F4, ... of ``_dense_samples``; a tableau without them samples
-    by F0..F2 alone, the cubic Hermite interpolant.
+    weights of the new state, whose f is the last stage. ``errors`` stacks
+    the error weight rows over all those stages: none (RK4), one
+    (Dormand-Prince 5(4)) or two, E5 and E3 (DOP853). ``order`` is the q
+    of the PI controller. ``reach`` is how many sizes past y's occupied
+    size a step and its samples can reach. ``dense`` are the couplings of
+    the dense-output stages and ``interpolant`` stacks the rows that weigh
+    every stage into F3, F4, ... of ``_dense_samples``; a tableau without
+    them samples by F0..F2 alone, the cubic Hermite interpolant. Both
+    stacks are ``_stack``s, (rows, stages, 1).
     """
 
     name: str
     couplings: tuple
-    errors: tuple
+    errors: np.ndarray
     order: int
     reach: int
-    dense: tuple = ()
-    interpolant: tuple = ()
+    dense: tuple
+    interpolant: np.ndarray
 
 
-_DOPRI5 = _Tableau("dopri5", _DP_A, (_DP_ERR,), 5, STEP_REACH)
-_RK4 = _Tableau("rk4", _RK4_A, (), 4, STEP_REACH)
-_DOP853 = _Tableau("dop853", _columns(_DOP853_A), _columns((_DOP853_E5, _DOP853_E3)), 8, 16,
-                   _columns(_DOP853_A_DENSE), _columns(_DOP853_D))
+_DOPRI5 = _Tableau("dopri5", _DP_A, _stack((_DP_B5 - _DP_B4,)), 5, STEP_REACH, (), _stack(()))
+_RK4 = _Tableau("rk4", _RK4_A, _stack(()), 4, STEP_REACH, (), _stack(()))
+_DOP853 = _Tableau("dop853", _columns(_DOP853_A), _stack((_DOP853_E5, _DOP853_E3)), 8, 16,
+                   _columns(_DOP853_A_DENSE), _stack(_DOP853_D))
 _TABLEAUX = {t.name: t for t in (_DOPRI5, _DOP853, _RK4)}
 
 MODE_ADAPTIVE = "adaptive"
@@ -338,13 +343,17 @@ class Trajectory:
 
         One ``compute_record`` call per block of ``system.row_blocks`` of
         the stored rows, each evaluating its block's right-hand side inside
-        the call. The blocks share one ``RhsEvaluator``, built by this read
-        and dropped after it: the trajectory keeps none, so a table kernel's
-        k x k rate matrices do not outlive the read.
+        the call on the prefix_columns(w + 1, k) columns it pads the block
+        to, w being the stored width: the blocks are cut for that width, so
+        the read's time and memory follow the front of the run, not k. The
+        blocks share one ``RhsEvaluator``, built by this read and dropped
+        after it: the trajectory keeps none, so a table kernel's k x k rate
+        matrices do not outlive the read.
         """
         rhs = RhsEvaluator(self.kernel, self.truncation_k)
         records = []
-        for rows in row_blocks(self.times.size, self.truncation_k):
+        width = prefix_columns(self.states.shape[1] + 1, self.truncation_k)
+        for rows in row_blocks(self.times.size, width):
             records += compute_record(self.states[rows], self.kernel, rhs)
         return records
 
@@ -404,32 +413,21 @@ class Trajectory:
         return problems
 
 
-def _clamp(vec: np.ndarray, sizes: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """vec with negatives zeroed (vec itself if none), and the size-weighted mass removed.
+def _clamp(block: np.ndarray, sizes: np.ndarray) -> list[float]:
+    """Zero the negative entries of a block of rows in place.
 
-    Only the first n entries are looked at: vec is +0.0 past them.
+    Returns the size-weighted mass each row with a negative entry gave up,
+    in row order, for the caller to charge row after row. A trial step
+    clamps its new state as a one-row block; an empty list means the block
+    is unchanged.
     """
-    head = vec[:n]
-    if head.min(initial=0.0) >= 0.0:
-        return vec, 0.0
-    neg = head < 0.0
-    out = vec.copy()
-    out[:n][neg] = 0.0
-    return out, float(np.dot(sizes[:n][neg], -head[neg]))
-
-
-def _clamp_rows(vals, sizes, stats) -> np.ndarray:
-    """vals with its negative entries zeroed in place, as ``_clamp`` zeroes each row.
-
-    The mass each row gives up, the dot ``_clamp`` takes, is charged to
-    stats.clamped_mass_sample row after row.
-    """
-    neg = vals < 0.0
-    held = sizes[: vals.shape[1]]
-    for row in np.flatnonzero(neg.any(axis=1)):
-        stats.clamped_mass_sample += float(np.dot(held[neg[row]], -vals[row, neg[row]]))
-    vals[neg] = 0.0
-    return vals
+    if block.min(initial=0.0) >= 0.0:
+        return []
+    neg = block < 0.0
+    held = sizes[: block.shape[1]]
+    masses = [float(np.dot(held[neg[r]], -block[r, neg[r]])) for r in np.flatnonzero(neg.any(axis=1))]
+    block[neg] = 0.0
+    return masses
 
 
 class _StepWork:
@@ -438,50 +436,76 @@ class _StepWork:
     ``tableau`` is a ``_Tableau``, Dormand-Prince 5(4) by default.
     ``stages`` holds the stages as rows: the step's, the last being f at
     the new state, then the dense-output stages, if any. ``terms`` holds
-    their tableau-weighted copy for one reduction, and ``vec`` two rows: a
-    step's stage inputs, then its squared scaled errors, and the error
-    scale. A step uses their first n columns, through views built once per
-    width. All three are as wide as the widest step so far: a wider step
-    replaces them by fresh ones of its own width, a power of two or k
-    (``prefix_columns``), so a run whose front stays far below k never
-    holds k columns. A step reads no column of them past its own n, so
-    what a wider step left there does not matter.
+    the tableau-weighted copies of the stage rows that ``_combine`` adds
+    up, one plane per row of the widest stack. ``vec`` holds the error
+    scale, then rows shared in turn by each stage input, the error
+    estimates and the rows F of ``_dense_samples``. A step uses their
+    first n columns, through views built once per width. All three are as
+    wide as the widest step so far: a wider step replaces them by fresh
+    ones of its own width, a power of two or k (``prefix_columns``), so a
+    run whose front stays far below k never holds k columns. A step reads
+    no column of them past its own n, so what a wider step left there does
+    not matter.
     """
 
     def __init__(self, tableau: _Tableau = _DOPRI5):
         self.tableau = tableau
         rows = len(tableau.couplings) + 1 + len(tableau.dense)
-        self.stages = self.terms = np.empty((rows, 0))
-        self.vec = np.empty((2, 0))
+        self.stages = np.empty((rows, 0))
+        self.terms = np.empty((max(1, len(tableau.errors), len(tableau.interpolant)), rows, 0))
+        self.vec = np.empty((4 + len(tableau.interpolant), 0))  # the scale row and F0, F1, F2, ...
         self._widths = {}
 
     def width(self, n: int) -> tuple:
-        """(stages, terms, combos, head, scale) on the first n columns.
+        """(stages, combos, head, scale, F) on the first n columns.
 
-        A combo is a tableau column with the stage rows it weighs and the
-        rows of terms its products go to, for every coupling and then every
-        dense-output coupling; head and scale are the rows of vec.
+        A combo is what ``_combine`` takes: tableau weights, the stage rows
+        they weigh, the scratch their products go to and the rows of vec
+        their sums go to. There is one per coupling and then per
+        dense-output coupling, in stage order, each summing into head, then
+        one for the error stack and one for the interpolant stack, which
+        sums into F3, F4, ... head, scale and F are rows of vec.
         """
         views = self._widths.get(n)
         if views is None:
             if n > self.vec.shape[1]:
-                rows = self.stages.shape[0]
-                self.stages, self.terms, self.vec = np.empty((rows, n)), np.empty((rows, n)), np.empty((2, n))
+                self.stages = np.empty((len(self.stages), n))
+                self.terms = np.empty(self.terms.shape[:2] + (n,))
+                self.vec = np.empty((len(self.vec), n))
                 self._widths.clear()
-            stages, terms = self.stages[:, :n], self.terms[:, :n]
-            combos = tuple((col, stages[: col.shape[0]], terms[: col.shape[0]])
-                           for col in self.tableau.couplings + self.tableau.dense)
-            views = self._widths[n] = (stages, terms, combos, self.vec[0, :n], self.vec[1, :n])
+            t, stages, terms, vec = self.tableau, self.stages[:, :n], self.terms[..., :n], self.vec[:, :n]
+            last, errors = len(t.couplings) + 1, len(t.errors)
+            combos = tuple((col, stages[:s], terms[0, :s], vec[1]) for s, col in enumerate(t.couplings + t.dense, start=1))
+            combos += ((t.errors, stages[:last], terms[:errors, :last], vec[1:1 + errors]),
+                       (t.interpolant, stages, terms[: len(t.interpolant)], vec[4:]))
+            views = self._widths[n] = (stages, combos, vec[1], vec[0], vec[1:])
         return views
 
 
-def _increment(combo, h, head):
-    """h * sum_j col_j * stage_j of a combo, in head."""
-    col, rows, products = combo
-    np.multiply(col, rows, out=products)
-    incr = np.add.reduce(products, axis=0, out=head)
-    incr *= h
-    return incr
+def _combine(weights: np.ndarray, rows: np.ndarray, terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_j weights[..., j] * rows[j] into out, for one tableau column or a ``_stack`` of them.
+
+    One multiply of the stage rows by the column or columns into ``terms``,
+    then one np.add.reduce over the stage axis. That reduction adds whole
+    rows one after another, first to last, so each sum rounds exactly like
+    the left-to-right sum of its terms.
+    """
+    np.multiply(weights, rows, out=terms)
+    return np.add.reduce(terms, axis=-2, out=out)
+
+
+def _stages(f, y, h, combos, stages, head, first: int) -> None:
+    """Stages first, first + 1, ... into their rows of ``stages``, one per combo.
+
+    The input of stage s is y + h * sum_j c_j * stage_j over the stages
+    before it, formed in the combos' output row ``head``; f writes the
+    stage straight into its row and checks nothing.
+    """
+    for s, combo in enumerate(combos, start=first):
+        _combine(*combo)
+        head *= h
+        head += y
+        f(head, out=stages[s])
 
 
 def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
@@ -520,11 +544,9 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     on k where k is not a power of two. So while occupied + reach < k, the
     step gives the same bits at every k.
 
-    Each combination sum_j c_j * k_j is one multiply of the stage rows by
-    a tableau column and one np.add.reduce over axis 0. That reduction
-    adds whole rows one after another, first to last, so it rounds
-    exactly like the left-to-right sum of the terms. The last coupling
-    row forms y5, which gives the last stage weight zero.
+    Every tableau-weighted sum of stage rows is one ``_combine``: one per
+    stage input (``_stages``), one for y5, whose coupling row gives the
+    last stage weight zero, and one for all the error rows at once.
 
     The step checks finiteness over the stages before the last and y5,
     before it evaluates the last stage, and over the last stage; f checks
@@ -543,17 +565,17 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     tableau = work.tableau
     support = min(k, occupied + tableau.reach)
     n = prefix_columns(support, k)
-    stages, terms, combos, head, scale = work.width(n)
+    stages, combos, head, scale, _ = work.width(n)
     last = len(tableau.couplings)  # the row of f at the new state
-    step, step_terms = stages[: last + 1], terms[: last + 1]
+    step = stages[: last + 1]
     yn = y[:n]
 
     stages[0] = f0[:n]
-    for s, combo in enumerate(combos[: last - 1], start=1):
-        np.add(yn, _increment(combo, h, head), out=head)
-        f(head, out=stages[s])
+    _stages(f, yn, h, combos[: last - 1], stages, head, 1)
     # y5 sits in the last row until the last stage takes the row, so one check covers it and the stages
-    np.add(yn, _increment(combos[last - 1], h, head), out=stages[last])
+    _combine(*combos[last - 1])
+    head *= h
+    np.add(yn, head, out=stages[last])
     if not np.isfinite(step[1:]).all():
         raise NumericError("non-finite values in trial step")
     y5 = np.zeros(k)
@@ -563,26 +585,21 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     stages[last] = f(y5, out=f_last[:n])
     if not np.isfinite(stages[last]).all():
         raise NumericError("non-finite values in trial step")
-    if not tableau.errors:
+    if not len(tableau.errors):
         return y5, 0.0, f_last
     np.abs(yn, out=scale)
     np.maximum(scale, np.abs(y5n, out=head), out=scale)
     scale *= rel_tol
     scale += abs_tol
-
-    def squares(col, times_h):
-        # the sum over the support of the squared scaled error sum_i col_i * k_i (times h)
-        np.multiply(col, step, out=step_terms)
-        err = np.add.reduce(step_terms, axis=0, out=head)
-        if times_h:
-            err *= h
-        err /= scale
-        err *= err
-        return float(np.add.reduce(err[:support]))
-
-    if len(tableau.errors) == 1:
-        return y5, math.sqrt(squares(tableau.errors[0], True) / support), f_last
-    s5, s3 = (squares(col, False) for col in tableau.errors)
+    err = _combine(*combos[-2])
+    if len(err) == 1:  # Dormand-Prince 5(4) scales the estimate by h, DOP853 the norm
+        err *= h
+    err /= scale
+    err *= err
+    squares = [float(np.add.reduce(row[:support])) for row in err]
+    if len(squares) == 1:
+        return y5, math.sqrt(squares[0] / support), f_last
+    s5, s3 = squares
     if not math.isfinite(s5 + s3):
         return y5, math.inf, f_last
     if s5 == 0.0:
@@ -597,37 +614,36 @@ def _dense_samples(f, work: _StepWork, t0, h, y0, f0, y1, f1, times, n, sizes, s
     ``work`` on its n = prefix_columns(occupied_size(y0) + reach, k)
     columns, and was accepted as y1, f1 = f(y1): y1 is its new state, or
     that state clamped. This evaluates the tableau's dense-output stages,
-    if any, into the rows after the step's and forms the nested
-    polynomial of Hairer, Norsett & Wanner (Solving ODEs I, II.6, as
-    scipy's DOP853): F0 = y1 - y0, F1 = h f0 - F0, F2 = 2 F0 - h (f1 +
-    f0), then one row h * D K over all stages for each ``interpolant``
-    row D. A row at theta = (t - t0) / (t1 - t0) is y0 + theta (F0 + (1 -
-    theta) (F1 + theta (F2 + ...))): the factor after F_i is theta for an
-    even i and 1 - theta for an odd one, the last row's included. It is
-    formed for all rows at once. With F0..F2 alone (Dormand-Prince 5(4),
-    RK4) this is the cubic Hermite interpolant on (y0, h f0, y1, h f1);
-    DOP853's F3..F6 make it that tableau's 7th-degree dense output.
-    Either way the polynomial passes through y1 at theta = 1, clamped or
-    not. The block holds the n columns, past which every sample is +0.0;
-    its rows are clamped and charged by ``_clamp_rows``. A non-finite
+    if any, into the rows after the step's (``_stages``) and forms the
+    nested polynomial of Hairer, Norsett & Wanner (Solving ODEs I, II.6,
+    as scipy's DOP853): F0 = y1 - y0, F1 = h f0 - F0, F2 = 2 F0 - h (f1 +
+    f0), then h * D K over all stages for every ``interpolant`` row D, in
+    one ``_combine``. A row at theta = (t - t0) / (t1 - t0) is y0 + theta
+    (F0 + (1 - theta) (F1 + theta (F2 + ...))): the factor after F_i is
+    theta for an even i and 1 - theta for an odd one, the last row's
+    included. It is formed for all rows at once. With F0..F2 alone
+    (Dormand-Prince 5(4), RK4) this is the cubic Hermite interpolant on
+    (y0, h f0, y1, h f1); DOP853's F3..F6 make it that tableau's
+    7th-degree dense output. Either way the polynomial passes through y1
+    at theta = 1, clamped or not. The block holds the n columns, past
+    which every sample is +0.0; its rows are clamped by ``_clamp`` and
+    charged to stats.clamped_mass_sample row after row. A non-finite
     dense-output stage raises ``NumericError``.
     """
-    stages, terms, combos, head, _ = work.width(n)
+    stages, combos, head, _, F = work.width(n)
     tableau = work.tableau
     first = len(tableau.couplings) + 1  # the row of the first dense-output stage
     y0n, f0n = y0[:n], f0[:n]
-    for s, combo in enumerate(combos[first - 1:], start=first):
-        np.add(y0n, _increment(combo, h, head), out=head)
-        if not np.isfinite(f(head, out=stages[s])).all():
+    if tableau.dense:
+        _stages(f, y0n, h, combos[first - 1:-2], stages, head, first)
+        if not np.isfinite(stages[first:]).all():
             raise NumericError("non-finite values in dense output")
-    F = np.empty((3 + len(tableau.interpolant), n))
     np.subtract(y1[:n], y0n, out=F[0])
     np.subtract(h * f0n, F[0], out=F[1])
     np.subtract(2 * F[0], h * (f1[:n] + f0n), out=F[2])
-    for row, col in zip(F[3:], tableau.interpolant):
-        np.multiply(col, stages, out=terms)
-        np.add.reduce(terms, axis=0, out=row)
-        row *= h
+    if len(tableau.interpolant):
+        _combine(*combos[-1])
+        F[3:] *= h
     t1 = t0 + h
     theta = np.array([(t - t0) / (t1 - t0) for t in times])[:, None]
     odd = 1 - theta  # the factor after an odd-indexed row
@@ -637,7 +653,9 @@ def _dense_samples(f, work: _StepWork, t0, h, y0, f0, y1, f1, times, n, sizes, s
         vals += F[i]
         vals *= odd if i % 2 else theta
     vals += y0n
-    return _clamp_rows(vals, sizes, stats)
+    for mass in _clamp(vals, sizes):
+        stats.clamped_mass_sample += mass
+    return vals
 
 
 def integrate(
@@ -775,20 +793,20 @@ def integrate(
                     stats.n_rejected_error += 1
                     h *= max(_FAC_MIN, _SAFETY * err_norm ** reject)
                     continue
-                y_new, clamped = _clamp(y5, sizes, prefix_columns(occupied + reach, k))
+                clamped = sum(_clamp(y5[None, : prefix_columns(occupied + reach, k)], sizes))
                 if clamped > budget_rate * h:
                     stats.n_rejected_positivity += 1
                     h *= 0.5
                     continue
                 stats.clamped_mass_step += clamped
-                # the last stage is f(y5); a clamped state needs a fresh evaluation
-                f_new = f_last if y_new is y5 else f(y_new)
-                emit(t, h, y, fy, y_new, f_new)
+                # the last stage is f(y5); a state that gave up mass needs a fresh evaluation
+                f_new = f(y5) if clamped else f_last
+                emit(t, h, y, fy, y5, f_new)
                 stats.n_accepted += 1
                 stats.min_step = min(stats.min_step, h)
                 stats.max_step = max(stats.max_step, h)
                 t += h
-                y = y_new
+                y = y5
                 fy = f_new
                 # PI update: react to the current error, damp with the previous
                 err_norm = max(err_norm, 1e-10)

@@ -345,7 +345,9 @@ class StateStack:
     the whole matrix at once; the first failing row raises through
     ``validate`` itself, so the error is the same as for a single state.
     The identity rates take a stack as it is, so one stack serves any
-    number of them without being stacked or checked again.
+    number of them without being stacked or checked again. ``width`` is
+    the widest occupied size of the rows, at least 1: the identity forms
+    are taken on sizes 1..width.
     """
 
     def __init__(self, values: np.ndarray, times: np.ndarray):
@@ -361,16 +363,17 @@ class StateStack:
             i = int(np.argmax(bad))
             SizeDistribution(values[i], k, float(times[i])).validate()
         self.values = values
+        self.width = max(1, int(occupied_sizes(values).max()))
 
 
-def _stacked_values(states) -> tuple[np.ndarray, bool]:
-    """Values of one state, a sequence of states or a ``StateStack``, as an (n, k) matrix.
+def _stacked_values(states) -> tuple[StateStack, bool]:
+    """One state, a sequence of states or a ``StateStack``, as a ``StateStack``.
 
     States are checked as ``StateStack`` checks its rows; a stack is taken
     as it is. The flag tells whether a single state was given.
     """
     if isinstance(states, StateStack):
-        return states.values, False
+        return states, False
     single = isinstance(states, SizeDistribution)
     batch = [states] if single else list(states)
     if not batch:
@@ -380,8 +383,7 @@ def _stacked_values(states) -> tuple[np.ndarray, bool]:
         if k < 2 or s.truncation_k != k or s.values.shape != (k,):
             s.validate()
             raise ValueError(f"states mix truncation sizes {k} and {s.truncation_k}")
-    stack = StateStack(np.array([s.values for s in batch]), [s.time for s in batch])
-    return stack.values, single
+    return StateStack(np.array([s.values for s in batch]), [s.time for s in batch]), single
 
 
 def _quadratic_forms(X: np.ndarray, A: np.ndarray, single: bool):
@@ -404,9 +406,9 @@ def weak_form_rate(psi, states, kernel: CoagulationKernel) -> float | np.ndarray
     q = k case of ``finite_identity_rate``, whose boundary block is then
     empty; psi must have length k. ``states`` is taken as there.
     """
-    X, single = _stacked_values(states)
-    k = X.shape[1]
-    return _identity_rate(_as_weights(psi, k, "psi"), X, single, kernel, k)
+    stack, single = _stacked_values(states)
+    k = stack.values.shape[1]
+    return _identity_rate(_as_weights(psi, k, "psi"), stack, single, kernel, k)
 
 
 def finite_identity_rate(
@@ -429,23 +431,29 @@ def finite_identity_rate(
     fold into one lower-triangular coefficient matrix (P3 lies below the
     diagonal because j <= q < i), so every state costs a quadratic form.
     """
-    X, single = _stacked_values(states)
-    k = X.shape[1]
+    stack, single = _stacked_values(states)
+    k = stack.values.shape[1]
     q = int(q)
     if not 1 <= q <= k:
         raise ValueError(f"q must lie in 1..truncation_k={k}, got {q}")
-    return _identity_rate(_as_weights(phi, q, "phi"), X, single, kernel, q)
+    return _identity_rate(_as_weights(phi, q, "phi"), stack, single, kernel, q)
 
 
-def _identity_rate(f: np.ndarray, X: np.ndarray, single: bool, kernel, q: int):
-    """The P1 - P2 - P3 quadratic forms of ``finite_identity_rate`` for the rows of X."""
-    k = X.shape[1]
-    jv = np.arange(1, q + 1, dtype=float)
-    coef = np.zeros((k, k))
-    coef[:q, :q] = -(jv[None, :] * f[:, None] + f[None, :])
-    coef[: q - 1, :q] += jv[None, :] * f[1:, None]
-    coef[q:, :q] = -f[None, :]
-    return _quadratic_forms(X, np.tril(kernel.rate_matrix(k) * coef), single)
+def _identity_rate(f: np.ndarray, stack: StateStack, single: bool, kernel, q: int):
+    """The P1 - P2 - P3 quadratic forms of ``finite_identity_rate`` for the rows of a stack.
+
+    Sizes past a = stack.width, the widest occupied size of the rows, are
+    +0.0 in every row and add nothing, so the forms are taken on sizes
+    1..a: their cost follows the front of the states, not k.
+    """
+    a = stack.width
+    b = min(q, a)
+    jv = np.arange(1, b + 1, dtype=float)
+    coef = np.zeros((a, a))
+    coef[:b, :b] = -(jv[None, :] * f[:b, None] + f[None, :b])
+    coef[: min(q - 1, a), :b] += jv[None, :] * f[1: min(q, a + 1), None]
+    coef[q:, :b] = -f[None, :b]
+    return _quadratic_forms(stack.values[:, :a], np.tril(kernel.rate_matrix(a) * coef), single)
 
 
 def mass_leak_rate(state: SizeDistribution, kernel: CoagulationKernel) -> float:

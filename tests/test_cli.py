@@ -807,7 +807,10 @@ def test_benchmark_tracer_installs_on_this_checkout():
 def test_traced_benchmark_run_passes_its_self_checks(tmp_path, command, overrides):
     # one traced benchmark iteration (perfbench/child.py, TRACE=1) on a small config:
     # every rhs evaluation has a known consumer, the stepping ones match step_stats,
-    # and one cli.main span holds all others; only simulate builds records
+    # and one cli.main span holds all others; only simulate builds records. The tracer
+    # counts evaluations through RhsEvaluator.__call__: a stage loop that called
+    # RhsEvaluator._into directly wrote the same bits but read rhs_step_vs_step_stats
+    # -200 (simulate), -200 (identity) and -635 (truncation) here
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
     cfg = write_config(tmp_path, **overrides)
     result = tmp_path / "result.json"

@@ -20,9 +20,9 @@ from coagkin.integrator import (
     STEP_REACH,
     SolverConfig,
     _clamp,
-    _columns,
     _dense_samples,
     _dp_step,
+    _stack,
     _StepWork,
     integrate,
 )
@@ -509,10 +509,10 @@ def test_samples_at_a_step_end_are_that_state(monkeypatch):
     ends = []
     clamp = integrator._clamp
 
-    def spy(vec, sizes, n):
-        out, mass = clamp(vec, sizes, n)
-        ends.append(out.copy())
-        return out, mass
+    def spy(block, sizes):
+        masses = clamp(block, sizes)
+        ends.append(block[0].copy())
+        return masses
 
     monkeypatch.setattr(integrator, "_clamp", spy)
     traj = integrate(monomer(8), additive(1.0), SolverConfig(
@@ -527,11 +527,11 @@ def test_step_scratch_is_as_wide_as_the_widest_step():
     f, work = RhsEvaluator(constant(1.0), k), _StepWork()
     y = monomer(k).values
     _dp_step(f, y, f(y), 0.01, 1e-8, 1e-10, work, 1)
-    assert work.stages.shape == work.terms.shape == (7, 8)  # prefix_columns(1 + 7, k)
+    assert work.stages.shape == work.terms.shape[1:] == (7, 8)  # prefix_columns(1 + 7, k)
     wide = y.copy()
     wide[20] = 0.5
     _dp_step(f, wide, f(wide), 0.01, 1e-8, 1e-10, work, 21)
-    assert work.stages.shape == work.terms.shape == (7, 32)
+    assert work.stages.shape == work.terms.shape[1:] == (7, 32)
     _dp_step(f, y, f(y), 0.01, 1e-8, 1e-10, work, 1)  # a narrower step keeps the wider scratch
     assert work.stages.shape == (7, 32)
 
@@ -610,6 +610,27 @@ def test_sample_blocks_keep_only_their_occupied_columns(monkeypatch):
         assert stored.tobytes() == full.tobytes()
         trimmed += block.shape[1] > occupied_sizes(block).max()
     assert trimmed > len(formed) // 2
+
+
+def test_records_follow_the_stored_width_not_k():
+    # the records pad each block to prefix_columns(w + 1, k) columns, w the stored width,
+    # and cut the blocks for that width: at k = 131,072 (front 288) they took 97-116 ms
+    # and peaked at 2.10 MiB padded to k, against 2.8-3.0 ms and 0.25 MiB now, as at
+    # k = 1,024 (Python 3.11, numpy 2.4)
+    records, peaks = [], []
+    for k in (1024, 131_072):
+        values = np.zeros(k)
+        values[:8] = 0.5 ** np.arange(1.0, 9.0)
+        traj = integrate(SizeDistribution(values, k), constant(1.0), SolverConfig(t_end=10.0))
+        assert traj.states.shape[1] + 1 < 1024
+        tracemalloc.start()
+        try:
+            records.append(traj.diagnostics)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert records[0] == records[1]
+    assert abs(peaks[1] - peaks[0]) < 0.1 * 2**20
 
 
 def test_rejections_are_split_by_cause():
@@ -713,8 +734,8 @@ def test_dop853_step_and_samples_match_oracle_bit_for_bit(kern, rng):
                 norms.append(err)
                 # the samples of the step accepted as it is, and as clamped: the polynomial
                 # ends at the clamped state, to rounding
-                y1, _ = _clamp(y8, sizes, n)
-                f1 = f_last if y1 is y8 else f(y1)
+                y1 = y8
+                f1 = f(y1) if _clamp(y1[None, :n], sizes) else f_last
                 t0 = 0.3
                 times = [t0 + h * th for th in (0.1, 0.5, 0.9)]
                 stats, stats_o = (StepStats(), StepStats())
@@ -737,7 +758,7 @@ def test_dense_samples_end_in_the_factor_of_the_last_rows_parity(rng):
     f, f_oracle = RhsEvaluator(power_sum(0.7, 0.3), k), rhs_oracle(power_sum(0.7, 0.3), k)
     sizes = np.arange(1.0, k + 1.0)
     row = tuple(rng.uniform(-1.0, 1.0, 7))
-    work = _StepWork(replace(_DOPRI5, interpolant=_columns((row,))))
+    work = _StepWork(replace(_DOPRI5, interpolant=_stack((row,))))
     y = rng.random(k) * (np.arange(k) < 20)
     y5, _, f_last = _dp_step(f, y, f(y), h, 1e-8, 1e-10, work, occupied_size(y))
     _, _, stages_o = dp_step_oracle(f_oracle, y, f_oracle(y), h, 1e-8, 1e-10)
@@ -762,7 +783,7 @@ def test_dop853_samples_are_as_accurate_as_the_steps(kern, monkeypatch):
     native = integrate(monomer(64), kern, config)
     assert native.step_stats.tableau == "dop853"
     assert np.max(np.abs(native.states_matrix() - ref)) <= 10 * config.rel_tol
-    monkeypatch.setattr(integrator, "_DOP853", replace(_DOP853, dense=(), interpolant=()))
+    monkeypatch.setattr(integrator, "_DOP853", replace(_DOP853, dense=(), interpolant=_stack(())))
     hermite = integrate(monomer(64), kern, config)
     assert hermite.step_stats.tableau == "dop853"
     assert hermite.step_stats.n_accepted == native.step_stats.n_accepted

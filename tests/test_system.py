@@ -19,6 +19,7 @@ from coagkin.kernels import (
 from coagkin.system import (
     RhsEvaluator,
     SizeDistribution,
+    StateStack,
     finite_identity_rate,
     geometric,
     mass_leak_rate,
@@ -472,6 +473,38 @@ def test_batched_identity_rates_match_per_state_oracle(kern, rng):
             full = finite_identity_rate(weights, s, kern, k)
             assert type(full) is float
             assert np.float64(full).tobytes() == np.float64(weak_form_rate(weights, s, kern)).tobytes()
+
+
+@pytest.mark.parametrize("kern", ORACLE_KERNELS, ids=lambda kern: kern.name)
+def test_identity_rates_cost_the_occupied_width_not_k(kern, rng, monkeypatch):
+    # sizes past the widest occupied one add nothing: padding the states with 64 zero
+    # sizes changes no rate, bit for bit, and no rate matrix is built wider than the
+    # occupied width (at k = 1,024 with a front at 224, identity_audit fell from 6.6
+    # to 0.45-0.48 s)
+    widths = []
+    rate_matrix = CoagulationKernel.rate_matrix
+
+    def spy(self, k):
+        widths.append(k)
+        return rate_matrix(self, k)
+
+    monkeypatch.setattr(CoagulationKernel, "rate_matrix", spy)
+    k, pad = 40, 64
+    X = rng.random((6, k)) * (np.arange(k) < 23)  # occupied widths 23, and 17 in one row
+    X[2, 17:] = 0.0
+    padded = np.hstack([X, np.zeros((len(X), pad))])
+    narrow, wide = StateStack(X, np.arange(6.0)), StateStack(padded, np.arange(6.0))
+    psi = rng.uniform(-1.0, 1.0, k)
+    for q in (1, 2, 16, 22, 23, 24, 30, k):
+        got = finite_identity_rate(psi[:q], narrow, kern, q)
+        assert got.tobytes() == finite_identity_rate(psi[:q], wide, kern, q).tobytes(), q
+        one = finite_identity_rate(psi[:q], state(X[2]), kern, q)
+        assert np.float64(one).tobytes() == np.float64(finite_identity_rate(
+            psi[:q], state(padded[2]), kern, q)).tobytes(), q
+    assert weak_form_rate(psi, narrow, kern).tobytes() == \
+        finite_identity_rate(psi, wide, kern, k).tobytes()
+    assert widths and max(widths) == 23
+    assert finite_identity_rate(psi[:5], state(np.zeros(k)), kern, 5) == 0.0
 
 
 def test_single_state_identity_rate_is_a_python_float(rng):
