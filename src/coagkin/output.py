@@ -4,6 +4,11 @@ CSV files carry full double precision (17 significant digits) so reruns
 can be compared byte for byte. SVG plots are generated directly as
 polylines; they are conveniences for eyeballing runs, the CSVs are the
 data of record.
+
+The CSV text comes from ``csvtext.format_block``, which writes every
+value as ``fmt`` would, a block at a time. The CSV writers import it on
+first use: without bytecode files each run compiles the modules it
+imports, and start-up compiles only what every command needs.
 """
 from __future__ import annotations
 
@@ -13,52 +18,65 @@ from collections.abc import Iterator
 import numpy as np
 
 from .reports import write_json_atomic
-from .system import occupied_sizes
+from .system import row_blocks
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def trajectory_rows(traj) -> Iterator[tuple[str, int]]:
-    """Each sample's CSV row up to its ``occupied_size`` n, with n, one after another.
+def trajectory_rows(traj) -> Iterator[bytes]:
+    """The samples' CSV text over the stored width w, one block of rows after another.
 
-    A row is one ``%.17g`` format of the time and of the stored row's
-    sizes 1..n (a -0.0 keeps its sign). It does not depend on
-    truncation_k, so a run that serves several k is formatted once.
+    A row is ``format_block`` of the time and the stored row's sizes 1..w;
+    a block holds at most ``system.BLOCK_CELLS`` values. The text does not
+    depend on truncation_k, so a run that serves several k is formatted once.
     """
-    for t, values, n in zip(traj.times.tolist(), traj.states, occupied_sizes(traj.states).tolist()):
-        yield ("%.17g" + ",%.17g" * n) % (t, *values[:n].tolist()), n
+    from .csvtext import format_block
+
+    times, states = traj.times, traj.states
+    for rows in row_blocks(times.size, states.shape[1] + 1):
+        yield format_block(np.column_stack((times[rows], states[rows])))
 
 
 def write_trajectory_csv(path: str, traj, rows=None) -> str:
     """One row per sample, over all k sizes; the same text as joining ``fmt`` of every value.
 
-    Each row is its ``trajectory_rows`` text, then a literal run of ``,0``
-    out to size k. ``rows`` is those of a run with the same times and
-    states, formatted once by a caller that writes it at several k;
-    without it, rows go to the file as they are formatted.
+    Each row is its ``trajectory_rows`` text, then one literal run of
+    ``,0`` from the stored width out to size k, the same for every row.
+    ``rows`` is those blocks of a run with the same times and states,
+    formatted once by a caller that writes it at several k; without it,
+    each block goes to the file as it is formatted.
     """
     k = traj.truncation_k
-    with _create(path) as fh:
-        fh.write("t," + ",".join(f"xi_{i}" for i in range(1, k + 1)) + "\n")
-        for row, n in trajectory_rows(traj) if rows is None else rows:
-            fh.write(row + ",0" * (k - n) + "\n")
+    end = b",0" * (k - traj.states.shape[1]) + b"\n"
+    with _create(path, "wb") as fh:
+        fh.write(("t,xi_" + ",xi_".join(map(str, range(1, k + 1))) + "\n").encode())
+        for block in trajectory_rows(traj) if rows is None else rows:
+            if end == b"\n":
+                fh.write(block)
+                continue
+            for row in block.split(b"\n")[:-1]:
+                fh.write(row)
+                fh.write(end)
     return path
 
 
 def write_diagnostics_csv(path: str, traj) -> str:
     """One row per sample; the same text as joining ``fmt`` of every value.
 
-    Each row is one ``%.17g`` format of its seven values, written as soon
-    as it is formatted.
+    The rows go through ``format_block`` a block of at most
+    ``system.BLOCK_CELLS`` values at a time, each written as it is formatted.
     """
-    with _create(path) as fh:
-        fh.write("t,M0,M1,M2,tail_fraction,rhs_sup,mass_leak_rate\n")
-        for t, d in zip(traj.times.tolist(), traj.diagnostics):
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-                t, d.moment_0, d.moment_1, d.moment_2, d.tail_mass_fraction, d.rhs_sup,
-                d.mass_leak_rate))
+    from .csvtext import format_block
+
+    values = np.array([(t, d.moment_0, d.moment_1, d.moment_2, d.tail_mass_fraction, d.rhs_sup,
+                        d.mass_leak_rate) for t, d in zip(traj.times.tolist(), traj.diagnostics)],
+                      dtype=float).reshape(-1, 7)
+    with _create(path, "wb") as fh:
+        fh.write(b"t,M0,M1,M2,tail_fraction,rhs_sup,mass_leak_rate\n")
+        for rows in row_blocks(len(values), 7):
+            fh.write(format_block(values[rows]))
     return path
 
 
@@ -66,10 +84,10 @@ def write_summary_json(path: str, payload: dict) -> str:
     return write_json_atomic(path, payload)
 
 
-def _create(path: str):
-    """path opened for writing text, its directory created first."""
+def _create(path: str, mode: str = "w"):
+    """path opened for writing (text unless mode says otherwise), its directory created first."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    return open(path, "w")
+    return open(path, mode)
 
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

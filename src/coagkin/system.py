@@ -388,8 +388,12 @@ def _stacked_values(states) -> tuple[StateStack, bool]:
 
 def _quadratic_forms(X: np.ndarray, A: np.ndarray, single: bool):
     """x^T A x for every row x of X: a float for a single state, else an array."""
-    # einsum, not X @ A: at 1001 x 32 the multithreaded BLAS matmul took
-    # 4.5 ms per call against 0.8 ms for this single-threaded loop (2-vCPU VM)
+    # einsum, not X @ A. At 1001 x 32 the matmul itself is fast (0.04 ms,
+    # against 0.4 ms here), but it wakes OpenBLAS's worker thread, which then
+    # spins: a 33 ms window holding one such product used 58-64 ms of CPU,
+    # against 33 ms with OPENBLAS_NUM_THREADS=1 or with this einsum (2-vCPU
+    # VM), so a matmul here would about double a run's cpu_s. The CSV
+    # formatter in csvtext.py keeps to elementwise numpy for the same reason.
     rates = np.einsum("nj,nj->n", np.einsum("ni,ij->nj", X, A), X)
     return float(rates[0]) if single else rates
 

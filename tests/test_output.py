@@ -1,7 +1,13 @@
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
+from coagkin import csvtext, system
+from coagkin.csvtext import format_block
+from coagkin.diagnostics import DiagnosticsRecord
 from coagkin.integrator import SolverConfig, StepStats, Trajectory, integrate
 from coagkin.kernels import constant
 from coagkin.output import fmt, write_diagnostics_csv, write_line_svg, write_trajectory_csv
@@ -67,7 +73,8 @@ def _assert_matches_oracle(tmp_path, traj):
     k = traj.truncation_k
     header = "t," + ",".join(f"xi_{i}" for i in range(1, k + 1))
     expected = "\n".join([header] + _oracle_rows(traj)) + "\n"
-    assert open(path, "rb").read() == expected.encode()
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.encode()
 
 
 def test_trajectory_csv_matches_per_value_oracle(tmp_path):
@@ -90,4 +97,79 @@ def test_trajectory_csv_matches_per_value_oracle(tmp_path):
 def test_trajectory_csv_matches_oracle_on_large_k_run(tmp_path):
     traj = integrate(monomer(512), constant(1.0), SolverConfig(t_end=2.0))
     assert (traj.final().values == 0.0).mean() > 0.5  # the case the shortcut serves
+    _assert_matches_oracle(tmp_path, traj)
+
+
+def _per_value(block):
+    """The reference text of a 2-D block: fmt of every value, joined by "," per row."""
+    return "".join(",".join(fmt(v) for v in row) + "\n" for row in block.tolist()).encode()
+
+
+def _assert_formats_like_fmt(values, cols=1):
+    block = np.asarray(values, dtype=float).reshape(-1, cols)
+    assert format_block(block) == _per_value(block)
+
+
+@given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1, max_size=64))
+def test_format_block_matches_fmt_on_any_bit_pattern(bits):
+    # every double: NaNs of any payload, +-inf, +-0 and subnormals among them
+    _assert_formats_like_fmt(np.array(bits, dtype=np.int64).view(np.float64))
+
+
+def test_format_block_matches_fmt_on_random_bit_patterns():
+    bits = np.random.default_rng(7).integers(-(2**63), 2**63 - 1, size=200_000, dtype=np.int64, endpoint=True)
+    values = bits.view(np.float64).reshape(-1, 40)
+    for rows in system.row_blocks(len(values), 40):
+        assert format_block(values[rows]) == _per_value(values[rows])
+
+
+def _record_fmt(monkeypatch) -> list:
+    """The values format_block sends through fmt from now on."""
+    taken = []
+
+    def recording(x):
+        taken.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(csvtext, "fmt", recording)
+    return taken
+
+
+def test_format_block_matches_fmt_at_its_boundaries(monkeypatch):
+    taken = _record_fmt(monkeypatch)
+    powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    edges = np.array([1e16, 1e17, 1e-5, 1e-4, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    values = np.concatenate([powers, edges])
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    values = np.concatenate([values, -values, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    _assert_formats_like_fmt(values)
+    _assert_formats_like_fmt(values[: values.size // 7 * 7], cols=7)
+    # where log10 rounds across a power of ten, the digits come from a second
+    # scaling, not from fmt; fmt serves the non-finite values and a few near-ties
+    assert len(taken) < 20
+
+
+def test_exact_ties_take_fmt(monkeypatch):
+    taken = _record_fmt(monkeypatch)
+    text = format_block(np.array([[2.0**-25, 0.1, 3 * 2.0**-25]]))
+    assert text == b"2.9802322387695312e-08,0.10000000000000001,8.9406967163085938e-08\n"
+    assert taken == [2.0**-25, 3 * 2.0**-25]
+
+
+def test_diagnostics_csv_writes_non_finite_values_as_fmt_does(tmp_path):
+    records = [DiagnosticsRecord(1.0, np.nan, -np.inf, 0.0, -0.0, 1e-300),
+               DiagnosticsRecord(np.inf, 2.5, 1e20, 3e-5, 0.25, 0.0)]
+    traj = SimpleNamespace(times=np.array([0.0, 1.5]), diagnostics=records)
+    write_diagnostics_csv(str(tmp_path / "d.csv"), traj)
+    lines = (tmp_path / "d.csv").read_text().splitlines()
+    assert lines[1:] == ["0,1,nan,-inf,0,-0,1e-300",
+                         "1.5,inf,2.5,1e+20,3.0000000000000001e-05,0.25,0"]
+
+
+def test_trajectory_csv_matches_oracle_across_small_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(system, "BLOCK_CELLS", 2 * 200)  # blocks of one or two rows
+    traj = integrate(monomer(256), constant(1.0),
+                     SolverConfig(t_end=1.0, sample_times=np.linspace(0, 1, 7)))
+    assert 100 < traj.states.shape[1] < 256  # rows end in the zero tail
     _assert_matches_oracle(tmp_path, traj)
