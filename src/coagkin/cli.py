@@ -1,11 +1,20 @@
 """Command-line front end: config parsing, run orchestration, file emission.
 
+    coagkin simulate CONFIG | verify CONFIG | kernels list | schema print
+
 Exit codes: 0 success/pass, 1 usage or config error, 2 verification
-failure (a report or invariant did not pass), 3 numeric failure.
+failure (a report or invariant did not pass), 3 numeric failure. A
+command line of any other shape prints the usage line to stderr and
+exits 1; ``-h`` or ``--help`` alone prints the usage to stdout and exits
+0. ``main`` returns the code and never raises ``SystemExit``.
+
+The commands are matched against a table (``_COMMANDS``), not argparse:
+argparse formats its help through gettext, which imports locale, and
+the three cost about 5 ms in each process (README, design notes) to
+tell four fixed shapes apart.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -175,7 +184,8 @@ class RunConfig:
         """The initial-data file's concentrations, parsed once however many k a study builds."""
         path = self.initial["path"]
         try:
-            return np.loadtxt(path, dtype=float).reshape(-1)
+            with open(path) as fh:  # a path would go through numpy's datasource layer
+                return np.loadtxt(fh, dtype=float).reshape(-1)
         except (OSError, ValueError) as exc:
             raise ConfigError("initial.path", f"cannot read {path!r}: {exc}") from exc
 
@@ -406,34 +416,42 @@ def schema_print() -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="coagkin",
-        description="Truncated splash-coagulation solver and verification harness",
-    )
-    sub = parser.add_subparsers(dest="command")
-    p_sim = sub.add_parser("simulate", help="integrate one configuration")
-    p_sim.add_argument("config")
-    p_ver = sub.add_parser("verify", help="run a named verification experiment")
-    p_ver.add_argument("config")
-    p_ker = sub.add_parser("kernels", help="kernel catalog operations")
-    p_ker.add_argument("action", choices=["list"])
-    p_sch = sub.add_parser("schema", help="config schema operations")
-    p_sch.add_argument("action", choices=["print"])
+# command shape -> (handler, help); CONFIG stands for any path, which the handler takes
+_COMMANDS = {
+    ("simulate", "CONFIG"): (simulate, "integrate one configuration"),
+    ("verify", "CONFIG"): (verify, "run a named verification experiment"),
+    ("kernels", "list"): (kernels_list, "list the kernel catalog"),
+    ("schema", "print"): (schema_print, "print the config schema"),
+}
+USAGE = "usage: coagkin {" + " | ".join(" ".join(shape) for shape in _COMMANDS) + "}"
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Run the command argv (default sys.argv[1:]) names and return its exit code.
+
+    A command line that matches no shape in ``_COMMANDS`` prints ``USAGE``
+    to stderr and returns 1; ``-h`` or ``--help`` alone prints the usage
+    and each command's help to stdout and returns 0. No word may start
+    with "-" otherwise.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args in (["-h"], ["--help"]):
+        print(USAGE + "\n\nTruncated splash-coagulation solver and verification harness\n")
+        for shape, (_, text) in _COMMANDS.items():
+            print(f"  {' '.join(shape):18s}{text}")
+        return 0
+    if len(args) != 2 or any(word.startswith("-") for word in args):
+        print(USAGE, file=sys.stderr)
+        return 1
+    command, word = args
     try:
-        if args.command == "simulate":
-            return simulate(args.config)
-        if args.command == "verify":
-            return verify(args.config)
-        if args.command == "kernels":
-            return kernels_list()
-        if args.command == "schema":
-            return schema_print()
+        if (command, "CONFIG") in _COMMANDS:
+            return _COMMANDS[command, "CONFIG"][0](word)
+        if (command, word) in _COMMANDS:
+            return _COMMANDS[command, word][0]()
     except CoagkinError as exc:
         return _fail(str(exc))
-    parser.print_help()
+    print(USAGE, file=sys.stderr)
     return 1
 
 

@@ -43,22 +43,18 @@ def write_trajectory_csv(path: str, traj, rows=None) -> str:
     """One row per sample, over all k sizes; the same text as joining ``fmt`` of every value.
 
     Each row is its ``trajectory_rows`` text, then one literal run of
-    ``,0`` from the stored width out to size k, the same for every row.
-    ``rows`` is those blocks of a run with the same times and states,
-    formatted once by a caller that writes it at several k; without it,
-    each block goes to the file as it is formatted.
+    ``,0`` from the stored width out to size k, the same for every row. A
+    block goes to the file in one write, each newline replaced by that run
+    and a newline. ``rows`` is those blocks of a run with the same times
+    and states, formatted once by a caller that writes it at several k;
+    without it, each block goes to the file as it is formatted.
     """
     k = traj.truncation_k
     end = b",0" * (k - traj.states.shape[1]) + b"\n"
     with _create(path, "wb") as fh:
         fh.write(("t,xi_" + ",xi_".join(map(str, range(1, k + 1))) + "\n").encode())
         for block in trajectory_rows(traj) if rows is None else rows:
-            if end == b"\n":
-                fh.write(block)
-                continue
-            for row in block.split(b"\n")[:-1]:
-                fh.write(row)
-                fh.write(end)
+            fh.write(block.replace(b"\n", end))
     return path
 
 

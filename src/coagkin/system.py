@@ -129,9 +129,12 @@ class RhsEvaluator:
     sums of four weighted vectors. They sit as the real and imaginary
     parts of two complex scratch rows, so one accumulate along the rows
     sums them all: a complex sum adds the real parts and the imaginary
-    parts apart, each rounded as its float sum. Everything else goes
-    through cached lower/upper triangular rate matrices and two
-    matrix-vector products (O(k^2), fixed summation order).
+    parts apart, each rounded as its float sum. With d == 0 (the constant
+    kernel) the two rows are equal, their weights being 1 and i**0 = 1,
+    so one row is summed and doubled: 1.0 * P + P is P + P exactly.
+    Everything else goes through cached lower/upper triangular rate
+    matrices and two matrix-vector products (O(k^2), fixed summation
+    order).
 
     A call reads only the occupied prefix, and it checks only that prefix
     for non-finite entries: NaN and +-inf have nonzero bit patterns, so
@@ -209,9 +212,10 @@ class RhsEvaluator:
         self._sizes = np.arange(1, n + 1, dtype=float)
         self._loss = np.empty(n)
         if self._a is not None:
+            rows = 1 if self._d == 0 else 2
             self._ipow = self._sizes**self._d
-            self._fwd_weights = np.vstack([self._sizes, self._sizes ** (1.0 + self._d)])
-            self._sums = np.empty((2, n), dtype=complex)
+            self._fwd_weights = np.vstack([self._sizes, self._sizes ** (1.0 + self._d)][:rows])
+            self._sums = np.empty((rows, n), dtype=complex)
         self._widths.clear()  # the narrower views are cut from the old rows
 
     def _width(self, n: int) -> tuple:
@@ -222,15 +226,19 @@ class RhsEvaluator:
             # complex row 0 sums x reversed (real) and i * x (imaginary), row 1
             # i**d * x reversed and i**(1+d) * x; after the accumulate row 0's
             # float pairs are weighed by i**d reversed and i**d, row 1's added,
-            # and row 0 holds T reversed (real) and S (imaginary)
+            # and row 0 holds T reversed (real) and S (imaginary); with d == 0
+            # row 0 alone is kept, and its pairs are doubled instead
             ipow = self._ipow[:n]
-            pair_weights = np.empty(2 * n)
-            pair_weights[0::2], pair_weights[1::2] = ipow[::-1], ipow
             Z = self._sums[:, :n]
             parts = Z.view(float)
             pair = parts[0]
-            views = (np.vstack([np.ones(n), ipow[::-1]]), self._fwd_weights[:, :n], pair_weights,
-                     Z, parts[:, 0::2], parts[:, 1::2], pair, parts[1], pair[1::2],
+            pair_weights = rest = None
+            if len(Z) == 2:
+                pair_weights = np.empty(2 * n)
+                pair_weights[0::2], pair_weights[1::2] = ipow[::-1], ipow
+                rest = parts[1]
+            views = (np.vstack([np.ones(n), ipow[::-1]][:len(Z)]), self._fwd_weights[:, :n],
+                     pair_weights, Z, parts[:, 0::2], parts[:, 1::2], pair, rest, pair[1::2],
                      pair[0::2][::-1], self._loss[:n])
         else:
             views = (self._sizes[:n], self._gamma_low[:n, :n], self._gamma_up[:n, :n],
@@ -270,8 +278,11 @@ class RhsEvaluator:
             np.multiply(rev_weights, xn[::-1], out=rev_parts)
             np.multiply(fwd_weights, xn, out=fwd_parts)
             np.add.accumulate(Z, axis=1, out=Z)
-            pair *= pair_weights
-            pair += rest
+            if pair_weights is None:
+                pair += pair
+            else:
+                pair *= pair_weights
+                pair += rest
             if self._a != 1.0:  # x * 1.0 is x, bit for bit
                 pair *= self._a
         else:
@@ -297,16 +308,20 @@ class RhsEvaluator:
         self.n_evals += m
         views = self._widths.get(n) or self._width(n)
         if self._a is not None:
-            # weights shaped (2, 1, n): (2, n) would broadcast along the rows of a 2-row block
+            # weights shaped (r, 1, n) for r complex rows: (2, n) would broadcast along
+            # the rows of a 2-row block
             rev_weights, fwd_weights, pair_weights = views[:3]
-            Z = np.empty((2, m, n), dtype=complex)
+            Z = np.empty((len(rev_weights), m, n), dtype=complex)
             parts = Z.view(float)
             np.multiply(rev_weights[:, None], Xn[:, ::-1], out=parts[..., 0::2])
             np.multiply(fwd_weights[:, None], Xn, out=parts[..., 1::2])
             np.add.accumulate(Z, axis=2, out=Z)
             pair = parts[0]
-            pair *= pair_weights
-            pair += parts[1]
+            if pair_weights is None:
+                pair += pair
+            else:
+                pair *= pair_weights
+                pair += parts[1]
             if self._a != 1.0:
                 pair *= self._a
             S, T = pair[:, 1::2], pair[:, 0::2][:, ::-1]

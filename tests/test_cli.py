@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import gzip
 import io
 import json
 import math
@@ -117,11 +118,22 @@ def test_verify_truncation_parses_the_initial_file_once(tmp_path, monkeypatch, c
     assert len(parses) == 1
 
 
+def test_compressed_initial_file_is_read_as_text(tmp_path, capsys):
+    # the file is opened with open(), so no suffix selects a decompressor
+    data = tmp_path / "init.txt.gz"
+    data.write_bytes(gzip.compress(b"0.5\n0.25\n"))
+    cfg = write_config(tmp_path, initial={"type": "file", "path": str(data)})
+    assert main(["simulate", cfg]) == 1
+    assert "config field 'initial.path': cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 _IMPORT_PROBE = """
 import json, sys
 import coagkin, coagkin.cli
 def loaded():
-    return [m for m in ("coagkin.experiments", "coagkin.weights") if m in sys.modules]
+    return [m for m in ("coagkin.experiments", "coagkin.weights", "argparse", "gettext", "locale",
+                        "gzip") if m in sys.modules]
 seen = {"import": loaded(), "dir": dir(coagkin)}
 for command, config in zip(("simulate", "verify"), sys.argv[1:]):
     assert coagkin.cli.main([command, config]) == 0
@@ -132,9 +144,15 @@ print(json.dumps(seen))
 
 def test_simulate_loads_neither_experiments_nor_weights(tmp_path):
     # without cached bytecode every imported module is compiled on each run, so
-    # simulate imports only what it runs; a verify config loads the experiments
-    sim = write_config(tmp_path, name="sim.json", output_dir=str(tmp_path / "sim"))
-    ver = write_config(tmp_path, name="ver.json", output_dir=str(tmp_path / "ver"),
+    # simulate imports only what it runs; a verify config loads the experiments.
+    # No command loads argparse (with gettext and locale) or numpy's gzip reader,
+    # which np.loadtxt imports when it is given a path: the initial data come
+    # from a file
+    data = tmp_path / "initial.txt"
+    data.write_text("1.0\n0.25\n")
+    initial = {"type": "file", "path": str(data)}
+    sim = write_config(tmp_path, name="sim.json", output_dir=str(tmp_path / "sim"), initial=initial)
+    ver = write_config(tmp_path, name="ver.json", output_dir=str(tmp_path / "ver"), initial=initial,
                        experiment={"name": "identity", "q_list": [4, 8, 15]})
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(root, "src"))
@@ -144,7 +162,7 @@ def test_simulate_loads_neither_experiments_nor_weights(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["simulate"] == []
-    assert "coagkin.experiments" in seen["verify"]
+    assert seen["verify"] == ["coagkin.experiments"]
     assert set(coagkin.__all__) <= set(seen["dir"])  # the weights names before they load
 
 
@@ -534,6 +552,39 @@ def test_kernels_list_and_schema_print(capsys):
     schema = json.loads(capsys.readouterr().out)
     assert schema["title"].startswith("coagkin")
     assert set(schema["required"]) == {"kernel", "initial", "truncation_k", "solver"}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["simulate"], ["simulate", "a.json", "b.json"], ["bogus", "a.json"], ["kernels", "foo"],
+    ["schema"], ["kernels", "list", "extra"], ["simulate", "--config"], ["-x"], ["-h", "simulate"],
+], ids=["none", "no-config", "extra-argument", "unknown-command", "unknown-action", "no-action",
+        "extra-word", "option", "unknown-option", "help-with-words"])
+def test_malformed_command_line_prints_usage_and_exits_1(argv, capsys):
+    # 2 is the code of a failed verification, so a usage error must not use it
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == cli.USAGE + "\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_alone_prints_usage_to_stdout(flag, capsys):
+    assert main([flag]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith(cli.USAGE + "\n")
+    for command in ("simulate CONFIG", "verify CONFIG", "kernels list", "schema print"):
+        assert command in out
+
+
+def test_usage_error_exit_code_from_the_module(tmp_path):
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-m", "coagkin.cli", "simulate"], env=env,
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == cli.USAGE + "\n"
 
 
 def test_outputs_stay_under_output_dir(tmp_path, monkeypatch):

@@ -117,7 +117,8 @@ def test_initial_factories():
 
 
 # factors that are not powers of two, so a moved multiplication changes the rounding
-SEPARABLE = [constant(0.7), additive(1.3), power_sum(1.0, 0.5), power_sum(0.7, 0.3)]
+SEPARABLE = [constant(0.7), constant(1.0), constant(2.5), additive(1.3), power_sum(1.0, 0.5),
+             power_sum(0.7, 0.3)]
 
 
 def test_separable_and_general_paths_agree(rng):
@@ -230,7 +231,8 @@ def test_rows_grown_by_a_wide_call_serve_narrower_calls_bit_for_bit(kern, rng):
         assert block.tobytes() == np.array([oracle(x), oracle(x * 0.5)]).tobytes(), m
 
 
-BLOCK_KERNELS = [constant(0.7), additive(1.3), power_sum(1.0, 0.5), power_sum(0.7, 0.3), demo_table(257)]
+BLOCK_KERNELS = [constant(0.7), constant(1.0), constant(2.5), additive(1.3), power_sum(1.0, 0.5),
+                 power_sum(0.7, 0.3), demo_table(257)]
 
 
 @pytest.mark.parametrize("k", [2, 3, 48, 257])
@@ -296,6 +298,29 @@ def test_block_rhs_matches_row_by_row_calls_bit_for_bit(kern, k, rng):
         with pytest.raises(NumericError):
             ev(X)
         assert ev.n_evals == before
+
+
+@pytest.mark.parametrize("k", [2, 3, 64, 257])
+@pytest.mark.parametrize("kern", [constant(1.0), constant(2.5)], ids=lambda kern: kern.name)
+def test_constant_kernel_single_row_matches_oracle_bit_for_bit(kern, k, rng):
+    # d == 0 sums one complex row and doubles it; the oracle sums both terms apart.
+    # Past a row's own columns the oracle may give -0.0 for negative entries, the
+    # evaluator +0.0 (see RhsEvaluator), so those columns are compared as zeros.
+    X = rng.random((6, k)) * 10.0 ** rng.uniform(-12, 0, (6, k)) - 0.3
+    X[1, k // 2:] = 0.0
+    X[1, k // 2 - 1] = -0.0
+    X[2, 1:] = 0.0
+    X[3, 0] = -0.0
+    X[4, -1] = -0.0
+    X[5] = -X[5]
+    ev, oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
+    block = ev(X)
+    for x, row in zip(X, block):
+        n = prefix_columns(occupied_size(x) + 1, k)
+        expected = oracle(x)
+        for got in (ev(x), row):
+            assert got[:n].tobytes() == expected[:n].tobytes()
+            assert not got[n:].view(np.int64).any() and not expected[n:].any()
 
 
 @pytest.mark.parametrize("k", [3, 64, 4096])
