@@ -342,7 +342,7 @@ def simulate(config_path: str) -> int:
         config_echo=cfg.resolved_dict(),
         kernel=kern.name,
         step_stats=traj.step_stats.to_dict(),
-        mass_defect=mass_defect(traj),
+        mass_defect=mass_defect(traj),  # from the records the diagnostics CSV read
         invariant_violations=violations,
         files=files,
         admissibility=adm.to_dict(),

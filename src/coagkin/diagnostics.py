@@ -149,11 +149,17 @@ def mass_defect(traj: "Trajectory") -> float:
     Integrates the boundary-leak rate at the samples (``mass_leak_rates``
     of the stored rows, the same numbers as the records' ``mass_leak_rate``)
     with composite Simpson (the last entry of ``cumulative_simpson``).
-    This equals M1(0) - M1(t_end) analytically but stays meaningful when
-    the leak is far below the floating-point resolution of M1 itself
-    (a k=64 run can leak ~1e-45 while M1 - M1 rounds to exactly 0).
+    Records a reader of ``traj.diagnostics`` already built give their
+    rates, which are not computed again; no record is built here. This
+    equals M1(0) - M1(t_end) analytically but stays meaningful when the
+    leak is far below the floating-point resolution of M1 itself (a k=64
+    run can leak ~1e-45 while M1 - M1 rounds to exactly 0).
     """
-    leaks = mass_leak_rates(traj.states, traj.kernel, traj.truncation_k)
+    records = vars(traj).get("diagnostics")  # the cached_property's value, once read
+    if records is None:
+        leaks = mass_leak_rates(traj.states, traj.kernel, traj.truncation_k)
+    else:
+        leaks = [d.mass_leak_rate for d in records]
     return float(cumulative_simpson(traj.times, np.array(leaks))[-1])
 
 

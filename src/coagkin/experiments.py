@@ -24,6 +24,7 @@ from .system import (
     SizeDistribution,
     StateStack,
     finite_identity_rate,
+    prefix_columns,
     row_blocks,
     weak_form_rate,
 )
@@ -447,7 +448,11 @@ def identity_audit(
     time; the identity rates never call it. A threshold naming no metric
     of the audit raises ConfigError before any work. The samples are
     stacked and checked once, as one ``StateStack`` that every identity
-    rate takes.
+    rate takes. The stack and the derivatives hold the first
+    prefix_columns(w + 1, k) sizes, w the trajectory's stored width: past
+    them every sample and its derivative is +0.0, so the audit's memory
+    follows the front of the run, not k, and the sums with the test
+    vectors stop there.
     """
     if not traj.times.size:
         raise ValueError("trajectory is empty")
@@ -456,11 +461,13 @@ def identity_audit(
     check_threshold_names("identity_audit", thresholds, names)
     rel_tol = traj.config.rel_tol
     times = traj.times
-    stack = StateStack(traj.states_matrix(), times)
+    # the samples are +0.0 past the stored width w, and their derivatives past w + 1
+    width = prefix_columns(max(1, traj.states.shape[1]) + 1, k)
+    stack = StateStack(traj.states_matrix(width), times, k)
     X = stack.values
     ev = RhsEvaluator(kernel, k)
     derivs = np.empty_like(X)
-    for rows in row_blocks(len(X), k):
+    for rows in row_blocks(len(X), width):
         derivs[rows] = ev(X[rows])
 
     max_identity_residual = 0.0
@@ -470,13 +477,14 @@ def identity_audit(
         psi = make_phi(k)
         # pointwise adjoint consistency of the full weak form
         wf = weak_form_rate(psi, stack, kernel)
-        scale = np.maximum(np.maximum(np.abs(derivs) @ np.abs(psi), np.abs(wf)), 1.0)
+        held = psi[:width]
+        scale = np.maximum(np.maximum(np.abs(derivs) @ np.abs(held), np.abs(wf)), 1.0)
         max_adjoint_residual = max(max_adjoint_residual,
-                                   float(np.max(np.abs(wf - derivs @ psi) / scale)))
+                                   float(np.max(np.abs(wf - derivs @ held) / scale)))
         for q in q_list:
             phi = make_phi(q)
             rates = finite_identity_rate(phi, stack, kernel, q)
-            weighted = X[:, :q] @ phi
+            weighted = X[:, :q] @ phi[:width]
             integral = cumulative_simpson(times, rates)
             scale = np.maximum.reduce(
                 [np.abs(weighted), np.full_like(weighted, abs(weighted[0])), np.abs(integral)]

@@ -438,7 +438,7 @@ class _StepWork:
     the new state, then the dense-output stages, if any. ``terms`` holds
     the tableau-weighted copies of the stage rows that ``_combine`` adds
     up, one plane per row of the widest stack. ``vec`` holds the error
-    scale, then rows shared in turn by each stage input, the error
+    scale, then rows shared in turn by each stage input, y5, the error
     estimates and the rows F of ``_dense_samples``. A step uses their
     first n columns, through views built once per width. All three are as
     wide as the widest step so far: a wider step replaces them by fresh
@@ -446,6 +446,12 @@ class _StepWork:
     run whose front stays far below k never holds k columns. A step reads
     no column of them past its own n, so what a wider step left there does
     not matter.
+
+    The views of a width are bound in the run's ``RhsEvaluator`` when they
+    are built (``RhsEvaluator.bind``): the stage-input row and every stage
+    row after the first, so each stage is evaluated through views the
+    evaluator built once. Replacing the scratch, or taking another
+    evaluator, drops those bindings.
     """
 
     def __init__(self, tableau: _Tableau = _DOPRI5):
@@ -455,31 +461,46 @@ class _StepWork:
         self.terms = np.empty((max(1, len(tableau.errors), len(tableau.interpolant)), rows, 0))
         self.vec = np.empty((4 + len(tableau.interpolant), 0))  # the scale row and F0, F1, F2, ...
         self._widths = {}
+        self._f = None  # the evaluator the views are bound in
 
-    def width(self, n: int) -> tuple:
-        """(stages, combos, head, scale, F) on the first n columns.
+    def width(self, n: int, f: RhsEvaluator) -> tuple:
+        """(stages, rows, combos, head, scale, F) on the first n columns, bound in f.
 
-        A combo is what ``_combine`` takes: tableau weights, the stage rows
-        they weigh, the scratch their products go to and the rows of vec
-        their sums go to. There is one per coupling and then per
-        dense-output coupling, in stage order, each summing into head, then
-        one for the error stack and one for the interpolant stack, which
-        sums into F3, F4, ... head, scale and F are rows of vec.
+        ``rows`` are the rows of stages, one view each, kept with the width,
+        so f finds its bindings by them. A combo is what ``_combine`` takes:
+        tableau weights, the stage rows they weigh, the scratch their
+        products go to and the rows of vec their sums go to. There is one
+        per coupling and then per dense-output coupling, in stage order,
+        each summing into head, then one for the error stack and one for
+        the interpolant stack, which sums into F3, F4, ... head, scale and
+        F are rows of vec.
         """
+        if f is not self._f:
+            self._release()
+            self._f = f
         views = self._widths.get(n)
         if views is None:
             if n > self.vec.shape[1]:
+                self._release()
                 self.stages = np.empty((len(self.stages), n))
                 self.terms = np.empty(self.terms.shape[:2] + (n,))
                 self.vec = np.empty((len(self.vec), n))
-                self._widths.clear()
             t, stages, terms, vec = self.tableau, self.stages[:, :n], self.terms[..., :n], self.vec[:, :n]
-            last, errors = len(t.couplings) + 1, len(t.errors)
-            combos = tuple((col, stages[:s], terms[0, :s], vec[1]) for s, col in enumerate(t.couplings + t.dense, start=1))
+            last, errors, head = len(t.couplings) + 1, len(t.errors), vec[1]
+            combos = tuple((col, stages[:s], terms[0, :s], head) for s, col in enumerate(t.couplings + t.dense, start=1))
             combos += ((t.errors, stages[:last], terms[:errors, :last], vec[1:1 + errors]),
                        (t.interpolant, stages, terms[: len(t.interpolant)], vec[4:]))
-            views = self._widths[n] = (stages, combos, vec[1], vec[0], vec[1:])
+            rows = tuple(stages)
+            f.bind(head, rows[1:])
+            views = self._widths[n] = (stages, rows, combos, head, vec[0], vec[1:])
         return views
+
+    def _release(self) -> None:
+        """Drop the views of every width and their bindings."""
+        if self._f is not None:
+            for views in self._widths.values():
+                self._f.unbind(views[1])
+        self._widths.clear()
 
 
 def _combine(weights: np.ndarray, rows: np.ndarray, terms: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -494,8 +515,8 @@ def _combine(weights: np.ndarray, rows: np.ndarray, terms: np.ndarray, out: np.n
     return np.add.reduce(terms, axis=-2, out=out)
 
 
-def _stages(f, y, h, combos, stages, head, first: int) -> None:
-    """Stages first, first + 1, ... into their rows of ``stages``, one per combo.
+def _stages(f, y, h, combos, rows, head, first: int) -> None:
+    """Stages first, first + 1, ... into their ``rows``, one per combo.
 
     The input of stage s is y + h * sum_j c_j * stage_j over the stages
     before it, formed in the combos' output row ``head``; f writes the
@@ -505,7 +526,7 @@ def _stages(f, y, h, combos, stages, head, first: int) -> None:
         _combine(*combo)
         head *= h
         head += y
-        f(head, out=stages[s])
+        f(head, out=rows[s])
 
 
 def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
@@ -524,10 +545,12 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     on the first n = prefix_columns(occupied + reach, k) columns only.
     Beyond them the full-length arithmetic adds zeros to the +0.0 tail of
     y, which gives +0.0 whatever the signs of those zeros: that is the tail
-    of y5. Stage inputs take the n-column ``work.vec`` row, which f reads
-    no further than the row it writes (``f(x, out=row)``); the stages are
-    written straight into their rows, whose occupied sizes f finds on the n
-    columns.
+    of y5. Every stage input, y5 the last, is formed in the n-column row
+    ``head`` of ``work.vec``, and f writes each stage straight into its row
+    (``f(x, out=row)``). Those rows are bound in f once per width
+    (``_StepWork.width``), so f evaluates each stage on the n columns
+    through views it built once, with no search for the input's occupied
+    size.
 
     The norm is that of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
     over the components that can be nonzero, the support, the first
@@ -548,47 +571,48 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     stage input (``_stages``), one for y5, whose coupling row gives the
     last stage weight zero, and one for all the error rows at once.
 
-    The step checks finiteness over the stages before the last and y5,
-    before it evaluates the last stage, and over the last stage; f checks
-    no stage input. That raises ``NumericError`` in the same trial steps
-    as checking every stage input, y5 and f_last would. Component i of
-    f(x) ends in - x_i * (S_i + T_i), and the product of a NaN or an
-    infinity with any float, zero included, is NaN or infinite, as is a
-    difference with one. So a non-finite stage input gives a non-finite
-    stage, through the separable and the matrix route alike. The last
-    stage is checked on all n columns, not through the norm: a rate sum
-    that overflows past the support gives 0 * inf there, which the norm
-    does not read. A step of finite stages whose error overflows has
-    err_norm inf and is rejected.
+    The step checks finiteness over y5, before it evaluates the last
+    stage, and over the last stage; f checks no stage input. That raises
+    ``NumericError`` in the same trial steps as checking every stage
+    input, every stage, y5 and f_last would. Component i of f(x) ends in
+    - x_i * (S_i + T_i), and the product of a NaN or an infinity with any
+    float, zero included, is NaN or infinite, as is a sum or difference
+    with one. So a non-finite stage input gives a non-finite stage,
+    through the separable and the matrix route alike, and a non-finite
+    stage a non-finite y5: y5's sum weighs every stage before the last,
+    zero weights included, and h is finite. The last stage is checked on
+    all n columns, not through the norm: a rate sum that overflows past
+    the support gives 0 * inf there, which the norm does not read. A step
+    of finite stages whose error overflows has err_norm inf and is
+    rejected.
     """
     k = y.size
     tableau = work.tableau
     support = min(k, occupied + tableau.reach)
     n = prefix_columns(support, k)
-    stages, combos, head, scale, _ = work.width(n)
+    _, rows, combos, head, scale, _ = work.width(n, f)
     last = len(tableau.couplings)  # the row of f at the new state
-    step = stages[: last + 1]
     yn = y[:n]
 
-    stages[0] = f0[:n]
-    _stages(f, yn, h, combos[: last - 1], stages, head, 1)
-    # y5 sits in the last row until the last stage takes the row, so one check covers it and the stages
+    rows[0][:] = f0[:n]
+    _stages(f, yn, h, combos[: last - 1], rows, head, 1)
+    # y5 is formed in head like a stage input, and f(y5) is the last stage
     _combine(*combos[last - 1])
     head *= h
-    np.add(yn, head, out=stages[last])
-    if not np.isfinite(step[1:]).all():
+    head += yn
+    if not np.isfinite(head).all():
         raise NumericError("non-finite values in trial step")
     y5 = np.zeros(k)
-    y5n = y5[:n]
-    y5n[:] = stages[last]
-    f_last = np.zeros(k)
-    stages[last] = f(y5, out=f_last[:n])
-    if not np.isfinite(stages[last]).all():
+    y5[:n] = head
+    f(head, out=rows[last])
+    if not np.isfinite(rows[last]).all():
         raise NumericError("non-finite values in trial step")
+    f_last = np.zeros(k)
+    f_last[:n] = rows[last]
     if not len(tableau.errors):
         return y5, 0.0, f_last
     np.abs(yn, out=scale)
-    np.maximum(scale, np.abs(y5n, out=head), out=scale)
+    np.maximum(scale, np.abs(head, out=head), out=scale)
     scale *= rel_tol
     scale += abs_tol
     err = _combine(*combos[-2])
@@ -630,12 +654,12 @@ def _dense_samples(f, work: _StepWork, t0, h, y0, f0, y1, f1, times, n, sizes, s
     charged to stats.clamped_mass_sample row after row. A non-finite
     dense-output stage raises ``NumericError``.
     """
-    stages, combos, head, _, F = work.width(n)
+    stages, rows, combos, head, _, F = work.width(n, f)
     tableau = work.tableau
     first = len(tableau.couplings) + 1  # the row of the first dense-output stage
     y0n, f0n = y0[:n], f0[:n]
     if tableau.dense:
-        _stages(f, y0n, h, combos[first - 1:-2], stages, head, first)
+        _stages(f, y0n, h, combos[first - 1:-2], rows, head, first)
         if not np.isfinite(stages[first:]).all():
             raise NumericError("non-finite values in dense output")
     np.subtract(y1[:n], y0n, out=F[0])

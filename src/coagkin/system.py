@@ -163,15 +163,20 @@ class RhsEvaluator:
     occupied_size(x), as a trial step's rows are, and x is +0.0 past its
     first w sizes: its occupied size is found on x[:w], so the call does
     no length-k work. The row gets the derivative on its first n columns
-    and +0.0 on the rest. A non-finite entry of x leaves the derivative
-    non-finite at its size (``integrator._dp_step`` gives the argument),
-    so the caller finds it by checking the rows it gets back. Only a
-    non-finite x can fill a trial step's row up to its last column w < k
-    (a NaN stage is NaN on every column); such an x is evaluated on the
-    row's w columns, which keeps each of its non-finite sizes non-finite.
+    and +0.0 on the rest. An input and rows bound with ``bind``, as a
+    trial step's are, skip that search and the per-call views: the call
+    runs on all w columns and gives the same bits. A non-finite entry of
+    x leaves the derivative non-finite at its size
+    (``integrator._dp_step`` gives the argument), so the caller finds it
+    by checking the rows it gets back. Only a non-finite x can fill a
+    trial step's row up to its last column w < k (a NaN stage is NaN on
+    every column); such an x is evaluated on the row's w columns, which
+    keeps each of its non-finite sizes non-finite.
 
-    A call also takes an (m, k) block of states, one per row, and returns
-    an (m, k) block equal bit for bit to the m one-state results; n_evals
+    A call also takes an (m, c) block of states, one per row, on sizes
+    1..c: c is k, or above every row's occupied size, so each derivative
+    vanishes past c. It returns an (m, c) block equal bit for bit to the
+    first c entries of the m one-state results, whatever m; n_evals
     counts states, not calls. The block runs the same statements with a
     leading row axis, at the widest n of its rows (a row's extra columns
     are +0.0 and change none of its sums, as above), and sets each row's
@@ -202,15 +207,18 @@ class RhsEvaluator:
             self._a = None
         self._loss = np.empty(0)  # with the other rows, grown to the widest call so far
         self._widths = {}
+        self._bound = {}  # id(out) -> (x, out, views, x[::-1], x[:-1]) of each bound row
 
     def _grow(self, n: int) -> None:
         """Build the length-n rows the views of every width up to n are cut from.
 
         Each entry depends on its size alone, so a row built at width n
         agrees bit for bit with the first n entries of the length-k one.
+        The shift row's entry 0 is +0.0 and no call writes it.
         """
         self._sizes = np.arange(1, n + 1, dtype=float)
         self._loss = np.empty(n)
+        self._shift = np.zeros(n)
         if self._a is not None:
             rows = 1 if self._d == 0 else 2
             self._ipow = self._sizes**self._d
@@ -222,6 +230,7 @@ class RhsEvaluator:
         """Views on the first n columns, built once per width."""
         if n > self._loss.size:
             self._grow(n)
+        shift = self._shift[:n]
         if self._a is not None:
             # complex row 0 sums x reversed (real) and i * x (imaginary), row 1
             # i**d * x reversed and i**(1+d) * x; after the accumulate row 0's
@@ -237,35 +246,88 @@ class RhsEvaluator:
                 pair_weights = np.empty(2 * n)
                 pair_weights[0::2], pair_weights[1::2] = ipow[::-1], ipow
                 rest = parts[1]
+            S = pair[1::2]
             views = (np.vstack([np.ones(n), ipow[::-1]][:len(Z)]), self._fwd_weights[:, :n],
-                     pair_weights, Z, parts[:, 0::2], parts[:, 1::2], pair, rest, pair[1::2],
-                     pair[0::2][::-1], self._loss[:n])
+                     pair_weights, Z, parts[:, 0::2], parts[:, 1::2], pair, rest, S, S[:-1],
+                     pair[0::2][::-1], self._loss[:n], shift, shift[1:])
         else:
             views = (self._sizes[:n], self._gamma_low[:n, :n], self._gamma_up[:n, :n],
-                     self._loss[:n])
+                     self._loss[:n], shift, shift[1:])
         self._widths[n] = views
         return views
 
+    def bind(self, x: np.ndarray, outs) -> None:
+        """Bind the input row x and the rows outs, all n columns wide, until ``unbind``.
+
+        A call ``f(x, out=row)`` with these very objects then runs on all n
+        columns through views built here, with no search for x's occupied
+        size, and gives an unbound call's bits (``_bound_into``). The
+        matrix route binds nothing: its cost grows with the square of the
+        columns it runs on.
+        """
+        if self._a is None:
+            return
+        views = self._widths.get(x.size) or self._width(x.size)
+        for out in outs:
+            self._bound[id(out)] = (x, out, views, x[::-1], x[:-1])
+
+    def unbind(self, outs) -> None:
+        """Forget the bindings of the rows in outs, if any."""
+        for out in outs:
+            self._bound.pop(id(out), None)
+
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is not None:
+            bound = self._bound.get(id(out))
+            if bound is not None and bound[0] is x:
+                return self._bound_into(*bound)
             return self._into(x, occupied_size(x[:out.size]), out)
         if x.ndim == 1:
-            return self._state(x)
+            return self._state(x, self.k)
         # a one-row block is cheaper through the one-state statements
-        return self._rows(x) if len(x) > 1 else self._state(x[0])[None]
+        return self._rows(x) if len(x) > 1 else self._state(x[0], x.shape[1])[None]
 
-    def _state(self, x: np.ndarray) -> np.ndarray:
-        """The derivative at one state, checked on its occupied prefix, as a fresh array."""
+    def _state(self, x: np.ndarray, width: int) -> np.ndarray:
+        """The derivative at one state, checked on its occupied prefix, as a fresh row of width columns."""
         m = occupied_size(x)
         _check_finite(x[:m])
-        return self._into(x, m, np.zeros(self.k))
+        return self._into(x, m, np.zeros(width))
 
     def _into(self, x: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
         """The derivative at one state of occupied size m, written into the row out."""
         n = min(prefix_columns(m + 1, self.k), out.size)
-        self.n_evals += 1
         xn = x[:n]
-        views = self._widths.get(n) or self._width(n)
+        self._eval(self._widths.get(n) or self._width(n), xn, xn[::-1], xn[:-1], out[:n])
+        if n < out.size:
+            out[n:] = 0.0
+        return out
+
+    def _bound_into(self, x, out, views, x_rev, x_head) -> np.ndarray:
+        """The derivative at the bound input x, on all its n columns, into its bound row out.
+
+        On the first n' columns, n' an unbound call's width (``_into``),
+        the two agree bit for bit (class docstring). Past them the unbound
+        call writes +0.0, and this one 0 * S_{i-1} - 0 * (S_i + T_i), with
+        T_i = +0.0: -0.0 only if S_{i-1} < 0 <= S_i. Past x's occupied size
+        S_i = a * (i**d * P + Q) (a > 0; P, Q the sums of j * x_j and
+        j**(1+d) * x_j, neither -0.0 there) is constant when d == 0 and
+        monotone in i otherwise, so that needs d != 0, Q < 0 <= S_n: a
+        stage input with negative entries. Then the columns past n' are
+        set to +0.0 as an unbound call sets them.
+        """
+        self._eval(views, x, x_rev, x_head, out)
+        rest, S = views[7:9]  # row 1's float pairs, whose last is Q, and S (``_width``)
+        if rest is not None and rest[-1] < 0.0 <= S[-1]:
+            out[prefix_columns(occupied_size(x) + 1, self.k):] = 0.0
+        return out
+
+    def _eval(self, views: tuple, xn, x_rev, x_head, out: np.ndarray) -> None:
+        """The derivative at the state xn, on its n columns, into the n-column row out.
+
+        The statements of every one-state call, bound or not; x_rev and
+        x_head are xn[::-1] and xn[:-1], views those of width n.
+        """
+        self.n_evals += 1
         if self._a is not None:
             # S_i = sum_{j<=i} j*rate(i,j)*xi_j
             #     = a * (i**d * sum_{j<=i} j*xi_j + sum_{j<=i} j**(1+d)*xi_j)
@@ -274,8 +336,9 @@ class RhsEvaluator:
             # The suffix sums of T are prefix sums of reversed vectors (the
             # real parts; the imaginary ones weigh x by j and j**(1+d)), so one
             # accumulate takes all four.
-            rev_weights, fwd_weights, pair_weights, Z, rev_parts, fwd_parts, pair, rest, S, T, loss = views
-            np.multiply(rev_weights, xn[::-1], out=rev_parts)
+            (rev_weights, fwd_weights, pair_weights, Z, rev_parts, fwd_parts, pair, rest, S, S_head,
+             T, loss, shift, shifted) = views
+            np.multiply(rev_weights, x_rev, out=rev_parts)
             np.multiply(fwd_weights, xn, out=fwd_parts)
             np.add.accumulate(Z, axis=1, out=Z)
             if pair_weights is None:
@@ -286,20 +349,18 @@ class RhsEvaluator:
             if self._a != 1.0:  # x * 1.0 is x, bit for bit
                 pair *= self._a
         else:
-            sizes, low, up, loss = views
+            sizes, low, up, loss, shift, shifted = views
             S = low @ (sizes * xn)
             T = up @ xn
-        out[0] = 0.0
-        np.multiply(xn[:-1], S[:-1], out=out[1:n])
+            S_head = S[:-1]
+        # shift holds x_{i-1} * S_{i-1} after its entry 0, +0.0, so out[0] is 0.0 - loss[0]
+        np.multiply(x_head, S_head, out=shifted)
         np.add(S, T, out=loss)
         loss *= xn
-        out[:n] -= loss
-        if n < out.size:
-            out[n:] = 0.0
-        return out
+        np.subtract(shift, loss, out=out)
 
     def _rows(self, X: np.ndarray) -> np.ndarray:
-        """The statements of _into with a leading axis over the rows of X."""
+        """The statements of ``_eval`` with a leading axis over the rows of X."""
         m, k = X.shape
         widths = [prefix_columns(size + 1, k) for size in occupied_sizes(X).tolist()]
         n = max(widths)
@@ -326,7 +387,7 @@ class RhsEvaluator:
                 pair *= self._a
             S, T = pair[:, 1::2], pair[:, 0::2][:, ::-1]
         else:
-            sizes, low, up, _ = views
+            sizes, low, up = views[:3]
             Y = sizes * Xn
             S, T = np.empty((m, n)), np.empty((m, n))
             for y, x, s, t in zip(Y, Xn, S, T):
@@ -354,18 +415,19 @@ def rhs(state: SizeDistribution, kernel: CoagulationKernel) -> np.ndarray:
 
 
 class StateStack:
-    """States as the rows of one (n, k) matrix, checked once with their times.
+    """States as the rows of one (n, c) matrix, checked once with their times.
 
-    Every row gets the checks of ``SizeDistribution.validate``, applied to
-    the whole matrix at once; the first failing row raises through
-    ``validate`` itself, so the error is the same as for a single state.
-    The identity rates take a stack as it is, so one stack serves any
-    number of them without being stacked or checked again. ``width`` is
-    the widest occupied size of the rows, at least 1: the identity forms
-    are taken on sizes 1..width.
+    The rows hold the sizes 1..c of states truncated at ``truncation_k``
+    (default c), whose sizes past c are +0.0. Every row gets the checks
+    of ``SizeDistribution.validate``, applied to the whole matrix at once;
+    the first failing row raises through ``validate`` itself, so the
+    error is the same as for a single state. The identity rates take a
+    stack as it is, so one stack serves any number of them without being
+    stacked or checked again. ``width`` is the widest occupied size of
+    the rows, at least 1: the identity forms are taken on sizes 1..width.
     """
 
-    def __init__(self, values: np.ndarray, times: np.ndarray):
+    def __init__(self, values: np.ndarray, times: np.ndarray, truncation_k: int | None = None):
         values = np.asarray(values, dtype=float)
         times = np.asarray(times, dtype=float)
         if values.ndim != 2 or times.shape != values.shape[:1]:
@@ -378,6 +440,7 @@ class StateStack:
             i = int(np.argmax(bad))
             SizeDistribution(values[i], k, float(times[i])).validate()
         self.values = values
+        self.truncation_k = k if truncation_k is None else int(truncation_k)
         self.width = max(1, int(occupied_sizes(values).max()))
 
 
@@ -426,7 +489,7 @@ def weak_form_rate(psi, states, kernel: CoagulationKernel) -> float | np.ndarray
     empty; psi must have length k. ``states`` is taken as there.
     """
     stack, single = _stacked_values(states)
-    k = stack.values.shape[1]
+    k = stack.truncation_k
     return _identity_rate(_as_weights(psi, k, "psi"), stack, single, kernel, k)
 
 
@@ -451,7 +514,7 @@ def finite_identity_rate(
     diagonal because j <= q < i), so every state costs a quadratic form.
     """
     stack, single = _stacked_values(states)
-    k = stack.values.shape[1]
+    k = stack.truncation_k
     q = int(q)
     if not 1 <= q <= k:
         raise ValueError(f"q must lie in 1..truncation_k={k}, got {q}")

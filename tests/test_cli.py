@@ -59,6 +59,24 @@ def test_simulate_writes_outputs(tmp_path):
     assert summary["step_stats"]["tableau"] == "dopri5"  # the default rel_tol lies above the switch point
 
 
+def test_simulate_takes_the_leak_rates_from_the_records(tmp_path, monkeypatch):
+    # the mass defect integrates the leak rates the diagnostics records hold: one rate per
+    # sample is computed, and summary.json gets the number the stored rows give
+    from coagkin import diagnostics
+    rows = []
+    rates = diagnostics.mass_leak_rates
+    monkeypatch.setattr(diagnostics, "mass_leak_rates",
+                        lambda block, kernel, k: rows.append(len(block)) or rates(block, kernel, k))
+    path = write_config(tmp_path)
+    assert main(["simulate", path]) == 0
+    assert sum(rows) == 101
+    cfg = cli.RunConfig.load(path)
+    traj = integrate(cfg.build_initial(), cfg.build_kernel(), cfg.build_solver())
+    defect = json.loads((tmp_path / "out" / "summary.json").read_text())["mass_defect"]
+    assert defect == diagnostics.mass_defect(traj) > 0.0  # from the stored rows, no record built
+    assert "diagnostics" not in vars(traj)
+
+
 def test_simulate_round_trip_is_bit_identical(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["simulate", cfg]) == 0

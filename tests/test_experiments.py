@@ -264,6 +264,44 @@ def test_identity_audit_accepts_full_length_q():
     assert rep.passed
 
 
+def test_identity_audit_memory_follows_the_front_not_k():
+    # the samples and their derivatives are stacked on prefix_columns(w + 1, k) columns,
+    # w the stored width (217 here, so 256 columns at either k), not on k: the same run
+    # gives the same report at both k, and the audit about the same peak, 2.0 MiB (stacked
+    # on k columns, it peaked at 5.0 and 19.9 MiB)
+    kern = constant(1.0)
+    reports, peaks = [], []
+    for k in (1024, 4096):
+        traj = integrate(monomer(k), kern, SolverConfig(t_end=3.0, sample_times=np.linspace(0, 3, 201)))
+        assert traj.states.shape[1] < 255
+        tracemalloc.start()
+        try:
+            reports.append(identity_audit(traj, kern, q_list=[8, 16, 300, k - 1]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert reports[0].passed and reports[0].metrics == {
+        name.replace("q4095", "q1023"): value for name, value in reports[1].metrics.items()}
+    assert peaks[1] <= 1.25 * peaks[0]
+    assert peaks[1] < 201 * 4096 * 8  # less than one stack of length-k rows
+
+
+@pytest.mark.parametrize("samples", [17, 33])
+def test_identity_audit_takes_one_row_blocks_narrower_than_k(samples):
+    # stacked on 256 columns, the samples go in blocks of 16 rows, so the last holds one
+    # row; its derivatives are as wide as the stack's, and the report is that of k = 4096
+    # (too few samples for Simpson to close the identities; the adjoint check needs none)
+    kern = constant(1.0)
+    reports = []
+    for k in (1024, 4096):
+        traj = integrate(monomer(k), kern, SolverConfig(t_end=3.0, sample_times=np.linspace(0, 3, samples)))
+        assert 127 < traj.states.shape[1] < 255
+        reports.append(identity_audit(traj, kern, q_list=[8, 300, k - 1]))
+    assert reports[0].metrics["max_adjoint_residual"] < 1e-14
+    assert reports[0].metrics == {
+        name.replace("q4095", "q1023"): value for name, value in reports[1].metrics.items()}
+
+
 def _counting(monkeypatch, owner, attr, counts):
     orig = getattr(owner, attr)
 

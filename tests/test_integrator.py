@@ -13,6 +13,7 @@ from coagkin.errors import ConfigError, IntegrationStalledError, NumericError
 from coagkin.integrator import (
     _DOP853,
     _DOPRI5,
+    _RK4,
     StepStats,
     DOP853_REL_TOL,
     MASS_BUDGET_REL,
@@ -429,6 +430,90 @@ def test_fsal_stage_and_state_survive_the_next_step(rng):
         assert not np.shares_memory(y5, scratch) and not np.shares_memory(f_last, scratch)
 
 
+BOUND_KERNELS = [constant(1.0), constant(2.5), power_sum(1.0, 0.5), additive(1.3), power_sum(0.7, 0.3),
+                 demo_table(64)]
+
+
+def _sign_change_start(k):
+    # P = sum j x_j > 0 > Q = sum j**1.5 x_j, so past the front S_i = i**0.5 * P + Q of the
+    # power(1, 0.5) kernel turns from negative to positive near i = 20: there the
+    # whole-row arithmetic gives 0 * S_{i-1} - 0 * S_i = -0.0
+    y = np.zeros(k)
+    y[0], y[9] = 1.0, -0.0717
+    return y
+
+
+@pytest.mark.parametrize("tableau", [_DOPRI5, _RK4, _DOP853], ids=lambda t: t.name)
+@pytest.mark.parametrize("kern", BOUND_KERNELS,
+                         ids=["constant", "constant_a2.5", "power", "additive_a1.3", "power_a0.7", "table"])
+def test_bound_stage_rows_give_the_per_call_bits(kern, tableau, rng):
+    # a trial step evaluates every stage through rows bound once per width, on all the
+    # step's n columns; the same step through an evaluator that binds nothing calls
+    # f(x, out=row) per stage, finding each input's occupied size: y5, f(y5), every stage
+    # row and the dense samples agree bit for bit, signs of zero included
+    k = 64
+    sizes = np.arange(1.0, k + 1.0)
+    starts = {
+        "narrow_front": rng.random(k) * (np.arange(k) < 3),  # stage inputs far narrower than n
+        "deep_tail": rng.random(k) * 10.0 ** -rng.uniform(0, 12, k) * (np.arange(k) < 40),
+        "sign_change": _sign_change_start(k),
+        "negative_zero_tail": np.where(np.arange(k) < 6, rng.random(k), np.where(np.arange(k) < 20, -0.0, 0.0)),
+    }
+    overshoots = 0
+    for name, y in starts.items():
+        # of the time scale 1 / |f(y)|: the long step overshoots (DOP853 overflows at 1.0)
+        for frac in (1e-3, 0.1 if tableau is _DOP853 else 1.0):
+            f, g = RhsEvaluator(kern, k), RhsEvaluator(kern, k)
+            g.bind = lambda x, outs: None
+            f0 = f(y)
+            h = frac / (1.0 + np.max(np.abs(f0)))
+            per_call = []
+            into = f._into
+            f._into = lambda x, m, out: per_call.append(m) or into(x, m, out)
+            work_f, work_g = _StepWork(tableau), _StepWork(tableau)
+            occupied = occupied_size(y)
+            bound = _dp_step(f, y, f0, h, 1e-8, 1e-10, work_f, occupied)
+            fresh = _dp_step(g, y, g(y), h, 1e-8, 1e-10, work_g, occupied)
+            assert [np.asarray(v).tobytes() for v in bound] == [np.asarray(v).tobytes() for v in fresh], name
+            n = prefix_columns(occupied + tableau.reach, k)
+            last = len(tableau.couplings) + 1
+            assert work_f.stages[:last, :n].tobytes() == work_g.stages[:last, :n].tobytes(), name
+            y5, _, f_last = bound
+            times = [0.25 * h, 0.5 * h, 0.75 * h]
+            stats_f, stats_g = StepStats(), StepStats()
+            block = _dense_samples(f, work_f, 0.0, h, y, f0, y5, f_last, times, n, sizes, stats_f)
+            assert block.tobytes() == _dense_samples(g, work_g, 0.0, h, y, f0, y5, f_last, times, n, sizes,
+                                                     stats_g).tobytes(), name
+            assert work_f.stages[:, :n].tobytes() == work_g.stages[:, :n].tobytes(), name
+            assert stats_f.clamped_mass_sample == stats_g.clamped_mass_sample
+            assert f.n_evals == g.n_evals
+            # the separable route evaluates no bound stage through the per-call statements
+            assert len(per_call) == (f.n_evals - 1 if kern.separable is None else 0)
+            overshoots += bool((y5 < 0.0).any())
+    assert overshoots
+
+
+def test_bound_call_sets_the_per_call_zeros_where_the_rate_sums_change_sign():
+    # the one case where the whole-row arithmetic differs from a per-call evaluation past
+    # its width: a -0.0, so the bound call finds x's occupied size and writes +0.0 there
+    k = 64
+    kern = power_sum(1.0, 0.5)
+    x = _sign_change_start(k)[:32]  # occupied size 10: a per-call width of 16 columns
+    whole = rhs_oracle(kern, k)(_sign_change_start(k))[:32]
+    assert np.signbit(whole[16:]).any() and not whole[16:].any()
+    f, g = RhsEvaluator(kern, k), RhsEvaluator(kern, k)
+    out, row = np.full(32, np.nan), np.full(32, np.nan)
+    f.bind(x, [out])
+    f(x, out=out)
+    g(x, out=row)
+    assert out.tobytes() == row.tobytes()
+    assert out[:16].tobytes() == whole[:16].tobytes()
+    assert not np.signbit(out[16:]).any()
+    # a bound row handed another input goes the per-call route
+    f(x.copy(), out=out)
+    assert out.tobytes() == row.tobytes() and f.n_evals == 2
+
+
 class _OracleRhs:
     """The full-length oracle rhs behind RhsEvaluator's interface; a block is evaluated row by row."""
 
@@ -442,6 +527,12 @@ class _OracleRhs:
             raise NumericError("non-finite state entries passed to rhs")
         self.n_evals += 1
         return self.f(x)
+
+    def bind(self, x, outs):  # binds nothing, as RhsEvaluator's matrix route
+        pass
+
+    def unbind(self, outs):
+        pass
 
 
 @pytest.mark.parametrize("kern,k,abs_tol", [(power_sum(1.0, 0.5), 64, 1e-10), (additive(1.0), 32, 1e-4),

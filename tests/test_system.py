@@ -300,6 +300,24 @@ def test_block_rhs_matches_row_by_row_calls_bit_for_bit(kern, k, rng):
         assert ev.n_evals == before
 
 
+@pytest.mark.parametrize("k", [64, 257])
+@pytest.mark.parametrize("kern", BLOCK_KERNELS, ids=[kn.name for kn in BLOCK_KERNELS])
+def test_narrow_block_rhs_is_as_wide_as_its_rows_whatever_their_number(kern, k, rng):
+    # a block on sizes 1..c, c above every row's occupied size, gets c columns back, one row
+    # (the one-state statements) or more, equal bit for bit to the one-state results there
+    ev = RhsEvaluator(kern, k)
+    for c in (2, 17, 64, 256)[: 3 if k < 256 else 4]:
+        for m in (1, 3):
+            X = np.zeros((m, c))
+            for r, held in enumerate(rng.integers(0, c, m)):
+                X[r, :held] = rng.random(held) - (0.5 if r == 1 else 0.0)
+            block = ev(X)
+            assert block.shape == (m, c), (c, m)
+            full = np.zeros((m, k))
+            full[:, :c] = X
+            assert block.tobytes() == np.array([ev(x)[:c] for x in full]).tobytes(), (c, m)
+
+
 @pytest.mark.parametrize("k", [2, 3, 64, 257])
 @pytest.mark.parametrize("kern", [constant(1.0), constant(2.5)], ids=lambda kern: kern.name)
 def test_constant_kernel_single_row_matches_oracle_bit_for_bit(kern, k, rng):
