@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import output
-from .diagnostics import mass_defect, moment, moment_series
-from .integrator import MODE_FIXED, SolverConfig, Trajectory, integrate
+from .diagnostics import g_moment, mass_defect, moment, moment_series
+from .integrator import SolverConfig, Trajectory, integrate
 from .kernels import CoagulationKernel, check_admissibility
 from .numerics import cumulative_simpson
 from .reports import ExperimentReport, check_threshold_names
@@ -584,14 +584,14 @@ def weights_audit(
 
     Checks the collision inequality exhaustively for the power weights
     x, x^1.5, x^2 and for the tail weight constructed from ``init``;
-    samples the class invariants of each; and verifies by brute-force
-    summation that the constructed weight keeps its moment against the
-    data under the guaranteed bound M1 + 3 * tail_budget.
+    samples the class invariants of each; and verifies that the
+    constructed weight keeps its moment against the data under the
+    guaranteed bound M1 + 3 * tail_budget, both moments summed as every
+    moment is (``diagnostics.g_moment``, ``moment``).
     """
     from .weights import (
         check_inequality,
         construct_tail_weight,
-        evaluate as weight_eval,
         power_weight,
         sample_class_invariants,
     )
@@ -611,13 +611,8 @@ def weights_audit(
         )
         thr[f"class_violations[{key}]"] = 0.0
     if not constructed.degenerate:
-        sizes = np.arange(1, init.truncation_k + 1, dtype=float)
-        weighted_sum = float(
-            np.sum(np.asarray(weight_eval(constructed, sizes)) * init.values)
-        )
-        m1 = float(np.dot(sizes, init.values))
-        metrics["constructed_moment"] = weighted_sum
-        thr["constructed_moment"] = m1 + 3.0 * tail_budget
+        metrics["constructed_moment"] = g_moment(init, constructed)
+        thr["constructed_moment"] = moment(init, 1.0) + 3.0 * tail_budget
     thr.update(thresholds or {})
     return ExperimentReport.build(
         name="weights_audit",
@@ -626,30 +621,6 @@ def weights_audit(
         config_echo={"max_size": max_size, "tail_budget": tail_budget,
                      "constructed": constructed.to_dict()},
     )
-
-
-def convergence_order(
-    kernel: CoagulationKernel,
-    init: SizeDistribution,
-    t_end: float,
-    h: float,
-) -> dict[str, float]:
-    """Fixed-step accuracy ratio when h halves.
-
-    e(h) is the max-abs endpoint difference between the fixed-step run at
-    h and its own quarter-step reference; for a 4th order method
-    e(h)/e(h/2) is approximately 16.
-    """
-
-    def endpoint(step_h: float) -> np.ndarray:
-        cfg = SolverConfig(t_end=t_end, mode=MODE_FIXED, fixed_h=step_h,
-                           sample_times=np.array([0.0, t_end]))
-        return integrate(init, kernel, cfg).final().values
-
-    runs = {s: endpoint(h * s) for s in (1.0, 0.25, 0.5, 0.125)}
-    e_h = float(np.max(np.abs(runs[1.0] - runs[0.25])))
-    e_h2 = float(np.max(np.abs(runs[0.5] - runs[0.125])))
-    return {"error_h": e_h, "error_h_half": e_h2, "ratio": e_h / e_h2}
 
 
 @dataclass(frozen=True)

@@ -446,12 +446,6 @@ class _StepWork:
     run whose front stays far below k never holds k columns. A step reads
     no column of them past its own n, so what a wider step left there does
     not matter.
-
-    The views of a width are bound in the run's ``RhsEvaluator`` when they
-    are built (``RhsEvaluator.bind``): the stage-input row and every stage
-    row after the first, so each stage is evaluated through views the
-    evaluator built once. Replacing the scratch, or taking another
-    evaluator, drops those bindings.
     """
 
     def __init__(self, tableau: _Tableau = _DOPRI5):
@@ -461,13 +455,12 @@ class _StepWork:
         self.terms = np.empty((max(1, len(tableau.errors), len(tableau.interpolant)), rows, 0))
         self.vec = np.empty((4 + len(tableau.interpolant), 0))  # the scale row and F0, F1, F2, ...
         self._widths = {}
-        self._f = None  # the evaluator the views are bound in
 
-    def width(self, n: int, f: RhsEvaluator) -> tuple:
-        """(stages, rows, combos, head, scale, F) on the first n columns, bound in f.
+    def width(self, n: int) -> tuple:
+        """(stages, rows, combos, head, scale, F) on the first n columns.
 
-        ``rows`` are the rows of stages, one view each, kept with the width,
-        so f finds its bindings by them. A combo is what ``_combine`` takes:
+        ``rows`` are the rows of stages, one view each, kept with the width
+        so that a stage loop cuts none. A combo is what ``_combine`` takes:
         tableau weights, the stage rows they weigh, the scratch their
         products go to and the rows of vec their sums go to. There is one
         per coupling and then per dense-output coupling, in stage order,
@@ -475,32 +468,20 @@ class _StepWork:
         the interpolant stack, which sums into F3, F4, ... head, scale and
         F are rows of vec.
         """
-        if f is not self._f:
-            self._release()
-            self._f = f
         views = self._widths.get(n)
         if views is None:
             if n > self.vec.shape[1]:
-                self._release()
                 self.stages = np.empty((len(self.stages), n))
                 self.terms = np.empty(self.terms.shape[:2] + (n,))
                 self.vec = np.empty((len(self.vec), n))
+                self._widths.clear()
             t, stages, terms, vec = self.tableau, self.stages[:, :n], self.terms[..., :n], self.vec[:, :n]
             last, errors, head = len(t.couplings) + 1, len(t.errors), vec[1]
             combos = tuple((col, stages[:s], terms[0, :s], head) for s, col in enumerate(t.couplings + t.dense, start=1))
             combos += ((t.errors, stages[:last], terms[:errors, :last], vec[1:1 + errors]),
                        (t.interpolant, stages, terms[: len(t.interpolant)], vec[4:]))
-            rows = tuple(stages)
-            f.bind(head, rows[1:])
-            views = self._widths[n] = (stages, rows, combos, head, vec[0], vec[1:])
+            views = self._widths[n] = (stages, tuple(stages), combos, head, vec[0], vec[1:])
         return views
-
-    def _release(self) -> None:
-        """Drop the views of every width and their bindings."""
-        if self._f is not None:
-            for views in self._widths.values():
-                self._f.unbind(views[1])
-        self._widths.clear()
 
 
 def _combine(weights: np.ndarray, rows: np.ndarray, terms: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -547,10 +528,7 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     y, which gives +0.0 whatever the signs of those zeros: that is the tail
     of y5. Every stage input, y5 the last, is formed in the n-column row
     ``head`` of ``work.vec``, and f writes each stage straight into its row
-    (``f(x, out=row)``). Those rows are bound in f once per width
-    (``_StepWork.width``), so f evaluates each stage on the n columns
-    through views it built once, with no search for the input's occupied
-    size.
+    (``f(x, out=row)``).
 
     The norm is that of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
     over the components that can be nonzero, the support, the first
@@ -590,7 +568,7 @@ def _dp_step(f, y, f0, h, rel_tol, abs_tol, work: _StepWork, occupied: int):
     tableau = work.tableau
     support = min(k, occupied + tableau.reach)
     n = prefix_columns(support, k)
-    _, rows, combos, head, scale, _ = work.width(n, f)
+    _, rows, combos, head, scale, _ = work.width(n)
     last = len(tableau.couplings)  # the row of f at the new state
     yn = y[:n]
 
@@ -654,7 +632,7 @@ def _dense_samples(f, work: _StepWork, t0, h, y0, f0, y1, f1, times, n, sizes, s
     charged to stats.clamped_mass_sample row after row. A non-finite
     dense-output stage raises ``NumericError``.
     """
-    stages, rows, combos, head, _, F = work.width(n, f)
+    stages, rows, combos, head, _, F = work.width(n)
     tableau = work.tableau
     first = len(tableau.couplings) + 1  # the row of the first dense-output stage
     y0n, f0n = y0[:n], f0[:n]

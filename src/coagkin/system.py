@@ -136,9 +136,9 @@ class RhsEvaluator:
     matrices and two matrix-vector products (O(k^2), fixed summation
     order).
 
-    A call reads only the occupied prefix, and it checks only that prefix
-    for non-finite entries: NaN and +-inf have nonzero bit patterns, so
-    none lies past it. With m = occupied_size(x),
+    A call without ``out`` reads only the occupied prefix, and it checks
+    only that prefix for non-finite entries: NaN and +-inf have nonzero
+    bit patterns, so none lies past it. With m = occupied_size(x),
     component i reads x_{i-1} and x_i, so the derivative vanishes beyond
     size m + 1: both paths run on the first n = prefix_columns(m + 1, k)
     columns and return +0.0 beyond them. On those columns the arithmetic
@@ -161,17 +161,17 @@ class RhsEvaluator:
     ``row`` instead of a fresh array, and returns it; x is not checked.
     The row has a width w <= k that is k or a power of two above
     occupied_size(x), as a trial step's rows are, and x is +0.0 past its
-    first w sizes: its occupied size is found on x[:w], so the call does
-    no length-k work. The row gets the derivative on its first n columns
-    and +0.0 on the rest. An input and rows bound with ``bind``, as a
-    trial step's are, skip that search and the per-call views: the call
-    runs on all w columns and gives the same bits. A non-finite entry of
-    x leaves the derivative non-finite at its size
-    (``integrator._dp_step`` gives the argument), so the caller finds it
-    by checking the rows it gets back. Only a non-finite x can fill a
-    trial step's row up to its last column w < k (a NaN stage is NaN on
-    every column); such an x is evaluated on the row's w columns, which
-    keeps each of its non-finite sizes non-finite.
+    first w sizes, so the call does no length-k work. The row gets the
+    derivative on its first n columns and +0.0 on the rest. The separable
+    route runs on all w columns through the views of width w, with no
+    search for x's occupied size, and gives those bits: on the first n
+    columns the arithmetic is the one above, and past them the whole-row
+    formula gives a zero, 0 * S_{i-1} - 0 * (S_i + T_i), whose sign the
+    call fixes (``__call__``). The matrix route finds x's occupied size on
+    x[:w] and runs on the first n columns only, since its cost grows with
+    the square of the columns. A non-finite entry of x leaves the
+    derivative non-finite at its size (``integrator._dp_step`` gives the
+    argument), so the caller finds it by checking the rows it gets back.
 
     A call also takes an (m, c) block of states, one per row, on sizes
     1..c: c is k, or above every row's occupied size, so each derivative
@@ -207,21 +207,22 @@ class RhsEvaluator:
             self._a = None
         self._loss = np.empty(0)  # with the other rows, grown to the widest call so far
         self._widths = {}
-        self._bound = {}  # id(out) -> (x, out, views, x[::-1], x[:-1]) of each bound row
 
     def _grow(self, n: int) -> None:
         """Build the length-n rows the views of every width up to n are cut from.
 
         Each entry depends on its size alone, so a row built at width n
         agrees bit for bit with the first n entries of the length-k one.
-        The shift row's entry 0 is +0.0 and no call writes it.
+        The shift row has one entry more, n + 1: its entry 0 is +0.0 and no
+        call writes it.
         """
         self._sizes = np.arange(1, n + 1, dtype=float)
         self._loss = np.empty(n)
-        self._shift = np.zeros(n)
+        self._shift = np.zeros(n + 1)
         if self._a is not None:
             rows = 1 if self._d == 0 else 2
             self._ipow = self._sizes**self._d
+            self._rev_weights = np.vstack([np.ones(n), self._ipow][:rows])
             self._fwd_weights = np.vstack([self._sizes, self._sizes ** (1.0 + self._d)][:rows])
             self._sums = np.empty((rows, n), dtype=complex)
         self._widths.clear()  # the narrower views are cut from the old rows
@@ -230,13 +231,14 @@ class RhsEvaluator:
         """Views on the first n columns, built once per width."""
         if n > self._loss.size:
             self._grow(n)
-        shift = self._shift[:n]
+        shift, shifted = self._shift[:n], self._shift[1:n + 1]
         if self._a is not None:
             # complex row 0 sums x reversed (real) and i * x (imaginary), row 1
-            # i**d * x reversed and i**(1+d) * x; after the accumulate row 0's
-            # float pairs are weighed by i**d reversed and i**d, row 1's added,
-            # and row 0 holds T reversed (real) and S (imaginary); with d == 0
-            # row 0 alone is kept, and its pairs are doubled instead
+            # i**d * x reversed and i**(1+d) * x, the reversed products written
+            # through a reversed view; after the accumulate row 0's float pairs
+            # are weighed by i**d reversed and i**d, row 1's added, and row 0
+            # holds T reversed (real) and S (imaginary); with d == 0 row 0 alone
+            # is kept, and its pairs are doubled instead
             ipow = self._ipow[:n]
             Z = self._sums[:, :n]
             parts = Z.view(float)
@@ -246,42 +248,34 @@ class RhsEvaluator:
                 pair_weights = np.empty(2 * n)
                 pair_weights[0::2], pair_weights[1::2] = ipow[::-1], ipow
                 rest = parts[1]
-            S = pair[1::2]
-            views = (np.vstack([np.ones(n), ipow[::-1]][:len(Z)]), self._fwd_weights[:, :n],
-                     pair_weights, Z, parts[:, 0::2], parts[:, 1::2], pair, rest, S, S[:-1],
-                     pair[0::2][::-1], self._loss[:n], shift, shift[1:])
+            views = (self._rev_weights[:, :n], self._fwd_weights[:, :n], pair_weights, Z,
+                     parts[:, 0::2][:, ::-1], parts[:, 1::2], pair, rest, pair[1::2],
+                     pair[0::2][::-1], self._loss[:n], shift, shifted)
         else:
             views = (self._sizes[:n], self._gamma_low[:n, :n], self._gamma_up[:n, :n],
-                     self._loss[:n], shift, shift[1:])
+                     self._loss[:n], shift, shifted)
         self._widths[n] = views
         return views
 
-    def bind(self, x: np.ndarray, outs) -> None:
-        """Bind the input row x and the rows outs, all n columns wide, until ``unbind``.
-
-        A call ``f(x, out=row)`` with these very objects then runs on all n
-        columns through views built here, with no search for x's occupied
-        size, and gives an unbound call's bits (``_bound_into``). The
-        matrix route binds nothing: its cost grows with the square of the
-        columns it runs on.
-        """
-        if self._a is None:
-            return
-        views = self._widths.get(x.size) or self._width(x.size)
-        for out in outs:
-            self._bound[id(out)] = (x, out, views, x[::-1], x[:-1])
-
-    def unbind(self, outs) -> None:
-        """Forget the bindings of the rows in outs, if any."""
-        for out in outs:
-            self._bound.pop(id(out), None)
-
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is not None:
-            bound = self._bound.get(id(out))
-            if bound is not None and bound[0] is x:
-                return self._bound_into(*bound)
-            return self._into(x, occupied_size(x[:out.size]), out)
+            if self._a is None:
+                return self._into(x, occupied_size(x[:out.size]), out)
+            n = out.size
+            xn = x[:n]
+            views = self._widths.get(n) or self._width(n)
+            self._eval(views, xn, out)
+            # Past x's occupied size m, T_i = +0.0 and S_i = a * (i**d * P + Q)
+            # (a > 0; P, Q the sums of j * x_j and j**(1+d) * x_j, neither -0.0
+            # there), so the zero 0 * S_{i-1} - 0 * S_i is -0.0 only where
+            # S_{i-1} < 0 <= S_i. S is constant past m when d == 0 and monotone
+            # in i otherwise, so that needs d != 0 and Q < 0 <= S_n: a stage
+            # input with negative entries. Then the columns past the trimmed
+            # width are set to +0.0, as a trimmed call (``_into``) sets them.
+            rest, S = views[7:9]  # row 1's float pairs, whose last is Q, and S
+            if rest is not None and rest[-1] < 0.0 <= S[-1]:
+                out[prefix_columns(occupied_size(xn) + 1, self.k):] = 0.0
+            return out
         if x.ndim == 1:
             return self._state(x, self.k)
         # a one-row block is cheaper through the one-state statements
@@ -296,36 +290,15 @@ class RhsEvaluator:
     def _into(self, x: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
         """The derivative at one state of occupied size m, written into the row out."""
         n = min(prefix_columns(m + 1, self.k), out.size)
-        xn = x[:n]
-        self._eval(self._widths.get(n) or self._width(n), xn, xn[::-1], xn[:-1], out[:n])
+        self._eval(self._widths.get(n) or self._width(n), x[:n], out[:n])
         if n < out.size:
             out[n:] = 0.0
         return out
 
-    def _bound_into(self, x, out, views, x_rev, x_head) -> np.ndarray:
-        """The derivative at the bound input x, on all its n columns, into its bound row out.
-
-        On the first n' columns, n' an unbound call's width (``_into``),
-        the two agree bit for bit (class docstring). Past them the unbound
-        call writes +0.0, and this one 0 * S_{i-1} - 0 * (S_i + T_i), with
-        T_i = +0.0: -0.0 only if S_{i-1} < 0 <= S_i. Past x's occupied size
-        S_i = a * (i**d * P + Q) (a > 0; P, Q the sums of j * x_j and
-        j**(1+d) * x_j, neither -0.0 there) is constant when d == 0 and
-        monotone in i otherwise, so that needs d != 0, Q < 0 <= S_n: a
-        stage input with negative entries. Then the columns past n' are
-        set to +0.0 as an unbound call sets them.
-        """
-        self._eval(views, x, x_rev, x_head, out)
-        rest, S = views[7:9]  # row 1's float pairs, whose last is Q, and S (``_width``)
-        if rest is not None and rest[-1] < 0.0 <= S[-1]:
-            out[prefix_columns(occupied_size(x) + 1, self.k):] = 0.0
-        return out
-
-    def _eval(self, views: tuple, xn, x_rev, x_head, out: np.ndarray) -> None:
+    def _eval(self, views: tuple, xn: np.ndarray, out: np.ndarray) -> None:
         """The derivative at the state xn, on its n columns, into the n-column row out.
 
-        The statements of every one-state call, bound or not; x_rev and
-        x_head are xn[::-1] and xn[:-1], views those of width n.
+        The statements of every one-state call; views are those of width n.
         """
         self.n_evals += 1
         if self._a is not None:
@@ -336,9 +309,9 @@ class RhsEvaluator:
             # The suffix sums of T are prefix sums of reversed vectors (the
             # real parts; the imaginary ones weigh x by j and j**(1+d)), so one
             # accumulate takes all four.
-            (rev_weights, fwd_weights, pair_weights, Z, rev_parts, fwd_parts, pair, rest, S, S_head,
-             T, loss, shift, shifted) = views
-            np.multiply(rev_weights, x_rev, out=rev_parts)
+            (rev_weights, fwd_weights, pair_weights, Z, rev_parts, fwd_parts, pair, rest, S, T, loss,
+             shift, shifted) = views
+            np.multiply(rev_weights, xn, out=rev_parts)
             np.multiply(fwd_weights, xn, out=fwd_parts)
             np.add.accumulate(Z, axis=1, out=Z)
             if pair_weights is None:
@@ -352,9 +325,8 @@ class RhsEvaluator:
             sizes, low, up, loss, shift, shifted = views
             S = low @ (sizes * xn)
             T = up @ xn
-            S_head = S[:-1]
         # shift holds x_{i-1} * S_{i-1} after its entry 0, +0.0, so out[0] is 0.0 - loss[0]
-        np.multiply(x_head, S_head, out=shifted)
+        np.multiply(xn, S, out=shifted)
         np.add(S, T, out=loss)
         loss *= xn
         np.subtract(shift, loss, out=out)
@@ -374,7 +346,7 @@ class RhsEvaluator:
             rev_weights, fwd_weights, pair_weights = views[:3]
             Z = np.empty((len(rev_weights), m, n), dtype=complex)
             parts = Z.view(float)
-            np.multiply(rev_weights[:, None], Xn[:, ::-1], out=parts[..., 0::2])
+            np.multiply(rev_weights[:, None], Xn, out=parts[..., 0::2][..., ::-1])
             np.multiply(fwd_weights[:, None], Xn, out=parts[..., 1::2])
             np.add.accumulate(Z, axis=2, out=Z)
             pair = parts[0]

@@ -16,14 +16,17 @@ was.
 The oracles always work on all k sizes. The library evaluates only the
 occupied prefix of a state and returns +0.0 beyond it, so comparing with
 them over the full length also checks that nothing past the prefix was
-dropped.
+dropped. ``TrimmedRhs`` is the library's own trimmed evaluation, the
+reference for its whole-width one, and ``convergence_order`` measures the
+fixed-step order for the tests that check it.
 """
 import math
 from types import SimpleNamespace
 
 import numpy as np
 
-from coagkin.integrator import _DOP853_A, _DOP853_E3, _DOP853_E5
+from coagkin.integrator import _DOP853_A, _DOP853_E3, _DOP853_E5, MODE_FIXED, SolverConfig, integrate
+from coagkin.system import RhsEvaluator, occupied_size, prefix_columns
 
 _A = (
     (),
@@ -151,6 +154,26 @@ def rhs_oracle(kernel, k):
         return out
 
     return f
+
+
+class TrimmedRhs(RhsEvaluator):
+    """An ``RhsEvaluator`` whose ``out=`` calls all take the trimmed route.
+
+    Each finds x's occupied size m on x[:out.size] and evaluates on the
+    first prefix_columns(m + 1, k) columns, +0.0 past them (``_into``), as
+    the matrix route does. The separable route runs on all the row's
+    columns and must give these bits. ``trimmed`` counts the calls whose
+    trimmed width is narrower than their row.
+    """
+
+    trimmed = 0
+
+    def __call__(self, x, out=None):
+        if out is None:
+            return super().__call__(x)
+        m = occupied_size(x[:out.size])
+        self.trimmed += prefix_columns(m + 1, self.k) < out.size
+        return self._into(x, m, out)
 
 
 def hermite_oracle(t0, y0, f0, t1, y1, f1, times, n, sizes, stats):
@@ -306,3 +329,27 @@ def eager_record_reads(kernel):
         return record(state.values)[int(m)]
 
     return mass_defect, moment
+
+
+def convergence_order(
+    kernel,
+    init,
+    t_end: float,
+    h: float,
+) -> dict[str, float]:
+    """Fixed-step accuracy ratio when h halves.
+
+    e(h) is the max-abs endpoint difference between the fixed-step run at
+    h and its own quarter-step reference; for a 4th order method
+    e(h)/e(h/2) is approximately 16.
+    """
+
+    def endpoint(step_h: float) -> np.ndarray:
+        cfg = SolverConfig(t_end=t_end, mode=MODE_FIXED, fixed_h=step_h,
+                           sample_times=np.array([0.0, t_end]))
+        return integrate(init, kernel, cfg).final().values
+
+    runs = {s: endpoint(h * s) for s in (1.0, 0.25, 0.5, 0.125)}
+    e_h = float(np.max(np.abs(runs[1.0] - runs[0.25])))
+    e_h2 = float(np.max(np.abs(runs[0.5] - runs[0.125])))
+    return {"error_h": e_h, "error_h_half": e_h2, "ratio": e_h / e_h2}

@@ -16,11 +16,11 @@ import time
 
 import numpy as np
 import pytest
+from oracles import convergence_order
 
 from coagkin.diagnostics import check_moment_propagation
 from coagkin.experiments import (
     continuous_dependence,
-    convergence_order,
     identity_audit,
     time_rescaling,
     truncation_convergence,

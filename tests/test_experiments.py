@@ -3,13 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import convergence_order
 
 from coagkin import experiments, system
 from coagkin.errors import ConfigError
 from coagkin.experiments import (
     asymptotic_decay,
     continuous_dependence,
-    convergence_order,
     identity_audit,
     time_rescaling,
     truncation_convergence,

@@ -6,7 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import dense_oracle, dop853_step_oracle, dp_step_oracle, hermite_oracle, rhs_oracle, rk4_oracle
+from oracles import (
+    TrimmedRhs,
+    dense_oracle,
+    dop853_step_oracle,
+    dp_step_oracle,
+    hermite_oracle,
+    rhs_oracle,
+    rk4_oracle,
+)
 
 from coagkin import diagnostics, integrator
 from coagkin.errors import ConfigError, IntegrationStalledError, NumericError
@@ -447,10 +455,10 @@ def _sign_change_start(k):
 @pytest.mark.parametrize("kern", BOUND_KERNELS,
                          ids=["constant", "constant_a2.5", "power", "additive_a1.3", "power_a0.7", "table"])
 def test_bound_stage_rows_give_the_per_call_bits(kern, tableau, rng):
-    # a trial step evaluates every stage through rows bound once per width, on all the
-    # step's n columns; the same step through an evaluator that binds nothing calls
-    # f(x, out=row) per stage, finding each input's occupied size: y5, f(y5), every stage
-    # row and the dense samples agree bit for bit, signs of zero included
+    # a trial step evaluates every stage into a row of the step's n columns; the separable
+    # route runs each on all n columns, and the same step through TrimmedRhs evaluates each
+    # on the prefix of its input's occupied size: y5, f(y5), every stage row and the dense
+    # samples agree bit for bit, signs of zero included
     k = 64
     sizes = np.arange(1.0, k + 1.0)
     starts = {
@@ -459,12 +467,11 @@ def test_bound_stage_rows_give_the_per_call_bits(kern, tableau, rng):
         "sign_change": _sign_change_start(k),
         "negative_zero_tail": np.where(np.arange(k) < 6, rng.random(k), np.where(np.arange(k) < 20, -0.0, 0.0)),
     }
-    overshoots = 0
+    overshoots = trimmed = 0
     for name, y in starts.items():
         # of the time scale 1 / |f(y)|: the long step overshoots (DOP853 overflows at 1.0)
         for frac in (1e-3, 0.1 if tableau is _DOP853 else 1.0):
-            f, g = RhsEvaluator(kern, k), RhsEvaluator(kern, k)
-            g.bind = lambda x, outs: None
+            f, g = RhsEvaluator(kern, k), TrimmedRhs(kern, k)
             f0 = f(y)
             h = frac / (1.0 + np.max(np.abs(f0)))
             per_call = []
@@ -472,13 +479,13 @@ def test_bound_stage_rows_give_the_per_call_bits(kern, tableau, rng):
             f._into = lambda x, m, out: per_call.append(m) or into(x, m, out)
             work_f, work_g = _StepWork(tableau), _StepWork(tableau)
             occupied = occupied_size(y)
-            bound = _dp_step(f, y, f0, h, 1e-8, 1e-10, work_f, occupied)
+            whole = _dp_step(f, y, f0, h, 1e-8, 1e-10, work_f, occupied)
             fresh = _dp_step(g, y, g(y), h, 1e-8, 1e-10, work_g, occupied)
-            assert [np.asarray(v).tobytes() for v in bound] == [np.asarray(v).tobytes() for v in fresh], name
+            assert [np.asarray(v).tobytes() for v in whole] == [np.asarray(v).tobytes() for v in fresh], name
             n = prefix_columns(occupied + tableau.reach, k)
             last = len(tableau.couplings) + 1
             assert work_f.stages[:last, :n].tobytes() == work_g.stages[:last, :n].tobytes(), name
-            y5, _, f_last = bound
+            y5, _, f_last = whole
             times = [0.25 * h, 0.5 * h, 0.75 * h]
             stats_f, stats_g = StepStats(), StepStats()
             block = _dense_samples(f, work_f, 0.0, h, y, f0, y5, f_last, times, n, sizes, stats_f)
@@ -487,30 +494,34 @@ def test_bound_stage_rows_give_the_per_call_bits(kern, tableau, rng):
             assert work_f.stages[:, :n].tobytes() == work_g.stages[:, :n].tobytes(), name
             assert stats_f.clamped_mass_sample == stats_g.clamped_mass_sample
             assert f.n_evals == g.n_evals
-            # the separable route evaluates no bound stage through the per-call statements
+            # the separable route evaluates no stage through the trimmed statements
             assert len(per_call) == (f.n_evals - 1 if kern.separable is None else 0)
             overshoots += bool((y5 < 0.0).any())
+            trimmed += g.trimmed
     assert overshoots
+    assert trimmed  # some stage's trimmed width is narrower than its row
 
 
 def test_bound_call_sets_the_per_call_zeros_where_the_rate_sums_change_sign():
-    # the one case where the whole-row arithmetic differs from a per-call evaluation past
-    # its width: a -0.0, so the bound call finds x's occupied size and writes +0.0 there
+    # the one case where the whole-width arithmetic differs from a trimmed evaluation past
+    # the trimmed width: a -0.0, so the whole-width call finds x's occupied size and
+    # writes +0.0 there
     k = 64
     kern = power_sum(1.0, 0.5)
-    x = _sign_change_start(k)[:32]  # occupied size 10: a per-call width of 16 columns
+    x = _sign_change_start(k)[:32]  # occupied size 10: a trimmed width of 16 columns
     whole = rhs_oracle(kern, k)(_sign_change_start(k))[:32]
     assert np.signbit(whole[16:]).any() and not whole[16:].any()
-    f, g = RhsEvaluator(kern, k), RhsEvaluator(kern, k)
+    f, g = RhsEvaluator(kern, k), TrimmedRhs(kern, k)
     out, row = np.full(32, np.nan), np.full(32, np.nan)
-    f.bind(x, [out])
-    f(x, out=out)
+    assert f(x, out=out) is out
     g(x, out=row)
+    assert g.trimmed == 1
     assert out.tobytes() == row.tobytes()
     assert out[:16].tobytes() == whole[:16].tobytes()
     assert not np.signbit(out[16:]).any()
-    # a bound row handed another input goes the per-call route
-    f(x.copy(), out=out)
+    # an input wider than the row, +0.0 past it, is read on the row's columns
+    out[:] = np.nan
+    f(_sign_change_start(k), out=out)
     assert out.tobytes() == row.tobytes() and f.n_evals == 2
 
 
@@ -527,12 +538,6 @@ class _OracleRhs:
             raise NumericError("non-finite state entries passed to rhs")
         self.n_evals += 1
         return self.f(x)
-
-    def bind(self, x, outs):  # binds nothing, as RhsEvaluator's matrix route
-        pass
-
-    def unbind(self, outs):
-        pass
 
 
 @pytest.mark.parametrize("kern,k,abs_tol", [(power_sum(1.0, 0.5), 64, 1e-10), (additive(1.0), 32, 1e-4),

@@ -2,8 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from oracles import rhs_oracle
+from hypothesis import given, settings, strategies as st
+from oracles import TrimmedRhs, rhs_oracle
 
 from coagkin.diagnostics import moment
 from coagkin.errors import NumericError
@@ -254,6 +254,38 @@ def test_rhs_into_a_row_equals_the_public_call(kern, k, rng):
         n = prefix_columns(held + 1, k)
         assert not row[n:].view(np.int64).any()  # +0.0, not merely zero
         assert not expected[width:].view(np.int64).any()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_whole_width_row_call_gives_the_trimmed_bits(data):
+    # a separable f(x, out=row) runs on all the row's w columns; a trimmed call runs on
+    # the prefix of x's occupied size and writes +0.0 past it. The two give the same bits,
+    # a sign change of S past the front (a -0.0 there) included, and on the trimmed
+    # columns the oracle's bits
+    d = data.draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))
+    kern = power_sum(data.draw(st.sampled_from((0.7, 1.0, 2.5))), d)
+    k = data.draw(st.integers(2, 64))
+    m = data.draw(st.integers(0, k))
+    w = prefix_columns(m + data.draw(st.integers(1, k)), k)
+    x = np.zeros(k)
+    x[:m] = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m))
+    j = m - data.draw(st.integers(0, m))  # x_j is the last entry before a -0.0 tail
+    if j >= 2 and data.draw(st.booleans()):
+        # x_1 = p > 0 > x_j and nothing between: S_i = a * (i**d * P + Q) turns from
+        # negative to positive near size c, which may lie past the trimmed width
+        c = data.draw(st.integers(j + 1, max(j + 1, w)))
+        p = x[0] = data.draw(st.floats(0.1, 10.0))
+        x[1:j - 1] = 0.0
+        x[j - 1] = -p * (1 + c**d) / (j * (j**d + c**d))
+    x[j:m] = -0.0
+    row, trimmed = np.full(w, np.nan), np.full(w, np.nan)
+    assert RhsEvaluator(kern, k)(x, out=row) is row
+    TrimmedRhs(kern, k)(x, out=trimmed)
+    assert row.tobytes() == trimmed.tobytes()
+    n = prefix_columns(occupied_size(x) + 1, k)
+    assert row[:n].tobytes() == rhs_oracle(kern, k)(x)[:n].tobytes()
+    assert not row[n:].view(np.int64).any()
 
 
 
