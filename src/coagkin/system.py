@@ -136,55 +136,57 @@ class RhsEvaluator:
     matrices and two matrix-vector products (O(k^2), fixed summation
     order).
 
-    A call without ``out`` reads only the occupied prefix, and it checks
-    only that prefix for non-finite entries: NaN and +-inf have nonzero
-    bit patterns, so none lies past it. With m = occupied_size(x),
-    component i reads x_{i-1} and x_i, so the derivative vanishes beyond
-    size m + 1: both paths run on the first n = prefix_columns(m + 1, k)
-    columns and return +0.0 beyond them. On those columns the arithmetic
-    is the full-length one with the trailing zeros left out. Prefix sums
-    stop where the entries stop. The suffix sums of T, taken from the far
-    end, would first add up nothing but +0.0 entries (entry n is one,
-    since a -0.0 counts as occupied), and +0.0 + v is v. The BLAS
-    matrix-vector product adds a row's nonzero terms in the same order
-    whatever the row length (the oracle tests check both paths). Beyond n
-    the full-length formula gives 0 * S_{i-1} - S_i * 0: +0.0 for a state
-    without negative entries, possibly -0.0 for a stage input with some,
-    and a trial step adds that zero to the +0.0 tail of y, which drops
-    its sign. The views of each width are built on first use and cached:
-    at most floor(log2(k)) + 2 widths. They are cut from rows as wide as
-    the widest call so far, which a wider call replaces, so an evaluator
-    whose calls stay far below k holds no length-k row (only the matrix
-    path's rate matrices are k x k, built with the evaluator).
+    Every call runs one statement body, ``_eval``, on the first n columns
+    of its input. With m = occupied_size(x), component i reads x_{i-1}
+    and x_i, so the derivative vanishes beyond size m + 1 and the first
+    n = prefix_columns(m + 1, k) columns hold it. On those columns the
+    arithmetic is the full-length one with the trailing zeros left out.
+    Prefix sums stop where the entries stop. The suffix sums of T, taken
+    from the far end, would first add up nothing but +0.0 entries (entry
+    n is one, since a -0.0 counts as occupied), and +0.0 + v is v. The
+    BLAS matrix-vector product adds a row's nonzero terms in the same
+    order whatever the row length (the oracle tests check both paths).
+    Beyond n the full-length formula gives 0 * S_{i-1} - S_i * 0: +0.0
+    for a state without negative entries, possibly -0.0 for a stage input
+    with some, and a trial step adds that zero to the +0.0 tail of y,
+    which drops its sign. The weights are cut from rows as wide as the
+    widest call so far, which a wider call replaces, so an evaluator whose
+    calls stay far below k holds no length-k row (only the matrix path's
+    rate matrices are k x k, built with the evaluator).
 
-    ``f(x, out=row)`` writes the derivative at the one state x into
-    ``row`` instead of a fresh array, and returns it; x is not checked.
-    The row has a width w <= k that is k or a power of two above
-    occupied_size(x), as a trial step's rows are, and x is +0.0 past its
-    first w sizes, so the call does no length-k work. The row gets the
-    derivative on its first n columns and +0.0 on the rest. The separable
-    route runs on all w columns through the views of width w, with no
-    search for x's occupied size, and gives those bits: on the first n
-    columns the arithmetic is the one above, and past them the whole-row
-    formula gives a zero, 0 * S_{i-1} - 0 * (S_i + T_i), whose sign the
-    call fixes (``__call__``). The matrix route finds x's occupied size on
-    x[:w] and runs on the first n columns only, since its cost grows with
-    the square of the columns. A non-finite entry of x leaves the
+    A call takes one of two routes. ``f(x, out=row)``, a trial step's
+    stage, writes the derivative at the one state x into ``row`` and
+    returns it; x is not checked. The row has a width w <= k that is k or
+    a power of two above occupied_size(x), as a trial step's rows are,
+    and x is +0.0 past its first w sizes, so the call does no length-k
+    work. The row gets the derivative on its first n columns and +0.0 on
+    the rest. The separable route runs on all w columns, with no search
+    for x's occupied size, and gives those bits: on the first n columns
+    the arithmetic is the one above, and past them the whole-row formula
+    gives a zero, 0 * S_{i-1} - 0 * (S_i + T_i), whose sign the call
+    fixes (``__call__``). The matrix route finds x's occupied size on
+    x[:w] and runs on the first n columns only (``_into``), since its
+    cost grows with the square of the columns. Both work on views of the
+    evaluator's own scratch rows, cached per width: at most
+    floor(log2(k)) + 2 widths. A non-finite entry of x leaves the
     derivative non-finite at its size (``integrator._dp_step`` gives the
     argument), so the caller finds it by checking the rows it gets back.
 
-    A call also takes an (m, c) block of states, one per row, on sizes
-    1..c: c is k, or above every row's occupied size, so each derivative
-    vanishes past c. It returns an (m, c) block equal bit for bit to the
-    first c entries of the m one-state results, whatever m; n_evals
-    counts states, not calls. The block runs the same statements with a
-    leading row axis, at the widest n of its rows (a row's extra columns
-    are +0.0 and change none of its sums, as above), and sets each row's
-    columns past its own n to +0.0. The matrix path does one
-    matrix-vector product per row: a matrix-matrix product would group
-    the sums differently. The block's scratch is allocated per call, so
-    callers keep blocks small (``row_blocks``); a one-row block runs the
-    one-state statements.
+    ``f(x)`` takes a state, x of length k, or an (m, c) block of states,
+    one per row, on sizes 1..c: c is k, or c < k and every row is +0.0 in
+    its column c, so each derivative vanishes past c. Any other shape
+    raises ValueError. A state is the one-row block and comes back as one
+    row. The call checks the rows' occupied prefixes for non-finite
+    entries (NaN and +-inf have nonzero bit patterns, so none lies past
+    them) and runs the body once, with a leading row axis, on fresh
+    scratch and on the widest n of its rows, capped at c (a row's extra
+    columns are +0.0 and change none of its sums, as above); it sets each
+    row's columns past its own n to +0.0. So the (m, c) result equals bit
+    for bit the first c entries of the results of the rows, padded to k,
+    as states, whatever m; n_evals counts states, not calls. The matrix
+    path does one matrix-vector product per row (``_row_products``). The
+    scratch is allocated per call, so callers keep blocks small
+    (``row_blocks``).
 
     Without ``out`` every call returns a fresh array, so the results of
     earlier calls stay valid. The scratch is reused across calls, so one
@@ -227,40 +229,51 @@ class RhsEvaluator:
             self._sums = np.empty((rows, n), dtype=complex)
         self._widths.clear()  # the narrower views are cut from the old rows
 
-    def _width(self, n: int) -> tuple:
-        """Views on the first n columns, built once per width."""
+    def _width(self, n: int, m: int | None = None) -> tuple:
+        """Views on the first n columns, of one state or of a block of m rows.
+
+        A state's views (m None) are cut from the evaluator's rows and
+        cached per width; a block's scratch is fresh, with a leading row axis.
+        """
         if n > self._loss.size:
             self._grow(n)
-        shift, shifted = self._shift[:n], self._shift[1:n + 1]
+        if m is None:
+            loss, shift = self._loss[:n], self._shift[:n + 1]
+        else:
+            loss, shift = np.empty((m, n)), np.zeros((m, n + 1))
         if self._a is not None:
             # complex row 0 sums x reversed (real) and i * x (imaginary), row 1
             # i**d * x reversed and i**(1+d) * x, the reversed products written
             # through a reversed view; after the accumulate row 0's float pairs
             # are weighed by i**d reversed and i**d, row 1's added, and row 0
             # holds T reversed (real) and S (imaginary); with d == 0 row 0 alone
-            # is kept, and its pairs are doubled instead
-            ipow = self._ipow[:n]
-            Z = self._sums[:, :n]
+            # is kept, and its pairs are doubled instead. A block's weights are
+            # shaped (r, 1, n): (2, n) would broadcast along a 2-row block's rows
+            cols = np.s_[:, :n] if m is None else np.s_[:, None, :n]
+            Z = self._sums[:, :n] if m is None else np.empty((len(self._sums), m, n), dtype=complex)
             parts = Z.view(float)
             pair = parts[0]
             pair_weights = rest = None
             if len(Z) == 2:
+                ipow = self._ipow[:n]
                 pair_weights = np.empty(2 * n)
                 pair_weights[0::2], pair_weights[1::2] = ipow[::-1], ipow
                 rest = parts[1]
-            views = (self._rev_weights[:, :n], self._fwd_weights[:, :n], pair_weights, Z,
-                     parts[:, 0::2][:, ::-1], parts[:, 1::2], pair, rest, pair[1::2],
-                     pair[0::2][::-1], self._loss[:n], shift, shifted)
+            views = (self._rev_weights[cols], self._fwd_weights[cols], pair_weights, Z,
+                     parts[..., 0::2][..., ::-1], parts[..., 1::2], pair, rest, pair[..., 1::2],
+                     pair[..., 0::2][..., ::-1], loss, shift[..., :n], shift[..., 1:])
         else:
-            views = (self._sizes[:n], self._gamma_low[:n, :n], self._gamma_up[:n, :n],
-                     self._loss[:n], shift, shifted)
-        self._widths[n] = views
+            views = (np.matmul if m is None else _row_products, self._sizes[:n], self._gamma_low[:n, :n],
+                     self._gamma_up[:n, :n], loss, shift[..., :n], shift[..., 1:])
+        if m is None:
+            self._widths[n] = views
         return views
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is not None:
             if self._a is None:
                 return self._into(x, occupied_size(x[:out.size]), out)
+            self.n_evals += 1
             n = out.size
             xn = x[:n]
             views = self._widths.get(n) or self._width(n)
@@ -276,19 +289,27 @@ class RhsEvaluator:
             if rest is not None and rest[-1] < 0.0 <= S[-1]:
                 out[prefix_columns(occupied_size(xn) + 1, self.k):] = 0.0
             return out
-        if x.ndim == 1:
-            return self._state(x, self.k)
-        # a one-row block is cheaper through the one-state statements
-        return self._rows(x) if len(x) > 1 else self._state(x[0], x.shape[1])[None]
-
-    def _state(self, x: np.ndarray, width: int) -> np.ndarray:
-        """The derivative at one state, checked on its occupied prefix, as a fresh row of width columns."""
-        m = occupied_size(x)
-        _check_finite(x[:m])
-        return self._into(x, m, np.zeros(width))
+        X = x if x.ndim == 2 else x[None]
+        m, c = X.shape
+        sizes = occupied_sizes(X)
+        top = int(sizes.max(initial=0))
+        if c != self.k and not (X is x and top < c < self.k):
+            raise ValueError(f"states of shape {x.shape} do not fit k={self.k}: a state needs k entries, "
+                             "and a block narrower than k needs +0.0 in its last column")
+        n = prefix_columns(top + 1, c)
+        Xn = X[:, :n]
+        if not np.isfinite(Xn).all():  # every row's occupied prefix lies within n
+            raise NumericError("non-finite state entries passed to rhs")
+        self.n_evals += m
+        block = np.zeros((m, c))
+        self._eval(self._width(n, m), Xn, block[:, :n])
+        for row, size in zip(block, sizes.tolist()):
+            row[prefix_columns(size + 1, c):n] = 0.0
+        return block if X is x else block[0]
 
     def _into(self, x: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
         """The derivative at one state of occupied size m, written into the row out."""
+        self.n_evals += 1
         n = min(prefix_columns(m + 1, self.k), out.size)
         self._eval(self._widths.get(n) or self._width(n), x[:n], out[:n])
         if n < out.size:
@@ -296,11 +317,10 @@ class RhsEvaluator:
         return out
 
     def _eval(self, views: tuple, xn: np.ndarray, out: np.ndarray) -> None:
-        """The derivative at the state xn, on its n columns, into the n-column row out.
+        """The derivative at xn, one state or a block of rows on n columns, into out of xn's shape.
 
-        The statements of every one-state call; views are those of width n.
+        The statements of every call; views are ``_width``'s for xn's shape.
         """
-        self.n_evals += 1
         if self._a is not None:
             # S_i = sum_{j<=i} j*rate(i,j)*xi_j
             #     = a * (i**d * sum_{j<=i} j*xi_j + sum_{j<=i} j**(1+d)*xi_j)
@@ -313,7 +333,7 @@ class RhsEvaluator:
              shift, shifted) = views
             np.multiply(rev_weights, xn, out=rev_parts)
             np.multiply(fwd_weights, xn, out=fwd_parts)
-            np.add.accumulate(Z, axis=1, out=Z)
+            np.add.accumulate(Z, axis=-1, out=Z)
             if pair_weights is None:
                 pair += pair
             else:
@@ -322,62 +342,24 @@ class RhsEvaluator:
             if self._a != 1.0:  # x * 1.0 is x, bit for bit
                 pair *= self._a
         else:
-            sizes, low, up, loss, shift, shifted = views
-            S = low @ (sizes * xn)
-            T = up @ xn
+            matvec, sizes, low, up, loss, shift, shifted = views
+            S = matvec(low, sizes * xn)
+            T = matvec(up, xn)
         # shift holds x_{i-1} * S_{i-1} after its entry 0, +0.0, so out[0] is 0.0 - loss[0]
         np.multiply(xn, S, out=shifted)
         np.add(S, T, out=loss)
         loss *= xn
         np.subtract(shift, loss, out=out)
 
-    def _rows(self, X: np.ndarray) -> np.ndarray:
-        """The statements of ``_eval`` with a leading axis over the rows of X."""
-        m, k = X.shape
-        widths = [prefix_columns(size + 1, k) for size in occupied_sizes(X).tolist()]
-        n = max(widths)
-        Xn = X[:, :n]
-        _check_finite(Xn)  # every row's occupied prefix lies within n
-        self.n_evals += m
-        views = self._widths.get(n) or self._width(n)
-        if self._a is not None:
-            # weights shaped (r, 1, n) for r complex rows: (2, n) would broadcast along
-            # the rows of a 2-row block
-            rev_weights, fwd_weights, pair_weights = views[:3]
-            Z = np.empty((len(rev_weights), m, n), dtype=complex)
-            parts = Z.view(float)
-            np.multiply(rev_weights[:, None], Xn, out=parts[..., 0::2][..., ::-1])
-            np.multiply(fwd_weights[:, None], Xn, out=parts[..., 1::2])
-            np.add.accumulate(Z, axis=2, out=Z)
-            pair = parts[0]
-            if pair_weights is None:
-                pair += pair
-            else:
-                pair *= pair_weights
-                pair += parts[1]
-            if self._a != 1.0:
-                pair *= self._a
-            S, T = pair[:, 1::2], pair[:, 0::2][:, ::-1]
-        else:
-            sizes, low, up = views[:3]
-            Y = sizes * Xn
-            S, T = np.empty((m, n)), np.empty((m, n))
-            for y, x, s, t in zip(Y, Xn, S, T):
-                np.matmul(low, y, out=s)
-                np.matmul(up, x, out=t)
-        out = np.zeros((m, k))
-        np.multiply(Xn[:, :-1], S[:, :-1], out=out[:, 1:n])
-        loss = np.add(S, T)
-        loss *= Xn
-        out[:, :n] -= loss
-        for row, width in zip(out, widths):
-            row[width:n] = 0.0
-        return out
 
+def _row_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ x for every row x of X, one matrix-vector product (BLAS gemv) per row.
 
-def _check_finite(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
-        raise NumericError("non-finite state entries passed to rhs")
+    numpy runs a stack of matrix-vector products as one gemv each, which
+    gives every row the bits of ``A @ x``; a matrix-matrix product would
+    group the sums differently.
+    """
+    return np.matmul(A, X[..., None])[..., 0]
 
 
 def rhs(state: SizeDistribution, kernel: CoagulationKernel) -> np.ndarray:

@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import convergence_order
 
 from coagkin import experiments, system
 from coagkin.errors import ConfigError
@@ -395,11 +394,6 @@ def test_time_rescaling_derives_every_run_from_the_given_solver(monkeypatch):
         assert np.array_equal(run_b.resolved_sample_times(), alpha * run_a.resolved_sample_times())
     # scaling by a power of two is exact, so the two fixed-step flows agree bit for bit
     assert rep.metrics["max_rescaling_residual"] == 0.0
-
-
-def test_convergence_order_ratio_near_16():
-    res = convergence_order(constant(1.0), monomer(8), 1.0, 0.025)
-    assert 14.0 <= res["ratio"] <= 18.0
 
 
 def test_weights_audit_passes():

@@ -292,7 +292,7 @@ def test_whole_width_row_call_gives_the_trimmed_bits(data):
 @pytest.mark.parametrize("k", [2, 3, 48, 257])
 @pytest.mark.parametrize("kern", BLOCK_KERNELS, ids=[kn.name for kn in BLOCK_KERNELS])
 def test_block_rhs_matches_row_by_row_calls_bit_for_bit(kern, k, rng):
-    ev = RhsEvaluator(kern, k)
+    ev, oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
     results = []
     for m in (1, 2, 3, 513):
         # rows of every occupied size: empty, partial, a -0.0 last entry, negative
@@ -318,6 +318,12 @@ def test_block_rhs_matches_row_by_row_calls_bit_for_bit(kern, k, rng):
         scratch = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]  # grown by the calls
         assert block.shape == (m, k)
         assert block.tobytes() == np.array(rows).tobytes(), m
+        # both run the one statement body, so the oracle pins the bits: on each row's
+        # prefix columns its bits, past them +0.0 (the oracle may give -0.0 there)
+        for x, row in zip(X, block):
+            n = prefix_columns(occupied_size(x) + 1, k)
+            assert row[:n].tobytes() == oracle(x)[:n].tobytes(), (m, n)
+            assert not row[n:].view(np.int64).any(), (m, n)
         assert not any(np.shares_memory(block, buf) for buf in scratch)
         results.append((block, block.tobytes()))
     for block, kept in results:  # later calls left earlier blocks intact
@@ -327,8 +333,9 @@ def test_block_rhs_matches_row_by_row_calls_bit_for_bit(kern, k, rng):
         X[:, 0] = 1.0
         X[2, -1] = bad
         before = ev.n_evals
-        with pytest.raises(NumericError):
-            ev(X)
+        for bad_input in (X, X[2]):  # the block and its bad row as a state
+            with pytest.raises(NumericError):
+                ev(bad_input)
         assert ev.n_evals == before
 
 
@@ -348,6 +355,18 @@ def test_narrow_block_rhs_is_as_wide_as_its_rows_whatever_their_number(kern, k, 
             full = np.zeros((m, k))
             full[:, :c] = X
             assert block.tobytes() == np.array([ev(x)[:c] for x in full]).tobytes(), (c, m)
+            # below k, a row occupied up to column c may have a derivative at size c + 1,
+            # which c columns cannot hold; a state needs all k entries
+            X[-1, c - 1] = 1.0
+            before = ev.n_evals
+            for bad in ([X] if c < k else []) + [full[0, :c - 1], np.zeros(k + 1)]:
+                with pytest.raises(ValueError, match=rf"shape \({bad.shape[0]},.*k={k}\b"):
+                    ev(bad)
+            assert ev.n_evals == before
+    # dxi_5/dt = 10 at the padded state: a 4-column block may not drop it
+    assert RhsEvaluator(constant(1.0), 8)(np.pad(np.ones(4), (0, 4)))[4] == 10.0
+    with pytest.raises(ValueError, match=r"shape \(1, 4\).*k=8\b"):
+        RhsEvaluator(constant(1.0), 8)(np.ones((1, 4)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 64, 257])
@@ -381,8 +400,9 @@ def test_rhs_rejects_nonfinite_entries_in_the_zero_tail(k):
             x = np.zeros(k)
             x[0] = 1.0
             x[where] = bad
-            with pytest.raises(NumericError):
-                ev(x)
+            for arg in (x, x[None]):  # a state and its one-row block
+                with pytest.raises(NumericError):
+                    ev(arg)
     assert ev.n_evals == 0
 
 
