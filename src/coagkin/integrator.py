@@ -183,6 +183,12 @@ STEP_REACH = 7
 # on any of the measured cases (README, "Which pair runs").
 DOP853_REL_TOL = 1e-10
 
+# Steps on at most this many columns multiply their stage rows by weight planes, the
+# tableau's weights repeated along the columns, so each product is one coalesced loop.
+# Wider steps take the (..., 1) columns themselves: at n = 65,536 and 131,072 planes
+# ran 8-20 % slower and held 2.4-3.3 times the step's memory (README, "Weight planes").
+PLANE_COLUMNS = 256
+
 
 @dataclass(frozen=True)
 class _Tableau:
@@ -461,8 +467,9 @@ class _StepWork:
 
         ``rows`` are the rows of stages, one view each, kept with the width
         so that a stage loop cuts none. A combo is what ``_combine`` takes:
-        tableau weights, the stage rows they weigh, the scratch their
-        products go to and the rows of vec their sums go to. There is one
+        tableau weights, as their ``_plane`` for the width, the stage rows
+        they weigh, the scratch their products go to and the rows of vec
+        their sums go to. There is one
         per coupling and then per dense-output coupling, in stage order,
         each summing into head, then one for the error stack and one for
         the interpolant stack, which sums into F3, F4, ... head, scale and
@@ -480,14 +487,31 @@ class _StepWork:
             combos = tuple((col, stages[:s], terms[0, :s], head) for s, col in enumerate(t.couplings + t.dense, start=1))
             combos += ((t.errors, stages[:last], terms[:errors, :last], vec[1:1 + errors]),
                        (t.interpolant, stages, terms[: len(t.interpolant)], vec[4:]))
+            combos = tuple((_plane(w, out), rows, out, sums) for w, rows, out, sums in combos)
             views = self._widths[n] = (stages, tuple(stages), combos, head, vec[0], vec[1:])
         return views
+
+
+def _plane(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Tableau weights as ``_combine`` takes them into ``terms``.
+
+    On at most PLANE_COLUMNS columns, a fresh C-contiguous plane of the
+    terms' shape, the (..., 1) weights repeated along the columns; on more,
+    the weights themselves, which the multiply broadcasts. Either way each
+    product is the same multiply of the same two floats.
+    """
+    if terms.shape[-1] > PLANE_COLUMNS:
+        return weights
+    plane = np.empty(terms.shape)
+    plane[...] = weights
+    return plane
 
 
 def _combine(weights: np.ndarray, rows: np.ndarray, terms: np.ndarray, out: np.ndarray) -> np.ndarray:
     """sum_j weights[..., j] * rows[j] into out, for one tableau column or a ``_stack`` of them.
 
-    One multiply of the stage rows by the column or columns into ``terms``,
+    One multiply of the stage rows by the column or columns, or by their
+    ``_plane``, into ``terms``,
     then one np.add.reduce over the stage axis. That reduction adds whole
     rows one after another, first to last, so each sum rounds exactly like
     the left-to-right sum of its terms.

@@ -198,6 +198,14 @@ def tabulated(
     )
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def tabulated_from_csv(
     path: str,
     growth_constant_A: float,
@@ -207,7 +215,9 @@ def tabulated_from_csv(
 ) -> CoagulationKernel:
     """Load a tabulated kernel from CSV rows ``i,j,gamma`` with i >= j.
 
-    Missing pairs default to rate 0; a header row is permitted.
+    Missing pairs default to rate 0. Line 1 is a header when its first
+    field is not a number; every other line is a row, and a size that is
+    not an integer raises ``ValueError`` naming the path and line.
     """
     rows = []
     with open(path) as fh:
@@ -216,11 +226,18 @@ def tabulated_from_csv(
             if not line:
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and not parts[0].lstrip("-").isdigit():
+            if lineno == 1 and not _is_number(parts[0]):
                 continue  # header
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'i,j,gamma', got {line!r}")
-            i, j, g = int(parts[0]), int(parts[1]), float(parts[2])
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: sizes must be integers, got {line!r}") from None
+            try:
+                g = float(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: gamma must be a number, got {line!r}") from None
             if i < 1 or j < 1:
                 raise ValueError(f"{path}:{lineno}: sizes must be >= 1")
             if j > i:

@@ -96,8 +96,7 @@ def write_json_atomic(path: str, payload: dict) -> str:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -26,6 +26,7 @@ from coagkin.integrator import (
     DOP853_REL_TOL,
     MASS_BUDGET_REL,
     MODE_FIXED,
+    PLANE_COLUMNS,
     STEP_REACH,
     SolverConfig,
     _clamp,
@@ -396,11 +397,11 @@ def test_tabulated_kernel_smaller_than_k_is_rejected():
         integrate(monomer(16), demo_table(8), SolverConfig(t_end=1.0))
 
 
-@pytest.mark.parametrize("kern", [constant(0.7), additive(1.3), power_sum(0.7, 0.3), demo_table(257)],
+@pytest.mark.parametrize("kern", [constant(0.7), additive(1.3), power_sum(0.7, 0.3), demo_table(520)],
                          ids=["constant", "additive", "power", "table"])
 def test_step_matches_oracle_bit_for_bit(kern, rng):
-    norms = []
-    for k in (2, 3, 64, 200, 257):
+    norms, windows = [], set()
+    for k in (2, 3, 64, 200, 257, 520):  # windows on both sides of PLANE_COLUMNS, 256 and 512 included
         f, f_oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
         work = _StepWork()
         heads = []  # an occupied head and an empty tail, as in a run
@@ -423,7 +424,25 @@ def test_step_matches_oracle_bit_for_bit(kern, rng):
                 assert work.stages[:, :n].tobytes() == stages_o[:, :n].tobytes(), (k, h)
                 assert np.all(stages_o[:, n:] == 0.0), (k, h)
                 norms.append(err)
+                windows.add(n)
     assert min(norms) <= 1.0 < max(norms)  # accepted and rejected step sizes both covered
+    assert {PLANE_COLUMNS, 2 * PLANE_COLUMNS} <= windows
+
+
+@pytest.mark.parametrize("tableau", [_DOPRI5, _RK4, _DOP853], ids=lambda t: t.name)
+def test_combo_weights_are_planes_up_to_plane_columns_and_tableau_columns_past_it(tableau):
+    work = _StepWork(tableau)
+    own = tableau.couplings + tableau.dense + (tableau.errors, tableau.interpolant)
+    for n in (1, 16, PLANE_COLUMNS, PLANE_COLUMNS + 1, 2 * PLANE_COLUMNS, 16, PLANE_COLUMNS):
+        combos = work.width(n)[2]
+        assert len(combos) == len(own)
+        for (weights, _, terms, _), columns in zip(combos, own):
+            if n <= PLANE_COLUMNS:
+                assert weights.flags.c_contiguous and weights.shape == terms.shape, (n, weights.shape)
+                assert weights.tobytes() == np.broadcast_to(columns, terms.shape).tobytes()
+            else:  # the tableau's own (..., 1) columns: no plane is held
+                assert weights is columns
+            assert not np.shares_memory(weights, work.terms) and not np.shares_memory(weights, work.stages)
 
 
 def test_fsal_stage_and_state_survive_the_next_step(rng):
@@ -806,11 +825,11 @@ def test_max_occupied_size_is_the_widest_accepted_state(monkeypatch):
     assert traj.step_stats.max_occupied_size == 4096 > max(seen[1:] + [occupied_size(traj.final().values)])
 
 
-@pytest.mark.parametrize("kern", [constant(0.7), additive(1.3), power_sum(0.7, 0.3), demo_table(257)],
+@pytest.mark.parametrize("kern", [constant(0.7), additive(1.3), power_sum(0.7, 0.3), demo_table(520)],
                          ids=["constant", "additive", "power", "table"])
 def test_dop853_step_and_samples_match_oracle_bit_for_bit(kern, rng):
-    norms = []
-    for k in (2, 3, 64, 200, 257):
+    norms, windows = [], set()
+    for k in (2, 3, 64, 200, 257, 520):  # windows on both sides of PLANE_COLUMNS, 256 and 512 included
         f, f_oracle = RhsEvaluator(kern, k), rhs_oracle(kern, k)
         sizes = np.arange(1.0, k + 1.0)
         work = _StepWork(_DOP853)
@@ -843,7 +862,9 @@ def test_dop853_step_and_samples_match_oracle_bit_for_bit(kern, rng):
                 assert stats.clamped_mass_sample == stats_o.clamped_mass_sample
                 end = _dense_samples(f, work, t0, h, y, f(y), y1, f1, [t0 + h], n, sizes, StepStats())
                 assert np.max(np.abs(end[0] - y1[:n])) <= 4e-16 * np.max(np.abs(y))
+                windows.add(n)
     assert min(norms) <= 1.0 < max(norms)  # accepted and rejected step sizes both covered
+    assert {PLANE_COLUMNS, 2 * PLANE_COLUMNS} <= windows
 
 
 def test_dense_samples_end_in_the_factor_of_the_last_rows_parity(rng):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -146,6 +147,21 @@ def test_tabulated_csv_rejects_upper_triangle(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("1,2,0.5\n")
     with pytest.raises(ValueError, match="i >= j"):
+        tabulated_from_csv(str(p), growth_constant_A=1.0)
+
+
+def test_tabulated_csv_first_line_is_a_header_only_when_not_a_number(tmp_path):
+    p = tmp_path / "k.csv"
+    p.write_text("+1,1,2.0\n2,1,0.5\n")  # a signed first size is a number: the line is a row
+    assert tabulated_from_csv(str(p), growth_constant_A=1.0).evaluate(1, 1) == 2.0
+    p.write_text("size_i,j,gamma\n+1,1,2.0\n")
+    assert tabulated_from_csv(str(p), growth_constant_A=1.0).evaluate(1, 1) == 2.0
+    for text, lineno in (("1.0,1,2.0\n2,1,0.5\n", 1), ("1,1,2.0\n2,1.5,0.5\n", 2), ("i,j,gamma\n1e0,1,2.0\n", 2)):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{lineno}: sizes must be integers"):
+            tabulated_from_csv(str(p), growth_constant_A=1.0)
+    p.write_text("1,1,fast\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:1: gamma must be a number"):
         tabulated_from_csv(str(p), growth_constant_A=1.0)
 
 

@@ -1,3 +1,5 @@
+import io
+import json
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -11,6 +13,7 @@ from coagkin.diagnostics import DiagnosticsRecord
 from coagkin.integrator import SolverConfig, StepStats, Trajectory, integrate
 from coagkin.kernels import constant
 from coagkin.output import fmt, write_diagnostics_csv, write_line_svg, write_trajectory_csv
+from coagkin.reports import write_json_atomic
 from coagkin.system import monomer
 
 
@@ -21,6 +24,17 @@ def test_float_format_round_trips_exactly(rng):
     ])
     for v in vals:
         assert float(fmt(v)) == v
+
+
+def test_json_report_bytes_equal_json_dump(tmp_path):
+    payload = {"name": "run", "metrics": {"b": 0.1 + 0.2, "a": -1e-300, "n": 3}, "empty": [], "none": None,
+               "samples": [[0.0, 1.5e-17, [2.0, float("inf")]], {"z": [1, 2.5], "y": {}}], "ok": True}
+    expected = io.StringIO()
+    json.dump(payload, expected, indent=2, sort_keys=True)
+    path = write_json_atomic(str(tmp_path / "out" / "report.json"), payload)
+    with open(path, "rb") as fh:
+        assert fh.read() == (expected.getvalue() + "\n").encode()
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]  # no temporary file left
 
 
 def test_trajectory_csv_round_trips_values(tmp_path):
