@@ -20,9 +20,10 @@ the same D as the exact product, so its text is the text of ``fmt``.
 Each cell's text is laid out in four 64-bit words whose bytes are read
 in little-endian order (byte i is bits 8i..8i+7 of word i // 8), which
 needs a little-endian host such as x86-64 or arm64. The formatter makes
-no matrix product or other BLAS call: one would wake numpy's OpenBLAS
-worker thread, whose spinning is counted in the run's CPU time (see
-``system._quadratic_forms``).
+no matrix product or other BLAS call. A large one would wake numpy's
+OpenBLAS worker thread, whose spinning is counted in the run's CPU time;
+``system._quadratic_forms`` cuts its products into row blocks below
+OpenBLAS's single-thread bound (``system.GEMM_CELLS``) for that reason.
 """
 from __future__ import annotations
 

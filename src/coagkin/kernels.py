@@ -216,8 +216,10 @@ def tabulated_from_csv(
     """Load a tabulated kernel from CSV rows ``i,j,gamma`` with i >= j.
 
     Missing pairs default to rate 0. Line 1 is a header when its first
-    field is not a number; every other line is a row, and a size that is
-    not an integer raises ``ValueError`` naming the path and line.
+    field is not a number; every other line is a row. A size that is not
+    an integer, a gamma that is not a finite number, or a field holding a
+    digit-group underscore (which ``int`` and ``float`` would take, reading
+    ``1_0`` as 10) raises ``ValueError`` naming the path and line.
     """
     rows = []
     with open(path) as fh:
@@ -230,6 +232,8 @@ def tabulated_from_csv(
                 continue  # header
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'i,j,gamma', got {line!r}")
+            if "_" in line:
+                raise ValueError(f"{path}:{lineno}: fields must not hold '_', got {line!r}")
             try:
                 i, j = int(parts[0]), int(parts[1])
             except ValueError:
@@ -238,6 +242,8 @@ def tabulated_from_csv(
                 g = float(parts[2])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: gamma must be a number, got {line!r}") from None
+            if not np.isfinite(g):
+                raise ValueError(f"{path}:{lineno}: gamma must be finite, got {line!r}")
             if i < 1 or j < 1:
                 raise ValueError(f"{path}:{lineno}: sizes must be >= 1")
             if j > i:

@@ -115,6 +115,15 @@ def prefix_columns(need: int, k: int) -> int:
 # whatever the number of samples
 BLOCK_CELLS = 1 << 12
 
+# multiply-adds (rows x a**2) in one block of the X @ A products of the
+# identity forms (_quadratic_forms). OpenBLAS runs a gemm of m*n*k at most
+# SMP_THRESHOLD_MIN (65,536) * GEMM_MULTITHREAD_THRESHOLD (4, its default)
+# on the calling thread (interface/gemm.c); a larger one wakes its worker
+# thread, which spins on after the product. Three products of 1001 x 32 x 32
+# left the process 135 ms of CPU past their wall time by 0.5 s later; the
+# same products in blocks of 256 rows, 0.1 ms (2-vCPU VM, OpenBLAS 0.3.31).
+GEMM_CELLS = 1 << 18
+
 
 def row_blocks(m: int, k: int) -> list[slice]:
     """Slices cutting m rows of length k into blocks of at most BLOCK_CELLS cells, one row at least."""
@@ -419,14 +428,22 @@ def _stacked_values(states) -> tuple[StateStack, bool]:
 
 
 def _quadratic_forms(X: np.ndarray, A: np.ndarray, single: bool):
-    """x^T A x for every row x of X: a float for a single state, else an array."""
-    # einsum, not X @ A. At 1001 x 32 the matmul itself is fast (0.04 ms,
-    # against 0.4 ms here), but it wakes OpenBLAS's worker thread, which then
-    # spins: a 33 ms window holding one such product used 58-64 ms of CPU,
-    # against 33 ms with OPENBLAS_NUM_THREADS=1 or with this einsum (2-vCPU
-    # VM), so a matmul here would about double a run's cpu_s. The CSV
-    # formatter in csvtext.py keeps to elementwise numpy for the same reason.
-    rates = np.einsum("nj,nj->n", np.einsum("ni,ij->nj", X, A), X)
+    """x^T A x for every row x of X: a float for a single state, else an array.
+
+    X @ A is written into one (n, a) array a row block at a time, each
+    block at most GEMM_CELLS multiply-adds and one row at least, so that
+    OpenBLAS keeps every product on the calling thread. At 1001 x 32 x 32
+    the blocked product takes 42 us, numpy's own einsum loop 350-390 us.
+    Blocked and unblocked products agree to rounding, not bit for bit: a
+    gemm row's last bits can depend on where the row sits in the product,
+    and a one-row block runs as a matrix-vector product.
+    """
+    n, a = X.shape
+    XA = np.empty((n, a))
+    rows = max(1, GEMM_CELLS // (a * a))
+    for i in range(0, n, rows):
+        np.matmul(X[i:i + rows], A, out=XA[i:i + rows])
+    rates = np.einsum("nj,nj->n", XA, X)
     return float(rates[0]) if single else rates
 
 

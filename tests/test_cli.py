@@ -658,6 +658,21 @@ def test_table_smaller_than_run_is_a_config_error(tmp_path):
     assert main(["verify", cfg]) == 0
 
 
+@pytest.mark.parametrize("row", ["1_0,1,2.0", "2,1,nan", "2,1,inf"])
+def test_malformed_table_row_is_a_config_error_not_an_admissibility_failure(tmp_path, capsys, row):
+    # read as size 10, or as a non-finite rate, these rows once reached the
+    # admissibility precheck as symmetry and growth violations
+    table = tmp_path / "k.csv"
+    table.write_text(f"1,1,1.0\n2,2,1.0\n{row}\n")
+    cfg = write_config(tmp_path, kernel={"type": "table", "params": {"path": str(table)}, "A": 1.0},
+                       truncation_k=2, output_dir=str(tmp_path / "out"))
+    assert main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "kernel.params.path" in err and f"{table}:3:" in err
+    assert "admissibility" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_admissibility_failure_names_the_grid_checked(tmp_path, capsys):
     table = tmp_path / "k.csv"
     cfg = write_config(tmp_path, truncation_k=2,
@@ -835,10 +850,20 @@ def test_numeric_failure_checks_only_the_prefix_the_run_read(tmp_path, capsys, m
 def test_non_finite_rate_read_as_zero_times_inf_fails_simulate(tmp_path, capsys, monkeypatch, recwarn):
     # a NaN at (32, 1) lies past G = max_occupied_size + STEP_REACH of the failed run,
     # but the matrix route reads it, times xi_32 = 0, once a stage input reaches
-    # size 16, and the NaN breaks the run; the prefix 1..32 that call took shows it
+    # size 16, and the NaN breaks the run; the prefix 1..32 that call took shows it.
+    # A table file cannot hold a NaN (its loader rejects the file), so the NaN is
+    # set in the loaded table, which the kernel's rule reads
     k = 64
+    load = kernels.tabulated_from_csv
+
+    def with_nan(*args, **kwargs):
+        kern = load(*args, **kwargs)
+        kern.table[31, 0] = math.nan
+        return kern
+
+    monkeypatch.setattr(kernels, "tabulated_from_csv", with_nan)
     table = tmp_path / "k.csv"
-    table.write_text(_table_rows(k, bad=(32, 1), rate=math.nan))
+    table.write_text(_table_rows(k))
     cfg = write_config(tmp_path, truncation_k=k, solver={"t_end": 10.0},
                        kernel={"type": "table", "params": {"path": str(table)}, "A": 1.0})
     run = cli.RunConfig.load(cfg)

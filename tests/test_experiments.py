@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -361,6 +364,76 @@ def test_identity_audit_rejects_bad_q_before_any_rate(monkeypatch, q_list):
         monkeypatch.setattr(experiments, attr, refuse)
     with pytest.raises(ValueError, match="q_list"):
         identity_audit(traj, kern, q_list=q_list)
+
+
+IDENTITY_K32_TIMES = np.linspace(0.0, 5.0, 1001)  # the identity_k32 benchmark shape, with k = 32
+
+
+def test_identity_audit_fails_a_wrong_kernel_and_a_perturbed_sample():
+    # negative controls: the audit must catch a wrong rate, not only pass a right one.
+    # Audited against constant(1.5), the run's identities miss by a third; the
+    # pointwise adjoint check cannot see it, both its routes taking the same kernel
+    kern = constant(1.0)
+    traj = integrate(monomer(32), kern, SolverConfig(t_end=5.0, sample_times=IDENTITY_K32_TIMES))
+    bound = 10.0 * traj.config.rel_tol
+    rep = identity_audit(traj, kern, q_list=[8, 16, 31])
+    assert rep.passed and rep.metrics["max_identity_residual"] <= bound
+    wrong = identity_audit(traj, constant(1.5), q_list=[8, 16, 31])
+    assert not wrong.passed and wrong.metrics["max_identity_residual"] > bound
+    # xi_1 at sample 500, an even index where the residuals are read, moved by 1e-4
+    # of itself: the residual there reads 1.1e-5
+    states = traj.states.copy()
+    states[500, 0] *= 1.0 + 1e-4
+    moved = identity_audit(replace(traj, states=states), kern, q_list=[8, 16, 31])
+    assert not moved.passed and moved.metrics["max_identity_residual"] > bound
+
+
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode argument
+        return ""
+
+
+# Runs identity_audit on the identity_k32 shape once numpy's worker thread has
+# settled, and prints the process CPU time over the audit and a 0.5 s idle tail,
+# less the audit's wall time, in seconds
+_AUDIT_CPU_EXCESS = """
+import time
+import numpy as np
+from coagkin.experiments import identity_audit
+from coagkin.integrator import SolverConfig, integrate
+from coagkin.kernels import constant
+from coagkin.system import monomer
+
+kern = constant(1.0)
+traj = integrate(monomer(32), kern, SolverConfig(t_end=5.0, sample_times=np.linspace(0.0, 5.0, 1001)))
+before = time.process_time()
+for _ in range(30):  # after import OpenBLAS's worker spins for about 0.1 s
+    time.sleep(0.1)
+    now = time.process_time()
+    if now - before < 0.002:
+        break
+    before = now
+cpu, wall = time.process_time(), time.perf_counter()
+identity_audit(traj, kern, q_list=[8, 16, 31])
+wall = time.perf_counter() - wall
+time.sleep(0.5)
+print(time.process_time() - cpu - wall)
+"""
+
+
+@pytest.mark.skipif("openblas" not in _blas_name().lower(), reason="measures OpenBLAS's worker thread")
+def test_identity_audit_leaves_the_blas_worker_idle():
+    # a matrix product above OpenBLAS's single-thread bound wakes its worker
+    # thread, which spins on after it: with one unblocked X @ A per identity form
+    # this read 0.137 s, and with the row blocks of system.GEMM_CELLS 0.0001 s
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _AUDIT_CPU_EXCESS], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.030
 
 
 def test_time_rescaling_constant_kernel_only():

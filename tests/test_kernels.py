@@ -165,6 +165,29 @@ def test_tabulated_csv_first_line_is_a_header_only_when_not_a_number(tmp_path):
         tabulated_from_csv(str(p), growth_constant_A=1.0)
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("1_0,1,2.0\n", 1),  # int would read size 10
+    ("i,j,gamma\n2,1_0,0.5\n", 2),
+    ("1,1,2.0\n2,1,1_0.5\n", 2),  # float would read gamma 10.5
+])
+def test_tabulated_csv_rejects_digit_group_underscores(tmp_path, text, lineno):
+    p = tmp_path / "k.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{lineno}: fields must not hold '_'"):
+        tabulated_from_csv(str(p), growth_constant_A=1.0)
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_tabulated_csv_rejects_a_gamma_that_is_not_finite(tmp_path, gamma):
+    p = tmp_path / "k.csv"
+    p.write_text(f"i,j,gamma\n1,1,1.0\n2,1,{gamma}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: gamma must be finite"):
+        tabulated_from_csv(str(p), growth_constant_A=1.0)
+    with pytest.raises(ConfigError) as info:
+        kernels.from_config({"type": "table", "params": {"path": str(p)}, "A": 1.0})
+    assert info.value.field == "kernel.params.path"
+
+
 def test_demo_table_is_admissible():
     rep = check_admissibility(demo_table(16), 16)
     assert rep.passed

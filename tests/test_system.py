@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from coagkin.kernels import (
     power_sum,
 )
 from coagkin.system import (
+    GEMM_CELLS,
     RhsEvaluator,
     SizeDistribution,
     StateStack,
@@ -28,6 +30,7 @@ from coagkin.system import (
     prefix_columns,
     rhs,
     weak_form_rate,
+    _quadratic_forms,
 )
 
 CATALOG = list(catalog(table_size=64).values())
@@ -518,16 +521,38 @@ def _oracle_weak_form(psi, x, kern):
     return float(np.sum(gain) - np.sum(loss)), float(np.sum(np.abs(gain)) + np.sum(np.abs(loss)))
 
 
-def _oracle_finite_identity(phi, x, kern, q):
-    k = x.size
-    gX = kern.rate_matrix(k) * np.outer(x, x)
+def _finite_identity_terms(phi, x, g, q):
+    """The P1, P2 and P3 term arrays of finite_identity_rate at x, one state or a block of rows.
+
+    g is rate_matrix(k) for states of length k; a block's terms carry its row axis first.
+    """
+    k = x.shape[-1]
+    gX = g * (x[..., :, None] * x[..., None, :])
     jv = np.arange(1, k + 1, dtype=float)
     lower = np.tril(np.ones((q, q), dtype=bool))
-    p1 = (phi[1:, None] * (jv[None, :q] * gX[: q - 1, :q])) * lower[: q - 1, :]
-    p2 = ((jv[None, :q] * phi[:, None] + phi[None, :]) * gX[:q, :q]) * lower
-    p3 = phi[None, :] * gX[q:, :q]
+    p1 = (phi[1:, None] * (jv[None, :q] * gX[..., : q - 1, :q])) * lower[: q - 1, :]
+    p2 = ((jv[None, :q] * phi[:, None] + phi[None, :]) * gX[..., :q, :q]) * lower
+    p3 = phi[None, :] * gX[..., q:, :q]
+    return p1, p2, p3
+
+
+def _oracle_finite_identity(phi, x, kern, q):
+    p1, p2, p3 = _finite_identity_terms(phi, x, kern.rate_matrix(x.size), q)
     value = float(np.sum(p1) - np.sum(p2) - np.sum(p3))
     return value, float(sum(np.sum(np.abs(p)) for p in (p1, p2, p3)))
+
+
+def _fsum_finite_identities(phi, X, g, q):
+    """The P1 - P2 - P3 rate at every row of X as the correctly rounded sum of its terms.
+
+    Also returns each row's sum of the terms' magnitudes, summed the same way.
+    """
+    p1, p2, p3 = _finite_identity_terms(phi, X, g, q)
+    lower = np.tril(np.ones((q, q), dtype=bool))
+    held = np.concatenate([lower[:q - 1].ravel(), lower.ravel(), np.ones(p3[0].size, dtype=bool)])
+    terms = np.hstack([p.reshape(len(X), -1) for p in (p1, -p2, -p3)])[:, held]
+    return ([math.fsum(t) for t in terms.tolist()],
+            [math.fsum(t) for t in np.abs(terms).tolist()])
 
 
 ORACLE_KERNELS = [
@@ -600,6 +625,69 @@ def test_identity_rates_cost_the_occupied_width_not_k(kern, rng, monkeypatch):
         finite_identity_rate(psi, wide, kern, k).tobytes()
     assert widths and max(widths) == 23
     assert finite_identity_rate(psi[:5], state(np.zeros(k)), kern, 5) == 0.0
+
+
+# stack heights around a block of 256 rows, the block at a = 32, and sizes a on
+# both sides of 32 and of 512, past which every block is one row
+FORM_ROWS = (1, 255, 256, 257, 1001)
+FORM_SIZES = (1, 2, 32, 33, 512, 513)
+
+
+@pytest.mark.parametrize("a", FORM_SIZES)
+def test_blocked_identity_forms_match_an_fsum_oracle(a, rng):
+    # each rate lies within a few ulps of its terms' magnitude sum from their
+    # exact sum (3 ulps at most were seen); at a >= 512, where every block is
+    # one row, the last row of each stack is checked
+    kern = power_sum(1.0, 0.5)
+    k = a + 1  # size k is +0.0 in every row, so the forms are taken on sizes 1..a
+    g = kern.rate_matrix(k)
+    psi = rng.uniform(-1.0, 1.0, k)
+    for n in FORM_ROWS:
+        X = np.zeros((n, k))
+        X[:, :a] = rng.random((n, a)) + 0.01
+        stack = StateStack(X, np.zeros(n))
+        checked = np.arange(n) if a < 512 else np.array([n - 1])
+        for q in sorted({max(1, a // 2), a, k}):
+            if q == k:
+                got = weak_form_rate(psi, stack, kern)
+            else:
+                got = finite_identity_rate(psi[:q], stack, kern, q)
+            wants, sizes = _fsum_finite_identities(psi[:q], X[checked], g, q)
+            for r, want, size in zip(checked.tolist(), wants, sizes):
+                assert abs(got[r] - want) <= 8 * math.ulp(size), (n, q, r)
+
+
+@pytest.mark.parametrize("a", FORM_SIZES)
+def test_quadratic_forms_hand_matmul_single_thread_row_blocks(a, monkeypatch, rng):
+    # OpenBLAS runs a gemm of at most GEMM_CELLS multiply-adds on the calling
+    # thread: X @ A goes to np.matmul in blocks of max(1, GEMM_CELLS // a**2)
+    # rows, the last one shorter, and nowhere else
+    products = []
+    matmul = np.matmul
+
+    def spy(X, A, out):
+        products.append((X.shape, A.shape))
+        return matmul(X, A, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    A = np.tril(rng.uniform(-1.0, 1.0, (a, a)))
+    rows = max(1, GEMM_CELLS // a**2)
+    for n in FORM_ROWS:
+        X = rng.random((n, a))
+        products.clear()
+        got = _quadratic_forms(X, A, False)
+        assert [shape for shape, _ in products] == [(min(rows, n - i), a) for i in range(0, n, rows)]
+        assert all(m * a * a <= GEMM_CELLS or m == 1 for (m, _), _ in products)
+        assert all(shape == (a, a) for _, shape in products)
+        # one unblocked product gives the same forms up to rounding, not bit for
+        # bit: a gemm row's last bits can depend on where the row sits in the
+        # product, and a one-row block runs as a matrix-vector product
+        want = np.einsum("nj,nj->n", matmul(X, A), X)
+        size = np.einsum("nj,nj->n", matmul(X, np.abs(A)), X)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(size)), n
+    products.clear()
+    assert type(_quadratic_forms(X[:1], A, True)) is float
+    assert [shape for shape, _ in products] == [(1, a)]
 
 
 def test_single_state_identity_rate_is_a_python_float(rng):
