@@ -71,13 +71,13 @@ def check_q_list(q_list, k: int) -> list[int]:
     return q_list
 
 
-def _solver(solver: SolverConfig | None, t_end: float, n_samples: int = 101) -> SolverConfig:
-    """The given solver, which must end at t_end, else the default one on n_samples uniform times."""
+def _solver(solver: SolverConfig | None, t_end: float) -> SolverConfig:
+    """The given solver, which must end at t_end, else the default one ending at t_end."""
     if solver is not None:
         if solver.t_end != t_end:
             raise ValueError(f"solver.t_end {solver.t_end} differs from the end time {t_end} given")
         return solver
-    return SolverConfig(t_end=t_end, sample_times=np.linspace(0.0, t_end, n_samples))
+    return SolverConfig(t_end=t_end)
 
 
 def _shared_run(prev_init: SizeDistribution, prev: Trajectory, init: SizeDistribution,
@@ -520,57 +520,6 @@ def identity_audit(
             "n_samples": int(times.size),
             "rel_tol": rel_tol,
         },
-    )
-
-
-def time_rescaling(
-    kernel: CoagulationKernel,
-    init: SizeDistribution,
-    t_end: float,
-    alphas=(0.5, 2.0),
-    solver: SolverConfig | None = None,
-    thresholds: dict | None = None,
-) -> ExperimentReport:
-    """Concentration/time rescaling identity for size-independent kernels.
-
-    For a constant-rate kernel the flow started from alpha * xi at time t
-    equals alpha times the flow started from xi at time alpha * t. This
-    is special to size-independent rates and is asserted for them only.
-
-    Both runs derive from one solver: the scaled start runs on it, and the
-    unscaled one on a copy whose end time, sample times and, when set,
-    max_step and fixed_h are multiplied by alpha.
-    """
-    if kernel.separable is None or kernel.separable[1] != 0.0:
-        raise ValueError("time rescaling is asserted for constant kernels only")
-    base = _solver(solver, t_end, n_samples=51)
-    ts = base.resolved_sample_times()
-    metrics = {}
-    worst = 0.0
-    for alpha in alphas:
-        scaled_init = SizeDistribution(alpha * init.values, init.truncation_k, 0.0)
-        traj_a = integrate(scaled_init, kernel, base)
-        # an unset max_step or fixed_h stays None
-        stretched = replace(base, t_end=alpha * t_end, sample_times=alpha * ts,
-                            max_step=base.max_step and alpha * base.max_step,
-                            fixed_h=base.fixed_h and alpha * base.fixed_h)
-        traj_b = integrate(init, kernel, stretched)
-        # past the wider of the two stored widths both runs are +0.0
-        width = max(traj_a.states.shape[1], traj_b.states.shape[1])
-        err = float(np.max(np.abs(traj_a.states_matrix(width) - alpha * traj_b.states_matrix(width)),
-                           initial=0.0))
-        scale = alpha * float(np.max(np.abs(init.values)))
-        metrics[f"rescaling_residual_alpha_{alpha:g}"] = err / scale
-        worst = max(worst, err / scale)
-    metrics["max_rescaling_residual"] = worst
-    thr = {"max_rescaling_residual": 10.0 * base.rel_tol}
-    thr.update(thresholds or {})
-    return ExperimentReport.build(
-        name="time_rescaling",
-        metrics=metrics,
-        thresholds=thr,
-        config_echo={"kernel": kernel.name, "t_end": t_end, "alphas": list(alphas),
-                     "solver": base.to_dict()},
     )
 
 

@@ -240,21 +240,24 @@ class SolverConfig:
             self.sample_times = np.asarray(self.sample_times, dtype=float)
 
     def validate(self) -> None:
-        if not self.t_end > 0:
-            raise ConfigError("solver.t_end", f"must be positive, got {self.t_end}")
-        if not self.rel_tol > 0:
-            raise ConfigError("solver.rel_tol", f"must be positive, got {self.rel_tol}")
-        if not self.abs_tol > 0:
-            raise ConfigError("solver.abs_tol", f"must be positive, got {self.abs_tol}")
-        if self.max_step is not None and not self.max_step > 0:
-            raise ConfigError("solver.max_step", "must be positive")
+        # json.load accepts NaN and Infinity, so each number is bounded on both sides
+        if not 0 < self.t_end < np.inf:
+            raise ConfigError("solver.t_end", f"must be positive and finite, got {self.t_end}")
+        if not 0 < self.rel_tol < np.inf:
+            raise ConfigError("solver.rel_tol", f"must be positive and finite, got {self.rel_tol}")
+        if not 0 < self.abs_tol < np.inf:
+            raise ConfigError("solver.abs_tol", f"must be positive and finite, got {self.abs_tol}")
+        if self.max_step is not None and not 0 < self.max_step < np.inf:
+            raise ConfigError("solver.max_step", f"must be positive and finite, got {self.max_step}")
         if self.mode not in (MODE_ADAPTIVE, MODE_FIXED):
             raise ConfigError("solver.mode", f"unknown mode {self.mode!r}")
-        if self.mode == MODE_FIXED and (self.fixed_h is None or not self.fixed_h > 0):
-            raise ConfigError("solver.fixed_h", "fixed_step mode needs a positive step size")
+        if self.mode == MODE_FIXED and (self.fixed_h is None or not 0 < self.fixed_h < np.inf):
+            raise ConfigError("solver.fixed_h", "fixed_step mode needs a positive finite step size")
         if self.mode != MODE_FIXED and self.fixed_h is not None:
             raise ConfigError("solver.fixed_h", f"applies to fixed_step mode only, mode is {self.mode!r}")
         ts = self.resolved_sample_times()
+        if not np.all(np.isfinite(ts)):
+            raise ConfigError("solver.sample_times", "must all be finite")
         if ts[0] != 0.0 or abs(ts[-1] - self.t_end) > 1e-12 * max(1.0, self.t_end):
             raise ConfigError("solver.sample_times", "must start at 0 and end at t_end")
         if np.any(np.diff(ts) <= 0):

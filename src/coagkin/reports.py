@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -93,7 +92,9 @@ def check_threshold_names(name: str, thresholds, metric_names) -> None:
 def write_json_atomic(path: str, payload: dict) -> str:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # os.open masks 0o666 by the umask, as open() does for the CSVs; mkstemp always makes 0600
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -59,6 +59,20 @@ def test_simulate_writes_outputs(tmp_path):
     assert summary["step_stats"]["tableau"] == "dopri5"  # the default rel_tol lies above the switch point
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("simulate", {}), ("verify", {"experiment": {"name": "truncation"}})])
+def test_json_files_take_the_umask_like_the_csvs(tmp_path, command, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    umask = os.umask(0o022)
+    try:
+        assert main([command, cfg]) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "out").iterdir()}
+    assert any(name.endswith(".json") for name in modes) and any(name.endswith(".csv") for name in modes)
+    assert set(modes.values()) == {0o644}, modes
+
+
 def test_simulate_takes_the_leak_rates_from_the_records(tmp_path, monkeypatch):
     # the mass defect integrates the leak rates the diagnostics records hold: one rate per
     # sample is computed, and summary.json gets the number the stored rows give
@@ -341,6 +355,14 @@ def test_unknown_solver_key_lists_the_solver_fields(tmp_path, capsys):
     ("verify", {"experiment": {"name": "admissibility", "thresholds": {"growth_violations": 1000}}},
      "experiment.thresholds"),
     ("simulate", {"seed": 0}, "'seed'"),
+    # json.load reads NaN and Infinity as floats
+    ("simulate", {"solver": {"t_end": math.inf}}, "solver.t_end"),
+    ("simulate", {"solver": {"rel_tol": math.inf}}, "solver.rel_tol"),
+    ("verify", {"solver": {"abs_tol": math.inf}, "experiment": {"name": "identity"}},
+     "solver.abs_tol"),
+    ("simulate", {"solver": {"max_step": math.inf}}, "solver.max_step"),
+    ("simulate", {"solver": {"mode": "fixed_step", "fixed_h": math.inf}}, "solver.fixed_h"),
+    ("simulate", {"solver": {"sample_times": [0, math.nan, 1]}}, "solver.sample_times"),
 ], ids=["t_end_abc", "rel_tol_null", "sample_times_strings", "k_list_string", "k_list_float",
         "q_list_above_k", "q_list_zero", "q_list_string", "max_size_string", "epsilon_string",
         "perturb_size_above_k", "tail_budget_negative", "kernel_param_unknown",
@@ -352,7 +374,8 @@ def test_unknown_solver_key_lists_the_solver_fields(tmp_path, capsys):
         "additive_a_negative", "power_a_zero", "power_exponent_above_one",
         "decay_foreign_key", "truncation_foreign_key", "admissibility_foreign_key",
         "identity_misspelled_key", "experiment_name_not_string", "admissibility_thresholds",
-        "seed_key_removed"])
+        "seed_key_removed", "t_end_infinite", "rel_tol_infinite", "abs_tol_infinite",
+        "max_step_infinite", "fixed_h_infinite", "sample_times_nan"])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, command, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert main([command, cfg]) == 1  # a ConfigError, not an escaping exception

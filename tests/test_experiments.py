@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -7,17 +9,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coagkin import experiments, system
+from coagkin import cli, experiments, system
 from coagkin.errors import ConfigError
 from coagkin.experiments import (
     asymptotic_decay,
     continuous_dependence,
     identity_audit,
-    time_rescaling,
     truncation_convergence,
     weights_audit,
 )
-from coagkin.integrator import MODE_FIXED, SolverConfig, integrate
+from coagkin.integrator import SolverConfig, integrate
 from coagkin.kernels import CoagulationKernel, additive, constant, demo_table, from_rule, power_sum, tabulated
 from coagkin.reports import ExperimentReport
 from coagkin.system import SizeDistribution, geometric, monomer
@@ -213,8 +214,7 @@ def test_decay_requires_zeta_and_passes_defaults():
     lambda t_end, solver: continuous_dependence(power_sum(1.0, 0.5), monomer(8), monomer(8), t_end,
                                                 solver=solver),
     lambda t_end, solver: asymptotic_decay(constant(1.0), monomer(8), t_end, solver=solver),
-    lambda t_end, solver: time_rescaling(constant(1.0), monomer(8), t_end, solver=solver),
-], ids=["truncation", "dependence", "decay", "rescaling"])
+], ids=["truncation", "dependence", "decay"])
 def test_solver_must_end_at_the_given_end_time(run):
     with pytest.raises(ValueError, match="solver.t_end 1.0 differs from the end time 2.0"):
         run(2.0, SolverConfig(t_end=1.0))
@@ -436,43 +436,34 @@ def test_identity_audit_leaves_the_blas_worker_idle():
     assert float(proc.stdout) < 0.030
 
 
-def test_time_rescaling_constant_kernel_only():
-    rep = time_rescaling(constant(1.0), monomer(12), 1.0)
-    assert rep.passed
-    with pytest.raises(ValueError):
-        time_rescaling(additive(1.0), monomer(12), 1.0)
-    with pytest.raises(ValueError):
-        time_rescaling(power_sum(1.0, 0.5), monomer(12), 1.0)
-
-
-def test_time_rescaling_derives_every_run_from_the_given_solver(monkeypatch):
-    h, max_step = 0.1, 0.05
-    solver = SolverConfig(t_end=1.0, mode=MODE_FIXED, fixed_h=h, max_step=max_step)
-    configs = []
-    orig = experiments.integrate
-
-    def recording(init, kernel, config):
-        configs.append(config)
-        return orig(init, kernel, config)
-
-    monkeypatch.setattr(experiments, "integrate", recording)
-    rep = time_rescaling(constant(1.0), monomer(8), 1.0, alphas=(0.5, 2.0), solver=solver)
-    assert rep.passed
-    assert rep.config_echo["solver"] == solver.to_dict()
-    assert len(configs) == 4
-    for alpha, run_a, run_b in zip((0.5, 2.0), configs[::2], configs[1::2]):
-        assert run_a.mode == run_b.mode == MODE_FIXED
-        assert (run_a.t_end, run_a.fixed_h, run_a.max_step) == (1.0, h, max_step)
-        assert (run_b.t_end, run_b.fixed_h, run_b.max_step) == (alpha, alpha * h, alpha * max_step)
-        assert np.array_equal(run_b.resolved_sample_times(), alpha * run_a.resolved_sample_times())
-    # scaling by a power of two is exact, so the two fixed-step flows agree bit for bit
-    assert rep.metrics["max_rescaling_residual"] == 0.0
-
-
 def test_weights_audit_passes():
     rep = weights_audit(geometric(64, 0.5), max_size=128)
     assert rep.passed
     assert "constructed_moment" in rep.metrics
+
+
+def _entry_points_no_command_runs() -> list[str]:
+    """Public functions of ``coagkin.experiments`` that no ``verify`` adapter and no CLI code names."""
+    adapters = {name for spec in experiments.EXPERIMENTS.values() for name in spec.run.__code__.co_names}
+    tree = ast.parse(inspect.getsource(cli))
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "experiments"}
+    used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "experiments" for alias in node.names}
+    return sorted(name for name, fn in vars(experiments).items()
+                  if inspect.isfunction(fn) and fn.__module__ == experiments.__name__
+                  and not name.startswith("_") and name not in adapters | used)
+
+
+def test_every_public_experiments_function_is_run_by_a_command(monkeypatch):
+    assert _entry_points_no_command_runs() == []
+
+    def orphan():
+        pass
+
+    orphan.__module__ = experiments.__name__
+    monkeypatch.setattr(experiments, "orphan", orphan, raising=False)
+    assert _entry_points_no_command_runs() == ["orphan"]
 
 
 def test_experiments_are_deterministic():
